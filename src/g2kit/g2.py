@@ -8,13 +8,18 @@ and the cross product is the bilinear map with (u x v) . w = phi(u, v, w).
 An *adapted frame* is a matrix g in the stabilizer, read as an orthonormal
 frame (columns g1..g7) together with the complex frame f_j = (g_2j - i g_2j+1)/2
 on the tangent space of the unit sphere at x = g1.
+
+Membership is verified at the boundary, once: the public constructors
+(``AdaptedFrame``, ``adapted_frame``, ``frame_rotate``) check their result with
+:func:`is_g2`, while the private builders ``_completion_rows`` and
+``_rotation_rows`` do not, so that products of verified elements can be
+assembled first and the finished frame checked once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import linalg
 from .forms import ExteriorForm
 from .scalars import (
     EXACT,
@@ -72,6 +77,11 @@ def cross(u, v):
     if len(u) != 7 or len(v) != 7:
         raise ValueError("cross product needs 7-vectors")
     join_modes(vector_mode(u), vector_mode(v))
+    return _cross(u, v)
+
+
+def _cross(u, v):
+    """The cross product of two 7-sequences of one scalar mode, unchecked."""
     zero = u[0] * 0
     out = [zero] * 7
     for i in range(1, 8):
@@ -110,38 +120,36 @@ def g2_defect(matrix) -> ExteriorForm:
 def is_g2(matrix, tol=None) -> bool:
     """Whether the 7x7 matrix preserves phi (exactly, or within tol for floats).
 
-    A passing matrix is also checked to be special orthogonal, which is a
-    consequence of preserving phi; a violation indicates corrupted input.
+    g preserves phi if and only if it is orthogonal and preserves the cross
+    product, since phi fixes the metric and the orientation (Harvey-Lawson,
+    Calibrated geometries, Acta Math. 148, 1982; Bryant, Some remarks on
+    G_2-structures, arXiv:math/0305124).  So the test checks the 28 dot
+    products of the columns against 0/1, then g(e_i) x g(e_j) = +-g(e_k) for
+    the 21 pairs i < j with e_i x e_j = +-e_k, and stops at the first failure.
+    det(g) = 1 follows and is not computed.  :func:`g2_defect` is the
+    independent pullback oracle.
     """
     rows = [list(r) for r in matrix]
     if len(rows) != 7 or any(len(r) != 7 for r in rows):
         raise ValueError("group membership test needs a 7x7 matrix")
-    exact = matrix_mode(rows) != FLOAT
-    defect = g2_defect(rows)
-    if exact:
-        ok = defect.is_zero
-    else:
-        ok = defect.norm_inf() < (DEFAULT_TOL if tol is None else tol)
-    if ok:
-        _assert_special_orthogonal(rows, exact, tol)
-    return ok
-
-
-def _assert_special_orthogonal(rows, exact, tol):
-    gtg = linalg.mat_mul(linalg.transpose(rows), rows)
-    d = linalg.det(rows, 0.0 if exact else 1e-12)
-    if exact:
-        ok = d == 1 and all(
-            gtg[i][j] == (1 if i == j else 0) for i in range(7) for j in range(7)
-        )
-    else:
+    if matrix_mode(rows) == FLOAT:
         t = DEFAULT_TOL if tol is None else tol
-        err = max(
-            abs(gtg[i][j] - (1.0 if i == j else 0.0)) for i in range(7) for j in range(7)
-        )
-        ok = err < 100 * t and abs(d - 1.0) < 100 * t
-    if not ok:
-        raise AssertionError("phi-preserving matrix fails the orthogonality check")
+        close = lambda a, b: abs(a - b) < t
+    else:
+        close = lambda a, b: a == b
+    cols = [[rows[i][j] for i in range(7)] for j in range(7)]
+    for i in range(7):
+        for j in range(i, 7):
+            d = sum((a * b for a, b in zip(cols[i], cols[j])), start=cols[i][0] * 0)
+            if not close(d, 1 if i == j else 0):
+                return False
+    for i in range(1, 8):
+        for j in range(i + 1, 8):
+            ((k, sign),) = _CROSS_TABLE[i][j]
+            for a, b in zip(_cross(cols[i - 1], cols[j - 1]), cols[k - 1]):
+                if not close(a, b if sign == 1 else -b):
+                    return False
+    return True
 
 
 class AdaptedFrame:
@@ -150,6 +158,11 @@ class AdaptedFrame:
     ``matrix`` is row-major; ``col(j)`` returns column j (1-based).  theta(j)
     is the complex-valued tangent coframe normalized so that the invariant
     2-form at x equals 2i * sum_j theta_j ^ conj(theta_j) exactly.
+
+    The constructor verifies membership with :func:`is_g2` and raises
+    :class:`FrameConstructionError` on failure.  ``check=False`` skips that
+    test; it is for a matrix already known to be in the group, such as a
+    product of verified elements.
     """
 
     __slots__ = ("matrix", "mode")
@@ -208,8 +221,9 @@ def adapted_frame(u, v, w, tol=None) -> AdaptedFrame:
     """Complete an orthonormal triple with phi(u,v,w) = 0 to a group element.
 
     Columns: u, v, u x v, w, u x w, v x w, -(u x v) x w.  The standard triple
-    (e1, e2, e4) completes to the identity.  Membership is re-verified and the
-    construction fails hard if the completion does not preserve phi.
+    (e1, e2, e4) completes to the identity.  The triple is checked to be
+    admissible, and the completed frame is verified once by ``AdaptedFrame``;
+    the construction fails hard if the completion does not preserve phi.
     """
     u, v, w = tuple(u), tuple(v), tuple(w)
     mode = join_modes(join_modes(vector_mode(u), vector_mode(v)), vector_mode(w))
@@ -231,31 +245,44 @@ def adapted_frame(u, v, w, tol=None) -> AdaptedFrame:
     check(dot(v, w), "v.w")
     check(dot(cross(u, v), w), "phi(u,v,w)")
 
-    uv = cross(u, v)
-    cols = [u, v, uv, w, cross(u, w), cross(v, w), tuple(-x for x in cross(uv, w))]
-    rows = [[cols[j][i] for j in range(7)] for i in range(7)]
     try:
-        return AdaptedFrame(rows, check=True, tol=tol)
+        return AdaptedFrame(_completion_rows(u, v, w), check=True, tol=tol)
     except FrameConstructionError as exc:
         raise FrameConstructionError(
             "cross-product completion failed the membership check"
         ) from exc
 
 
+def _completion_rows(u, v, w):
+    """Rows of the cross-product completion of (u, v, w); nothing is checked."""
+    uv = cross(u, v)
+    cols = [u, v, uv, w, cross(u, w), cross(v, w), tuple(-x for x in cross(uv, w))]
+    return [[cols[j][i] for j in range(7)] for i in range(7)]
+
+
 def standard_frame() -> AdaptedFrame:
-    return adapted_frame(
-        (Fraction(1), 0, 0, 0, 0, 0, 0),
-        (0, Fraction(1), 0, 0, 0, 0, 0),
-        (0, 0, 0, Fraction(1), 0, 0, 0),
-    )
+    """The identity frame, completed from (e1, e2, e4).
+
+    It is a constant of the group, so it is built without a membership check.
+    """
+    e1 = (Fraction(1), 0, 0, 0, 0, 0, 0)
+    e2 = (0, Fraction(1), 0, 0, 0, 0, 0)
+    e4 = (0, 0, 0, Fraction(1), 0, 0, 0)
+    return AdaptedFrame(_completion_rows(e1, e2, e4), check=False)
 
 
 def frame_rotate(frame: AdaptedFrame, unitary) -> AdaptedFrame:
     """Act on a frame by a special-unitary 3x3 matrix in the complex frame.
 
     New complex columns f'_k = sum_j U[j][k] f_j; the base point is fixed.
-    For exact U in SU(3) the result is again a group element (re-verified).
+    For U in SU(3) the result is again a group element; it is verified, so a
+    U outside SU(3) (even one in U(3)) raises FrameConstructionError.
     """
+    return AdaptedFrame(_rotation_rows(frame, unitary), check=True)
+
+
+def _rotation_rows(frame: AdaptedFrame, unitary):
+    """Rows of ``frame`` rotated by ``unitary`` as in frame_rotate, unchecked."""
     u = [list(r) for r in unitary]
     cols = [frame.col(1)]
     new_cols = {}
@@ -274,5 +301,4 @@ def frame_rotate(frame: AdaptedFrame, unitary) -> AdaptedFrame:
         new_cols[2 * k + 1] = tuple(im_col)
     for j in range(2, 8):
         cols.append(new_cols[j])
-    rows = [[cols[j][i] for j in range(7)] for i in range(7)]
-    return AdaptedFrame(rows, check=True)
+    return [[cols[j][i] for j in range(7)] for i in range(7)]

@@ -7,6 +7,11 @@ a perfect square), special-unitary matrices as products of embedded 2x2
 blocks, symplectic matrices as Cayley transforms of hamiltonian ones, and
 group elements for the calibration 3-form as products of stabilizer rotations
 about two different axes.
+
+Group elements are assembled without membership checks: each factor is a
+known group element (an SU(3) rotation of the identity frame, or the fixed
+frame at e4), so their product is one too.  The finished frame is verified
+once, by ``AdaptedFrame`` in :func:`random_rational_frame`.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .g2 import AdaptedFrame, adapted_frame, frame_rotate, standard_frame
+from .g2 import AdaptedFrame, _completion_rows, _rotation_rows, standard_frame
 from .scalars import ComplexRational
 
 
@@ -125,9 +130,10 @@ def random_symplectic(rng, omega_matrix, bound=2):
 # exact group elements and rational sphere data
 # ---------------------------------------------------------------------------
 
-def _frame_at_e4() -> AdaptedFrame:
+def _frame_at_e4():
+    """Rows of the completion of (e4, e5, e2): a signed permutation in the group."""
     e = lambda k: tuple(Fraction(1 if i == k - 1 else 0) for i in range(7))
-    return adapted_frame(e(4), e(5), e(2))
+    return _completion_rows(e(4), e(5), e(2))
 
 
 def random_g2_matrix(rng, factors=2) -> list:
@@ -135,23 +141,25 @@ def random_g2_matrix(rng, factors=2) -> list:
 
     Product of special-unitary stabilizer rotations about e1 interleaved with
     the fixed frame based at e4; two factors already move the base point over
-    a dense set of rational sphere points.
+    a dense set of rational sphere points.  The product is not verified here;
+    :func:`random_rational_frame` verifies it.
     """
+    std = standard_frame()
+    hop = _frame_at_e4()
     total = None
     for _ in range(factors):
-        rot1 = frame_rotate(standard_frame(), random_su3(rng))
-        hop = _frame_at_e4()
-        rot2 = frame_rotate(standard_frame(), random_su3(rng))
-        piece = linalg.mat_mul(
-            [list(r) for r in rot1.matrix],
-            linalg.mat_mul([list(r) for r in hop.matrix], [list(r) for r in rot2.matrix]),
-        )
+        rot1 = _rotation_rows(std, random_su3(rng))
+        rot2 = _rotation_rows(std, random_su3(rng))
+        piece = linalg.mat_mul(rot1, linalg.mat_mul(hop, rot2))
         total = piece if total is None else linalg.mat_mul(total, piece)
     return total
 
 
 def random_rational_frame(rng, factors=2) -> AdaptedFrame:
-    """Random exact adapted frame (hence a random rational sphere point)."""
+    """Random exact adapted frame (hence a random rational sphere point).
+
+    This is where the assembled product is verified, once.
+    """
     return AdaptedFrame(random_g2_matrix(rng, factors))
 
 

@@ -99,7 +99,11 @@ def k_operator(rho: ExteriorForm, vol: ExteriorForm):
 
 def discriminant(rho: ExteriorForm, vol: ExteriorForm):
     """lambda = trace(K^2) / 6; K^2 = lambda * Id on the open orbits."""
-    k = k_operator(rho, vol)
+    return _discriminant_of(k_operator(rho, vol))
+
+
+def _discriminant_of(k):
+    """lambda = trace(K^2) / 6 from the matrix K of :func:`k_operator`."""
     k2 = linalg.mat_mul(k, k)
     return sum((k2[i][i] for i in range(6)), start=k2[0][0] * 0) / 6
 
@@ -191,7 +195,7 @@ def classify_3form(rho: ExteriorForm, vol: ExteriorForm = None, tol=1e-12) -> Th
         rho, vol = rho.as_float(), vol.as_float()
     pivot_tol = 0.0 if exact else tol
     k = k_operator(rho, vol)
-    lam = discriminant(rho, vol)
+    lam = _discriminant_of(k)
     if (exact and lam == 0) or (not exact and abs(to_float(lam)) <= tol):
         return ThreeFormClass("degenerate", lam)
     if to_float(lam) > 0:

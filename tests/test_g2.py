@@ -181,3 +181,124 @@ def test_invariant_two_form_from_coframe(rng):
         th = frame.theta(j)
         om = om + (2 * I_EXACT) * th.wedge(th.conj())
     assert om == phi.interior(frame.x)
+
+
+def _diag(*entries):
+    return [[Fraction(entries[i]) if i == j else Fraction(0) for j in range(7)] for i in range(7)]
+
+
+def test_is_g2_agrees_with_pullback_oracle():
+    """The cross-product test and the pullback of phi give the same verdict."""
+    rng = random.Random(11)
+    members = [random_rational_frame(rng).matrix for _ in range(5)]
+    g = [list(r) for r in members[0]]
+    col_swap = [[r[1], r[0], *r[2:]] for r in g]
+    row_flip = [[-x for x in g[0]], *g[1:]]
+    nudged = [list(r) for r in g]
+    nudged[3][5] += Fraction(1, 7)
+    doubled = [[2 * x for x in r] for r in g]
+    cycle = [[Fraction(0)] * 7 for _ in range(7)]  # e1 -> e2 -> e3 -> e1, det 1
+    for i, j in ((1, 0), (2, 1), (0, 2), (3, 3), (4, 4), (5, 5), (6, 6)):
+        cycle[i][j] = Fraction(1)
+    non_members = [
+        _diag(*[-1] * 7),
+        _diag(-1, -1, 1, 1, 1, 1, 1),
+        col_swap,
+        row_flip,
+        nudged,
+        doubled,
+        cycle,
+        _diag(*[0] * 7),  # preserves the cross product, but is not orthogonal
+    ]
+    for m in members:
+        assert is_g2(m) and g2_defect(m).is_zero
+    for m in non_members:
+        assert not is_g2(m) and not g2_defect(m).is_zero
+
+
+def test_is_g2_float_frames():
+    from g2kit.sphere import frame_at_float_point
+
+    rng = random.Random(31)
+    for _ in range(5):
+        frame = frame_at_float_point(rng, None)
+        assert is_g2(frame.matrix)
+        nudged = [list(r) for r in frame.matrix]
+        nudged[2][4] += 1e-6
+        assert not is_g2(nudged)
+
+
+def test_random_rational_frame_checks_once(monkeypatch):
+    from g2kit import g2
+
+    calls = []
+    original = g2.is_g2
+
+    def counting(matrix, tol=None):
+        calls.append(1)
+        return original(matrix, tol)
+
+    monkeypatch.setattr(g2, "is_g2", counting)
+    random_rational_frame(random.Random(0))
+    assert len(calls) == 1
+
+
+def test_random_rational_frames_byte_stable():
+    """The frames for seeds 0-3 are the ones the generator has always drawn."""
+    import hashlib
+
+    expected = [
+        "2b8ea2ad472687239fae432a2af6eb1c6e4a25a485ff16f4f3e7c5b42a928cf4",
+        "96a01af7c89fc9bb279527adfe72dfa1fa41cac3c0957b2337d14f5e874f4723",
+        "0d130aaea7dd6866a548bcb22b9aacb1703d5d3c993d388e2126cc83869672ea",
+        "77159aed7307a8dc5ce677687392fffac2899a463c1e2897e0a7496076ec84db",
+    ]
+    for seed, digest in enumerate(expected):
+        frame = random_rational_frame(random.Random(seed))
+        assert hashlib.sha256(str(frame.matrix).encode()).hexdigest() == digest
+
+
+def test_frame_rotate_rejects_unitary_outside_su3():
+    from g2kit.scalars import ComplexRational
+
+    one, zero = ComplexRational(1), ComplexRational(0)
+    u = [[ComplexRational(0, 1), zero, zero], [zero, one, zero], [zero, zero, one]]
+    with pytest.raises(FrameConstructionError):
+        frame_rotate(standard_frame(), u)
+
+
+def test_membership_check_survives_optimize_flag(tmp_path):
+    """Under python -O a corrupted exact frame is still rejected."""
+    import json
+    import subprocess
+    import sys
+
+    from g2kit import jsonio
+
+    frame = [list(r) for r in random_rational_frame(random.Random(2)).matrix]
+    frame[1][6] += Fraction(1, 7)
+    doc = {"mode": "exact", "frame": jsonio.matrix_to_obj(frame, "exact")}
+    path = tmp_path / "corrupted.json"
+    path.write_text(json.dumps(doc))
+    script = (
+        "import json, sys\n"
+        "from g2kit import jsonio\n"
+        "from g2kit.g2 import AdaptedFrame, FrameConstructionError\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(3)\n"
+        "rows = jsonio.matrix_from_obj(json.load(open(sys.argv[1]))['frame'], 'exact')\n"
+        "try:\n"
+        "    AdaptedFrame(rows)\n"
+        "except FrameConstructionError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    built = subprocess.run([sys.executable, "-O", "-c", script, str(path)], capture_output=True)
+    assert built.returncode == 0, built.stderr
+    chern = subprocess.run(
+        [sys.executable, "-O", "-m", "g2kit.cli", "chern", "--input", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert chern.returncode == 2, chern.stderr
+    assert "input error" in chern.stderr
