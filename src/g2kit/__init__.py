@@ -62,6 +62,7 @@ from .sphere import (
     SpherePoint,
     basis_point,
     nijenhuis_chart,
+    nijenhuis_closed_form,
     nijenhuis_sphere,
     omega_at,
     phi_tangential,
@@ -94,6 +95,7 @@ from .threeforms import (
 from .almost_symplectic import (
     EllipticDefiniteReport,
     PrimitiveDecomposition,
+    PrimitivityError,
     elliptic_definite_check,
     primitive_decompose,
 )

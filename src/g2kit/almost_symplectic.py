@@ -23,6 +23,10 @@ from .compat import inertial_index
 from .threeforms import classify_3form
 
 
+class PrimitivityError(ArithmeticError):
+    """The remainder pi of a primitive decomposition failed omega ^ pi = 0."""
+
+
 class PrimitiveDecomposition:
     """The pair (lambda 1-form, pi primitive 3-form) with d(omega) = lam^omega + pi."""
 
@@ -81,7 +85,8 @@ def primitive_decompose(omega: ExteriorForm, domega: ExteriorForm, tol=0.0) -> P
 
     Solved from domega ^ omega = lambda ^ omega^2 (a 6x6 linear system); the
     remainder pi = domega - lambda ^ omega is then primitive by construction,
-    which is re-verified.  Degenerate omega raises.
+    which is re-verified (:class:`PrimitivityError` if not).  Degenerate
+    omega raises.
     """
     if omega.dim != 6 or omega.degree != 2:
         raise ValueError("omega must be a 2-form on R^6")
@@ -104,9 +109,11 @@ def primitive_decompose(omega: ExteriorForm, domega: ExteriorForm, tol=0.0) -> P
     check = omega.wedge(pi)
     if float_mode:
         scale = max(domega.norm_inf(), 1.0)
-        assert check.norm_inf() <= max(tol, 1e-9) * scale, "primitivity failed"
+        primitive = check.norm_inf() <= max(tol, 1e-9) * scale
     else:
-        assert check.is_zero, "primitivity failed"
+        primitive = check.is_zero
+    if not primitive:
+        raise PrimitivityError(f"omega ^ pi = {check} is not zero")
     return PrimitiveDecomposition(lam, pi)
 
 

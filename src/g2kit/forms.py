@@ -125,6 +125,23 @@ class ExteriorForm:
 
     # -- constructors --------------------------------------------------
     @classmethod
+    def _trusted(cls, dim, degree, terms, mode):
+        """Build from kernel output: increasing in-range keys, coefficients of ``mode``.
+
+        Coefficients are normalized and zeros dropped; sign sorting, index
+        validation and mode inference are skipped.  Only operations of this
+        module call it, on forms that already passed the public constructor.
+        """
+        form = object.__new__(cls)
+        object.__setattr__(form, "dim", dim)
+        object.__setattr__(form, "degree", degree)
+        object.__setattr__(
+            form, "terms", {k: normalize_scalar(c) for k, c in terms.items() if c}
+        )
+        object.__setattr__(form, "mode", mode)
+        return form
+
+    @classmethod
     def zero(cls, dim, degree, mode=EXACT):
         return cls(dim, degree, {}, mode=mode)
 
@@ -189,7 +206,7 @@ class ExteriorForm:
                 terms[idx] = normalize_scalar(s)
             else:
                 terms.pop(idx, None)
-        return ExteriorForm(self.dim, self.degree, terms, mode=self.mode)
+        return ExteriorForm._trusted(self.dim, self.degree, terms, self.mode)
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -205,29 +222,26 @@ class ExteriorForm:
             join_modes(self.mode, m)
         if not scalar:
             return ExteriorForm.zero(self.dim, self.degree, self.mode)
-        return ExteriorForm(
-            self.dim,
-            self.degree,
-            {idx: scalar * c for idx, c in self.terms.items()},
-            mode=self.mode,
+        return ExteriorForm._trusted(
+            self.dim, self.degree, {idx: scalar * c for idx, c in self.terms.items()}, self.mode
         )
 
     __mul__ = __rmul__
 
     # -- conjugation / parts ----------------------------------------------
     def conj(self):
-        return ExteriorForm(
-            self.dim, self.degree, {i: sconj(c) for i, c in self.terms.items()}, mode=self.mode
+        return ExteriorForm._trusted(
+            self.dim, self.degree, {i: sconj(c) for i, c in self.terms.items()}, self.mode
         )
 
     def real(self):
-        return ExteriorForm(
-            self.dim, self.degree, {i: sre(c) for i, c in self.terms.items()}, mode=self.mode
+        return ExteriorForm._trusted(
+            self.dim, self.degree, {i: sre(c) for i, c in self.terms.items()}, self.mode
         )
 
     def imag(self):
-        return ExteriorForm(
-            self.dim, self.degree, {i: sim(c) for i, c in self.terms.items()}, mode=self.mode
+        return ExteriorForm._trusted(
+            self.dim, self.degree, {i: sim(c) for i, c in self.terms.items()}, self.mode
         )
 
     def as_float(self):
@@ -262,7 +276,7 @@ class ExteriorForm:
                     terms[key] = c
                 else:
                     terms.pop(key, None)
-        return ExteriorForm(self.dim, deg, terms, mode=self.mode)
+        return ExteriorForm._trusted(self.dim, deg, terms, self.mode)
 
     def interior(self, v):
         if self.degree == 0:
@@ -286,7 +300,7 @@ class ExteriorForm:
                     terms[key] = contrib
                 else:
                     terms.pop(key, None)
-        return ExteriorForm(self.dim, self.degree - 1, terms, mode=self.mode)
+        return ExteriorForm._trusted(self.dim, self.degree - 1, terms, self.mode)
 
     def evaluate(self, vectors):
         """Value on exactly ``degree`` vectors (determinant expansion)."""
@@ -298,13 +312,24 @@ class ExteriorForm:
         for v in vectors:
             if len(v) != self.dim:
                 raise DimensionMismatchError("vector dimension != form dimension")
-        if self.degree == 0:
-            return self.terms.get((), Fraction(0) if self.mode == EXACT else 0.0)
         mode = self.mode
         for v in vectors:
             mode = join_modes(mode, vector_mode(v))
+        return self._evaluate(vectors, [_support(v) for v in vectors])
+
+    def _evaluate(self, vectors, supports):
+        """Determinant expansion on checked vectors; ``supports`` are their nonzero indices.
+
+        A term is skipped when some vector vanishes on all of its indices:
+        that minor has a zero row, so ``linalg.det`` would return (signed)
+        zero for it, and skipping it can change only the sign of a zero total.
+        """
+        if self.degree == 0:
+            return self.terms.get((), Fraction(0) if self.mode == EXACT else 0.0)
         total = None
         for idx, c in self.terms.items():
+            if any(s.isdisjoint(idx) for s in supports):
+                continue
             minor = [[v[i - 1] for i in idx] for v in vectors]
             d = linalg.det(minor)
             total = c * d if total is None else total + c * d
@@ -325,17 +350,19 @@ class ExteriorForm:
         m = len(rows[0])
         if any(len(r) != m for r in rows):
             raise DimensionMismatchError("ragged matrix")
-        if self.terms:
+        # a zero form is still checked whenever some column gets evaluated
+        if self.terms or 0 < self.degree <= m:
             join_modes(self.mode, matrix_mode(rows))
         if self.degree > m:
             return ExteriorForm.zero(m, self.degree, self.mode)
         cols = [[rows[i][j] for i in range(self.dim)] for j in range(m)]
+        supports = [_support(c) for c in cols]
         terms = {}
         for sub in combinations(range(m), self.degree):
-            val = self.evaluate([cols[j] for j in sub])
+            val = self._evaluate([cols[j] for j in sub], [supports[j] for j in sub])
             if val:
                 terms[tuple(j + 1 for j in sub)] = val
-        return ExteriorForm(m, self.degree, terms, mode=self.mode)
+        return ExteriorForm._trusted(m, self.degree, terms, self.mode)
 
     def restrict(self, basis, tol=0.0):
         """Restriction to the span of ``basis`` (coefficients = evaluations)."""
@@ -345,6 +372,11 @@ class ExteriorForm:
             raise DependentBasisError("restriction basis is linearly dependent")
         matrix = [[basis[j][i] for j in range(len(basis))] for i in range(self.dim)]
         return self.pullback(matrix)
+
+
+def _support(v):
+    """1-based indices of the nonzero components of v."""
+    return frozenset(i for i, x in enumerate(v, 1) if x)
 
 
 # ---------------------------------------------------------------------------

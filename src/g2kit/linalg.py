@@ -35,7 +35,8 @@ def _fx_rows(m):
 
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
-    assert len(a[0]) == k
+    if len(a[0]) != k:
+        raise ValueError(f"cannot multiply a {n}x{len(a[0])} matrix by a {k}x{m} matrix")
     return [
         [sum((a[i][t] * b[t][j] for t in range(k)), start=a[i][0] * 0) for j in range(m)]
         for i in range(n)

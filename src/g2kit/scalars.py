@@ -143,7 +143,20 @@ I_EXACT = ComplexRational(0, 1)
 # generic scalar helpers (work across both modes)
 # ---------------------------------------------------------------------------
 
+_MODE_BY_TYPE = {
+    int: ANY,
+    Fraction: EXACT,
+    ComplexRational: EXACT,
+    float: FLOAT,
+    complex: FLOAT,
+}
+
+
 def mode_of(x) -> str:
+    mode = _MODE_BY_TYPE.get(type(x))
+    if mode is not None:
+        return mode
+    # subclasses (bool, numpy scalars) take the isinstance route
     if isinstance(x, int):
         return ANY
     if isinstance(x, (Fraction, ComplexRational)):

@@ -117,3 +117,36 @@ def test_float_instance():
     assert rep.tag == "elliptic"
     assert rep.signature == (3, 0)
     assert rep.elliptic_definite
+
+
+def test_primitivity_check_survives_optimize_flag():
+    """Under python -O a wrong solve is still caught, exact and float alike."""
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "from g2kit import linalg\n"
+        "from g2kit.almost_symplectic import PrimitivityError, primitive_decompose\n"
+        "from g2kit.g2 import associative_three_form\n"
+        "from g2kit.sphere import basis_point, omega_at\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(3)\n"
+        "basis = [[int(i == k) for i in range(7)] for k in range(1, 7)]\n"
+        "om6 = omega_at(basis_point(1)).restrict(basis)\n"
+        "dom6 = (3 * associative_three_form()).restrict(basis)\n"
+        "linalg.solve = lambda m, rhs, tol=0.0: [1] + [0] * 5\n"
+        "for om, dom in ((om6, dom6), (om6.as_float(), dom6.as_float())):\n"
+        "    try:\n"
+        "        primitive_decompose(om, dom)\n"
+        "    except PrimitivityError:\n"
+        "        continue\n"
+        "    sys.exit(1)\n"
+        "try:\n"
+        "    linalg.mat_mul([[1, 2]], [[1, 2]])\n"
+        "except ValueError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(2)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -90,6 +90,13 @@ def test_sphere_suite_requires_seed():
     assert proc.returncode == 2
 
 
+def test_sphere_suite_rejects_threads_below_one():
+    for threads in ("0", "-3"):
+        proc = run_cli(["sphere-suite", "--samples", "2", "--seed", "1", "--threads", threads])
+        assert proc.returncode == 2
+        assert "--threads" in proc.stderr
+
+
 def test_tol_requires_float_mode():
     proc = run_cli(["verify-structure", "--tol", "1e-8"])
     assert proc.returncode == 2
@@ -201,3 +208,26 @@ def test_main_callable_directly(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert json.loads(out)["pass"]
+
+
+def test_sphere_suite_reports_byte_stable():
+    """sphere-suite stdout for fixed seeds is the one it has always printed."""
+    import hashlib
+
+    expected = {
+        ("--seed", "0", "--threads", "1"):
+            "0f92eb89e2c303072c6ecb64f5a89327aa86c5b4cbb517e256d1a76f77e0f706",
+        ("--seed", "1", "--threads", "1"):
+            "75e71999b1cc4a351c77a5f27ec74f5a021897202e21cb7c7e49cb42af9bfcdf",
+        ("--seed", "2", "--threads", "1"):
+            "126b8feffbced8ff1e905a77abb4d510f7c99350492cf3403729d63b54c76bd5",
+        ("--seed", "3", "--threads", "1"):
+            "3fd10351ac567714a4f10d47c594f153b61b010331e54f38c6083e048d7d1f78",
+        ("--seed", "0", "--threads", "2"):
+            "0f92eb89e2c303072c6ecb64f5a89327aa86c5b4cbb517e256d1a76f77e0f706",
+        ("--seed", "0", "--mutate", "upsilon-scale"):
+            "5fe763f6e0361ade5ff8358f83d3749e153ec773c5f89552ea3b42e2e06373b7",
+    }
+    for flags, digest in expected.items():
+        out = run_cli(["sphere-suite", "--samples", "4", *flags]).stdout
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, flags

@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from g2kit import linalg
 from g2kit.forms import (
     DegreeError,
     DependentBasisError,
@@ -15,7 +16,7 @@ from g2kit.forms import (
     pullback,
     restrict_to_subspace,
 )
-from g2kit.scalars import ComplexRational, MixedModeError
+from g2kit.scalars import ComplexRational, MixedModeError, normalize_scalar
 
 from conftest import e_vec, rand_form, rand_vector
 
@@ -267,3 +268,108 @@ def test_form_defect():
     a = ExteriorForm.basis(6, (1, 2)).as_float()
     b = 1.25 * ExteriorForm.basis(6, (1, 2)).as_float()
     assert form_defect(a, b) == pytest.approx(0.25)
+
+
+def _float_form(rng, dim, degree, nterms=4):
+    pool = list(combinations(range(1, dim + 1), degree))
+    rng.shuffle(pool)
+    return ExteriorForm(dim, degree, {idx: rng.uniform(-2, 2) for idx in pool[:nterms]})
+
+
+def _sparse_vector(rng, dim, float_mode):
+    """Random vector with about half its components zero."""
+    if float_mode:
+        return tuple(rng.uniform(-2, 2) if rng.random() < 0.5 else 0.0 for _ in range(dim))
+    return tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.5
+                 else Fraction(0) for _ in range(dim))
+
+
+def _random_forms(rng):
+    """Exact (real and complex) and float forms of degree 1-3 on R^6 and R^7."""
+    for dim in (6, 7):
+        for degree in (1, 2, 3):
+            yield rand_form(rng, dim, degree, nterms=4)
+            yield rand_form(rng, dim, degree, nterms=3, complex_coeffs=True)
+            yield _float_form(rng, dim, degree)
+
+
+def _assert_canonical(result):
+    """Kernel output is exactly what the validating constructor makes of its terms."""
+    rebuilt = ExteriorForm(result.dim, result.degree, dict(result.terms))
+    assert list(result.terms.items()) == list(rebuilt.terms.items())
+    assert [type(c) for c in result.terms.values()] == [
+        type(c) for c in rebuilt.terms.values()
+    ]
+    if result.terms:
+        assert result.mode == rebuilt.mode
+
+
+def test_kernel_results_equal_validated_construction():
+    # products whose imaginary parts cancel must come out real
+    for i in (ComplexRational(0, 1), 1j):
+        a = ExteriorForm(6, 1, {(1,): 1 + i})
+        b = ExteriorForm(6, 1, {(2,): 1 - i})
+        _assert_canonical(a.wedge(b))
+        _assert_canonical(a.wedge(b).interior(e_vec(6, 1, i == 1j)))
+        _assert_canonical((1 - i) * a)
+    rng = random.Random(61)
+    for a in _random_forms(rng):
+        fm = a.mode == "float"
+        b = _float_form(rng, a.dim, 2) if fm else rand_form(rng, a.dim, 2, nterms=4)
+        _assert_canonical(a.wedge(b))
+        _assert_canonical(a + a)
+        _assert_canonical(a - a)
+        _assert_canonical((0.5 if fm else Fraction(3, 2)) * a)
+        for part in (a.conj(), a.real(), a.imag()):
+            _assert_canonical(part)
+        _assert_canonical(a.interior(_sparse_vector(rng, a.dim, fm)))
+        m = rng.randint(a.degree, a.dim)
+        cols = [_sparse_vector(rng, a.dim, fm) for _ in range(m)]
+        _assert_canonical(a.pullback([[c[i] for c in cols] for i in range(a.dim)]))
+        basis = [e_vec(a.dim, k, fm) for k in rng.sample(range(1, a.dim + 1), m)]
+        basis[0] = tuple(x + y for x, y in zip(basis[0], cols[0]))
+        if linalg.rank(basis) == m:
+            _assert_canonical(a.restrict(basis))
+
+
+def _evaluate_every_term(form, vectors):
+    """The determinant expansion with no term skipped."""
+    total = None
+    for idx, c in form.terms.items():
+        d = linalg.det([[v[i - 1] for i in idx] for v in vectors])
+        total = c * d if total is None else total + c * d
+    if total is None:
+        return Fraction(0) if form.mode == "exact" else 0.0
+    return normalize_scalar(total)
+
+
+def test_evaluate_skipping_zero_minors_matches_full_expansion():
+    rng = random.Random(62)
+    for a in _random_forms(rng):
+        fm = a.mode == "float"
+        basis = [e_vec(a.dim, k, fm) for k in range(1, a.dim + 1)]
+        samples = [[_sparse_vector(rng, a.dim, fm) for _ in range(a.degree)] for _ in range(20)]
+        samples += [list(s) for s in combinations(basis, a.degree)]
+        for vectors in samples:
+            got, full = a.evaluate(vectors), _evaluate_every_term(a, vectors)
+            assert got == full
+            if not fm:
+                assert type(got) is type(full)
+
+
+def test_mixed_modes_rejected_by_every_kernel_operation(rng):
+    exact = rand_form(rng, 6, 2, nterms=3)
+    flt = _float_form(rng, 6, 2)
+    for form, other in ((exact, flt), (flt, exact)):
+        foreign = other.mode == "float"
+        vectors = [e_vec(6, 1, foreign), e_vec(6, 2, foreign)]
+        matrix = [[(1.0 if foreign else Fraction(1)) * (i == j) for j in range(4)]
+                  for i in range(6)]
+        with pytest.raises(MixedModeError):
+            form.evaluate(vectors)
+        with pytest.raises(MixedModeError):
+            form.interior(vectors[0])
+        with pytest.raises(MixedModeError):
+            form.pullback(matrix)
+        with pytest.raises(MixedModeError):
+            form.wedge(other)

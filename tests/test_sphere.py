@@ -13,6 +13,7 @@ from g2kit.sphere import (
     SpherePoint,
     basis_point,
     nijenhuis_chart,
+    nijenhuis_closed_form,
     nijenhuis_sphere,
     omega_at,
     phi_tangential,
@@ -202,3 +203,48 @@ def test_nijenhuis_stable_under_step_halving():
         n1 = np.linalg.norm(nijenhuis_sphere(u, x, y, h=1e-4))
         n2 = np.linalg.norm(nijenhuis_sphere(u, x, y, h=5e-5))
         assert abs(n1 - n2) <= 0.05 * max(n2, 1e-12)
+
+
+def test_nijenhuis_closed_form_matches_finite_differences():
+    from g2kit.sphere import random_float_point
+
+    rng = random.Random(31)
+    for _ in range(20):
+        u = random_float_point(rng)
+        uv = np.asarray(u)
+        x = np.asarray([rng.gauss(0, 1) for _ in range(7)])
+        y = np.asarray([rng.gauss(0, 1) for _ in range(7)])
+        x -= (x @ uv) * uv
+        y -= (y @ uv) * uv
+        closed = np.asarray(nijenhuis_closed_form(u, x.tolist(), y.tolist()))
+        oracle = nijenhuis_sphere(u, x, y)
+        assert np.linalg.norm(closed - oracle) <= 1e-6 * np.linalg.norm(oracle)
+
+
+def test_nijenhuis_closed_form_exact_identities(rng):
+    """At rational points: antisymmetric, tangent, J-antilinear, nonzero off complex lines.
+
+    |N(X, Y)|^2 = 16 (|X|^2 |Y|^2 - <X,Y>^2 - <JX,Y>^2), so N vanishes exactly
+    when Y lies on the complex line of X.
+    """
+    for _ in range(3):
+        u = random_rational_frame(rng).x
+        x = random_rational_tangent(rng, u)
+        y = random_rational_tangent(rng, u)
+        n = nijenhuis_closed_form(u, x, y)
+        assert all(isinstance(c, Fraction) for c in n)
+        assert nijenhuis_closed_form(u, y, x) == tuple(-c for c in n)
+        assert dot(u, n) == 0
+        assert nijenhuis_closed_form(u, standard_j(u, x), y) == tuple(
+            -c for c in standard_j(u, n)
+        )
+        jx = standard_j(u, x)
+        gap = dot(x, x) * dot(y, y) - dot(x, y) ** 2 - dot(jx, y) ** 2
+        assert gap != 0 and dot(n, n) == 16 * gap
+        assert all(c == 0 for c in nijenhuis_closed_form(u, x, jx))
+
+
+def test_nijenhuis_closed_form_rejects_normal_vectors():
+    e1 = basis_point(1)
+    with pytest.raises(NotTangentError):
+        nijenhuis_closed_form(e1, e7(1), e7(2))
