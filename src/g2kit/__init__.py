@@ -101,6 +101,7 @@ from .almost_symplectic import (
 )
 from .chern import (
     CandidateJ,
+    ChernCheckError,
     ChernData,
     TheoremContradictionError,
     canonical_eta_basis,

@@ -45,6 +45,16 @@ class TheoremContradictionError(AssertionError):
     """A residual-zero datum produced a definite H; this must never happen."""
 
 
+class ChernCheckError(ArithmeticError):
+    """An exact identity that the construction guarantees failed to hold."""
+
+
+def _require(ok, message):
+    # an explicit raise, so that the check survives python -O
+    if not ok:
+        raise ChernCheckError(message)
+
+
 class CandidateJ:
     """An almost-complex structure on the tangent space at one sphere point.
 
@@ -219,9 +229,9 @@ class ChernData:
         d = linalg.det(self.block_matrix)
         im = sim(d)
         if isinstance(im, Fraction):
-            assert im == 0, "block determinant must be real"
+            _require(im == 0, "block determinant must be real")
         else:
-            assert abs(im) <= 1e-9 * max(1.0, abs(sre(d))), "block determinant must be real"
+            _require(abs(im) <= 1e-9 * max(1.0, abs(sre(d))), "block determinant must be real")
         return sre(d)
 
     @property
@@ -550,26 +560,6 @@ def equivariance_check(j: CandidateJ, frame: AdaptedFrame, g_su3, h_gl3, eta_bas
 # residual-zero sampling (the signature dichotomy sweep)
 # ---------------------------------------------------------------------------
 
-def _adjugate3(m):
-    def c(i, j):
-        rows = [r for k, r in enumerate(m) if k != i]
-        cols = [[row[l] for l in range(3) if l != j] for row in rows]
-        minor = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
-        return minor if (i + j) % 2 == 0 else -minor
-
-    return [[c(j, i) for j in range(3)] for i in range(3)]
-
-
-def random_gaussian_matrix(rng, bound=4):
-    return [
-        [
-            ComplexRational(rng.randint(-bound, bound), rng.randint(-bound, bound))
-            for _ in range(3)
-        ]
-        for _ in range(3)
-    ]
-
-
 # Gaussian integers as plain (re, im) int pairs: the residual-zero sweep runs
 # hundreds of thousands of products and Fraction normalization would dominate.
 
@@ -684,8 +674,8 @@ def random_residual_zero_data(rng) -> ChernData:
     """Random exact omega-compatible datum with residual forced to zero."""
     r, s_bar = _random_rz_pairs(rng)
     data = ChernData(_pairs_to_cr(r), _pairs_to_cr(_gmat_conj(s_bar)))
-    assert data.residual == 0
-    assert is_omega_compatible_data(data)
+    _require(data.residual == 0, "residual is not zero")
+    _require(is_omega_compatible_data(data), "t(r) conj(s) is not symmetric")
     return data
 
 
@@ -701,7 +691,7 @@ def _g_hermitian_and_minors(r, s_bar):
     d2 = _gsub(_gmul(h[0][0], h[1][1]), _gmul(h[0][1], h[1][0]))
     d3 = _gdet3(h)
     for v in (d1, d2, d3):
-        assert v[1] == 0, "hermitian minors must be real"
+        _require(v[1] == 0, "hermitian minors must be real")
     return h, (d1[0], d2[0], d3[0])
 
 
@@ -730,15 +720,16 @@ def signature_dichotomy_sweep(trials, seed, crosscheck_every=200):
     while done < trials:
         r, s_bar = _random_rz_pairs(rng)
         # residual zero and compatibility, re-verified on the raw pairs
-        assert _gdet3(s_bar) == _gdet3(r), "residual is not zero"
+        _require(_gdet3(s_bar) == _gdet3(r), "residual is not zero")
         m = _gmat_mul(_gtranspose(r), s_bar)
-        assert all(m[i][j] == m[j][i] for i in range(3) for j in range(3)), (
-            "t(r) conj(s) is not symmetric"
+        _require(
+            all(m[i][j] == m[j][i] for i in range(3) for j in range(3)),
+            "t(r) conj(s) is not symmetric",
         )
         h, minors = _g_hermitian_and_minors(r, s_bar)
         p = _gmat_mul(_gtranspose(r), _gmat_conj(r))
         det_r = _gdet3(r)
-        assert _gdet3(p) == (det_r[0] ** 2 + det_r[1] ** 2, 0), "det(P) != |det r|^2"
+        _require(_gdet3(p) == (det_r[0] ** 2 + det_r[1] ** 2, 0), "det(P) != |det r|^2")
         if minors[2] == 0:
             continue  # degenerate H: datum does not define a structure
         if minors[0] == 0 or minors[1] == 0:
@@ -747,7 +738,7 @@ def signature_dichotomy_sweep(trials, seed, crosscheck_every=200):
             sig = _signature_from_minors(minors)
         if done % crosscheck_every == 0:
             data = ChernData(_pairs_to_cr(r), _pairs_to_cr(_gmat_conj(s_bar)))
-            assert index_from_h(data) == sig, "minor/congruence signature mismatch"
+            _require(index_from_h(data) == sig, "minor/congruence signature mismatch")
         if 0 in sig:
             raise TheoremContradictionError(
                 f"residual-zero datum with definite H (signature {sig})"

@@ -133,11 +133,6 @@ def omega_index(omega, j, tol=None):
 # dimension counts of the compatibility spaces
 # ---------------------------------------------------------------------------
 
-def _vectorize_condition(rows_of_condition, n2):
-    """Flatten matrix conditions L(A) = 0 into a (len x n2^2) system."""
-    return rows_of_condition
-
-
 def _linear_map_matrix(apply_map, n):
     """Matrix of A |-> apply_map(A) on the n x n matrix space, row per output entry."""
     n2 = n * n

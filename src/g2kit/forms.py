@@ -84,6 +84,18 @@ def merge_sign(left, right):
     return -1 if inversions % 2 else 1
 
 
+# (ia, ib) -> (merge_sign(ia, ib), sorted ia + ib); its keys are pairs of
+# subsets of 1..dim, so it holds at most 4^dim entries.
+_MERGED = {}
+
+
+def _merged(ia, ib):
+    hit = _MERGED.get((ia, ib))
+    if hit is None:
+        hit = _MERGED[(ia, ib)] = (merge_sign(ia, ib), tuple(sorted(ia + ib)))
+    return hit
+
+
 class ExteriorForm:
     __slots__ = ("dim", "degree", "terms", "mode")
 
@@ -265,10 +277,9 @@ class ExteriorForm:
         terms = {}
         for ia, ca in self.terms.items():
             for ib, cb in other.terms.items():
-                sign = merge_sign(ia, ib)
+                sign, key = _merged(ia, ib)
                 if sign == 0:
                     continue
-                key = tuple(sorted(ia + ib))
                 c = ca * cb if sign == 1 else -(ca * cb)
                 acc = terms.get(key)
                 c = c if acc is None else acc + c

@@ -19,8 +19,10 @@ assembled first and the finished frame checked once.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .forms import ExteriorForm
+from .linalg import _cleared_over_z
 from .scalars import (
     EXACT,
     FLOAT,
@@ -127,17 +129,21 @@ def is_g2(matrix, tol=None) -> bool:
     products of the columns against 0/1, then g(e_i) x g(e_j) = +-g(e_k) for
     the 21 pairs i < j with e_i x e_j = +-e_k, and stops at the first failure.
     det(g) = 1 follows and is not computed.  :func:`g2_defect` is the
-    independent pullback oracle.
+    independent pullback oracle.  Rational matrices run the same test on
+    integer columns with their denominators cleared.
     """
     rows = [list(r) for r in matrix]
     if len(rows) != 7 or any(len(r) != 7 for r in rows):
         raise ValueError("group membership test needs a 7x7 matrix")
+    cols = [[rows[i][j] for i in range(7)] for j in range(7)]
+    cleared = _cleared_over_z(cols)
+    if cleared is not None:
+        return _is_g2_cleared(cleared)
     if matrix_mode(rows) == FLOAT:
         t = DEFAULT_TOL if tol is None else tol
         close = lambda a, b: abs(a - b) < t
     else:
         close = lambda a, b: a == b
-    cols = [[rows[i][j] for i in range(7)] for j in range(7)]
     for i in range(7):
         for j in range(i, 7):
             d = sum((a * b for a, b in zip(cols[i], cols[j])), start=cols[i][0] * 0)
@@ -149,6 +155,29 @@ def is_g2(matrix, tol=None) -> bool:
             for a, b in zip(_cross(cols[i - 1], cols[j - 1]), cols[k - 1]):
                 if not close(a, b if sign == 1 else -b):
                     return False
+    return True
+
+
+def _is_g2_cleared(cols):
+    """:func:`is_g2` on columns g(e_j) = N_j / D_j given as int pairs (N_j, D_j).
+
+    With the denominators cleared, orthonormality reads N_i . N_j =
+    delta_ij D_i D_j and the cross-product test reads
+    D_k (N_i x N_j) = +-D_i D_j N_k; the order of the checks is unchanged.
+    """
+    for i in range(7):
+        ni, di = cols[i]
+        for j in range(i, 7):
+            nj, dj = cols[j]
+            if sum(map(mul, ni, nj)) != (di * dj if i == j else 0):
+                return False
+    for i in range(1, 8):
+        for j in range(i + 1, 8):
+            ((k, sign),) = _CROSS_TABLE[i][j]
+            (ni, di), (nj, dj), (nk, dk) = cols[i - 1], cols[j - 1], cols[k - 1]
+            scale = sign * di * dj
+            if any(dk * a != scale * b for a, b in zip(_cross(ni, nj), nk)):
+                return False
     return True
 
 

@@ -145,10 +145,3 @@ def _canonical(obj):
 def dumps_canonical(obj) -> str:
     """Deterministic JSON text: sorted keys, fixed float formatting."""
     return _canonical(obj)
-
-
-def write_report(obj, path):
-    text = dumps_canonical(obj)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-    return text

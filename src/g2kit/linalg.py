@@ -5,14 +5,25 @@ package (signatures, ranks, kernel dimensions) must be tolerance-free, so the
 handful of routines needed are written out over a generic scalar type.  They
 also run on floats (pass a pivot tolerance) for the sampling paths.
 
+Rational and Gaussian-rational inputs run fraction-free: ``mat_mul`` and
+``mat_vec`` clear each row's and column's denominators once, form the sums
+of products over Z or Z[i] on Python ints, and normalize one scalar per
+output entry; ``det`` runs Bareiss elimination over Z (Bareiss, Sylvester's
+identity and multistep integer-preserving Gaussian elimination, Math. Comp.
+22, 1968).  Results equal the generic path's in value and in type.  Float,
+complex and mixed inputs leave after one type check and take the unchanged
+generic path, so float arithmetic order is unchanged.
+
 Matrices are lists of row lists; vectors are flat lists/tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
+from operator import mul
 
-from .scalars import I_EXACT, sabs, sconj, sre
+from .scalars import I_EXACT, ComplexRational, sabs, sconj, sre
 
 
 class DegenerateFormError(ValueError):
@@ -33,10 +44,85 @@ def _fx_rows(m):
     return [[_fx(x) for x in row] for row in m]
 
 
+_RATIONAL = frozenset((int, Fraction))
+
+
+def _cleared(seq):
+    """Clear the denominators of a sequence of exact scalars, once.
+
+    int/Fraction entries give ``(nums, d)`` with ``seq[i] == nums[i] / d``;
+    ``d`` is None when every entry is an int, because then a generic sum of
+    products stays an int.  ComplexRational entries give the Gaussian-integer
+    pair ``(re, im, d)`` with ``seq[i] == (re[i] + i im[i]) / d``.  Any other
+    mix of types gives None, and the caller takes the generic path.
+    """
+    types = set(map(type, seq))
+    if types <= _RATIONAL:
+        if Fraction not in types:
+            return list(seq), None
+        d = lcm(*(x.denominator for x in seq))
+        return [x.numerator * (d // x.denominator) for x in seq], d
+    if types == {ComplexRational}:
+        d = lcm(*(x.re.denominator for x in seq), *(x.im.denominator for x in seq))
+        return (
+            [x.re.numerator * (d // x.re.denominator) for x in seq],
+            [x.im.numerator * (d // x.im.denominator) for x in seq],
+            d,
+        )
+    return None
+
+
+def _cleared_all(seqs):
+    """``_cleared`` of every sequence, or None unless all clear over one ring."""
+    out = [_cleared(s) for s in seqs]
+    if None in out or len({len(c) for c in out}) != 1:
+        return None
+    return out
+
+
+def _cleared_over_z(seqs):
+    """``(nums, d)`` of every sequence, with d an int, or None unless all are rational."""
+    out = _cleared_all(seqs)
+    if out is None or len(out[0]) != 2:
+        return None
+    return [(nums, d or 1) for nums, d in out]
+
+
+def _dot_q(x, y):
+    """x . y for cleared rational sequences: int when no Fraction took part."""
+    s = sum(map(mul, x[0], y[0]))
+    if x[1] is None:
+        return s if y[1] is None else Fraction(s, y[1])
+    return Fraction(s, x[1] if y[1] is None else x[1] * y[1])
+
+
+def _dot_qi(x, y):
+    """x . y for cleared Gaussian-rational sequences, as a ComplexRational."""
+    (xr, xi, dx), (yr, yi, dy) = x, y
+    d = dx * dy
+    return ComplexRational(
+        Fraction(sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)), d),
+        Fraction(sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)), d),
+    )
+
+
+def _fraction_free_products(rows, cols):
+    """Matrix of dot products of rows with cols, or None off the exact rings."""
+    rows = _cleared_all(rows)
+    cols = rows and _cleared_all(cols)
+    if not cols or len(rows[0]) != len(cols[0]):
+        return None
+    dot = _dot_q if len(rows[0]) == 2 else _dot_qi
+    return [[dot(r, c) for c in cols] for r in rows]
+
+
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     if len(a[0]) != k:
         raise ValueError(f"cannot multiply a {n}x{len(a[0])} matrix by a {k}x{m} matrix")
+    out = _fraction_free_products(a, list(zip(*b)))
+    if out is not None:
+        return out
     return [
         [sum((a[i][t] * b[t][j] for t in range(k)), start=a[i][0] * 0) for j in range(m)]
         for i in range(n)
@@ -44,15 +130,15 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
+    if all(len(row) == len(v) for row in a):
+        out = _fraction_free_products(a, [v])
+        if out is not None:
+            return [row[0] for row in out]
     return [sum((a[i][j] * v[j] for j in range(len(v))), start=a[i][0] * 0) for i in range(len(a))]
 
 
 def transpose(a):
     return [list(col) for col in zip(*a)]
-
-
-def conj_transpose(a):
-    return [[sconj(x) for x in col] for col in zip(*a)]
 
 
 def mat_conj(a):
@@ -89,8 +175,35 @@ def _pivot_row(rows, col, start, tol):
     return best
 
 
+def _bareiss(a):
+    """Determinant of a square int matrix by fraction-free elimination.
+
+    Every entry after step c is a (c+1)x(c+1) minor of the input, so the
+    division by the previous pivot is exact (Bareiss 1968).  Rows of ``a``
+    are replaced, not mutated in place.
+    """
+    n = len(a)
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        p = next((r for r in range(c, n) if a[r][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            sign = -sign
+        piv, top = a[c][c], a[c][c + 1 :]
+        for r in range(c + 1, n):
+            row, f = a[r], a[r][c]
+            a[r] = [0] * (c + 1) + [(piv * x - f * y) // prev for x, y in zip(row[c + 1 :], top)]
+        prev = piv
+    return sign * a[n - 1][n - 1]
+
+
 def det(m, tol=0.0):
     n = len(m)
+    rows = _cleared_over_z(m) if n and tol == 0.0 else None
+    if rows is not None and all(len(nums) == n for nums, _ in rows):
+        return Fraction(_bareiss([nums for nums, _ in rows]), prod(d for _, d in rows))
     a = _fx_rows(m)
     sign = 1
     result = None

@@ -1,12 +1,11 @@
 """Seeded random generators for exact test data.
 
 Everything here produces rational (or Gaussian-rational) objects exactly on
-their target varieties: unit-circle points from Pythagorean parametrization,
-unit-norm Gaussian pairs from the quaternion squaring trick (|q^2| = |q|^2 is
-a perfect square), special-unitary matrices as products of embedded 2x2
-blocks, symplectic matrices as Cayley transforms of hamiltonian ones, and
-group elements for the calibration 3-form as products of stabilizer rotations
-about two different axes.
+their target varieties: unit-norm Gaussian pairs from the quaternion squaring
+trick (|q^2| = |q|^2 is a perfect square), special-unitary matrices as
+products of embedded 2x2 blocks, symplectic matrices as Cayley transforms of
+hamiltonian ones, and group elements for the calibration 3-form as products
+of stabilizer rotations about two different axes.
 
 Group elements are assembled without membership checks: each factor is a
 known group element (an SU(3) rotation of the identity frame, or the fixed
@@ -21,17 +20,6 @@ from fractions import Fraction
 from . import linalg
 from .g2 import AdaptedFrame, _completion_rows, _rotation_rows, standard_frame
 from .scalars import ComplexRational
-
-
-def rational_unit_circle(rng):
-    """(c, s) with c^2 + s^2 = 1, from a random integer parameter."""
-    while True:
-        m, n = rng.randint(-9, 9), rng.randint(1, 9)
-        if m * m + n * n:
-            break
-    c = Fraction(n * n - m * m, n * n + m * m)
-    s = Fraction(2 * m * n, n * n + m * m)
-    return c, s
 
 
 def gaussian_unit_pair(rng):

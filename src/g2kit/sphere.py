@@ -15,8 +15,6 @@ import functools
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .forms import ExteriorForm, form_defect
 from .g2 import AdaptedFrame, adapted_frame, associative_three_form, cross, dot
 from .polyforms import PolyCoefForm, ext_d, position_field
@@ -263,10 +261,15 @@ def verify_domega_pointwise(samples, seed, tol=DEFAULT_TOL, upsilon_scale=8):
 # charts and the Nijenhuis tensor by finite differences
 # ---------------------------------------------------------------------------
 
+# The chart code is the finite-difference oracle for nijenhuis_closed_form.
+# It imports numpy where it runs, so that importing g2kit does not load it.
+
 class StereographicChart:
     """Chart centered at u0 (projection from the antipode -u0), float mode."""
 
     def __init__(self, u0):
+        import numpy as np
+
         u0 = np.asarray([to_float(x) for x in point_vector(u0)], dtype=float)
         self.u0 = u0 / np.linalg.norm(u0)
         # orthonormal basis of u0-perp
@@ -292,11 +295,15 @@ class StereographicChart:
         self.E = np.column_stack(basis)  # 7 x 6
 
     def point(self, y):
+        import numpy as np
+
         y = np.asarray(y, dtype=float)
         t = y @ y
         return ((1.0 - t) * self.u0 + 2.0 * (self.E @ y)) / (1.0 + t)
 
     def jacobian(self, y):
+        import numpy as np
+
         y = np.asarray(y, dtype=float)
         t = y @ y
         s = 1.0 + t
@@ -306,17 +313,22 @@ class StereographicChart:
         return (core + corr) / s
 
     def to_chart_vector(self, y, ambient_v):
+        import numpy as np
+
         J = self.jacobian(y)
         v = np.asarray([to_float(x) for x in ambient_v], dtype=float)
         sol, *_ = np.linalg.lstsq(J, v, rcond=None)
         return sol
 
     def from_chart_vector(self, y, chart_v):
+        import numpy as np
+
         return self.jacobian(y) @ np.asarray(chart_v, dtype=float)
 
 
 def sphere_j_chart_field(chart: StereographicChart):
     """The invariant structure as a 6x6 matrix field in chart coordinates."""
+    import numpy as np
 
     def field(y):
         p = chart.point(y)
@@ -339,6 +351,8 @@ def nijenhuis_chart(field, y0, X, Y, h=1e-4):
     reduces to a directional derivative of the matrix field:
         N = (D_{JX} J)Y - (D_{JY} J)X + J((D_Y J)X - (D_X J)Y).
     """
+    import numpy as np
+
     y0 = np.asarray(y0, dtype=float)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -354,6 +368,8 @@ def nijenhuis_chart(field, y0, X, Y, h=1e-4):
 
 def nijenhuis_sphere(u, X, Y, h=1e-4):
     """Nijenhuis tensor of the invariant structure at u, ambient components."""
+    import numpy as np
+
     chart = StereographicChart(u)
     y0 = np.zeros(6)
     field = sphere_j_chart_field(chart)

@@ -325,3 +325,74 @@ def test_volume_projection_identity(rng):
         # residual-zero data have no (3,0)-part: the integrability mechanism
         if data.residual == 0:
             assert coefficient == 0
+
+
+def test_sweep_checks_survive_optimize_flag():
+    """Under python -O each corrupted sweep step is still caught, by its own check."""
+    import subprocess
+    import sys
+
+    script = """
+import random, sys
+from g2kit import chern, linalg
+from g2kit.scalars import ComplexRational
+if not sys.flags.optimize:
+    sys.exit(3)
+orig_pairs, orig_det = chern._random_rz_pairs, chern._gdet3
+
+def bumped(rng):
+    r, s_bar = orig_pairs(rng)
+    s_bar[0][0] = (s_bar[0][0][0] + 1, s_bar[0][0][1])
+    return r, s_bar
+
+def transposed(rng):
+    r, s_bar = orig_pairs(rng)
+    return r, chern._gtranspose(s_bar)
+
+def hermitian_det_off_by_one(m):
+    d = orig_det(m)
+    if all(m[i][j] == chern._gconj(m[j][i]) for i in range(3) for j in range(3)):
+        return (d[0] + 1, d[1])
+    return d
+
+def raised(call):
+    try:
+        call()
+    except chern.ChernCheckError as exc:
+        return str(exc)
+    return None
+
+sweep = lambda: chern.signature_dichotomy_sweep(5, 1)
+seen = []
+for attr, fake in (
+    ("_random_rz_pairs", bumped),
+    ("_random_rz_pairs", transposed),
+    ("_gmat_conj", lambda m: m),
+    ("_gdet3", hermitian_det_off_by_one),
+    ("index_from_h", lambda data: (3, 0)),
+):
+    orig = getattr(chern, attr)
+    setattr(chern, attr, fake)
+    seen.append(raised(sweep))
+    if attr == "_random_rz_pairs":
+        seen.append(raised(lambda: chern.random_residual_zero_data(random.Random(0))))
+    setattr(chern, attr, orig)
+data = chern.random_residual_zero_data(random.Random(0))
+for fake_det in (ComplexRational(1, 1), 1.0 + 1.0j):
+    linalg.det = lambda m, tol=0.0: fake_det
+    seen.append(raised(lambda: data.block_det))
+print(seen)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str([
+        "residual is not zero",
+        "residual is not zero",
+        "t(r) conj(s) is not symmetric",
+        "t(r) conj(s) is not symmetric",
+        "hermitian minors must be real",
+        "det(P) != |det r|^2",
+        "minor/congruence signature mismatch",
+        "block determinant must be real",
+        "block determinant must be real",
+    ])

@@ -231,3 +231,28 @@ def test_sphere_suite_reports_byte_stable():
     for flags, digest in expected.items():
         out = run_cli(["sphere-suite", "--samples", "4", *flags]).stdout
         assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
+
+
+def test_chern_frame_reports_byte_stable(tmp_path, capsys):
+    """chern --input on random exact frames prints the report it always has."""
+    import hashlib
+    import random
+
+    from g2kit.chern import CandidateJ
+    from g2kit.sampling import random_rational_frame
+
+    digests = []
+    for seed in (0, 1):
+        frame = random_rational_frame(random.Random(seed))
+        doc = {"mode": "exact", "frame": [[str(x) for x in row] for row in frame.matrix]}
+        if seed == 1:
+            flip = CandidateJ.flipped(frame, (2, 3))
+            doc["J"] = [[str(x) for x in row] for row in flip.matrix]
+        path = tmp_path / f"frame{seed}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["chern", "--input", str(path)]) == 0
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert digests == [
+        "8fc16f96c96243b526b016f53c010649bac20a87ccacc6abd479132f9ae29bdf",
+        "a3440d067d176bf244265422a9fc2965c2c71731e674ba4da1df54daf1de466d",
+    ]

@@ -210,6 +210,10 @@ def test_is_g2_agrees_with_pullback_oracle():
         cycle,
         _diag(*[0] * 7),  # preserves the cross product, but is not orthogonal
     ]
+    # g/3, and int or int/Fraction-mixed entries (no denominator to clear)
+    mixed = lambda m: [[Fraction(x) if i % 2 else int(x) for x in r] for i, r in enumerate(m)]
+    members += [[[int(i == j) for j in range(7)] for i in range(7)], mixed(_diag(*[1] * 7))]
+    non_members += [[[x / 3 for x in r] for r in g], mixed(cycle)]
     for m in members:
         assert is_g2(m) and g2_defect(m).is_zero
     for m in non_members:

@@ -1,0 +1,135 @@
+"""The fraction-free paths of linalg against the generic sum-of-products and
+elimination, entry by entry, in value and in type."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from g2kit import linalg
+from g2kit.linalg import _bareiss
+from g2kit.scalars import ComplexRational
+
+
+def reference_mat_mul(a, b):
+    return [
+        [sum((a[i][t] * b[t][j] for t in range(len(b))), start=a[i][0] * 0) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def reference_mat_vec(a, v):
+    return [sum((a[i][j] * v[j] for j in range(len(v))), start=a[i][0] * 0) for i in range(len(a))]
+
+
+def reference_det(m):
+    """Gaussian elimination with division, as linalg.det runs on floats."""
+    a = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in m]
+    n, sign, result = len(a), 1, None
+    for c in range(n):
+        p = next((r for r in range(c, n) if a[r][c]), None)
+        if p is None:
+            return a[0][0] * 0
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            sign = -sign
+        for r in range(c + 1, n):
+            if a[r][c]:
+                f = a[r][c] / a[c][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+        result = a[c][c] if result is None else result * a[c][c]
+    return result if sign > 0 else -result
+
+
+def same(x, y):
+    """Equal in value and in type (repr also pins float signs of zero)."""
+    if isinstance(x, list):
+        return len(x) == len(y) and all(same(a, b) for a, b in zip(x, y))
+    return type(x) is type(y) and repr(x) == repr(y)
+
+
+_ints = st.integers(-4, 4)
+# denominators 1 and cancelling numerators (6/3) are included on purpose
+_fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+_gaussian = st.builds(ComplexRational, _fractions, _fractions)
+_floats = st.integers(-40, 40).map(lambda k: k / 8)
+KINDS = {
+    "int": _ints,
+    "fraction": _fractions,
+    "int+fraction": st.one_of(_ints, _fractions),
+    "gaussian": _gaussian,
+    "gaussian+fraction": st.one_of(_gaussian, _fractions),
+    "float": _floats,
+}
+
+
+def matrices(kind, rows, cols):
+    return st.lists(st.lists(KINDS[kind], min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def products(draw):
+    kind_a, kind_b = draw(st.sampled_from(sorted(KINDS))), draw(st.sampled_from(sorted(KINDS)))
+    if "float" in (kind_a, kind_b) and kind_a != kind_b:
+        kind_b = kind_a
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    return draw(matrices(kind_a, n, k)), draw(matrices(kind_b, k, m)), draw(st.lists(KINDS[kind_b], min_size=k, max_size=k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(products())
+def test_mat_mul_and_mat_vec_match_generic(case):
+    a, b, v = case
+    assert same(linalg.mat_mul(a, b), reference_mat_mul(a, b))
+    assert same(linalg.mat_vec(a, v), reference_mat_vec(a, v))
+
+
+@st.composite
+def square(draw):
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    n = draw(st.integers(1, 5))
+    m = draw(matrices(kind, n, n))
+    # rank-deficient: repeat a row times a scalar, or zero one out
+    if n > 1 and draw(st.booleans()):
+        i, j, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.sampled_from([0, 2]))
+        m[i] = [c * x for x in m[j]] if i != j else [x * 0 for x in m[i]]
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(square())
+def test_det_matches_generic_elimination(m):
+    assert same(linalg.det(m), reference_det(m))
+
+
+def test_det_edge_cases():
+    f = Fraction
+    cases = [
+        [[0, 1], [1, 0]],  # a zero pivot forces a row swap
+        [[f(0), f(2), f(1)], [f(0), f(1), f(3)], [f(1, 2), f(1), f(1)]],  # two swaps
+        [[f(1), f(2), f(3)], [f(2), f(4), f(7)], [f(1), f(5), f(2)]],  # swap at step 2
+        [[f(1), f(2)], [f(0), f(0)]],  # zero row
+        [[f(1, 3), f(2, 3)], [f(1, 2), f(1)]],  # rank one
+        [[f(7, 3)]],
+        [[5]],
+        [[f(6, 3), f(1, 2)], [f(4, 2), f(3)]],  # denominators cancel to integers
+    ]
+    expected = [f(-1), f(5, 2), f(-3), f(0), f(0), f(7, 3), f(5), f(5)]
+    for m, d in zip(cases, expected):
+        assert same(linalg.det(m), d)
+        assert same(linalg.det(m), reference_det(m))
+
+
+def test_bareiss_row_swap_sign():
+    assert _bareiss([[0, 1], [1, 0]]) == -1
+    assert _bareiss([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert _bareiss([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+
+
+def test_product_types_per_entry():
+    """An int row times an int column stays int beside Fraction entries."""
+    a = [[1, 2], [Fraction(1, 2), 3]]
+    b = [[1, Fraction(2)], [0, 1]]
+    out = linalg.mat_mul(a, b)
+    assert [[type(x) for x in row] for row in out] == [[int, Fraction], [Fraction, Fraction]]
+    assert out == [[1, 4], [Fraction(1, 2), 4]]
+    assert [type(x) for x in linalg.mat_vec(a, [1, 1])] == [int, Fraction]

@@ -248,3 +248,13 @@ def test_nijenhuis_closed_form_rejects_normal_vectors():
     e1 = basis_point(1)
     with pytest.raises(NotTangentError):
         nijenhuis_closed_form(e1, e7(1), e7(2))
+
+
+def test_import_does_not_load_numpy():
+    """numpy is imported only by the finite-difference chart oracle, when it runs."""
+    import subprocess
+    import sys
+
+    script = "import sys, g2kit, g2kit.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.stdout.strip() == "False", proc.stderr
