@@ -252,6 +252,18 @@ class ChernData:
         """
         return sabs(self.residual) / abs(to_float(self.block_det)) ** 0.5
 
+    @property
+    def residual_is_zero(self):
+        """The residual-zero verdict, the one place it is decided.
+
+        Exact mode tests equality.  Float mode tests the gauge-free
+        ``residual_normalized_abs`` against 1e-9: the raw float residual
+        scales by det(h) with the eta basis, and so would a verdict on it.
+        """
+        if isinstance(self.r[0][0], (float, complex)):
+            return self.residual_normalized_abs < 1e-9
+        return self.residual == 0
+
 
 def chern_residual(data: ChernData):
     return data.residual
@@ -293,9 +305,7 @@ def index_from_h(data: ChernData, tol=None):
     if tol is None:
         tol = 1e-10 if isinstance(h[0][0], (float, complex)) else 0.0
     pos, neg = linalg.signature(h, tol)
-    exact = not isinstance(h[0][0], (float, complex))
-    residual_zero = (data.residual == 0) if exact else sabs(data.residual) < 1e-9
-    if residual_zero and (neg == 0 or pos == 0):
+    if data.residual_is_zero and (neg == 0 or pos == 0):
         raise TheoremContradictionError(
             f"residual-zero datum with definite H (signature ({pos},{neg}))"
         )
@@ -548,9 +558,7 @@ def equivariance_check(j: CandidateJ, frame: AdaptedFrame, g_su3, h_gl3, eta_bas
         "r_transforms": close([list(r) for r in transformed.r], expect_r),
         "s_transforms": close([list(r) for r in transformed.s], expect_s),
         "residual_scales_by_det_h": res_ok,
-        "residual_vanishing_invariant": (not base.residual) == (not transformed.residual)
-        if exact
-        else (sabs(base.residual) < 1e-9) == (sabs(transformed.residual) < 1e-9),
+        "residual_vanishing_invariant": base.residual_is_zero == transformed.residual_is_zero,
     }
     report["pass"] = all(report.values())
     return report

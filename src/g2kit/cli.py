@@ -275,8 +275,6 @@ def _frame_from_input(doc, mode):
 
 
 def cmd_chern(args, parser):
-    from .scalars import sabs
-
     mode = args.mode or EXACT
     family = args.family
     if args.input:
@@ -304,10 +302,9 @@ def cmd_chern(args, parser):
     sig = index_from_h(data)
     residual = data.residual
     exact = not isinstance(data.r[0][0], (float, complex))
-    res_zero = (residual == 0) if exact else sabs(residual) < 1e-9
     verdict = (
         f"residual zero: passes the necessary determinant condition, index ({sig[0]},{sig[1]})"
-        if res_zero
+        if data.residual_is_zero
         else "residual nonzero: first-order obstruction to integrability present"
     )
     rep_mode = EXACT if exact else FLOAT

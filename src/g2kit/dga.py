@@ -15,6 +15,11 @@ With the generators free, the differential encodes the structure equations
 
 and d(d(g)) = 0 for every generator is a genuine theorem (the Jacobi
 identity of the algebra), machine-checked by :meth:`CoframeDGA.verify_d_squared`.
+
+:class:`DgaElement` is a thin wrapper over the sparse alternating-algebra
+kernel of :mod:`g2kit.forms` (``canonical_terms``, ``add_terms``,
+``wedge_terms``): a word is an increasing tuple of 0-based generator indices,
+and its coefficient is a ``ComplexRational``.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+from .forms import add_terms, canonical_terms, wedge_terms
 from .scalars import ComplexRational, I_EXACT
 
 # canonical generator order: t1 < t2 < t3 < t1b < t2b < t3b < k-block (lex i,j)
@@ -39,24 +45,11 @@ _PRETTY = {
     "k31": "κ31̄", "k32": "κ32̄",
 }
 
-_ZERO = ComplexRational(0)
 _ONE = ComplexRational(1)
 
 
-def _word_sign(word):
-    """Canonicalize a tuple of generator indices: (sorted tuple, sign)."""
-    if len(set(word)) != len(word):
-        return word, 0
-    w = list(word)
-    sign = 1
-    # insertion sort, counting transpositions
-    for i in range(1, len(w)):
-        j = i
-        while j > 0 and w[j - 1] > w[j]:
-            w[j - 1], w[j] = w[j], w[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(w), sign
+def _as_complex_rational(c):
+    return c if isinstance(c, ComplexRational) else ComplexRational(c)
 
 
 class DgaElement:
@@ -65,24 +58,17 @@ class DgaElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        for word, c in (terms or {}).items():
-            key, sign = _word_sign(tuple(word))
-            if sign == 0:
-                continue
-            if not isinstance(c, ComplexRational):
-                c = ComplexRational(c)
-            if sign == -1:
-                c = -c
-            acc = clean.get(key, _ZERO) + c
-            if acc:
-                clean[key] = acc
-            else:
-                clean.pop(key, None)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", canonical_terms(terms or {}, _as_complex_rational))
 
     def __setattr__(self, name, value):
         raise AttributeError("DgaElement is immutable")
+
+    @classmethod
+    def _trusted(cls, terms):
+        """Build from kernel output: canonical words, nonzero ComplexRational coefficients."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     @classmethod
     def generator(cls, name):
@@ -96,9 +82,6 @@ class DgaElement:
     def is_zero(self):
         return not self.terms
 
-    def degrees(self):
-        return sorted({len(w) for w in self.terms})
-
     def __eq__(self, other):
         if not isinstance(other, DgaElement):
             return NotImplemented
@@ -107,16 +90,7 @@ class DgaElement:
     def __add__(self, other):
         if not isinstance(other, DgaElement):
             return NotImplemented
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = terms.get(w, _ZERO) + c
-            if acc:
-                terms[w] = acc
-            else:
-                terms.pop(w, None)
-        out = DgaElement.__new__(DgaElement)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return DgaElement._trusted(add_terms(self.terms, other.terms))
 
     def __neg__(self):
         return self.smul(ComplexRational(-1))
@@ -125,35 +99,16 @@ class DgaElement:
         return self + (-other)
 
     def smul(self, c):
-        if not isinstance(c, ComplexRational):
-            c = ComplexRational(c)
+        c = _as_complex_rational(c)
         if not c:
             return DgaElement()
-        out = DgaElement.__new__(DgaElement)
-        object.__setattr__(out, "terms", {w: c * v for w, v in self.terms.items()})
-        return out
+        return DgaElement._trusted({w: c * v for w, v in self.terms.items()})
 
     def __mul__(self, other):
         """Graded-commutative product (all generators have degree 1)."""
         if not isinstance(other, DgaElement):
             return NotImplemented
-        terms = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                key, sign = _word_sign(wa + wb)
-                if sign == 0:
-                    continue
-                c = ca * cb
-                if sign == -1:
-                    c = -c
-                acc = terms.get(key, _ZERO) + c
-                if acc:
-                    terms[key] = acc
-                else:
-                    terms.pop(key, None)
-        out = DgaElement.__new__(DgaElement)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return DgaElement._trusted(wedge_terms(self.terms, other.terms))
 
     def conj(self, conj_table):
         """Conjugation: antilinear, generator-wise via conj_table."""
@@ -316,18 +271,10 @@ class CoframeDGA:
     # -- verification reports ---------------------------------------------------
     def verify_d_squared(self):
         """d(d(g)) for every generator; the residual must vanish identically."""
-        out = []
-        for name in GENERATORS:
-            residual = self.d(self._d_table[_INDEX[name]])
-            out.append(
-                {
-                    "check": "d_squared",
-                    "generator": name,
-                    "residual_terms": residual.as_report_terms(),
-                    "pass": residual.is_zero,
-                }
-            )
-        return out
+        return [
+            _report("d_squared", name, self.d(self._d_table[_INDEX[name]]))
+            for name in GENERATORS
+        ]
 
     def verify_invariant_form_identities(self):
         """Residuals of d(omega) - 3 Im(Upsilon), d(Upsilon) - 2 omega^2, omega^Upsilon."""
@@ -341,15 +288,7 @@ class CoframeDGA:
             ("d_upsilon_is_2_omega_sq", self.d(ups) - (omega * omega).smul(Fraction(2))),
             ("omega_wedge_upsilon_vanishes", omega * ups),
         ]
-        return [
-            {
-                "check": name,
-                "generator": "",
-                "residual_terms": residual.as_report_terms(),
-                "pass": residual.is_zero,
-            }
-            for name, residual in checks
-        ]
+        return [_report(name, "", residual) for name, residual in checks]
 
     DEFAULT_FROBENIUS_SYSTEM = ("t1", "t2b", "t3b", "k12", "k13")
 
@@ -361,16 +300,21 @@ class CoframeDGA:
         reported residual.
         """
         system = tuple(system) if system is not None else self.DEFAULT_FROBENIUS_SYSTEM
-        out = []
-        for name in system:
-            ds = self._d_table[_INDEX[name]]
-            residual = ds.drop_generators(system)
-            out.append(
-                {
-                    "check": "frobenius_ideal_membership",
-                    "generator": name,
-                    "residual_terms": residual.as_report_terms(),
-                    "pass": residual.is_zero,
-                }
+        return [
+            _report(
+                "frobenius_ideal_membership",
+                name,
+                self._d_table[_INDEX[name]].drop_generators(system),
             )
-        return out
+            for name in system
+        ]
+
+
+def _report(check, generator, residual):
+    """One check entry; it passes when the residual vanishes identically."""
+    return {
+        "check": check,
+        "generator": generator,
+        "residual_terms": residual.as_report_terms(),
+        "pass": residual.is_zero,
+    }

@@ -56,44 +56,96 @@ def sort_sign(idx):
     idx = tuple(idx)
     if len(set(idx)) != len(idx):
         return idx, 0
-    perm = sorted(range(len(idx)), key=lambda i: idx[i])
-    sign = 1
-    seen = [False] * len(idx)
-    for start in range(len(idx)):
-        if seen[start]:
-            continue
-        length, j = 0, start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return tuple(sorted(idx)), sign
+    inversions = sum(a > b for pos, a in enumerate(idx) for b in idx[pos + 1 :])
+    return tuple(sorted(idx)), -1 if inversions % 2 else 1
 
 
-def merge_sign(left, right):
-    """Sign of sorting the concatenation of two increasing tuples; 0 on overlap."""
-    if set(left) & set(right):
-        return 0
-    inversions = 0
-    for a in left:
-        for b in right:
-            if a > b:
-                inversions += 1
-    return -1 if inversions % 2 else 1
-
-
-# (ia, ib) -> (merge_sign(ia, ib), sorted ia + ib); its keys are pairs of
-# subsets of 1..dim, so it holds at most 4^dim entries.
+# (ia, ib) -> (sign, key) of sort_sign(ia + ib) for increasing ia, ib.  Keys
+# are the pairs some product has met: at most 4^7 pairs of index sets on R^7,
+# plus about 600 coframe-DGA word pairs once verify-structure has run.
 _MERGED = {}
 
 
 def _merged(ia, ib):
     hit = _MERGED.get((ia, ib))
     if hit is None:
-        hit = _MERGED[(ia, ib)] = (merge_sign(ia, ib), tuple(sorted(ia + ib)))
+        key, sign = sort_sign(ia + ib)
+        hit = _MERGED[(ia, ib)] = (sign, key)
     return hit
+
+
+# ---------------------------------------------------------------------------
+# the sparse alternating-algebra kernel
+#
+# Term dicts map strictly increasing index tuples to coefficients of any ring
+# whose zero is falsy (scalars, Poly, ComplexRational).  Zero coefficients are
+# never stored.  ExteriorForm, polyforms.PolyCoefForm and dga.DgaElement are
+# thin wrappers over these functions.
+# ---------------------------------------------------------------------------
+
+def canonical_terms(terms, coerce):
+    """Sort each key by sign, coerce its coefficient, sum repeated keys, drop zeros."""
+    out = {}
+    for idx, c in terms.items():
+        key, sign = sort_sign(idx)
+        if sign == 0:
+            continue
+        c = coerce(c) if sign == 1 else -coerce(c)
+        acc = out.get(key)
+        c = c if acc is None else acc + c
+        if c:
+            out[key] = c
+        else:
+            out.pop(key, None)
+    return out
+
+
+def add_terms(ta, tb):
+    out = dict(ta)
+    for key, c in tb.items():
+        acc = out.get(key)
+        c = c if acc is None else acc + c
+        if c:
+            out[key] = c
+        else:
+            out.pop(key, None)
+    return out
+
+
+def wedge_terms(ta, tb):
+    out = {}
+    for ia, ca in ta.items():
+        for ib, cb in tb.items():
+            sign, key = _merged(ia, ib)
+            if sign == 0:
+                continue
+            c = ca * cb if sign == 1 else -(ca * cb)
+            acc = out.get(key)
+            c = c if acc is None else acc + c
+            if c:
+                out[key] = c
+            else:
+                out.pop(key, None)
+    return out
+
+
+def interior_terms(terms, comps):
+    """Contraction with the vector whose i-th component is ``comps[i - 1]``."""
+    out = {}
+    for idx, c in terms.items():
+        for pos, i in enumerate(idx):
+            comp = comps[i - 1]
+            if not comp:
+                continue
+            key = idx[:pos] + idx[pos + 1 :]
+            c2 = comp * c if pos % 2 == 0 else -(comp * c)
+            acc = out.get(key)
+            c2 = c2 if acc is None else acc + c2
+            if c2:
+                out[key] = c2
+            else:
+                out.pop(key, None)
+    return out
 
 
 class ExteriorForm:
@@ -210,15 +262,9 @@ class ExteriorForm:
         self._check_same_space(other)
         if self.degree != other.degree:
             raise DegreeError("can only add forms of equal degree")
-        terms = dict(self.terms)
-        for idx, c in other.terms.items():
-            acc = terms.get(idx)
-            s = c if acc is None else acc + c
-            if s:
-                terms[idx] = normalize_scalar(s)
-            else:
-                terms.pop(idx, None)
-        return ExteriorForm._trusted(self.dim, self.degree, terms, self.mode)
+        return ExteriorForm._trusted(
+            self.dim, self.degree, add_terms(self.terms, other.terms), self.mode
+        )
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -274,20 +320,7 @@ class ExteriorForm:
         deg = self.degree + other.degree
         if deg > self.dim:
             return ExteriorForm.zero(self.dim, deg, self.mode)
-        terms = {}
-        for ia, ca in self.terms.items():
-            for ib, cb in other.terms.items():
-                sign, key = _merged(ia, ib)
-                if sign == 0:
-                    continue
-                c = ca * cb if sign == 1 else -(ca * cb)
-                acc = terms.get(key)
-                c = c if acc is None else acc + c
-                if c:
-                    terms[key] = c
-                else:
-                    terms.pop(key, None)
-        return ExteriorForm._trusted(self.dim, deg, terms, self.mode)
+        return ExteriorForm._trusted(self.dim, deg, wedge_terms(self.terms, other.terms), self.mode)
 
     def interior(self, v):
         if self.degree == 0:
@@ -297,21 +330,9 @@ class ExteriorForm:
             raise DimensionMismatchError("vector dimension != form dimension")
         if self.terms:
             join_modes(self.mode, vector_mode(v))
-        terms = {}
-        for idx, c in self.terms.items():
-            for pos, i in enumerate(idx):
-                comp = v[i - 1]
-                if not comp:
-                    continue
-                key = idx[:pos] + idx[pos + 1 :]
-                contrib = comp * c if pos % 2 == 0 else -(comp * c)
-                acc = terms.get(key)
-                contrib = contrib if acc is None else acc + contrib
-                if contrib:
-                    terms[key] = contrib
-                else:
-                    terms.pop(key, None)
-        return ExteriorForm._trusted(self.dim, self.degree - 1, terms, self.mode)
+        return ExteriorForm._trusted(
+            self.dim, self.degree - 1, interior_terms(self.terms, v), self.mode
+        )
 
     def evaluate(self, vectors):
         """Value on exactly ``degree`` vectors (determinant expansion)."""

@@ -7,13 +7,22 @@ numerical statement.
 
 Polynomials are sparse exponent-vector maps with Fraction coefficients.
 Total degree is capped (default 8) to keep accidental blowup loud.
+:class:`PolyCoefForm` is a thin wrapper over the sparse alternating-algebra
+kernel of :mod:`g2kit.forms` (``canonical_terms``, ``add_terms``,
+``wedge_terms``, ``interior_terms``) with ``Poly`` as the coefficient ring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .forms import ExteriorForm, merge_sign, sort_sign
+from .forms import (
+    ExteriorForm,
+    add_terms,
+    canonical_terms,
+    interior_terms,
+    wedge_terms,
+)
 
 DEGREE_CAP = 8
 
@@ -37,9 +46,7 @@ class Poly:
                 raise DegreeCapError(f"total degree {sum(expo)} exceeds cap {DEGREE_CAP}")
             c = Fraction(c)
             if c:
-                clean[expo] = clean.get(expo, Fraction(0)) + c
-                if not clean[expo]:
-                    del clean[expo]
+                clean[expo] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
 
@@ -61,6 +68,9 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
@@ -77,14 +87,7 @@ class Poly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.nvars, other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return Poly(self.nvars, terms)
+        return Poly(self.nvars, add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -99,19 +102,13 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Poly(self.nvars, {e: c * other for e, c in self.terms.items()})
+        # e2 |-> e1 + e2 is injective, so each row is a term dict of its own.
+        # The top-degree part of a product never cancels, so the constructor's
+        # cap check sees every product that exceeds the cap.
         terms = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if sum(e) > DEGREE_CAP:
-                    raise DegreeCapError(
-                        f"product degree {sum(e)} exceeds cap {DEGREE_CAP}"
-                    )
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
+            row = {tuple(a + b for a, b in zip(e1, e2)): c1 * c2 for e2, c2 in other.terms.items()}
+            terms = add_terms(terms, row)
         return Poly(self.nvars, terms)
 
     __rmul__ = __mul__
@@ -157,26 +154,20 @@ class PolyCoefForm:
     def __init__(self, dim, degree, terms=None):
         if degree < 0:
             raise ValueError("negative degree")
-        clean = {}
-        for idx, p in (terms or {}).items():
-            key, sign = sort_sign(tuple(idx))
-            if sign == 0:
-                continue
-            if any(not 1 <= i <= dim for i in key) or len(key) != degree:
+        terms = terms or {}
+        for idx in terms:
+            # a repeated index drops the term before its range is checked
+            if len(set(idx)) == len(idx) and (
+                len(idx) != degree or any(not 1 <= i <= dim for i in idx)
+            ):
                 raise ValueError(f"bad index tuple {idx}")
-            if not isinstance(p, Poly):
-                p = Poly.const(dim, p)
-            if sign == -1:
-                p = -p
-            acc = clean.get(key)
-            p = p if acc is None else acc + p
-            if p.is_zero:
-                clean.pop(key, None)
-            else:
-                clean[key] = p
+
+        def coerce(p):
+            return p if isinstance(p, Poly) else Poly.const(dim, p)
+
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", canonical_terms(terms, coerce))
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyCoefForm is immutable")
@@ -203,15 +194,7 @@ class PolyCoefForm:
     def __add__(self, other):
         if self.dim != other.dim or self.degree != other.degree:
             raise ValueError("can only add forms of equal dimension and degree")
-        terms = dict(self.terms)
-        for i, p in other.terms.items():
-            s = terms.get(i)
-            s = p if s is None else s + p
-            if s.is_zero:
-                terms.pop(i, None)
-            else:
-                terms[i] = s
-        return PolyCoefForm(self.dim, self.degree, terms)
+        return PolyCoefForm(self.dim, self.degree, add_terms(self.terms, other.terms))
 
     def __neg__(self):
         return PolyCoefForm(self.dim, self.degree, {i: -p for i, p in self.terms.items()})
@@ -225,67 +208,26 @@ class PolyCoefForm:
     def wedge(self, other):
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        deg = self.degree + other.degree
-        terms = {}
-        for ia, pa in self.terms.items():
-            for ib, pb in other.terms.items():
-                sign = merge_sign(ia, ib)
-                if sign == 0:
-                    continue
-                key = tuple(sorted(ia + ib))
-                p = pa * pb
-                if sign == -1:
-                    p = -p
-                acc = terms.get(key)
-                p = p if acc is None else acc + p
-                if p.is_zero:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = p
-        return PolyCoefForm(self.dim, deg, terms)
+        return PolyCoefForm(
+            self.dim, self.degree + other.degree, wedge_terms(self.terms, other.terms)
+        )
 
     def d(self):
-        """Exterior derivative (exact)."""
-        terms = {}
-        for idx, p in self.terms.items():
-            for j in range(1, self.dim + 1):
-                dp = p.diff(j)
-                if dp.is_zero:
-                    continue
-                key, sign = sort_sign((j,) + idx)
-                if sign == 0:
-                    continue
-                if sign == -1:
-                    dp = -dp
-                acc = terms.get(key)
-                dp = dp if acc is None else acc + dp
-                if dp.is_zero:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = dp
-        return PolyCoefForm(self.dim, self.degree + 1, terms)
+        """Exterior derivative (exact): d(p dx^I) = sum_j dp/dx_j dx^j ^ dx^I."""
+        # the constructor sorts each (j,) + I by sign and sums repeated keys
+        raw = {
+            (j,) + idx: dp
+            for idx, p in self.terms.items()
+            for j in range(1, self.dim + 1)
+            if (dp := p.diff(j))
+        }
+        return PolyCoefForm(self.dim, self.degree + 1, raw)
 
     def interior_field(self, field):
         """Interior product with a polynomial vector field (list of Poly)."""
         if self.degree == 0:
             raise ValueError("interior product undefined on 0-forms")
-        terms = {}
-        for idx, p in self.terms.items():
-            for pos, i in enumerate(idx):
-                comp = field[i - 1]
-                if comp.is_zero:
-                    continue
-                key = idx[:pos] + idx[pos + 1 :]
-                q = comp * p
-                if pos % 2 == 1:
-                    q = -q
-                acc = terms.get(key)
-                q = q if acc is None else acc + q
-                if q.is_zero:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = q
-        return PolyCoefForm(self.dim, self.degree - 1, terms)
+        return PolyCoefForm(self.dim, self.degree - 1, interior_terms(self.terms, field))
 
     def at_point(self, point):
         """Evaluate all coefficients, returning an ExteriorForm."""

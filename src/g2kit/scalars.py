@@ -235,10 +235,6 @@ def sabs(x) -> float:
     return abs(x)
 
 
-def is_zero(x) -> bool:
-    return not x
-
-
 def to_float(x):
     """Explicit exact -> float cast (real stays real)."""
     if isinstance(x, ComplexRational):

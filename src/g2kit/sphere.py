@@ -262,10 +262,14 @@ def verify_domega_pointwise(samples, seed, tol=DEFAULT_TOL, upsilon_scale=8):
 # ---------------------------------------------------------------------------
 
 # The chart code is the finite-difference oracle for nijenhuis_closed_form.
-# It imports numpy where it runs, so that importing g2kit does not load it.
+# It needs numpy, which is a test extra and not a runtime dependency; it
+# imports numpy where it runs, so that importing g2kit does not load it.
 
 class StereographicChart:
-    """Chart centered at u0 (projection from the antipode -u0), float mode."""
+    """Chart centered at u0 (projection from the antipode -u0), float mode.
+
+    Needs numpy (the ``test`` extra).
+    """
 
     def __init__(self, u0):
         import numpy as np
@@ -350,6 +354,8 @@ def nijenhuis_chart(field, y0, X, Y, h=1e-4):
     X and Y enter as constant vector fields on the chart, so every bracket
     reduces to a directional derivative of the matrix field:
         N = (D_{JX} J)Y - (D_{JY} J)X + J((D_Y J)X - (D_X J)Y).
+
+    Needs numpy (the ``test`` extra).
     """
     import numpy as np
 
@@ -367,7 +373,11 @@ def nijenhuis_chart(field, y0, X, Y, h=1e-4):
 
 
 def nijenhuis_sphere(u, X, Y, h=1e-4):
-    """Nijenhuis tensor of the invariant structure at u, ambient components."""
+    """Nijenhuis tensor of the invariant structure at u, ambient components.
+
+    The finite-difference oracle for :func:`nijenhuis_closed_form`; needs
+    numpy (the ``test`` extra).
+    """
     import numpy as np
 
     chart = StereographicChart(u)

@@ -268,6 +268,7 @@ def test_contradiction_error_guard():
     class Impossible:
         h_matrix = [[Fraction(1 if a == b else 0) for b in range(3)] for a in range(3)]
         residual = Fraction(0)
+        residual_is_zero = True
 
     with pytest.raises(TheoremContradictionError):
         idx(Impossible())
@@ -396,3 +397,23 @@ print(seen)
         "block determinant must be real",
         "block determinant must be real",
     ])
+
+
+@pytest.mark.parametrize("k", [3, -3, -5])
+def test_float_residual_verdict_is_gauge_invariant(k):
+    """Rescaling the eta basis scales the raw residual by 10^(3k), not the verdict."""
+    import random
+
+    from g2kit.sphere import frame_at_float_point
+
+    frame = frame_at_float_point(random.Random(3), None)
+    basis = [tuple(10.0**k * x for x in v) for v in canonical_eta_basis(frame)]
+    h = [[10.0**k if a == b else 0.0 for b in range(3)] for a in range(3)]
+    identity = [[1.0 if a == b else 0.0 for b in range(3)] for a in range(3)]
+    for planes, sig, zero in (((), (3, 0), False), ((2, 3), (1, 2), True)):
+        j = CandidateJ.flipped(frame, planes)
+        data = compute_rs(j, frame, basis)
+        assert data.residual_is_zero is zero
+        assert index_from_h(data) == sig
+        rep = equivariance_check(j, frame, identity, h, canonical_eta_basis(frame))
+        assert rep["residual_vanishing_invariant"]

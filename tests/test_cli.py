@@ -256,3 +256,30 @@ def test_chern_frame_reports_byte_stable(tmp_path, capsys):
         "8fc16f96c96243b526b016f53c010649bac20a87ccacc6abd479132f9ae29bdf",
         "a3440d067d176bf244265422a9fc2965c2c71731e674ba4da1df54daf1de466d",
     ]
+
+
+def test_commands_run_without_numpy():
+    """numpy is a test extra: every CLI verdict path runs with it unimportable."""
+    script = """
+import sys
+sys.modules["numpy"] = None
+from g2kit.cli import main
+for args in (
+    ["verify-structure"],
+    ["sphere-suite", "--samples", "3", "--seed", "1"],
+    ["sphere-suite", "--samples", "0"],
+    ["chern", "--family", "flip23"],
+):
+    code = main(args)
+    print(code, file=sys.stderr)
+    if code != 0:
+        sys.exit(10)
+try:
+    import numpy
+except ImportError:
+    sys.exit(0)
+sys.exit(11)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["0", "0", "0", "0"]

@@ -6,16 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2kit import linalg
+from g2kit.dga import DgaElement
 from g2kit.forms import (
     DegreeError,
     DependentBasisError,
     DimensionMismatchError,
     ExteriorForm,
+    InvalidIndexError,
     form_defect,
     interior,
     pullback,
     restrict_to_subspace,
 )
+from g2kit.polyforms import Poly, PolyCoefForm
 from g2kit.scalars import ComplexRational, MixedModeError, normalize_scalar
 
 from conftest import e_vec, rand_form, rand_vector
@@ -373,3 +376,170 @@ def test_mixed_modes_rejected_by_every_kernel_operation(rng):
             form.pullback(matrix)
         with pytest.raises(MixedModeError):
             form.wedge(other)
+
+
+# ---------------------------------------------------------------------------
+# the shared kernel: ExteriorForm, PolyCoefForm and DgaElement
+# ---------------------------------------------------------------------------
+
+def _oracle_terms(pairs):
+    """Canonical terms by bubble sort with a transposition count, summed per key."""
+    out = {}
+    for key, c in pairs:
+        key = list(key)
+        if len(set(key)) != len(key):
+            continue
+        for end in range(len(key) - 1, 0, -1):
+            for i in range(end):
+                if key[i] > key[i + 1]:
+                    key[i], key[i + 1] = key[i + 1], key[i]
+                    c = -c
+        out[tuple(key)] = out.get(tuple(key), 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+class _Exterior:
+    def __init__(self, dim):
+        self.dim = dim
+
+    def make(self, degree, terms):
+        return ExteriorForm(self.dim, degree, terms)
+
+    def view(self, f):
+        return dict(f.terms)
+
+    def wedge(self, a, b):
+        return a.wedge(b)
+
+    def interior(self, v, a):
+        return a.interior(v)
+
+
+class _PolyConst(_Exterior):
+    def make(self, degree, terms):
+        return PolyCoefForm(self.dim, degree, {k: Poly.const(self.dim, c) for k, c in terms.items()})
+
+    def view(self, f):
+        zero = (0,) * self.dim
+        assert all(set(p.terms) == {zero} for p in f.terms.values())
+        return {k: p.terms[zero] for k, p in f.terms.items()}
+
+    def interior(self, v, a):
+        return a.interior_field([Poly.const(self.dim, x) for x in v])
+
+
+class _Dga(_Exterior):
+    """Form index i is generator i - 1."""
+
+    def make(self, degree, terms):
+        return DgaElement({tuple(i - 1 for i in k): c for k, c in terms.items()})
+
+    def view(self, f):
+        assert all(c.im == 0 for c in f.terms.values())
+        return {tuple(g + 1 for g in w): c.re for w, c in f.terms.items()}
+
+    def wedge(self, a, b):
+        return a * b
+
+    interior = None  # the coframe algebra has no interior product
+
+
+_COEFFS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _kernel_case(draw):
+    dim = draw(st.integers(1, 6))
+
+    def terms(degree):
+        key = st.tuples(*[st.integers(1, dim)] * degree)
+        return draw(st.dictionaries(key, _COEFFS, max_size=4))
+
+    p, q, r = (draw(st.integers(0, 3)) for _ in range(3))
+    vector = draw(st.lists(_COEFFS, min_size=dim, max_size=dim))
+    return dim, (p, terms(p)), (p, terms(p)), (q, terms(q)), (r, terms(r)), vector
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_case())
+def test_wrappers_agree_on_the_shared_kernel(case):
+    """Sums, wedges and contractions agree across the three wrappers and the oracle."""
+    dim, (p, ta), (_, ta2), (q, tb), (r, tc), v = case
+    expect = {
+        "a": _oracle_terms(ta.items()),
+        "a+a2": _oracle_terms(list(ta.items()) + list(ta2.items())),
+        "a^b": _oracle_terms(
+            (ka + kb, ca * cb) for ka, ca in ta.items() for kb, cb in tb.items()
+        ),
+    }
+    results = []
+    for w in (_Exterior(dim), _PolyConst(dim), _Dga(dim)):
+        a, a2, b, c = w.make(p, ta), w.make(p, ta2), w.make(q, tb), w.make(r, tc)
+        assert w.view(a) == expect["a"]
+        assert w.view(a + a2) == expect["a+a2"]
+        assert w.view(w.wedge(a, b)) == expect["a^b"]
+        assert w.view(w.wedge(a, b)) == {
+            k: (-1) ** (p * q) * x for k, x in w.view(w.wedge(b, a)).items()
+        }
+        assert w.view(w.wedge(w.wedge(a, b), c)) == w.view(w.wedge(a, w.wedge(b, c)))
+        got = {"a+a2": w.view(a + a2), "a^b^c": w.view(w.wedge(w.wedge(a, b), c))}
+        if w.interior is not None and p > 0:
+            got["i_v a"] = w.view(w.interior(v, a))
+        results.append(got)
+    assert results[0] == results[1]
+    assert {k: x for k, x in results[0].items() if k != "i_v a"} == results[2]
+    if p > 0:
+        # i_v(e^{k1..kp}) = sum_s (-1)^s v_{ks} e^{k without ks}
+        assert results[0]["i_v a"] == _oracle_terms(
+            (k[:s] + k[s + 1 :], (-1) ** s * v[k[s] - 1] * x)
+            for k, x in expect["a"].items()
+            for s in range(p)
+        )
+
+
+_POLYS = st.dictionaries(
+    st.tuples(*[st.integers(0, 1)] * 3), _COEFFS, max_size=3
+).map(lambda terms: Poly(3, terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.dictionaries(st.tuples(st.integers(1, 3), st.integers(1, 3)), _POLYS, max_size=3),
+    st.dictionaries(st.tuples(st.integers(1, 3)), _POLYS, max_size=3),
+)
+def test_polycoef_d_obeys_leibniz(p, q, ta, tb):
+    """d(a ^ b) = da ^ b + (-1)^p a ^ db on R^3 with polynomial coefficients."""
+    a = PolyCoefForm(3, p, {k[:p]: c for k, c in ta.items() if len(set(k[:p])) == p})
+    b = PolyCoefForm(3, q, {(k * 2)[:q]: c for k, c in tb.items()})
+    lhs = a.wedge(b).d()
+    rhs = a.d().wedge(b)
+    rhs = rhs + a.wedge(b.d()) if p % 2 == 0 else rhs - a.wedge(b.d())
+    assert lhs == rhs
+
+
+def test_wrapper_constructors_keep_their_index_checks():
+    """Repeated indices drop a term; bad keys raise the type each wrapper always raised."""
+    for key in ((1, 1), (2, 2), (1, 1, 2)):
+        assert DgaElement({key: 1}).is_zero
+    assert ExteriorForm(5, 2, {(1, 1): 1}).is_zero
+    assert PolyCoefForm(5, 2, {(1, 1): 1}).is_zero
+    # PolyCoefForm drops a repeated-index key before it checks range and length
+    assert PolyCoefForm(5, 2, {(9, 9): 1}).is_zero
+    assert PolyCoefForm(5, 2, {(1, 1, 2): 1}).is_zero
+    for key in ((9, 9), (1, 1, 2), (1, 9), (0, 1), (1, 2, 3), (1,)):
+        with pytest.raises(InvalidIndexError):
+            ExteriorForm(5, 2, {key: 1})
+    for key in ((1, 9), (0, 1), (1, 2, 3), (1,)):
+        with pytest.raises(ValueError) as exc:
+            PolyCoefForm(5, 2, {key: 1})
+        assert exc.type is ValueError
+        # the coframe algebra validates no words: generators are whatever the caller names
+        assert DgaElement({key: 1}).terms == {key: 1}
+    assert DgaElement({(20, -1): 1}).terms == {(-1, 20): -1}
+    assert DgaElement({(1,): 1}).smul(0).terms == {}
+    for cls in (ExteriorForm, PolyCoefForm):
+        with pytest.raises(ValueError) as exc:
+            cls(5, -1, {})
+        assert exc.type is (DegreeError if cls is ExteriorForm else ValueError)
