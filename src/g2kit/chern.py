@@ -541,18 +541,23 @@ def equivariance_check(j: CandidateJ, frame: AdaptedFrame, g_su3, h_gl3, eta_bas
         g_inv, linalg.mat_mul([list(r) for r in base.s], linalg.mat_conj([list(r) for r in h_gl3]))
     )
     exact = j.mode == EXACT and frame.mode == EXACT
+    det_h = linalg.det([list(r) for r in h_gl3])
+    res_expected = det_h * base.residual
+    if not exact:
+        # relative tolerances: r and s scale with h, and the residual with
+        # det(h), as sqrt|block det| does (see residual_normalized_abs)
+        rs_tol = 1e-8 * max(sabs(x) for m in (expect_r, expect_s) for row in m for x in row)
+        res_tol = 1e-8 * sabs(det_h) * abs(to_float(base.block_det)) ** 0.5
 
     def close(m1, m2):
         if exact:
             return all(m1[a][b] == m2[a][b] for a in range(3) for b in range(3))
-        return all(sabs(m1[a][b] - m2[a][b]) < 1e-8 for a in range(3) for b in range(3))
+        return all(sabs(m1[a][b] - m2[a][b]) < rs_tol for a in range(3) for b in range(3))
 
-    det_h = linalg.det([list(r) for r in h_gl3])
-    res_expected = det_h * base.residual
     res_ok = (
         transformed.residual == res_expected
         if exact
-        else sabs(transformed.residual - res_expected) < 1e-8
+        else sabs(transformed.residual - res_expected) < res_tol
     )
     report = {
         "r_transforms": close([list(r) for r in transformed.r], expect_r),
@@ -568,66 +573,9 @@ def equivariance_check(j: CandidateJ, frame: AdaptedFrame, g_su3, h_gl3, eta_bas
 # residual-zero sampling (the signature dichotomy sweep)
 # ---------------------------------------------------------------------------
 
-# Gaussian integers as plain (re, im) int pairs: the residual-zero sweep runs
-# hundreds of thousands of products and Fraction normalization would dominate.
-
-def _gmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _gadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _gsub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _gconj(a):
-    return (a[0], -a[1])
-
-
-def _gmat_mul(a, b):
-    return [
-        [
-            (
-                sum(a[i][k][0] * b[k][j][0] - a[i][k][1] * b[k][j][1] for k in range(3)),
-                sum(a[i][k][0] * b[k][j][1] + a[i][k][1] * b[k][j][0] for k in range(3)),
-            )
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
-
-
-def _gdet3(m):
-    t = (0, 0)
-    t = _gadd(t, _gmul(m[0][0], _gsub(_gmul(m[1][1], m[2][2]), _gmul(m[1][2], m[2][1]))))
-    t = _gsub(t, _gmul(m[0][1], _gsub(_gmul(m[1][0], m[2][2]), _gmul(m[1][2], m[2][0]))))
-    t = _gadd(t, _gmul(m[0][2], _gsub(_gmul(m[1][0], m[2][1]), _gmul(m[1][1], m[2][0]))))
-    return t
-
-
-def _gadjugate3(m):
-    def c(i, j):
-        rows = [r for k, r in enumerate(m) if k != i]
-        cols = [[row[l] for l in range(3) if l != j] for row in rows]
-        minor = _gsub(_gmul(cols[0][0], cols[1][1]), _gmul(cols[0][1], cols[1][0]))
-        return minor if (i + j) % 2 == 0 else (-minor[0], -minor[1])
-
-    return [[c(j, i) for j in range(3)] for i in range(3)]
-
-
-def _gtranspose(m):
-    return [[m[j][i] for j in range(3)] for i in range(3)]
-
-
-def _gmat_conj(m):
-    return [[(x[0], -x[1]) for x in row] for row in m]
-
+# Gaussian integers are (re, im) int pairs here, multiplied by linalg's _zi_* helpers.
 
 _UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
-_UNIT_INV = {(1, 0): (1, 0), (-1, 0): (-1, 0), (0, 1): (0, -1), (0, -1): (0, 1)}
 
 
 def _random_rz_pairs(rng):
@@ -645,29 +593,27 @@ def _random_rz_pairs(rng):
             [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3)]
             for _ in range(3)
         ]
-        det_r = _gdet3(r)
+        det_r = linalg._zi_det3(r)
         if det_r == (0, 0):
             continue
         u1, u2 = _UNITS[rng.randrange(4)], _UNITS[rng.randrange(4)]
-        diag = [
-            _gmul(u1, det_r),
-            _gmul(u2, det_r),
-            _UNIT_INV[_gmul(u1, u2)],
-        ]
+        u12 = linalg._zi_mul(u1, u2)  # a unit, so its inverse is its conjugate
+        diag = [linalg._zi_mul(u1, det_r), linalg._zi_mul(u2, det_r), (u12[0], -u12[1])]
         rng.shuffle(diag)
         low = [[(1 if i == j else 0, 0) for j in range(3)] for i in range(3)]
         for i in range(3):
             for j in range(i):
                 low[i][j] = (rng.randint(-2, 2), rng.randint(-2, 2))
-        d = [[diag[i] if i == j else (0, 0) for j in range(3)] for i in range(3)]
-        m2 = _gmat_mul(low, _gmat_mul(d, _gtranspose(low)))
+        low_d = [[linalg._zi_mul(x, diag[j]) for j, x in enumerate(row)] for row in low]
+        m2 = linalg._zi_mat_mul(low_d, linalg.transpose(low))
         perm = [0, 1, 2]
         rng.shuffle(perm)
         m2 = [[m2[perm[i]][perm[j]] for j in range(3)] for i in range(3)]
-        cd = _gconj(det_r)
+        # adj(t(r)) is the cofactor matrix of r
+        cd = (det_r[0], -det_r[1])
         s_bar = [
-            [_gmul(cd, x) for x in row]
-            for row in _gmat_mul(_gadjugate3(_gtranspose(r)), m2)
+            [linalg._zi_mul(cd, x) for x in row]
+            for row in linalg._zi_mat_mul(linalg._zi_cofactors(r), m2)
         ]
         scale = det_r[0] * det_r[0] + det_r[1] * det_r[1]
         r_scaled = [[(x[0] * scale, x[1] * scale) for x in row] for row in r]
@@ -681,26 +627,10 @@ def _pairs_to_cr(m):
 def random_residual_zero_data(rng) -> ChernData:
     """Random exact omega-compatible datum with residual forced to zero."""
     r, s_bar = _random_rz_pairs(rng)
-    data = ChernData(_pairs_to_cr(r), _pairs_to_cr(_gmat_conj(s_bar)))
+    data = ChernData(_pairs_to_cr(r), _pairs_to_cr(linalg._zi_conj(s_bar)))
     _require(data.residual == 0, "residual is not zero")
     _require(is_omega_compatible_data(data), "t(r) conj(s) is not symmetric")
     return data
-
-
-def _g_hermitian_and_minors(r, s_bar):
-    """H = t(r) conj(r) - t(s_bar) conj(s_bar) and its leading principal minors.
-
-    H is hermitian so the minors are real; they are returned as ints.
-    """
-    p = _gmat_mul(_gtranspose(r), _gmat_conj(r))
-    q = _gmat_mul(_gtranspose(s_bar), _gmat_conj(s_bar))
-    h = [[_gsub(p[i][j], q[i][j]) for j in range(3)] for i in range(3)]
-    d1 = h[0][0]
-    d2 = _gsub(_gmul(h[0][0], h[1][1]), _gmul(h[0][1], h[1][0]))
-    d3 = _gdet3(h)
-    for v in (d1, d2, d3):
-        _require(v[1] == 0, "hermitian minors must be real")
-    return h, (d1[0], d2[0], d3[0])
 
 
 def _signature_from_minors(minors):
@@ -728,16 +658,25 @@ def signature_dichotomy_sweep(trials, seed, crosscheck_every=200):
     while done < trials:
         r, s_bar = _random_rz_pairs(rng)
         # residual zero and compatibility, re-verified on the raw pairs
-        _require(_gdet3(s_bar) == _gdet3(r), "residual is not zero")
-        m = _gmat_mul(_gtranspose(r), s_bar)
+        det_r = linalg._zi_det3(r)
+        _require(linalg._zi_det3(s_bar) == det_r, "residual is not zero")
+        r_t = linalg.transpose(r)
+        m = linalg._zi_mat_mul(r_t, s_bar)
         _require(
             all(m[i][j] == m[j][i] for i in range(3) for j in range(3)),
             "t(r) conj(s) is not symmetric",
         )
-        h, minors = _g_hermitian_and_minors(r, s_bar)
-        p = _gmat_mul(_gtranspose(r), _gmat_conj(r))
-        det_r = _gdet3(r)
-        _require(_gdet3(p) == (det_r[0] ** 2 + det_r[1] ** 2, 0), "det(P) != |det r|^2")
+        # H = P - t(s_bar) conj(s_bar) with P = t(r) conj(r), and its
+        # leading principal minors, which are real because H is hermitian
+        p = linalg._zi_mat_mul(r_t, linalg._zi_conj(r))
+        q = linalg._zi_mat_mul(linalg.transpose(s_bar), linalg._zi_conj(s_bar))
+        h = [[(x[0] - y[0], x[1] - y[1]) for x, y in zip(pr, qr)] for pr, qr in zip(p, q)]
+        a, b = linalg._zi_mul(h[0][0], h[1][1]), linalg._zi_mul(h[0][1], h[1][0])
+        d1, d2, d3 = h[0][0], (a[0] - b[0], a[1] - b[1]), linalg._zi_det3(h)
+        for v in (d1, d2, d3):
+            _require(v[1] == 0, "hermitian minors must be real")
+        minors = (d1[0], d2[0], d3[0])
+        _require(linalg._zi_det3(p) == (det_r[0] ** 2 + det_r[1] ** 2, 0), "det(P) != |det r|^2")
         if minors[2] == 0:
             continue  # degenerate H: datum does not define a structure
         if minors[0] == 0 or minors[1] == 0:
@@ -745,7 +684,7 @@ def signature_dichotomy_sweep(trials, seed, crosscheck_every=200):
         else:
             sig = _signature_from_minors(minors)
         if done % crosscheck_every == 0:
-            data = ChernData(_pairs_to_cr(r), _pairs_to_cr(_gmat_conj(s_bar)))
+            data = ChernData(_pairs_to_cr(r), _pairs_to_cr(linalg._zi_conj(s_bar)))
             _require(index_from_h(data) == sig, "minor/congruence signature mismatch")
         if 0 in sig:
             raise TheoremContradictionError(

@@ -11,6 +11,9 @@ Exit code 0 means every check in the report passed; 1 means some check
 failed; 2 is a usage or input error.  Reports are byte-reproducible given
 (command, inputs, seed, mode): keys are sorted and floats use fixed
 17-significant-digit formatting.
+
+``--threads`` is accepted, but samples run serially: they are CPU-bound pure
+Python, and a thread pool under the interpreter lock ran no faster.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import jsonio
 from .chern import CandidateJ, compute_rs, index_from_h
@@ -68,7 +70,7 @@ def _common_flags(sub, samples=False):
     if samples:
         sub.add_argument("--samples", type=int, default=None)
         sub.add_argument("--seed", type=int, default=None)
-        sub.add_argument("--threads", type=int, default=1)
+        sub.add_argument("--threads", type=int, default=1, help="samples run serially")
 
 
 def _validate_config(args, parser):
@@ -214,17 +216,9 @@ def cmd_sphere_suite(args):
         }
     )
 
-    sample_reports = []
     if samples > 0:
         seeds = [args.seed * 1_000_003 + i for i in range(samples)]
-        workers = args.threads
-        if workers == 1:
-            sample_reports = [_sphere_sample_check(s, tol, upsilon_scale) for s in seeds]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                sample_reports = list(
-                    pool.map(lambda s: _sphere_sample_check(s, tol, upsilon_scale), seeds)
-                )
+        sample_reports = [_sphere_sample_check(s, tol, upsilon_scale) for s in seeds]
         agg = {
             "check": "sampled_points",
             "samples": samples,

@@ -14,6 +14,11 @@ identity and multistep integer-preserving Gaussian elimination, Math. Comp.
 complex and mixed inputs leave after one type check and take the unchanged
 generic path, so float arithmetic order is unchanged.
 
+This is the one module that does Gaussian-integer arithmetic.  The private
+``_zi_*`` helpers on plain ``(re, im)`` int pairs serve chern's signature sweep,
+whose many small products Fraction normalization would dominate.  ``_zi_dot``
+is the one Z[i] dot product, under ``_zi_mat_mul`` and ``mat_mul`` alike.
+
 Matrices are lists of row lists; vectors are flat lists/tuples.
 """
 
@@ -96,14 +101,50 @@ def _dot_q(x, y):
     return Fraction(s, x[1] if y[1] is None else x[1] * y[1])
 
 
+def _zi_dot(xr, xi, yr, yi):
+    """x . y over Z[i] for int sequences of real and imaginary parts, as (re, im)."""
+    return (
+        sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)),
+        sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)),
+    )
+
+
 def _dot_qi(x, y):
     """x . y for cleared Gaussian-rational sequences, as a ComplexRational."""
     (xr, xi, dx), (yr, yi, dy) = x, y
+    re, im = _zi_dot(xr, xi, yr, yi)
     d = dx * dy
-    return ComplexRational(
-        Fraction(sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)), d),
-        Fraction(sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)), d),
-    )
+    return ComplexRational(Fraction(re, d), Fraction(im, d))
+
+
+def _zi_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _zi_conj(m):
+    return [[(x[0], -x[1]) for x in row] for row in m]
+
+
+def _zi_mat_mul(a, b):
+    rows = [tuple(zip(*row)) for row in a]
+    cols = [tuple(zip(*col)) for col in zip(*b)]
+    return [[_zi_dot(*x, *y) for y in cols] for x in rows]
+
+
+def _zi_cross(a, b):
+    """a x b for pair 3-vectors, bilinear: entry k is a[k+1] b[k+2] - a[k+2] b[k+1]."""
+    terms = [(_zi_mul(a[k - 2], b[k - 1]), _zi_mul(a[k - 1], b[k - 2])) for k in range(3)]
+    return [(p[0] - q[0], p[1] - q[1]) for p, q in terms]
+
+
+def _zi_cofactors(m):
+    """Cofactor matrix of a 3x3 pair matrix: row k is m[k+1] x m[k+2]."""
+    return [_zi_cross(m[k - 2], m[k - 1]) for k in range(3)]
+
+
+def _zi_det3(m):
+    """det of a 3x3 pair matrix as m[0] . (m[1] x m[2])."""
+    return _zi_dot(*zip(*m[0]), *zip(*_zi_cross(m[1], m[2])))
 
 
 def _fraction_free_products(rows, cols):

@@ -159,9 +159,3 @@ def random_rational_tangent(rng, u, bound=5):
         v = tuple(a - p * b for a, b in zip(z, u))
         if any(v):
             return v
-
-
-def random_rational_vector(rng, n=7, bound=9, denom=4):
-    return tuple(
-        Fraction(rng.randint(-bound, bound), rng.randint(1, denom)) for _ in range(n)
-    )

@@ -285,6 +285,15 @@ def test_sweep_small():
     assert set(rep["signature_counts"]) <= {"(1, 2)", "(2, 1)"}
 
 
+@pytest.mark.parametrize(
+    "seed, counts", [(0, (391, 209)), (1, (420, 180)), (11, (397, 203)), (2024, (417, 183))]
+)
+def test_sweep_counts_are_pinned(seed, counts):
+    """The sweep's rng draws and its per-trial verdicts do not drift."""
+    rep = signature_dichotomy_sweep(600, seed=seed)
+    assert rep["signature_counts"] == {"(1, 2)": counts[0], "(2, 1)": counts[1]}
+
+
 def test_volume_projection_identity(rng):
     """The (3,0)-projection of d(omega) equals 12i (det conj(s) - det r).
 
@@ -339,7 +348,7 @@ from g2kit import chern, linalg
 from g2kit.scalars import ComplexRational
 if not sys.flags.optimize:
     sys.exit(3)
-orig_pairs, orig_det = chern._random_rz_pairs, chern._gdet3
+orig_pairs, orig_det = chern._random_rz_pairs, linalg._zi_det3
 
 def bumped(rng):
     r, s_bar = orig_pairs(rng)
@@ -348,11 +357,11 @@ def bumped(rng):
 
 def transposed(rng):
     r, s_bar = orig_pairs(rng)
-    return r, chern._gtranspose(s_bar)
+    return r, linalg.transpose(s_bar)
 
 def hermitian_det_off_by_one(m):
     d = orig_det(m)
-    if all(m[i][j] == chern._gconj(m[j][i]) for i in range(3) for j in range(3)):
+    if all(m[i][j] == (m[j][i][0], -m[j][i][1]) for i in range(3) for j in range(3)):
         return (d[0] + 1, d[1])
     return d
 
@@ -365,19 +374,20 @@ def raised(call):
 
 sweep = lambda: chern.signature_dichotomy_sweep(5, 1)
 seen = []
-for attr, fake in (
-    ("_random_rz_pairs", bumped),
-    ("_random_rz_pairs", transposed),
-    ("_gmat_conj", lambda m: m),
-    ("_gdet3", hermitian_det_off_by_one),
-    ("index_from_h", lambda data: (3, 0)),
+# chern reaches the Gaussian-integer pair helpers as linalg attributes
+for module, attr, fake in (
+    (chern, "_random_rz_pairs", bumped),
+    (chern, "_random_rz_pairs", transposed),
+    (linalg, "_zi_conj", lambda m: m),
+    (linalg, "_zi_det3", hermitian_det_off_by_one),
+    (chern, "index_from_h", lambda data: (3, 0)),
 ):
-    orig = getattr(chern, attr)
-    setattr(chern, attr, fake)
+    orig = getattr(module, attr)
+    setattr(module, attr, fake)
     seen.append(raised(sweep))
     if attr == "_random_rz_pairs":
         seen.append(raised(lambda: chern.random_residual_zero_data(random.Random(0))))
-    setattr(chern, attr, orig)
+    setattr(module, attr, orig)
 data = chern.random_residual_zero_data(random.Random(0))
 for fake_det in (ComplexRational(1, 1), 1.0 + 1.0j):
     linalg.det = lambda m, tol=0.0: fake_det
@@ -401,7 +411,11 @@ print(seen)
 
 @pytest.mark.parametrize("k", [3, -3, -5])
 def test_float_residual_verdict_is_gauge_invariant(k):
-    """Rescaling the eta basis scales the raw residual by 10^(3k), not the verdict."""
+    """Rescaling the eta basis scales the raw residual by 10^(3k), not the verdict.
+
+    equivariance_check with h = 10^k I must pass as a whole: its float
+    tolerances scale with h.
+    """
     import random
 
     from g2kit.sphere import frame_at_float_point
@@ -417,3 +431,30 @@ def test_float_residual_verdict_is_gauge_invariant(k):
         assert index_from_h(data) == sig
         rep = equivariance_check(j, frame, identity, h, canonical_eta_basis(frame))
         assert rep["residual_vanishing_invariant"]
+        assert rep["pass"], rep
+
+
+@pytest.mark.parametrize("k", [3, -3, -5])
+def test_equivariance_r_tolerance_is_relative(k, monkeypatch):
+    """A relative error of 1e-6 in the recomputed r is caught at every scale of h."""
+    import random
+
+    from g2kit import chern
+    from g2kit.sphere import frame_at_float_point
+
+    frame = frame_at_float_point(random.Random(3), None)
+    seen = []
+
+    def skewed(j, frame, eta_basis=None):
+        data = compute_rs(j, frame, eta_basis)
+        seen.append(data)
+        if len(seen) == 2:  # the datum recomputed in the new gauge
+            return ChernData([[x * (1 + 1e-6) for x in row] for row in data.r], data.s)
+        return data
+
+    monkeypatch.setattr(chern, "compute_rs", skewed)
+    h = [[10.0**k if a == b else 0.0 for b in range(3)] for a in range(3)]
+    identity = [[1.0 if a == b else 0.0 for b in range(3)] for a in range(3)]
+    rep = equivariance_check(CandidateJ.flipped(frame, (2, 3)), frame, identity, h,
+                             canonical_eta_basis(frame))
+    assert not rep["r_transforms"] and rep["s_transforms"]

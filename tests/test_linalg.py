@@ -133,3 +133,50 @@ def test_product_types_per_entry():
     assert [[type(x) for x in row] for row in out] == [[int, Fraction], [Fraction, Fraction]]
     assert out == [[1, 4], [Fraction(1, 2), 4]]
     assert [type(x) for x in linalg.mat_vec(a, [1, 1])] == [int, Fraction]
+
+
+_zi = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+
+
+def _as_cr(m):
+    return [[ComplexRational(re, im) for re, im in row] for row in m]
+
+
+def _as_pairs(m):
+    return [[(x.re, x.im) for x in row] for row in m]
+
+
+@st.composite
+def zi_products(draw):
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    rows = lambda r, c: st.lists(st.lists(_zi, min_size=c, max_size=c), min_size=r, max_size=r)
+    return draw(rows(n, k)), draw(rows(k, m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(zi_products())
+def test_zi_mat_mul_matches_mat_mul(case):
+    a, b = case
+    assert linalg._zi_mat_mul(a, b) == _as_pairs(linalg.mat_mul(_as_cr(a), _as_cr(b)))
+
+
+@st.composite
+def zi_square3(draw):
+    m = draw(st.lists(st.lists(_zi, min_size=3, max_size=3), min_size=3, max_size=3))
+    # singular cases: a zero row, or one row repeated
+    i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(["full", "zero", "repeat"]))
+    if kind == "zero":
+        m[i] = [(0, 0)] * 3
+    elif kind == "repeat" and i != j:
+        m[i] = list(m[j])
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(zi_square3())
+def test_zi_det3_and_cofactors(m):
+    d = linalg._zi_det3(m)
+    assert ComplexRational(*d) == linalg.det(_as_cr(m))
+    adj = linalg.transpose(linalg._zi_cofactors(m))
+    assert linalg._zi_mat_mul(m, adj) == [[d if i == j else (0, 0) for j in range(3)] for i in range(3)]
