@@ -14,6 +14,8 @@ is either (3, 0) or (1, 2); the structure is *elliptic definite* when it is
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import linalg
 from .forms import ExteriorForm
 from .linalg import DegenerateFormError
@@ -65,12 +67,7 @@ class EllipticDefiniteReport:
 
 
 def _one_form_basis(float_mode):
-    forms = []
-    for a in range(1, 7):
-        forms.append(
-            ExteriorForm.basis(6, (a,), 1.0 if float_mode else 1)
-        )
-    return forms
+    return [ExteriorForm.basis(6, (a,), 1.0 if float_mode else 1) for a in range(1, 7)]
 
 
 def _five_form_coords(form):
@@ -135,11 +132,8 @@ def elliptic_definite_check(
     j = cls.j_matrix
     float_mode = isinstance(j[0][0], (float, complex)) or omega.mode == FLOAT
     om = omega.as_float() if (float_mode and omega.mode == EXACT) else omega
-    basis = [
-        [(1.0 if float_mode else 1) if i == a else (0.0 if float_mode else 0) for i in range(6)]
-        for a in range(6)
-    ]
-    omat = [[om.evaluate([basis[a], basis[b]]) for b in range(6)] for a in range(6)]
+    zero = 0.0 if float_mode else Fraction(0)
+    omat = [[om.coeff((a, b)) if a != b else zero for b in range(1, 7)] for a in range(1, 7)]
     jmat = j if not (float_mode and not isinstance(j[0][0], (float, complex))) else [
         [float(x) for x in row] for row in j
     ]

@@ -179,6 +179,10 @@ class ChernData:
     def _m(self, m):
         return [list(row) for row in m]
 
+    def _r_t_conj_s(self):
+        """t(r) conj(s); its transpose is t(conj(s)) r."""
+        return linalg.mat_mul(linalg.transpose(self._m(self.r)), linalg.mat_conj(self._m(self.s)))
+
     @property
     def p_matrix(self):
         """t(r) conj(r): positive semi-definite hermitian."""
@@ -192,10 +196,9 @@ class ChernData:
     @property
     def gamma_matrix(self):
         """(t(r) conj(s) + t(conj(s)) r) / 2: complex symmetric."""
-        a = linalg.mat_mul(linalg.transpose(self._m(self.r)), linalg.mat_conj(self._m(self.s)))
-        b = linalg.mat_mul(linalg.transpose(linalg.mat_conj(self._m(self.s))), self._m(self.r))
+        a = self._r_t_conj_s()
         half = Fraction(1, 2) if not isinstance(a[0][0], (float, complex)) else 0.5
-        return linalg.mat_scale(half, linalg.mat_add(a, b))
+        return linalg.mat_scale(half, linalg.mat_add(a, linalg.transpose(a)))
 
     @property
     def h_matrix(self):
@@ -281,13 +284,10 @@ def omega_type_components(data: ChernData):
     omega = t(eta)^M20 eta + t(eta)^M11 conj(eta) + t(conj(eta))^M02 conj(eta),
     with M20 = i(t(r) conj(s) - t(conj(s)) r), M11 = 2i H, M02 = conj(M20).
     """
-    r = [list(row) for row in data.r]
-    s = [list(row) for row in data.s]
-    float_mode = isinstance(r[0][0], (float, complex))
+    float_mode = isinstance(data.r[0][0], (float, complex))
     i_unit = 1j if float_mode else I_EXACT
-    a = linalg.mat_mul(linalg.transpose(r), linalg.mat_conj(s))
-    b = linalg.mat_mul(linalg.transpose(linalg.mat_conj(s)), r)
-    m20 = linalg.mat_scale(i_unit, linalg.mat_sub(a, b))
+    a = data._r_t_conj_s()
+    m20 = linalg.mat_scale(i_unit, linalg.mat_sub(a, linalg.transpose(a)))
     m11 = linalg.mat_scale(2 * i_unit if float_mode else i_unit + i_unit, data.h_matrix)
     m02 = linalg.mat_conj(m20)
     return m20, m11, m02
@@ -314,10 +314,9 @@ def index_from_h(data: ChernData, tol=None):
 
 def is_omega_compatible_data(data: ChernData, tol=0.0):
     """omega^(2,0) = 0, i.e. t(r) conj(s) is symmetric."""
-    m20, _, _ = omega_type_components(data)
-    if tol == 0.0:
-        return all(not x for row in m20 for x in row)
-    return all(sabs(x) <= tol for row in m20 for x in row)
+    a = data._r_t_conj_s()
+    pairs = [(a[i][j], a[j][i]) for i in range(3) for j in range(i + 1, 3)]
+    return all(x == y if tol == 0.0 else sabs(x - y) <= tol for x, y in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +394,8 @@ def compute_rs(j: CandidateJ, frame: AdaptedFrame, eta_basis=None) -> ChernData:
         raise ValueError("eta basis must consist of three tangent vectors")
     exact = j.mode == EXACT and frame.mode == EXACT
     for v in basis:
-        check_tangent(u, v, 1e-8)
+        # |u| = 1, so the rounding in a float u.v scales with |v|
+        check_tangent(u, v, 1e-8 * max(map(sabs, v)))
     real_basis = []
     for v in basis:
         real_basis.append(tuple(v))

@@ -7,17 +7,25 @@ coefficients are never stored, so equality of exact forms is dict equality.
 
 Coefficients are Fraction / ComplexRational in exact mode, float / complex in
 float mode.  The two modes never mix inside one operation.
+
+``evaluate`` and ``pullback`` pick their minor kernel once per call, from the
+mode and the entry types: int/Fraction vectors under an exact form give
+integer minors of the once-cleared vectors (``linalg._det_z``) and one exact
+sum per value; float vectors run ``linalg._det_elim``, the elimination behind
+``linalg.det``, so float values are bit-identical to a per-minor ``det``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress, count
+from math import prod
 
 from . import linalg
 from .scalars import (
     EXACT,
     FLOAT,
+    ComplexRational,
     MixedModeError,
     join_modes,
     matrix_mode,
@@ -304,11 +312,8 @@ class ExteriorForm:
 
     def as_float(self):
         """Explicit exact -> float conversion (the only allowed direction)."""
-        return ExteriorForm(
-            self.dim,
-            self.degree,
-            {i: to_float(c) for i, c in self.terms.items()},
-            mode=FLOAT,
+        return ExteriorForm._trusted(
+            self.dim, self.degree, {i: to_float(c) for i, c in self.terms.items()}, FLOAT
         )
 
     def norm_inf(self):
@@ -344,30 +349,40 @@ class ExteriorForm:
         for v in vectors:
             if len(v) != self.dim:
                 raise DimensionMismatchError("vector dimension != form dimension")
-        mode = self.mode
-        for v in vectors:
-            mode = join_modes(mode, vector_mode(v))
-        return self._evaluate(vectors, [_support(v) for v in vectors])
+        join_modes(self.mode, matrix_mode(vectors))
+        return self._evaluator(vectors)(range(self.degree))
 
-    def _evaluate(self, vectors, supports):
-        """Determinant expansion on checked vectors; ``supports`` are their nonzero indices.
+    def _evaluator(self, vectors):
+        """The map ``sub -> self(vectors[j] for j in sub)``, its minor kernel picked once.
 
-        A term is skipped when some vector vanishes on all of its indices:
-        that minor has a zero row, so ``linalg.det`` would return (signed)
-        zero for it, and skipping it can change only the sign of a zero total.
+        Entry types other than the exact and float kernels' call ``linalg.det``
+        per minor.  A term is skipped when some vector vanishes on all of its
+        indices (a zero-row minor): that changes at most the sign of a zero.
         """
-        if self.degree == 0:
-            return self.terms.get((), Fraction(0) if self.mode == EXACT else 0.0)
-        total = None
-        for idx, c in self.terms.items():
-            if any(s.isdisjoint(idx) for s in supports):
-                continue
-            minor = [[v[i - 1] for i in idx] for v in vectors]
-            d = linalg.det(minor)
-            total = c * d if total is None else total + c * d
-        if total is None:
-            return Fraction(0) if self.mode == EXACT else 0.0
-        return normalize_scalar(total)
+        zero = Fraction(0) if self.mode == EXACT else 0.0
+        if self.degree == 0 or not self.terms:
+            value = self.terms.get((), zero)
+            return lambda sub: value
+        # alive[j]: positions of the terms on whose indices vectors[j] is nonzero
+        alive = [
+            frozenset(t for t, idx in enumerate(self.terms) if not s.isdisjoint(idx))
+            for s in (frozenset(compress(count(1), v)) for v in vectors)
+        ]
+        idx0 = [[i - 1 for i in idx] for idx in self.terms]
+        coeffs = list(self.terms.values())
+        types = {type(x) for v in vectors for x in v}
+        if self.mode == EXACT and types <= {int, Fraction}:
+            return _exact_values(coeffs, vectors, alive, idx0)
+        det = linalg._det_elim if types <= {float} else linalg.det
+
+        def value(sub):
+            total = None
+            for t in sorted(frozenset.intersection(*(alive[j] for j in sub))):
+                d = det([[vectors[j][i] for i in idx0[t]] for j in sub])
+                total = coeffs[t] * d if total is None else total + coeffs[t] * d
+            return zero if total is None else normalize_scalar(total)
+
+        return value
 
     def pullback(self, matrix):
         """Pullback along the linear map R^m -> R^dim with the given n x m matrix.
@@ -387,11 +402,10 @@ class ExteriorForm:
             join_modes(self.mode, matrix_mode(rows))
         if self.degree > m:
             return ExteriorForm.zero(m, self.degree, self.mode)
-        cols = [[rows[i][j] for i in range(self.dim)] for j in range(m)]
-        supports = [_support(c) for c in cols]
+        value = self._evaluator(list(zip(*rows)))
         terms = {}
         for sub in combinations(range(m), self.degree):
-            val = self._evaluate([cols[j] for j in sub], [supports[j] for j in sub])
+            val = value(sub)
             if val:
                 terms[tuple(j + 1 for j in sub)] = val
         return ExteriorForm._trusted(m, self.degree, terms, self.mode)
@@ -399,16 +413,31 @@ class ExteriorForm:
     def restrict(self, basis, tol=0.0):
         """Restriction to the span of ``basis`` (coefficients = evaluations)."""
         basis = [list(b) for b in basis]
-        cols_as_rows = basis  # rank works row-wise
-        if linalg.rank(cols_as_rows, tol) != len(basis):
+        if linalg.rank(basis, tol) != len(basis):
             raise DependentBasisError("restriction basis is linearly dependent")
-        matrix = [[basis[j][i] for j in range(len(basis))] for i in range(self.dim)]
-        return self.pullback(matrix)
+        return self.pullback([[b[i] for b in basis] for i in range(self.dim)])
 
 
-def _support(v):
-    """1-based indices of the nonzero components of v."""
-    return frozenset(i for i, x in enumerate(v, 1) if x)
+def _exact_values(coeffs, vectors, alive, idx0):
+    """The exact map of ``ExteriorForm._evaluator``: a Fraction, or a ComplexRational
+    with a nonzero imaginary part, as the per-minor sum normalizes to."""
+    if any(type(c) is ComplexRational for c in coeffs):
+        re_c, im_c, dc = linalg._cleared(
+            [c if type(c) is ComplexRational else ComplexRational(c) for c in coeffs]
+        )
+    else:
+        (re_c, dc), im_c = linalg._cleared(coeffs), [0] * len(coeffs)
+    cols = [linalg._cleared(v) for v in vectors]
+
+    def value(sub):
+        re = im = 0
+        for t in frozenset.intersection(*(alive[j] for j in sub)):
+            d = linalg._det_z([[cols[j][0][i] for i in idx0[t]] for j in sub])
+            re, im = re + re_c[t] * d, im + im_c[t] * d
+        den = prod(cols[j][1] or 1 for j in sub) * (dc or 1)
+        return ComplexRational(Fraction(re, den), Fraction(im, den)) if im else Fraction(re, den)
+
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ also run on floats (pass a pivot tolerance) for the sampling paths.
 Rational and Gaussian-rational inputs run fraction-free: ``mat_mul`` and
 ``mat_vec`` clear each row's and column's denominators once, form the sums
 of products over Z or Z[i] on Python ints, and normalize one scalar per
-output entry; ``det`` runs Bareiss elimination over Z (Bareiss, Sylvester's
+output entry.  ``det`` is a type dispatch in front of two kernels, which
+``forms`` also calls directly, one check per call: ``_det_z`` on int rows
+(closed form up to 3x3, else Bareiss elimination; Bareiss, Sylvester's
 identity and multistep integer-preserving Gaussian elimination, Math. Comp.
-22, 1968).  Results equal the generic path's in value and in type.  Float,
-complex and mixed inputs leave after one type check and take the unchanged
-generic path, so float arithmetic order is unchanged.
+22, 1968), and ``_det_elim``, the generic elimination for float, complex and
+mixed rows.  Results equal the generic path's in value and in type, and
+float arithmetic order is unchanged.
 
 This is the one module that does Gaussian-integer arithmetic.  The private
 ``_zi_*`` helpers on plain ``(re, im)`` int pairs serve chern's signature sweep,
@@ -240,12 +242,19 @@ def _bareiss(a):
     return sign * a[n - 1][n - 1]
 
 
-def det(m, tol=0.0):
-    n = len(m)
-    rows = _cleared_over_z(m) if n and tol == 0.0 else None
-    if rows is not None and all(len(nums) == n for nums, _ in rows):
-        return Fraction(_bareiss([nums for nums, _ in rows]), prod(d for _, d in rows))
-    a = _fx_rows(m)
+def _det_z(a):
+    """Determinant of a square int matrix: closed form up to 3x3, else Bareiss."""
+    if len(a) == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    if len(a) == 3:
+        (p, q, r), (s, t, u), (v, w, x) = a
+        return p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v)
+    return _bareiss(a)
+
+
+def _det_elim(a, tol=0.0):
+    """Determinant by elimination, pivots as ``_pivot_row``; rows of ``a`` are replaced."""
+    n = len(a)
     sign = 1
     result = None
     for c in range(n):
@@ -264,14 +273,21 @@ def det(m, tol=0.0):
     return result if sign > 0 else -result
 
 
-def solve(m, rhs, tol=0.0):
-    """Solve m x = rhs; rhs is a vector. Raises on singular m."""
+def det(m, tol=0.0):
+    """Rational input runs ``_det_z`` on cleared rows, anything else ``_det_elim``."""
     n = len(m)
-    a = [[_fx(x) for x in row] + [_fx(rhs[i])] for i, row in enumerate(m)]
+    rows = _cleared_over_z(m) if n and tol == 0.0 else None
+    if rows is not None and all(len(nums) == n for nums, _ in rows):
+        return Fraction(_det_z([nums for nums, _ in rows]), prod(d for _, d in rows))
+    return _det_elim(_fx_rows(m), tol)
+
+
+def _gauss_jordan(a, n, tol, message):
+    """Reduce the augmented rows ``a`` until their left n x n block is I."""
     for c in range(n):
         p = _pivot_row(a, c, c, tol)
         if p is None:
-            raise DegenerateFormError("singular linear system")
+            raise DegenerateFormError(message)
         a[c], a[p] = a[p], a[c]
         piv = a[c][c]
         a[c] = [x / piv for x in a[c]]
@@ -279,7 +295,14 @@ def solve(m, rhs, tol=0.0):
             if r != c and _nz(a[r][c], tol):
                 f = a[r][c]
                 a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return [a[i][n] for i in range(n)]
+    return a
+
+
+def solve(m, rhs, tol=0.0):
+    """Solve m x = rhs; rhs is a vector. Raises on singular m."""
+    n = len(m)
+    a = [[_fx(x) for x in row] + [_fx(rhs[i])] for i, row in enumerate(m)]
+    return [row[n] for row in _gauss_jordan(a, n, tol, "singular linear system")]
 
 
 def inverse(m, tol=0.0):
@@ -289,18 +312,7 @@ def inverse(m, tol=0.0):
         [_fx(x) for x in row] + [one if i == j else one * 0 for j in range(n)]
         for i, row in enumerate(m)
     ]
-    for c in range(n):
-        p = _pivot_row(a, c, c, tol)
-        if p is None:
-            raise DegenerateFormError("matrix is singular")
-        a[c], a[p] = a[p], a[c]
-        piv = a[c][c]
-        a[c] = [x / piv for x in a[c]]
-        for r in range(n):
-            if r != c and _nz(a[r][c], tol):
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return [row[n:] for row in a]
+    return [row[n:] for row in _gauss_jordan(a, n, tol, "matrix is singular")]
 
 
 def rank(m, tol=0.0):

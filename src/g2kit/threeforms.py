@@ -17,10 +17,12 @@ depends on the chosen volume form, but its sign (the tag) does not.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from . import linalg
+from .compat import check_complex_structure
 from .forms import ExteriorForm
-from .scalars import EXACT, FLOAT, sqrt_fraction, to_float
+from .scalars import EXACT, FLOAT, I_EXACT, sabs, sqrt_fraction, to_float
 
 
 class NotEllipticError(ValueError):
@@ -28,16 +30,26 @@ class NotEllipticError(ValueError):
 
 
 class ThreeFormClass:
-    """Classification result: tag, discriminant, and elliptic extras."""
+    """Classification result: tag, discriminant, and elliptic extras.
 
-    __slots__ = ("tag", "discriminant", "j_matrix", "upsilon", "sqrt_is_exact")
+    ``upsilon`` is built by :func:`recover_upsilon` on first access, and cached.
+    """
 
-    def __init__(self, tag, discriminant, j_matrix=None, upsilon=None, sqrt_is_exact=True):
+    __slots__ = ("tag", "discriminant", "j_matrix", "sqrt_is_exact", "_rho", "_upsilon")
+
+    def __init__(self, tag, discriminant, j_matrix=None, upsilon=None, sqrt_is_exact=True, rho=None):
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "discriminant", discriminant)
         object.__setattr__(self, "j_matrix", j_matrix)
-        object.__setattr__(self, "upsilon", upsilon)
         object.__setattr__(self, "sqrt_is_exact", sqrt_is_exact)
+        object.__setattr__(self, "_rho", rho)
+        object.__setattr__(self, "_upsilon", upsilon)
+
+    @property
+    def upsilon(self):
+        if self._upsilon is None and self._rho is not None:
+            object.__setattr__(self, "_upsilon", recover_upsilon(self._rho, self.j_matrix))
+        return self._upsilon
 
     def __setattr__(self, name, value):
         raise AttributeError("ThreeFormClass is immutable")
@@ -137,40 +149,26 @@ def recover_upsilon(rho: ExteriorForm, j) -> ExteriorForm:
     elliptic with j its recovered structure; a j that is not a complex
     structure is rejected outright.
     """
-    from itertools import combinations
-
-    from .compat import check_complex_structure
-
     check_complex_structure(j)
     float_mode = rho.mode == FLOAT or isinstance(j[0][0], (float, complex))
     if float_mode:
         rho = rho.as_float()
     third = (1.0 / 3.0) if float_mode else Fraction(1, 3)
     im_part = third * rho
-    re_terms = {}
-    for idx in combinations(range(1, 7), 3):
-        vecs = [
-            linalg.mat_vec(j, list(_basis_vec(6, idx[0] - 1, float_mode))),
-            list(_basis_vec(6, idx[1] - 1, float_mode)),
-            list(_basis_vec(6, idx[2] - 1, float_mode)),
-        ]
-        val = im_part.evaluate(vecs)
-        if val:
-            re_terms[idx] = val
+    basis = [list(_basis_vec(6, a, float_mode)) for a in range(6)]
+    j_cols = [linalg.mat_vec(j, e) for e in basis]
+    re_terms = {
+        (a, b, c): im_part.evaluate([j_cols[a - 1], basis[b - 1], basis[c - 1]])
+        for a, b, c in combinations(range(1, 7), 3)
+    }
     re_part = ExteriorForm(6, 3, re_terms, mode=rho.mode)
-    from .scalars import I_EXACT
-
     i_unit = 1j if float_mode else I_EXACT
     return re_part + i_unit * im_part
 
 
 def upsilon_type_defect(upsilon: ExteriorForm, j, tol=0.0):
     """Max |Upsilon(Jv, w, z) - i Upsilon(v, w, z)| over basis triples ((3,0)-ness)."""
-    from itertools import combinations
-
     float_mode = upsilon.mode == FLOAT
-    from .scalars import I_EXACT, sabs
-
     i_unit = 1j if float_mode else I_EXACT
     worst = 0.0
     for idx in combinations(range(1, 7), 3):
@@ -186,7 +184,9 @@ def classify_3form(rho: ExteriorForm, vol: ExteriorForm = None, tol=1e-12) -> Th
 
     J is normalized to induce the same orientation as ``vol`` (default: the
     standard volume form).  In exact mode J is exact whenever -lambda is a
-    rational square; otherwise J is produced in float mode.
+    rational square; otherwise J is produced in float mode.  In float mode
+    the tag is degenerate when |lambda| <= tol |rho|^4 / |vol|^2 (max-norm of
+    rho, coefficient of vol), a test unchanged by rescaling rho or vol.
     """
     if vol is None:
         vol = standard_volume_form()
@@ -196,7 +196,9 @@ def classify_3form(rho: ExteriorForm, vol: ExteriorForm = None, tol=1e-12) -> Th
     pivot_tol = 0.0 if exact else tol
     k = k_operator(rho, vol)
     lam = _discriminant_of(k)
-    if (exact and lam == 0) or (not exact and abs(to_float(lam)) <= tol):
+    # lambda has degree 4 in rho and -2 in vol, and so has the float bound
+    bound = 0 if exact else tol * rho.norm_inf() ** 4 / abs(vol.terms[(1, 2, 3, 4, 5, 6)]) ** 2
+    if abs(lam) <= bound:
         return ThreeFormClass("degenerate", lam)
     if to_float(lam) > 0:
         return ThreeFormClass("split", lam)
@@ -217,5 +219,5 @@ def classify_3form(rho: ExteriorForm, vol: ExteriorForm = None, tol=1e-12) -> Th
     sign, _ = _orientation_sign(j, vol, pivot_tol)
     if sign < 0:
         j = [[-x for x in row] for row in j]
-    ups = recover_upsilon(rho, j)
-    return ThreeFormClass("elliptic", lam, j_matrix=j, upsilon=ups, sqrt_is_exact=sqrt_is_exact)
+    check_complex_structure(j)
+    return ThreeFormClass("elliptic", lam, j_matrix=j, sqrt_is_exact=sqrt_is_exact, rho=rho)

@@ -458,3 +458,41 @@ def test_equivariance_r_tolerance_is_relative(k, monkeypatch):
     rep = equivariance_check(CandidateJ.flipped(frame, (2, 3)), frame, identity, h,
                              canonical_eta_basis(frame))
     assert not rep["r_transforms"] and rep["s_transforms"]
+
+
+def test_equivariance_check_reports_at_large_eta_scale():
+    """An eta basis scaled by 10^8 is still tangent: the tangency test scales with |v|.
+
+    u.v carries rounding of order 1e-16 |v|, so an absolute 1e-8 rejected
+    these vectors and equivariance_check raised instead of reporting.
+    """
+    import random
+
+    from g2kit.sphere import frame_at_float_point
+
+    frame = frame_at_float_point(random.Random(3), None)
+    h = [[1e8 if a == b else 0.0 for b in range(3)] for a in range(3)]
+    identity = [[1.0 if a == b else 0.0 for b in range(3)] for a in range(3)]
+    for planes in ((), (2, 3)):
+        j = CandidateJ.flipped(frame, planes)
+        rep = equivariance_check(j, frame, identity, h, canonical_eta_basis(frame))
+        assert rep["pass"], rep
+
+
+def test_each_chern_product_is_formed_once(monkeypatch):
+    """t(conj(s)) r is the transpose of t(r) conj(s): one mat_mul decides compatibility."""
+    import random
+
+    data = random_residual_zero_data(random.Random(0))
+    calls = []
+    mat_mul = linalg.mat_mul
+    monkeypatch.setattr(linalg, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
+    assert is_omega_compatible_data(data)
+    assert len(calls) == 1
+    m20, m11, m02 = omega_type_components(data)
+    gamma = data.gamma_matrix
+    assert len(calls) == 1 + 3 + 1  # t(r)conj(s), P and Q for H, t(r)conj(s)
+    a = mat_mul(linalg.transpose([list(r) for r in data.r]), linalg.mat_conj([list(r) for r in data.s]))
+    b = mat_mul(linalg.transpose(linalg.mat_conj([list(r) for r in data.s])), [list(r) for r in data.r])
+    assert m20 == linalg.mat_scale(I_EXACT, linalg.mat_sub(a, b))
+    assert gamma == linalg.mat_scale(Fraction(1, 2), linalg.mat_add(a, b))

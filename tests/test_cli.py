@@ -283,3 +283,38 @@ sys.exit(11)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.split() == ["0", "0", "0", "0"]
+
+
+def test_classify_reports_byte_stable(tmp_path, capsys):
+    """classify-3form on GL(6) pullbacks of the normal forms prints the report it always has.
+
+    The float reports print J, Upsilon and the discriminant to 17 digits, so
+    any change in the order of float evaluation shows here.
+    """
+    import hashlib
+    import random
+
+    from g2kit.sampling import random_invertible_rational
+
+    digests = {}
+    for seed in (0, 1):
+        g = random_invertible_rational(random.Random(seed), 6)
+        for name, normal in (("elliptic", elliptic_normal_form()), ("split", split_normal_form())):
+            rho = normal.pullback(g)
+            for mode, form in (("exact", rho), ("float", rho.as_float())):
+                path = tmp_path / f"{name}{seed}{mode}.json"
+                path.write_text(json.dumps(jsonio.form_to_obj(form)))
+                assert main(["classify-3form", "--input", str(path)]) == 0
+                out = capsys.readouterr().out
+                assert json.loads(out)["tag"] == name
+                digests[name, seed, mode] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == {
+        ("elliptic", 0, "exact"): "0ee1f9760381d6ef0f3c66732d4fcda3849f5fbd288140f2ecff9194e6f3fe3b",
+        ("elliptic", 0, "float"): "65e7d00f9e2ef986dfbc09d8acf324b3dffd225ca00fe22e4fb4f20f4df3a31a",
+        ("split", 0, "exact"): "5a2329b7de9bf8ee664e6889ad4a400eea3f73eb7d5ac16cc20d72d69af97ef3",
+        ("split", 0, "float"): "0cb8e818d045dc3d8a8fa05cce25ea1e694b3514faf7edccf64b82e1dc083f21",
+        ("elliptic", 1, "exact"): "08388ea759028da01b99cf7ecdeaf7b5150a92bd49877eb6db5997255d8957c5",
+        ("elliptic", 1, "float"): "902b0ba22125a4088339924524c77adf7abfe79c340a33a5395f06908b4b39ac",
+        ("split", 1, "exact"): "5d6eb6c8210452770f149687b24918ce7632676f0c426149c5db04db079df800",
+        ("split", 1, "float"): "288d0cc91d412e5b04516e65e5be33698566c175a100d252677f9ee43d6f14c4",
+    }

@@ -543,3 +543,121 @@ def test_wrapper_constructors_keep_their_index_checks():
         with pytest.raises(ValueError) as exc:
             cls(5, -1, {})
         assert exc.type is (DegreeError if cls is ExteriorForm else ValueError)
+
+
+# ---------------------------------------------------------------------------
+# the evaluation kernel against a per-minor linalg.det reference
+# ---------------------------------------------------------------------------
+
+def _evaluate_per_minor(form, vectors):
+    """The expansion with one ``linalg.det`` per minor, skipping zero-row minors."""
+    if form.degree == 0:
+        return form.terms.get((), Fraction(0) if form.mode == "exact" else 0.0)
+    total = None
+    for idx, c in form.terms.items():
+        if any(not any(v[i - 1] for i in idx) for v in vectors):
+            continue
+        d = linalg.det([[v[i - 1] for i in idx] for v in vectors])
+        total = c * d if total is None else total + c * d
+    if total is None:
+        return Fraction(0) if form.mode == "exact" else 0.0
+    return normalize_scalar(total)
+
+
+def _pullback_per_minor(form, cols):
+    terms = {}
+    for sub in combinations(range(len(cols)), form.degree):
+        val = _evaluate_per_minor(form, [cols[j] for j in sub])
+        if val:
+            terms[tuple(j + 1 for j in sub)] = val
+    return terms
+
+
+def _assert_same_scalar(got, want):
+    """Equal value and type; floats equal by repr, so that -0.0 != 0.0."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, (float, complex)):
+        assert repr(got) == repr(want)
+    else:
+        assert got == want
+
+
+_EVAL_KINDS = ("rational", "gaussian", "float", "complex", "int_float")
+
+
+def _eval_entry(rng, kind):
+    """A vector entry: the exact kernel takes rational entries, the float kernel
+    float ones, and Gaussian rationals, complex floats and ints among floats
+    take the per-minor fallback.  Random floats are rarely exact in binary,
+    so a change in rounding shows."""
+    if rng.random() < 0.3:
+        return rng.choice([0.0, -0.0]) if kind in ("float", "complex") else 0
+    q = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+    x = rng.uniform(-2, 2)
+    return {
+        "rational": rng.choice([q.numerator, q]),
+        "gaussian": ComplexRational(q, Fraction(rng.randint(-4, 4), rng.randint(1, 4))),
+        "float": x,
+        "complex": complex(x, rng.uniform(-2, 2)),
+        "int_float": rng.choice([rng.randint(-2, 2), x]),
+    }[kind]
+
+
+def _eval_coeff(rng, exact):
+    q = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+    if exact:
+        return rng.choice([q.numerator, q, ComplexRational(q, rng.randint(-2, 2))])
+    x = rng.choice([-1, 1]) * rng.uniform(0.1, 2)
+    return rng.choice([x, complex(x, rng.uniform(-2, 2))])
+
+
+def _form_and_vectors(rng, dim, degree, kind, count):
+    exact = kind in ("rational", "gaussian")
+    pool = list(combinations(range(1, dim + 1), degree))
+    keys = rng.sample(pool, min(len(pool), rng.randint(0, 8)))
+    form = ExteriorForm(dim, degree, {k: _eval_coeff(rng, exact) for k in keys},
+                        mode="exact" if exact else "float")
+    vectors = []
+    for _ in range(count):
+        shape = rng.choices(["sparse", "zero", "repeat"], [8, 1, 1])[0]
+        if shape == "repeat" and vectors:
+            vectors.append(list(rng.choice(vectors)))
+        elif shape == "zero":
+            vectors.append([0 if exact else 0.0] * dim)
+        else:
+            vectors.append([_eval_entry(rng, kind) for _ in range(dim)])
+    return form, vectors
+
+
+# each example checks a batch of cases drawn from a seeded generator, so
+# that every (kind, dim, degree) cell sees many random floats
+_EVAL_CELLS = dict(
+    kind=st.sampled_from(_EVAL_KINDS),
+    dim=st.integers(3, 7),
+    degree=st.integers(1, 4),
+    rng=st.randoms(use_true_random=True),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_EVAL_CELLS)
+def test_evaluate_matches_per_minor_det(kind, dim, degree, rng):
+    degree = min(degree, dim)
+    for _ in range(10):
+        form, vectors = _form_and_vectors(rng, dim, degree, kind, degree)
+        _assert_same_scalar(form.evaluate(vectors), _evaluate_per_minor(form, vectors))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_EVAL_CELLS)
+def test_pullback_and_restrict_match_per_minor_det(kind, dim, degree, rng):
+    degree = min(degree, dim)
+    for _ in range(3):
+        form, cols = _form_and_vectors(rng, dim, degree, kind, rng.randint(degree, dim))
+        want = _pullback_per_minor(form, cols)
+        got = form.pullback([[c[i] for c in cols] for i in range(form.dim)])
+        assert list(got.terms) == list(want)
+        for key, val in want.items():
+            _assert_same_scalar(got.terms[key], val)
+        if linalg.rank(cols) == len(cols):
+            assert form.restrict(cols).terms == got.terms

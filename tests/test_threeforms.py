@@ -1,4 +1,8 @@
+import random
 from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2kit import linalg
 from g2kit.forms import ExteriorForm, pullback
@@ -25,6 +29,7 @@ def complex_line(a, b):
 
 
 NORMAL_UPSILON = complex_line(1, 2).wedge(complex_line(3, 4)).wedge(complex_line(5, 6))
+_GL6 = random_invertible_rational(random.Random(5), 6)
 
 
 def test_split_normal_form():
@@ -130,3 +135,72 @@ def test_sphere_primitive_form_elliptic_at_float_points():
         cls = classify_3form(pi6)
         assert cls.tag == "elliptic"
         assert cls.discriminant < 0
+
+
+@pytest.mark.parametrize("k", range(-6, 7))
+def test_float_tag_does_not_depend_on_scale(k):
+    """lambda has degree 4 in rho and -2 in the volume form; the tag has degree 0."""
+    vol = standard_volume_form().as_float()
+    for normal, tag in ((split_normal_form(), "split"), (elliptic_normal_form(), "elliptic")):
+        rho = 10.0**k * normal.as_float()
+        assert classify_3form(rho).tag == tag
+        assert classify_3form(normal.as_float(), 10.0**k * vol).tag == tag
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    k=st.integers(-6, 6),
+    vk=st.integers(-6, 6),
+    seed=st.integers(0, 2**32 - 1),
+    tag=st.sampled_from(["split", "elliptic"]),
+)
+def test_float_tag_invariant_under_scaled_pullback(k, vk, seed, tag):
+    """Well-conditioned float GL(6) pullbacks, rescaled, keep the tag."""
+    normal = split_normal_form() if tag == "split" else elliptic_normal_form()
+    rng = random.Random(seed)
+    # I + E with |E|_F <= 0.6: condition number at most 4
+    g = [[(1.0 if a == b else 0.0) + rng.uniform(-0.1, 0.1) for b in range(6)] for a in range(6)]
+    rho = 10.0**k * normal.as_float().pullback(g)
+    vol = 10.0**vk * standard_volume_form().as_float()
+    assert classify_3form(rho, vol).tag == tag
+
+
+def test_upsilon_is_recovered_on_first_access():
+    for rho in (3 * elliptic_normal_form(), pullback(elliptic_normal_form(), _GL6)):
+        for form in (rho, rho.as_float()):
+            cls = classify_3form(form)
+            assert cls.upsilon == recover_upsilon(form, cls.j_matrix)
+            assert cls.upsilon is cls.upsilon
+
+
+def test_elliptic_definite_check_never_recovers_upsilon(monkeypatch):
+    """The verdict reads only J; Upsilon is built only when someone reads it."""
+    from g2kit import threeforms
+    from g2kit.almost_symplectic import elliptic_definite_check
+    from g2kit.sphere import basis_point, omega_at
+    from g2kit.g2 import associative_three_form
+
+    calls = []
+    monkeypatch.setattr(threeforms, "recover_upsilon", lambda *a: calls.append(a))
+    basis = [e_vec(7, k) for k in range(2, 8)]
+    om6 = omega_at(basis_point(1)).restrict(basis)
+    dom6 = (3 * associative_three_form()).restrict(basis)
+    for om, dom in ((om6, dom6), (om6.as_float(), dom6.as_float())):
+        assert elliptic_definite_check(om, dom).elliptic_definite
+    assert calls == []
+    classify_3form(elliptic_normal_form()).upsilon
+    assert len(calls) == 1
+
+
+def test_non_complex_j_raises_from_classify(monkeypatch):
+    """A K whose J is not a complex structure is rejected by classify_3form itself."""
+    from g2kit import threeforms
+    from g2kit.compat import NotComplexStructureError
+
+    # rotation blocks of speeds 1, 1, 5: trace(K^2)/6 = -9, but K^2 != -9 I
+    k = [[Fraction(0)] * 6 for _ in range(6)]
+    for b, w in enumerate((1, 1, 5)):
+        k[2 * b][2 * b + 1], k[2 * b + 1][2 * b] = Fraction(-w), Fraction(w)
+    monkeypatch.setattr(threeforms, "k_operator", lambda rho, vol: k)
+    with pytest.raises(NotComplexStructureError):
+        classify_3form(elliptic_normal_form())
