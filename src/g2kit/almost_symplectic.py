@@ -85,6 +85,11 @@ def primitive_decompose(omega: ExteriorForm, domega: ExteriorForm, tol=0.0) -> P
     which is re-verified (:class:`PrimitivityError` if not).  Degenerate
     omega raises.
     """
+    return _decompose(omega, domega, tol)[0]
+
+
+def _decompose(omega, domega, tol):
+    """``primitive_decompose`` and the omega ^ omega it formed."""
     if omega.dim != 6 or omega.degree != 2:
         raise ValueError("omega must be a 2-form on R^6")
     if domega.dim != 6 or domega.degree != 3:
@@ -111,7 +116,7 @@ def primitive_decompose(omega: ExteriorForm, domega: ExteriorForm, tol=0.0) -> P
         primitive = check.is_zero
     if not primitive:
         raise PrimitivityError(f"omega ^ pi = {check} is not zero")
-    return PrimitiveDecomposition(lam, pi)
+    return PrimitiveDecomposition(lam, pi), om2
 
 
 def elliptic_definite_check(
@@ -124,9 +129,10 @@ def elliptic_definite_check(
     signature is the inertia of g(v, w) = omega(v, Jw) halved per complex
     direction; the verdict is elliptic-definite iff that signature is (3, 0).
     """
-    decomp = primitive_decompose(omega, domega, 0.0 if omega.mode == EXACT else tol)
-    vol = orientation if orientation is not None else omega.wedge(omega).wedge(omega)
-    cls = classify_3form(decomp.pi, vol, tol)
+    decomp, om2 = _decompose(omega, domega, 0.0 if omega.mode == EXACT else tol)
+    if orientation is None:  # omega^2 of the decomposition, unless it ran on a float copy
+        orientation = (om2 if om2.mode == omega.mode else omega.wedge(omega)).wedge(omega)
+    cls = classify_3form(decomp.pi, orientation, tol)
     if cls.tag != "elliptic":
         return EllipticDefiniteReport(cls.tag, None, None, False, decomp)
     j = cls.j_matrix

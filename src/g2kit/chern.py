@@ -394,8 +394,7 @@ def compute_rs(j: CandidateJ, frame: AdaptedFrame, eta_basis=None) -> ChernData:
         raise ValueError("eta basis must consist of three tangent vectors")
     exact = j.mode == EXACT and frame.mode == EXACT
     for v in basis:
-        # |u| = 1, so the rounding in a float u.v scales with |v|
-        check_tangent(u, v, 1e-8 * max(map(sabs, v)))
+        check_tangent(u, v, 1e-8)
     real_basis = []
     for v in basis:
         real_basis.append(tuple(v))

@@ -161,14 +161,10 @@ def _sphere_sample_check(seed_i, tol, upsilon_scale):
     rng = random.Random(seed_i)
     frame = frame_at_float_point(rng, None)
     u = frame.x
-    defects = {}
-    defects["im_upsilon"] = form_defect(
-        upsilon_at(u, frame, upsilon_scale).imag(), phi_tangential(u)
-    )
+    ups = upsilon_at(u, frame, upsilon_scale)
+    defects = {"im_upsilon": form_defect(ups.imag(), phi_tangential(u))}
     frame2 = frame_at_float_point(rng, u)
-    defects["frame_independence"] = form_defect(
-        upsilon_at(u, frame, upsilon_scale), upsilon_at(u, frame2, upsilon_scale)
-    )
+    defects["frame_independence"] = form_defect(ups, upsilon_at(u, frame2, upsilon_scale))
     from .almost_symplectic import elliptic_definite_check
     from .sphere import omega_at
     from .g2 import associative_three_form

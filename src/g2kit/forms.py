@@ -6,7 +6,8 @@ Input tuples in any order are sign-normalized on construction; zero
 coefficients are never stored, so equality of exact forms is dict equality.
 
 Coefficients are Fraction / ComplexRational in exact mode, float / complex in
-float mode.  The two modes never mix inside one operation.
+float mode.  The two modes never mix inside one operation.  ``wedge_terms``
+skips pairs of index tuples that share an index on their bitmasks.
 
 ``evaluate`` and ``pullback`` pick their minor kernel once per call, from the
 mode and the entry types: int/Fraction vectors under an exact form give
@@ -68,18 +69,22 @@ def sort_sign(idx):
     return tuple(sorted(idx)), -1 if inversions % 2 else 1
 
 
-# (ia, ib) -> (sign, key) of sort_sign(ia + ib) for increasing ia, ib.  Keys
-# are the pairs some product has met: at most 4^7 pairs of index sets on R^7,
-# plus about 600 coframe-DGA word pairs once verify-structure has run.
+# (ia, ib) -> (sign, key) of sort_sign(ia + ib) for disjoint increasing ia, ib:
+# at most 3^7 pairs on R^7, plus about 600 coframe-DGA word pairs.
 _MERGED = {}
+# increasing index tuple -> bitmask of its indices: at most 2^n on R^n, plus the DGA words
+_MASKS = {}
 
 
 def _merged(ia, ib):
-    hit = _MERGED.get((ia, ib))
-    if hit is None:
-        key, sign = sort_sign(ia + ib)
-        hit = _MERGED[(ia, ib)] = (sign, key)
-    return hit
+    key, sign = sort_sign(ia + ib)
+    _MERGED[ia, ib] = (sign, key)
+    return sign, key
+
+
+def _mask(key):
+    m = _MASKS[key] = sum(1 << i for i in key)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +126,16 @@ def add_terms(ta, tb):
 
 
 def wedge_terms(ta, tb):
+    """Product of two term dicts; pairs that share an index are skipped on their bitmasks."""
     out = {}
+    masks, merged = _MASKS, _MERGED
+    tb = [(masks.get(ib) or _mask(ib), ib, cb) for ib, cb in tb.items()]
     for ia, ca in ta.items():
-        for ib, cb in tb.items():
-            sign, key = _merged(ia, ib)
-            if sign == 0:
+        ma = masks.get(ia) or _mask(ia)
+        for mb, ib, cb in tb:
+            if ma & mb:
                 continue
+            sign, key = merged.get((ia, ib)) or _merged(ia, ib)
             c = ca * cb if sign == 1 else -(ca * cb)
             acc = out.get(key)
             c = c if acc is None else acc + c

@@ -72,6 +72,12 @@ def _structure_constants():
 
 _CROSS_TABLE = _structure_constants()
 
+# row i - 1: (j - 1, k - 1, sign < 0) for each j with e_i x e_j = sign e_k, j increasing
+_CROSS_ROWS = tuple(
+    tuple((j - 1, k - 1, sign < 0) for j in range(1, 8) for k, sign in _CROSS_TABLE[i][j])
+    for i in range(1, 8)
+)
+
 
 def cross(u, v):
     """The seven-dimensional cross product, componentwise exact."""
@@ -84,17 +90,14 @@ def cross(u, v):
 
 def _cross(u, v):
     """The cross product of two 7-sequences of one scalar mode, unchecked."""
-    zero = u[0] * 0
-    out = [zero] * 7
-    for i in range(1, 8):
-        if not u[i - 1]:
+    out = [u[0] * 0] * 7
+    for ui, row in zip(u, _CROSS_ROWS):
+        if not ui:
             continue
-        for j in range(1, 8):
-            if not v[j - 1]:
-                continue
-            for k, sign in _CROSS_TABLE[i][j]:
-                term = u[i - 1] * v[j - 1]
-                out[k - 1] = out[k - 1] + (term if sign == 1 else -term)
+        for j, k, negative in row:
+            vj = v[j]
+            if vj:
+                out[k] = out[k] - ui * vj if negative else out[k] + ui * vj
     return tuple(out)
 
 

@@ -13,8 +13,9 @@ output entry.  ``det`` is a type dispatch in front of two kernels, which
 (closed form up to 3x3, else Bareiss elimination; Bareiss, Sylvester's
 identity and multistep integer-preserving Gaussian elimination, Math. Comp.
 22, 1968), and ``_det_elim``, the generic elimination for float, complex and
-mixed rows.  Results equal the generic path's in value and in type, and
-float arithmetic order is unchanged.
+mixed rows, unrolled for 2x2 and 3x3 rows at tol 0 (``_det_elim2``/``3``).
+Results equal the generic path's in value and in type, and float arithmetic
+order is unchanged.
 
 This is the one module that does Gaussian-integer arithmetic.  The private
 ``_zi_*`` helpers on plain ``(re, im)`` int pairs serve chern's signature sweep,
@@ -80,11 +81,14 @@ def _cleared(seq):
 
 
 def _cleared_all(seqs):
-    """``_cleared`` of every sequence, or None unless all clear over one ring."""
-    out = [_cleared(s) for s in seqs]
-    if None in out or len({len(c) for c in out}) != 1:
-        return None
-    return out
+    """``_cleared`` of every sequence, or None as soon as one fails to clear over a common ring."""
+    out = []
+    for s in seqs:
+        c = _cleared(s)
+        if c is None or (out and len(c) != len(out[0])):
+            return None
+        out.append(c)
+    return out or None
 
 
 def _cleared_over_z(seqs):
@@ -253,8 +257,15 @@ def _det_z(a):
 
 
 def _det_elim(a, tol=0.0):
-    """Determinant by elimination, pivots as ``_pivot_row``; rows of ``a`` are replaced."""
+    """Determinant by elimination, pivots as ``_pivot_row``; rows of ``a`` are replaced.
+
+    At ``tol == 0``, 2x2 and 3x3 input runs the same operations unrolled: the
+    same pivots, the same row updates (skipped below a zero entry), and the
+    pivots multiplied left to right.
+    """
     n = len(a)
+    if tol == 0.0 and n in (2, 3):
+        return _det_elim2(a) if n == 2 else _det_elim3(a)
     sign = 1
     result = None
     for c in range(n):
@@ -271,6 +282,47 @@ def _det_elim(a, tol=0.0):
                 a[r] = [x - f * y for x, y in zip(a[r], a[c])]
         result = piv if result is None else result * piv
     return result if sign > 0 else -result
+
+
+def _det_elim2(a):
+    """``_det_elim`` of a 2x2 matrix at tol 0, unrolled; ``a`` is only read."""
+    (p, q), (r, t) = a
+    if not p:  # swap the rows, unless r is zero too
+        if not r:
+            return p * 0
+        return -(r * q) if q else r * 0
+    if r:
+        t = t - r / p * q
+    return p * t if t else p * 0
+
+
+def _det_elim3(a):
+    """``_det_elim`` of a 3x3 matrix at tol 0, unrolled; ``a`` is only read."""
+    r0, r1, r2 = a
+    neg = not r0[0]
+    if neg:
+        if r1[0]:
+            r0, r1 = r1, r0
+        elif r2[0]:
+            r0, r2 = r2, r0
+        else:
+            return r0[0] * 0
+    (p, u1, u2), (b, c1, c2), (d, e1, e2) = r0, r1, r2
+    if b:
+        f = b / p
+        c1, c2 = c1 - f * u1, c2 - f * u2
+    if d:
+        f = d / p
+        e1, e2 = e1 - f * u1, e2 - f * u2
+    if not c1:
+        if not e1:
+            return p * 0
+        c1, c2, e1, e2, neg = e1, e2, c1, c2, not neg
+    if e1:
+        e2 = e2 - e1 / c1 * c2
+    if not e2:
+        return p * 0
+    return -(p * c1 * e2) if neg else p * c1 * e2
 
 
 def det(m, tol=0.0):

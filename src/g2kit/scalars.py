@@ -192,6 +192,8 @@ def matrix_mode(m) -> str:
 
 def normalize_scalar(c):
     """Canonical storage form: drop a vanishing imaginary part."""
+    if type(c) in (float, Fraction):
+        return c
     if isinstance(c, ComplexRational):
         return c.re if c.im == 0 else c
     if isinstance(c, int):

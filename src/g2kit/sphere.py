@@ -18,7 +18,7 @@ from fractions import Fraction
 from .forms import ExteriorForm, form_defect
 from .g2 import AdaptedFrame, adapted_frame, associative_three_form, cross, dot
 from .polyforms import PolyCoefForm, ext_d, position_field
-from .scalars import EXACT, FLOAT, to_float, vector_mode
+from .scalars import EXACT, FLOAT, sabs, to_float, vector_mode
 
 UNIT_TOL = 1e-12
 DEFAULT_TOL = 1e-10
@@ -71,10 +71,11 @@ def basis_point(k) -> SpherePoint:
 
 
 def check_tangent(u, v, tol=UNIT_TOL):
+    """Raise unless u.v = 0; floats within ``tol * max|v_i|``, as their rounding scales with |v|."""
     u, v = point_vector(u), tuple(v)
     p = dot(u, v)
     exact = vector_mode(u) != FLOAT and vector_mode(v) != FLOAT
-    if (exact and p != 0) or (not exact and abs(to_float(p)) > tol):
+    if (exact and p != 0) or (not exact and abs(to_float(p)) > tol * max(map(sabs, v))):
         raise NotTangentError(f"u.v = {p} != 0")
 
 

@@ -318,3 +318,39 @@ def test_classify_reports_byte_stable(tmp_path, capsys):
         ("split", 1, "exact"): "5d6eb6c8210452770f149687b24918ce7632676f0c426149c5db04db079df800",
         ("split", 1, "float"): "288d0cc91d412e5b04516e65e5be33698566c175a100d252677f9ee43d6f14c4",
     }
+
+
+def test_structure_chern_and_sphere_reports_byte_stable(tmp_path, capsys):
+    """More reports whose bytes are pinned: the DGA products of verify-structure
+    (plain and mutated), chern families at the float point of
+    ``test_chern_float_point`` (its J is built by float cross products), and a
+    longer sphere-suite run.
+    """
+    import hashlib
+    import math
+
+    u = [1.0, 2.0, -1.0, 0.5, 3.0, -2.0, 1.5]
+    n = math.sqrt(sum(x * x for x in u))
+    path = tmp_path / "floatpt.json"
+    path.write_text(json.dumps({"mode": "float", "point": [x / n for x in u], "frame_seed": 9}))
+    runs = {
+        ("verify-structure",): 0,
+        ("verify-structure", "--mutate", "dkappa-coeff"): 1,
+        ("verify-structure", "--mutate", "dtheta-coeff"): 1,
+        **{("chern", "--input", str(path), "--family", f): 0
+           for f in ("standard", "minus-standard", "flip23")},
+        ("sphere-suite", "--samples", "20", "--seed", "7"): 0,
+    }
+    digests = []
+    for args, code in runs.items():
+        assert main(list(args)) == code, args
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert digests == [
+        "245915a97b4e51b3cdb69424a6210e153632722269d56e381488fbc11248bc94",
+        "28b8e36492ba7ea2ac0c0f79e3e3be2c7cdb5208b408fd7f5bd77fa9c3da2b6b",
+        "ac7a3bfecf76068390a69793c45afae4c6742c5e9e4b449edb01c734a7496384",
+        "5823cc02cb37d4eeca13f9640f37396494b2a67b1b569fcaada44dcc4168c064",
+        "01c24a0ff97ed55edf498a09fcc7bcfeb28c9cbc47a9d37bc851eb7ba10af9cb",
+        "e6b8d32345e9df6bbe2600e1c9f506bb6fa4d4da9e645e4c31855469e4b9090a",
+        "b7ab87b070f68e36584b8c907700dd4469a0df28ead0779d5de7db22899b4ca8",
+    ]

@@ -661,3 +661,51 @@ def test_pullback_and_restrict_match_per_minor_det(kind, dim, degree, rng):
             _assert_same_scalar(got.terms[key], val)
         if linalg.rank(cols) == len(cols):
             assert form.restrict(cols).terms == got.terms
+
+
+def reference_wedge_terms(ta, tb):
+    """The product as a loop over all pairs, each merged by ``sort_sign``."""
+    from g2kit.forms import sort_sign
+
+    out = {}
+    for ia, ca in ta.items():
+        for ib, cb in tb.items():
+            key, sign = sort_sign(ia + ib)
+            if sign == 0:
+                continue
+            c = ca * cb if sign == 1 else -(ca * cb)
+            acc = out.get(key)
+            c = c if acc is None else acc + c
+            if c:
+                out[key] = c
+            else:
+                out.pop(key, None)
+    return out
+
+
+# small values cancel exactly (so keys leave and re-enter the product), others round
+_wedge_floats = st.one_of(
+    st.sampled_from([1.0, -1.0, 2.0, -0.5]), st.floats(-1e3, 1e3, allow_nan=False)
+)
+
+
+@st.composite
+def _float_wedge_case(draw):
+    dim = draw(st.integers(1, 7))
+    forms = []
+    for _ in range(2):
+        degree = draw(st.integers(0, min(dim, 4)))
+        key = st.tuples(*[st.integers(1, dim)] * degree)
+        forms.append(ExteriorForm(dim, degree, draw(st.dictionaries(key, _wedge_floats, max_size=12)),
+                                  mode="float"))
+    return forms
+
+
+@settings(max_examples=300, deadline=None)
+@given(_float_wedge_case())
+def test_float_wedge_matches_the_pair_loop(case):
+    """Float ``wedge`` equals the all-pairs loop in value (by repr) and in key order."""
+    a, b = case
+    got = a.wedge(b)
+    want = ExteriorForm._trusted(a.dim, got.degree, reference_wedge_terms(a.terms, b.terms), "float")
+    assert repr(list(got.terms.items())) == repr(list(want.terms.items()))

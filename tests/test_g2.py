@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2kit import linalg
 from g2kit.forms import ExteriorForm
+from g2kit.scalars import ComplexRational
 from g2kit.g2 import (
+    _CROSS_TABLE,
     FrameConstructionError,
     adapted_frame,
     ambient_metric,
@@ -306,3 +309,37 @@ def test_membership_check_survives_optimize_flag(tmp_path):
     )
     assert chern.returncode == 2, chern.stderr
     assert "input error" in chern.stderr
+
+
+def reference_cross(u, v):
+    """The cross product as a loop over the structure constants, one term at a time."""
+    out = [u[0] * 0] * 7
+    for i in range(1, 8):
+        if not u[i - 1]:
+            continue
+        for j in range(1, 8):
+            if not v[j - 1]:
+                continue
+            for k, sign in _CROSS_TABLE[i][j]:
+                term = u[i - 1] * v[j - 1]
+                out[k - 1] = out[k - 1] + (term if sign == 1 else -term)
+    return tuple(out)
+
+
+_cross_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -0.5]), st.floats(-1e3, 1e3, allow_nan=False)
+)
+_cross_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+_cross_exact = st.one_of(
+    st.integers(-3, 3), _cross_fractions, st.builds(ComplexRational, _cross_fractions, _cross_fractions)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([_cross_floats, _cross_exact]).flatmap(
+    lambda s: st.tuples(*[st.lists(s, min_size=7, max_size=7)] * 2)))
+def test_cross_matches_the_structure_constant_loop(uv):
+    """Floats by repr (signs of zero included), exact entries by value and type."""
+    u, v = uv
+    got, want = cross(u, v), reference_cross(u, v)
+    assert [(type(x), repr(x)) for x in got] == [(type(x), repr(x)) for x in want]

@@ -180,3 +180,55 @@ def test_zi_det3_and_cofactors(m):
     assert ComplexRational(*d) == linalg.det(_as_cr(m))
     adj = linalg.transpose(linalg._zi_cofactors(m))
     assert linalg._zi_mat_mul(m, adj) == [[d if i == j else (0, 0) for j in range(3)] for i in range(3)]
+
+
+# float, complex and exact entries for the unrolled 2x2 / 3x3 elimination: zeros of
+# both signs, values whose products cancel exactly, and values that round
+_elim_floats = st.one_of(
+    st.sampled_from([0.0, -0.0]), _floats, st.floats(-100, 100, allow_nan=False)
+)
+ELIM_KINDS = {
+    "float": _elim_floats,
+    "complex": st.builds(complex, _elim_floats, _elim_floats),
+    "fraction": st.one_of(st.just(Fraction(0)), _fractions),
+    "gaussian": st.one_of(st.just(ComplexRational(0)), _gaussian),
+}
+
+
+@st.composite
+def small_square(draw):
+    kind = draw(st.sampled_from(sorted(ELIM_KINDS)))
+    n = draw(st.integers(2, 3))
+    m = draw(st.lists(st.lists(ELIM_KINDS[kind], min_size=n, max_size=n), min_size=n, max_size=n))
+    # zero leading entries (forcing one or two swaps) or a whole row
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        m[i][0] = m[i][0] * 0
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        m[i] = [x * 0 for x in m[i]]
+    return m
+
+
+@settings(max_examples=500, deadline=None)
+@given(small_square())
+def test_unrolled_det_elim_matches_the_loop(m):
+    """``_det_elim`` on 2x2 and 3x3 rows equals the elimination loop, float zero signs included."""
+    assert same(linalg._det_elim([list(row) for row in m]), reference_det(m))
+
+
+def test_unrolled_det_elim_edge_cases():
+    cases = [
+        [[0.0, 1.0], [-0.0, 2.0]],  # no pivot in column 0: +0.0 * 0
+        [[-0.0, 1.0], [0.0, 2.0]],  # ... -0.0 * 0
+        [[0.0, 3.0], [-2.0, 5.0]],  # one swap
+        [[-0.0, 3.0], [-2.0, 0.0]],  # one swap, then no pivot: -2.0 * 0
+        [[1.0, 2.0], [0.5, 1.0]],  # the second pivot cancels to zero
+        [[0.0, 1.0, 2.0], [-0.0, 3.0, 4.0], [5.0, 6.0, 7.0]],  # swap with the last row
+        [[1.0, 2.0, 3.0], [2.0, 4.0, 7.0], [3.0, 7.0, 1.0]],  # swap at the second step
+        [[0.0, 2.0, 1.0], [0.0, 1.0, 3.0], [0.5, 1.0, 1.0]],  # two swaps
+        [[-3.0, 1.0, 2.0], [0.0, -0.0, 0.0], [1.0, 1.0, 1.0]],  # zero row
+        [[2.0, 1.0, 1.0], [4.0, 2.0, 2.0], [1.0, 3.0, 0.0]],  # both rows lose their pivot
+        [[1j, 2.0, -0.0], [0.0, 1 - 1j, 2j], [3.0, 0.0, 1.0]],
+    ]
+    for m in cases:
+        assert same(linalg._det_elim([list(row) for row in m]), reference_det(m)), m

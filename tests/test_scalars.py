@@ -8,6 +8,7 @@ from g2kit.scalars import (
     MixedModeError,
     join_modes,
     mode_of,
+    normalize_scalar,
     sconj,
     sqrt_fraction,
     vector_mode,
@@ -63,3 +64,23 @@ def test_sqrt_fraction():
     assert sqrt_fraction(Fraction(2)) is None
     with pytest.raises(ValueError):
         sqrt_fraction(Fraction(-1))
+
+
+def test_normalize_scalar_types():
+    """Stored coefficients: floats and Fractions as given, a vanishing imaginary part dropped."""
+    half, x = Fraction(1, 2), 0.1
+    assert normalize_scalar(half) is half and normalize_scalar(x) is x
+    cases = [
+        (3, Fraction(3)),
+        (True, Fraction(1)),
+        (ComplexRational(half, 0), half),
+        (ComplexRational(0, 1), I_EXACT),
+        (complex(2.5, 0.0), 2.5),
+        (complex(-0.0, -0.0), -0.0),
+        (complex(0.0, 1.0), 1j),
+    ]
+    for c, want in cases:
+        got = normalize_scalar(c)
+        assert type(got) is type(want) and repr(got) == repr(want), c
+    with pytest.raises(TypeError):
+        normalize_scalar("1")

@@ -18,6 +18,7 @@ from g2kit.sphere import (
     omega_at,
     phi_tangential,
     random_admissible_triple,
+    random_float_point,
     standard_j,
     tangent_basis,
     upsilon_at,
@@ -248,6 +249,23 @@ def test_nijenhuis_closed_form_rejects_normal_vectors():
     e1 = basis_point(1)
     with pytest.raises(NotTangentError):
         nijenhuis_closed_form(e1, e7(1), e7(2))
+
+
+@pytest.mark.parametrize("k", range(-6, 9))
+def test_float_tangency_is_relative_to_the_vector(k):
+    """A float tangent vector stays tangent when rescaled by 10^k: u.v is
+    compared with the tolerance times max|v_i|, so J_u and N accept it."""
+    rng = random.Random(3)
+    u = random_float_point(rng)
+    x, y = ([a - dot(v, u) * b for a, b in zip(v, u)]
+            for v in ([rng.gauss(0, 1) for _ in range(7)] for _ in range(2)))
+    scale = 10.0 ** k
+    big = [scale * a for a in x]
+    jx = standard_j(u, x)
+    assert max(abs(a - scale * b) for a, b in zip(standard_j(u, big), jx)) <= 1e-12 * scale
+    n = nijenhuis_closed_form(u, x, y)
+    n_big = nijenhuis_closed_form(u, big, y)
+    assert max(abs(a - scale * b) for a, b in zip(n_big, n)) <= 1e-12 * scale * max(map(abs, n))
 
 
 def test_import_does_not_load_numpy():
