@@ -620,7 +620,7 @@ def _random_rz_pairs(rng):
 
 
 def _pairs_to_cr(m):
-    return [[ComplexRational(x[0], x[1]) for x in row] for row in m]
+    return [[ComplexRational._from_cleared(x[0], x[1], 1) for x in row] for row in m]
 
 
 def random_residual_zero_data(rng) -> ChernData:
@@ -653,7 +653,7 @@ def signature_dichotomy_sweep(trials, seed, crosscheck_every=200):
 
     rng = random.Random(seed)
     counts = {}
-    done = 0
+    done = skipped = 0
     while done < trials:
         r, s_bar = _random_rz_pairs(rng)
         # residual zero and compatibility, re-verified on the raw pairs
@@ -677,7 +677,8 @@ def signature_dichotomy_sweep(trials, seed, crosscheck_every=200):
         minors = (d1[0], d2[0], d3[0])
         _require(linalg._zi_det3(p) == (det_r[0] ** 2 + det_r[1] ** 2, 0), "det(P) != |det r|^2")
         if minors[2] == 0:
-            continue  # degenerate H: datum does not define a structure
+            skipped += 1  # degenerate H: datum does not define a structure
+            continue
         if minors[0] == 0 or minors[1] == 0:
             sig = linalg.signature(_pairs_to_cr(h))
         else:
@@ -697,6 +698,7 @@ def signature_dichotomy_sweep(trials, seed, crosscheck_every=200):
         "trials": trials,
         "seed": seed,
         "signature_counts": {str(k): v for k, v in sorted(counts.items())},
+        "skipped_degenerate": skipped,
         "definite_seen": bool(bad),
         "pass": not bad,
     }

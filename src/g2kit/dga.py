@@ -19,7 +19,9 @@ identity of the algebra), machine-checked by :meth:`CoframeDGA.verify_d_squared`
 :class:`DgaElement` is a thin wrapper over the sparse alternating-algebra
 kernel of :mod:`g2kit.forms` (``canonical_terms``, ``add_terms``,
 ``wedge_terms``): a word is an increasing tuple of 0-based generator indices,
-and its coefficient is a ``ComplexRational``.
+and its coefficient is a ``ComplexRational``.  The structure constants are
+Gaussian integers (halves appear only in Im Upsilon), so nearly every
+coefficient product runs on ints with denominator 1 and takes no gcd.
 """
 
 from __future__ import annotations
@@ -62,6 +64,9 @@ class DgaElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("DgaElement is immutable")
+
+    def __reduce__(self):
+        return DgaElement, (self.terms,)
 
     @classmethod
     def _trusted(cls, terms):

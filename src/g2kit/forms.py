@@ -204,6 +204,9 @@ class ExteriorForm:
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("ExteriorForm is immutable")
 
+    def __reduce__(self):
+        return ExteriorForm, (self.dim, self.degree, self.terms, self.mode)
+
     # -- constructors --------------------------------------------------
     @classmethod
     def _trusted(cls, dim, degree, terms, mode):
@@ -444,7 +447,7 @@ def _exact_values(coeffs, vectors, alive, idx0):
             d = linalg._det_z([[cols[j][0][i] for i in idx0[t]] for j in sub])
             re, im = re + re_c[t] * d, im + im_c[t] * d
         den = prod(cols[j][1] or 1 for j in sub) * (dc or 1)
-        return ComplexRational(Fraction(re, den), Fraction(im, den)) if im else Fraction(re, den)
+        return ComplexRational._from_cleared(re, im, den) if im else Fraction(re, den)
 
     return value
 

@@ -8,16 +8,19 @@ also run on floats (pass a pivot tolerance) for the sampling paths.
 Rational and Gaussian-rational inputs run fraction-free: ``mat_mul`` and
 ``mat_vec`` clear each row's and column's denominators once, form the sums
 of products over Z or Z[i] on Python ints, and normalize one scalar per
-output entry.  ``det`` is a type dispatch in front of two kernels, which
-``forms`` also calls directly, one check per call: ``_det_z`` on int rows
-(closed form up to 3x3, else Bareiss elimination; Bareiss, Sylvester's
-identity and multistep integer-preserving Gaussian elimination, Math. Comp.
-22, 1968), and ``_det_elim``, the generic elimination for float, complex and
-mixed rows, unrolled for 2x2 and 3x3 rows at tol 0 (``_det_elim2``/``3``).
+output entry.  A ``ComplexRational`` already holds its cleared triple
+(a + b*i)/d, which ``_cleared`` reads directly, and a Gaussian-rational
+result is built from its triple by one reducing constructor.  ``det`` is a
+type dispatch in front of two kernels, which ``forms`` also calls directly,
+one check per call: ``_det_z`` on int rows (closed form up to 3x3, else
+Bareiss elimination; Bareiss, Sylvester's identity and multistep
+integer-preserving Gaussian elimination, Math. Comp. 22, 1968), and
+``_det_elim``, the generic elimination for float, complex and mixed rows,
+unrolled for 2x2 and 3x3 rows at tol 0 (``_det_elim2``/``3``).
 Results equal the generic path's in value and in type, and float arithmetic
 order is unchanged.
 
-This is the one module that does Gaussian-integer arithmetic.  The private
+This is the one module with Gaussian-integer matrix kernels.  The private
 ``_zi_*`` helpers on plain ``(re, im)`` int pairs serve chern's signature sweep,
 whose many small products Fraction normalization would dominate.  ``_zi_dot``
 is the one Z[i] dot product, under ``_zi_mat_mul`` and ``mat_mul`` alike.
@@ -71,12 +74,8 @@ def _cleared(seq):
         d = lcm(*(x.denominator for x in seq))
         return [x.numerator * (d // x.denominator) for x in seq], d
     if types == {ComplexRational}:
-        d = lcm(*(x.re.denominator for x in seq), *(x.im.denominator for x in seq))
-        return (
-            [x.re.numerator * (d // x.re.denominator) for x in seq],
-            [x.im.numerator * (d // x.im.denominator) for x in seq],
-            d,
-        )
+        d = lcm(*(x._d for x in seq))
+        return [x._a * (d // x._d) for x in seq], [x._b * (d // x._d) for x in seq], d
     return None
 
 
@@ -120,7 +119,7 @@ def _dot_qi(x, y):
     (xr, xi, dx), (yr, yi, dy) = x, y
     re, im = _zi_dot(xr, xi, yr, yi)
     d = dx * dy
-    return ComplexRational(Fraction(re, d), Fraction(im, d))
+    return ComplexRational._from_cleared(re, im, d)
 
 
 def _zi_mul(a, b):

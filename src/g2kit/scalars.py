@@ -6,12 +6,18 @@ mode scalars are ``float``/``complex``.  The modes never mix silently: any
 operation that would combine them raises :class:`MixedModeError`.  Converting
 exact data to floats is always explicit (``to_float``); the reverse direction
 is never done implicitly.
+
+A :class:`ComplexRational` is stored as one Gaussian integer over one
+denominator, the cleared triple (a, b, d) with gcd(a, b, d) = 1, so its
+arithmetic runs on Python ints and reduces once per result; ``linalg``
+reads the triple directly when it clears a whole row.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd, lcm
 
 EXACT = "exact"
 FLOAT = "float"
@@ -23,117 +29,164 @@ class MixedModeError(TypeError):
 
 
 class ComplexRational:
-    """A Gaussian rational a + b*i with ``Fraction`` parts.
+    """A Gaussian rational (a + b*i)/d, stored as its cleared triple.
 
-    Arithmetic with ``int``/``Fraction`` is allowed and stays exact;
-    arithmetic with ``float``/``complex`` raises :class:`MixedModeError`.
+    a and b are ints, d > 0 and gcd(a, b, d) == 1, so the triple is unique and
+    equality is a comparison of triples.  ``+``, ``-`` and ``*`` run on ints and
+    take one gcd, only when the denominator is not 1.  ``re`` and ``im`` are
+    read-only ``Fraction`` views.  Arithmetic with ``int``/``Fraction`` is
+    allowed and stays exact; arithmetic with ``float``/``complex`` raises
+    :class:`MixedModeError`.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            # both parts are reduced, so the triple over their lcm is too
+            d = lcm(re.denominator, im.denominator)
+            a, b = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("ComplexRational is immutable")
 
-    # -- helpers -----------------------------------------------------------
+    def __reduce__(self):
+        return ComplexRational, (self.re, self.im)
+
     @staticmethod
-    def _coerce(x):
-        if isinstance(x, ComplexRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return ComplexRational(x)
-        if isinstance(x, (float, complex)):
-            raise MixedModeError(
-                "cannot mix float scalars with exact ComplexRational arithmetic"
-            )
-        return None
+    def _from_cleared(a, b, d):
+        """(a + b*i)/d for ints a, b and d > 0, reduced by one gcd when d != 1."""
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
+        z = _new(ComplexRational)
+        _set_a(z, a)
+        _set_b(z, b)
+        _set_d(z, d)
+        return z
+
+    @property
+    def re(self):
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self):
+        return Fraction(self._b, self._d)
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return ComplexRational(self.re + o.re, self.im + o.im)
+        a, b, d = o
+        if d == self._d:
+            return _from_cleared(self._a + a, self._b + b, d)
+        return _from_cleared(self._a * d + a * self._d, self._b * d + b * self._d, self._d * d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return ComplexRational(self.re - o.re, self.im - o.im)
+        a, b, d = o
+        if d == self._d:
+            return _from_cleared(self._a - a, self._b - b, d)
+        return _from_cleared(self._a * d - a * self._d, self._b * d - b * self._d, self._d * d)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return ComplexRational(o.re - self.re, o.im - self.im)
+        return _from_cleared(*o) - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return ComplexRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        a, b, d = o
+        x, y = self._a, self._b
+        return _from_cleared(x * a - y * b, x * b + y * a, self._d * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        n = o.re * o.re + o.im * o.im
+        a, b, d = o
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("division by zero ComplexRational")
-        return ComplexRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        x, y = self._a * d, self._b * d
+        return _from_cleared(x * a + y * b, y * a - x * b, self._d * n)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return _from_cleared(*o) / self
 
     def __neg__(self):
-        return ComplexRational(-self.re, -self.im)
+        return _from_cleared(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
 
     def conjugate(self):
-        return ComplexRational(self.re, -self.im)
+        return _from_cleared(self._a, -self._b, self._d)
 
     def __eq__(self, other):
         if isinstance(other, ComplexRational):
-            return self.re == other.re and self.im == other.im
+            return self._a == other._a and self._b == other._b and self._d == other._d
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return not self._b and self._a == other.numerator and self._d == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
+        if not self._b:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self._a or self._b)
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 
     def __repr__(self):
-        if self.im == 0:
-            return f"{self.re}"
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}*i)"
+        re, im = self.re, self.im
+        if im == 0:
+            return f"{re}"
+        if re == 0:
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        return f"({re}{sign}{abs(im)}*i)"
+
+
+_new = object.__new__
+_set_a, _set_b, _set_d = (ComplexRational.__dict__[k].__set__ for k in ComplexRational.__slots__)
+_from_cleared = ComplexRational._from_cleared
+
+
+def _triple(x):
+    """The cleared triple of an exact scalar; None for a type arithmetic declines."""
+    if type(x) is ComplexRational:
+        return x._a, x._b, x._d
+    if isinstance(x, int):
+        return int(x), 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    if isinstance(x, (float, complex)):
+        raise MixedModeError("cannot mix float scalars with exact ComplexRational arithmetic")
+    return None
 
 
 I_EXACT = ComplexRational(0, 1)
@@ -195,7 +248,7 @@ def normalize_scalar(c):
     if type(c) in (float, Fraction):
         return c
     if isinstance(c, ComplexRational):
-        return c.re if c.im == 0 else c
+        return c if c._b else c.re
     if isinstance(c, int):
         return Fraction(c)
     if isinstance(c, complex):

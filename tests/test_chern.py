@@ -496,3 +496,49 @@ def test_each_chern_product_is_formed_once(monkeypatch):
     b = mat_mul(linalg.transpose(linalg.mat_conj([list(r) for r in data.s])), [list(r) for r in data.r])
     assert m20 == linalg.mat_scale(I_EXACT, linalg.mat_sub(a, b))
     assert gamma == linalg.mat_scale(Fraction(1, 2), linalg.mat_add(a, b))
+
+
+def test_gaussian_rational_outputs_are_pinned():
+    """r, s and the index of H at random exact frames, by repr: values and types."""
+    import hashlib
+    import random
+
+    digests = []
+    for seed in range(4):
+        frame = random_rational_frame(random.Random(seed))
+        for j in (CandidateJ.standard(frame.x), CandidateJ.flipped(frame, (2, 3))):
+            data = compute_rs(j, frame)
+            text = repr((data.r, data.s, index_from_h(data)))
+            digests.append(hashlib.sha256(text.encode()).hexdigest())
+    assert digests == [
+        "573755c7e4e2599bede34fbc389b7d9be714a153c94ab664a71a1d40c593a27c",
+        "4490ea145b8fbc68183d81a298870b06fd953d21a4dfb3ecd2ead1c5741fa765",
+        "d744e84b5ae319b1af64367b8be825b3617db733777307bafc3aa6dc0ebe6af0",
+        "81b51d103230919d8f271e88f8b5a46d48c5ac17289b95250243ff933273c1e8",
+        "4bbf43b01e875744d8c02cff302b77a6f194c23fe3c0422b431442ecab06f41a",
+        "e9eee7a2e9cb8ea8e115f086a9929c6367d8c36b54856bee5beb2bed0bedc5fa",
+        "14f4e258bf817635ede107491ab7804c9936ca1011f6426276219d4531032c1c",
+        "604f4720f46371720a80922a857f7ac4fd046953fc806b3a61f7e19e18a00f9e",
+    ]
+
+
+def test_sweep_reports_skipped_degenerate_trials(monkeypatch):
+    """A datum with degenerate H is skipped, counted, and replaced by a fresh trial."""
+    from g2kit import chern
+
+    orig, calls = chern._random_rz_pairs, []
+
+    def degenerate_once(rng):
+        calls.append(None)
+        if len(calls) == 1:
+            zero = [[(0, 0)] * 3 for _ in range(3)]
+            return zero, [row[:] for row in zero]
+        return orig(rng)
+
+    monkeypatch.setattr(chern, "_random_rz_pairs", degenerate_once)
+    rep = signature_dichotomy_sweep(5, seed=1)
+    assert rep["skipped_degenerate"] == 1
+    assert sum(rep["signature_counts"].values()) == 5 and len(calls) == 6
+    assert rep["pass"]
+    monkeypatch.undo()
+    assert signature_dichotomy_sweep(5, seed=1)["skipped_degenerate"] == 0

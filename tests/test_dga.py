@@ -169,3 +169,38 @@ def test_report_schema():
     dga = CoframeDGA()
     for entry in dga.verify_d_squared():
         assert set(entry) == {"check", "generator", "residual_terms", "pass"}
+
+
+@pytest.mark.parametrize(
+    "mutation, digest",
+    [
+        (None, "962e0e4af069def26c6d5a324358265f9d56a8c44b4a3227af2c6264b25722ad"),
+        ("dkappa-coeff", "6ca3dbd5ca5ddd4cc072eae2e50126a95bb6ca4cb77737a4cc5b7d1a34cd9779"),
+        ("dtheta-coeff", "8149b761ad76a23e066b38bdec339d8942bd98a51d2cdea84c2e76b8f72789b0"),
+    ],
+)
+def test_d_table_and_d_squared_are_pinned(mutation, digest):
+    """repr of d(g) and d(d(g)) for every generator, coefficients included."""
+    import hashlib
+
+    dga = CoframeDGA(mutation)
+    table = [repr(dga._d_table[g]) for g in range(len(GENERATORS))]
+    squares = [repr(dga.d(dga._d_table[g])) for g in range(len(GENERATORS))]
+    assert hashlib.sha256("\n".join(table + squares).encode()).hexdigest() == digest
+
+
+def test_structure_verdicts_survive_optimize_flag():
+    """Under python -O verify-structure still passes, and each mutation still fails."""
+    import json
+    import subprocess
+    import sys
+
+    for mutation in (None, *CoframeDGA.MUTATIONS):
+        flags = [] if mutation is None else ["--mutate", mutation]
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "g2kit.cli", "verify-structure", *flags],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == (0 if mutation is None else 1), (mutation, proc.stderr)
+        assert json.loads(proc.stdout)["pass"] is (mutation is None)

@@ -76,3 +76,23 @@ def test_canonical_valid_json():
     parsed = json.loads(jsonio.dumps_canonical(obj))
     assert parsed["n"] == 7
     assert parsed["nested"]["list"][3] is None
+
+
+def test_gaussian_rational_dumps_are_pinned():
+    """Negative, zero and non-integral parts keep their text in both serializations."""
+    vals = [
+        ComplexRational(Fraction(-1, 2), 0),
+        ComplexRational(0, Fraction(-3, 4)),
+        ComplexRational(0),
+        ComplexRational(Fraction(5, 3), Fraction(-7, 6)),
+        ComplexRational(-2, 1),
+    ]
+    assert jsonio.dumps_canonical(vals) == '["-1/2+0i","0-3/4i","0+0i","5/3-7/6i","-2+1i"]'
+    assert [jsonio.scalar_to_obj(v, "exact") for v in vals] == [
+        {"re": "-1/2", "im": "0"},
+        {"re": "0", "im": "-3/4"},
+        {"re": "0", "im": "0"},
+        {"re": "5/3", "im": "-7/6"},
+        {"re": "-2", "im": "1"},
+    ]
+    assert [repr(v) for v in vals] == ["-1/2", "-3/4*i", "0", "(5/3-7/6*i)", "(-2+1*i)"]

@@ -1,6 +1,9 @@
+import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2kit.scalars import (
     ComplexRational,
@@ -84,3 +87,195 @@ def test_normalize_scalar_types():
         assert type(got) is type(want) and repr(got) == repr(want), c
     with pytest.raises(TypeError):
         normalize_scalar("1")
+
+
+def _immutable_values():
+    from g2kit.dga import CoframeDGA
+    from g2kit.forms import ExteriorForm
+
+    z = ComplexRational(Fraction(-1, 2), Fraction(3, 4))
+    return [
+        z,
+        ComplexRational(7),
+        ExteriorForm(4, 2, {(1, 2): z, (3, 4): Fraction(1, 3)}),
+        ExteriorForm(3, 1, {(1,): 0.5}, mode="float"),
+        CoframeDGA()._d_table[0],
+    ]
+
+
+@pytest.mark.parametrize(
+    "value", _immutable_values(), ids=["gaussian", "int", "exact-form", "float-form", "dga-element"]
+)
+def test_immutable_values_copy_and_pickle(value):
+    """copy, deepcopy and a pickle round trip rebuild an equal value of the same type."""
+    import copy
+    import pickle
+
+    for clone in (
+        copy.copy(value),
+        copy.deepcopy(value),
+        pickle.loads(pickle.dumps(value)),
+    ):
+        assert type(clone) is type(value)
+        assert clone == value and repr(clone) == repr(value)
+    if isinstance(value, ComplexRational):
+        assert hash(pickle.loads(pickle.dumps(value))) == hash(value)
+
+
+class ReferenceComplexRational:
+    """The earlier ComplexRational, with two reduced ``Fraction`` parts: the oracle."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
+
+    @staticmethod
+    def _coerce(x):
+        if isinstance(x, ReferenceComplexRational):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return ReferenceComplexRational(x)
+        if isinstance(x, (float, complex)):
+            raise MixedModeError("float operand")
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return ReferenceComplexRational(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return ReferenceComplexRational(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return ReferenceComplexRational(o.re - self.re, o.im - self.im)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        return ReferenceComplexRational(
+            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        n = o.re * o.re + o.im * o.im
+        if n == 0:
+            raise ZeroDivisionError("division by zero ComplexRational")
+        return ReferenceComplexRational(
+            (self.re * o.re + self.im * o.im) / n, (self.im * o.re - self.re * o.im) / n
+        )
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
+    def __neg__(self):
+        return ReferenceComplexRational(-self.re, -self.im)
+
+    def conjugate(self):
+        return ReferenceComplexRational(self.re, -self.im)
+
+    def __eq__(self, other):
+        if isinstance(other, ReferenceComplexRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.im == 0 and self.re == other
+        return NotImplemented
+
+    def __hash__(self):
+        if self.im == 0:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
+
+    def __repr__(self):
+        if self.im == 0:
+            return f"{self.re}"
+        if self.re == 0:
+            return f"{self.im}*i"
+        sign = "+" if self.im > 0 else "-"
+        return f"({self.re}{sign}{abs(self.im)}*i)"
+
+
+_parts = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)) | st.integers(-3, 3)
+# (operand of ComplexRational arithmetic, the same value for the reference)
+_operands = st.one_of(
+    st.integers(-5, 5).map(lambda n: (n, n)),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 10)).map(lambda q: (q, q)),
+    st.tuples(_parts, _parts).map(
+        lambda p: (ComplexRational(*p), ReferenceComplexRational(*p))
+    ),
+)
+
+
+def _assert_same(got, want):
+    if isinstance(want, ReferenceComplexRational):
+        assert type(got) is ComplexRational
+        assert type(got.re) is Fraction and type(got.im) is Fraction
+        assert (got.re, got.im) == (want.re, want.im)
+        assert repr(got) == repr(want) and hash(got) == hash(want)
+        assert bool(got) is bool(want)
+        a, b, d = got._a, got._b, got._d
+        assert all(type(x) is int for x in (a, b, d))
+        assert d > 0 and gcd(a, b, d) == 1
+    else:
+        assert type(got) is type(want) and got == want
+
+
+def _outcome(op, *args):
+    try:
+        return op(*args)
+    except ZeroDivisionError as exc:
+        return type(exc)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_operands, _operands)
+def test_complex_rational_matches_the_two_fraction_reference(x, y):
+    """Every operation on the cleared triple agrees with the Fraction pair, by value and type."""
+    (xn, xr), (yn, yr) = x, y
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        got, want = _outcome(op, xn, yn), _outcome(op, xr, yr)
+        if want is ZeroDivisionError:
+            assert got is ZeroDivisionError
+        else:
+            _assert_same(got, want)
+    assert (xn == yn) is (xr == yr) and (xn != yn) is (xr != yr)
+    for zn, zr in (x, y):
+        if isinstance(zn, ComplexRational):
+            _assert_same(zn, zr)
+            _assert_same(-zn, -zr)
+            _assert_same(zn.conjugate(), zr.conjugate())
+            assert +zn is zn
+            for bad in (0.5, 1.0j):
+                for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                    with pytest.raises(MixedModeError):
+                        op(zn, bad)
+                    with pytest.raises(MixedModeError):
+                        op(bad, zn)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operands)
+def test_complex_rational_equality_with_rationals(x):
+    zn, zr = x
+    own = zr.re if isinstance(zr, ReferenceComplexRational) else zr
+    for q in (0, 1, -2, Fraction(1, 2), Fraction(-7, 3), own):
+        assert (zn == q) is (zr == q) and (q == zn) is (q == zr)
+    if isinstance(zn, ComplexRational):
+        with pytest.raises(ZeroDivisionError):
+            zn / 0
+        with pytest.raises(ZeroDivisionError):
+            zn / ComplexRational(0)
+        with pytest.raises(ZeroDivisionError):
+            Fraction(1, 3) / ComplexRational(Fraction(0), 0)
+        with pytest.raises(AttributeError):
+            zn.re = 1
