@@ -41,6 +41,9 @@ class PrimitiveDecomposition:
     def __setattr__(self, name, value):
         raise AttributeError("PrimitiveDecomposition is immutable")
 
+    def __reduce__(self):
+        return PrimitiveDecomposition, (self.lam, self.pi)
+
     def __iter__(self):
         return iter((self.lam, self.pi))
 
@@ -57,6 +60,10 @@ class EllipticDefiniteReport:
 
     def __setattr__(self, name, value):
         raise AttributeError("EllipticDefiniteReport is immutable")
+
+    def __reduce__(self):
+        fields = (self.tag, self.j_matrix, self.signature, self.elliptic_definite, self.decomposition)
+        return EllipticDefiniteReport, fields
 
     def as_dict(self):
         return {

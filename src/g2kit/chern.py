@@ -22,6 +22,7 @@ residual is gauge-invariant.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf
 
 from . import linalg
 from .compat import NotComplexStructureError
@@ -77,6 +78,9 @@ class CandidateJ:
 
     def __setattr__(self, name, value):
         raise AttributeError("CandidateJ is immutable")
+
+    def __reduce__(self):  # checked when first built, at its own tolerance
+        return CandidateJ, (self.point, self.matrix, inf)
 
     @staticmethod
     def _validate(u, rows, mode, tol):
@@ -175,6 +179,9 @@ class ChernData:
 
     def __setattr__(self, name, value):
         raise AttributeError("ChernData is immutable")
+
+    def __reduce__(self):
+        return ChernData, (self.r, self.s, self.context)
 
     def _m(self, m):
         return [list(row) for row in m]
@@ -648,9 +655,12 @@ def signature_dichotomy_sweep(trials, seed, crosscheck_every=200):
     Each trial re-verifies det(conj(s)) = det(r), the symmetry of t(r)conj(s),
     det(P) = |det r|^2, and that H is nondegenerate (which certifies the
     datum corresponds to an actual structure).  Returns a report dict.
+    Raises ``ValueError`` for ``trials < 0`` or ``crosscheck_every < 1``.
     """
     import random
 
+    if trials < 0 or crosscheck_every < 1:
+        raise ValueError(f"need trials >= 0 and crosscheck_every >= 1: {trials}, {crosscheck_every}")
     rng = random.Random(seed)
     counts = {}
     done = skipped = 0

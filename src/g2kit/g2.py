@@ -210,6 +210,9 @@ class AdaptedFrame:
     def __setattr__(self, name, value):
         raise AttributeError("AdaptedFrame is immutable")
 
+    def __reduce__(self):  # already verified to be in the group
+        return AdaptedFrame, (self.matrix, False)
+
     def col(self, j):
         return tuple(self.matrix[i][j - 1] for i in range(7))
 

@@ -22,8 +22,12 @@ order is unchanged.
 
 This is the one module with Gaussian-integer matrix kernels.  The private
 ``_zi_*`` helpers on plain ``(re, im)`` int pairs serve chern's signature sweep,
-whose many small products Fraction normalization would dominate.  ``_zi_dot``
-is the one Z[i] dot product, under ``_zi_mat_mul`` and ``mat_mul`` alike.
+whose many small products Fraction normalization would dominate.  The sweep
+only uses 3x3 shapes, and those run as straight-line code on the unpacked
+ints: ``_zi_dot3`` (a 3-term dot product), the 3x3 path of ``_zi_mat_mul``,
+``_zi_cross`` entry by entry, and ``_zi_cofactors``/``_zi_det3`` built on
+those two.  ``_zi_dot`` is the general Z[i] dot product, under ``mat_mul``
+and the other shapes of ``_zi_mat_mul``.
 
 Matrices are lists of row lists; vectors are flat lists/tuples.
 """
@@ -130,7 +134,20 @@ def _zi_conj(m):
     return [[(x[0], -x[1]) for x in row] for row in m]
 
 
+def _zi_dot3(x, y):
+    """x . y over Z[i] for 3-vectors of (re, im) pairs, written out."""
+    (p0, q0), (p1, q1), (p2, q2) = x
+    (r0, s0), (r1, s1), (r2, s2) = y
+    return (
+        p0 * r0 - q0 * s0 + p1 * r1 - q1 * s1 + p2 * r2 - q2 * s2,
+        p0 * s0 + q0 * r0 + p1 * s1 + q1 * r1 + p2 * s2 + q2 * r2,
+    )
+
+
 def _zi_mat_mul(a, b):
+    if len(b) == 3:  # the sweep's shape: a 3-term dot product per entry
+        cols = list(zip(*b))
+        return [[_zi_dot3(x, y) for y in cols] for x in a]
     rows = [tuple(zip(*row)) for row in a]
     cols = [tuple(zip(*col)) for col in zip(*b)]
     return [[_zi_dot(*x, *y) for y in cols] for x in rows]
@@ -138,18 +155,23 @@ def _zi_mat_mul(a, b):
 
 def _zi_cross(a, b):
     """a x b for pair 3-vectors, bilinear: entry k is a[k+1] b[k+2] - a[k+2] b[k+1]."""
-    terms = [(_zi_mul(a[k - 2], b[k - 1]), _zi_mul(a[k - 1], b[k - 2])) for k in range(3)]
-    return [(p[0] - q[0], p[1] - q[1]) for p, q in terms]
+    (p0, q0), (p1, q1), (p2, q2) = a
+    (r0, s0), (r1, s1), (r2, s2) = b
+    return [
+        (p1 * r2 - q1 * s2 - p2 * r1 + q2 * s1, p1 * s2 + q1 * r2 - p2 * s1 - q2 * r1),
+        (p2 * r0 - q2 * s0 - p0 * r2 + q0 * s2, p2 * s0 + q2 * r0 - p0 * s2 - q0 * r2),
+        (p0 * r1 - q0 * s1 - p1 * r0 + q1 * s0, p0 * s1 + q0 * r1 - p1 * s0 - q1 * r0),
+    ]
 
 
 def _zi_cofactors(m):
     """Cofactor matrix of a 3x3 pair matrix: row k is m[k+1] x m[k+2]."""
-    return [_zi_cross(m[k - 2], m[k - 1]) for k in range(3)]
+    return [_zi_cross(m[1], m[2]), _zi_cross(m[2], m[0]), _zi_cross(m[0], m[1])]
 
 
 def _zi_det3(m):
     """det of a 3x3 pair matrix as m[0] . (m[1] x m[2])."""
-    return _zi_dot(*zip(*m[0]), *zip(*_zi_cross(m[1], m[2])))
+    return _zi_dot3(m[0], _zi_cross(m[1], m[2]))
 
 
 def _fraction_free_products(rows, cols):

@@ -53,6 +53,9 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        return Poly, (self.nvars, self.terms)
+
     @classmethod
     def const(cls, nvars, c):
         return cls(nvars, {tuple([0] * nvars): Fraction(c)})
@@ -171,6 +174,9 @@ class PolyCoefForm:
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyCoefForm is immutable")
+
+    def __reduce__(self):
+        return PolyCoefForm, (self.dim, self.degree, self.terms)
 
     @classmethod
     def from_constant_form(cls, form: ExteriorForm):

@@ -50,6 +50,9 @@ class SpherePoint:
     def __setattr__(self, name, value):
         raise AttributeError("SpherePoint is immutable")
 
+    def __reduce__(self):  # checked when first built, at its own tolerance
+        return SpherePoint, (self.u, math.inf)
+
     def __iter__(self):
         return iter(self.u)
 

@@ -54,6 +54,11 @@ class ThreeFormClass:
     def __setattr__(self, name, value):
         raise AttributeError("ThreeFormClass is immutable")
 
+    def __reduce__(self):
+        return ThreeFormClass, (
+            self.tag, self.discriminant, self.j_matrix, self._upsilon, self.sqrt_is_exact, self._rho
+        )
+
     def __repr__(self):
         return f"ThreeFormClass({self.tag}, discriminant={self.discriminant})"
 

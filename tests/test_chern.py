@@ -294,6 +294,38 @@ def test_sweep_counts_are_pinned(seed, counts):
     assert rep["signature_counts"] == {"(1, 2)": counts[0], "(2, 1)": counts[1]}
 
 
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (0, "be31cb4fe31dff80e05eba876fc893fd2ca82b36bf434afd4bec27e106d462a7"),
+        (1, "aa57524e65a4b411a9773fa676c0488ab75b1ba35269098d606a880f91c4cc76"),
+        (2, "29764a31faec485934d3bc7fd5e91ea234aa24696bae300fff7ef3232d80a1bc"),
+        (3, "71d85c711da96fa08cc2dc189978de6d50eafa2870fa829612ab8eb5247816b1"),
+    ],
+)
+def test_sweep_report_is_pinned(seed, digest):
+    """The whole report, skipped_degenerate included, by sha256 of its sorted JSON."""
+    import hashlib
+    import json
+
+    rep = signature_dichotomy_sweep(200, seed=seed)
+    assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "trials, crosscheck_every", [(-3, 200), (-1, 1), (5, 0), (5, -2), (0, 0)]
+)
+def test_sweep_rejects_bad_arguments(trials, crosscheck_every):
+    with pytest.raises(ValueError):
+        signature_dichotomy_sweep(trials, seed=1, crosscheck_every=crosscheck_every)
+
+
+def test_sweep_of_zero_trials_is_an_empty_pass():
+    rep = signature_dichotomy_sweep(0, seed=1)
+    assert rep["trials"] == 0 and rep["signature_counts"] == {} and rep["pass"]
+    assert rep["skipped_degenerate"] == 0
+
+
 def test_volume_projection_identity(rng):
     """The (3,0)-projection of d(omega) equals 12i (det conj(s) - det r).
 

@@ -161,8 +161,8 @@ def test_zi_mat_mul_matches_mat_mul(case):
 
 
 @st.composite
-def zi_square3(draw):
-    m = draw(st.lists(st.lists(_zi, min_size=3, max_size=3), min_size=3, max_size=3))
+def zi_square3(draw, entries=_zi):
+    m = draw(st.lists(st.lists(entries, min_size=3, max_size=3), min_size=3, max_size=3))
     # singular cases: a zero row, or one row repeated
     i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     kind = draw(st.sampled_from(["full", "zero", "repeat"]))
@@ -180,6 +180,47 @@ def test_zi_det3_and_cofactors(m):
     assert ComplexRational(*d) == linalg.det(_as_cr(m))
     adj = linalg.transpose(linalg._zi_cofactors(m))
     assert linalg._zi_mat_mul(m, adj) == [[d if i == j else (0, 0) for j in range(3)] for i in range(3)]
+
+
+# the sweep's products reach far past the small entries above
+_big = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
+_zi_big = st.tuples(_big, _big)
+
+
+def _general_cross(a, b):
+    """a x b through the general ``_zi_dot``: entry k is a[k+1] . b[k+2] - a[k+2] . b[k+1]."""
+    out = []
+    for k in range(3):
+        x, y = a[(k + 1) % 3], a[(k + 2) % 3]
+        u, v = b[(k + 2) % 3], b[(k + 1) % 3]
+        out.append(linalg._zi_dot(*zip(x, y), *zip(u, (-v[0], -v[1]))))
+    return out
+
+
+def _general_mat_mul(a, b):
+    return [[linalg._zi_dot(*zip(*x), *zip(*y)) for y in zip(*b)] for x in a]
+
+
+@settings(max_examples=200, deadline=None)
+@given(zi_square3(_zi_big), zi_square3(_zi_big))
+def test_zi_3x3_kernels_match_the_general_routes(m, b):
+    """The straight-line 3x3 kernels against ``_zi_dot`` and ComplexRational ``mat_mul``/``det``."""
+    prod_ = linalg._zi_mat_mul(m, b)
+    assert prod_ == _general_mat_mul(m, b)
+    assert prod_ == _as_pairs(linalg.mat_mul(_as_cr(m), _as_cr(b)))
+    cr = _as_cr(m)
+    for k in range(3):
+        x, y = cr[(k + 1) % 3], cr[(k + 2) % 3]
+        want = [x[(t + 1) % 3] * y[(t + 2) % 3] - x[(t + 2) % 3] * y[(t + 1) % 3] for t in range(3)]
+        assert linalg._zi_cross(m[(k + 1) % 3], m[(k + 2) % 3]) == _as_pairs([want])[0]
+    cof = linalg._zi_cofactors(m)
+    assert cof == [_general_cross(m[(k + 1) % 3], m[(k + 2) % 3]) for k in range(3)]
+    d = linalg._zi_det3(m)
+    assert d == linalg._zi_dot(*zip(*m[0]), *zip(*cof[0]))
+    assert ComplexRational(*d) == linalg.det(cr)
+    assert linalg._zi_mat_mul(m, linalg.transpose(cof)) == [
+        [d if i == j else (0, 0) for j in range(3)] for i in range(3)
+    ]
 
 
 # float, complex and exact entries for the unrolled 2x2 / 3x3 elimination: zeros of

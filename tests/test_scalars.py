@@ -90,24 +90,73 @@ def test_normalize_scalar_types():
 
 
 def _immutable_values():
+    import random
+
+    from conftest import e_vec
+    from g2kit.almost_symplectic import elliptic_definite_check
+    from g2kit.chern import CandidateJ, canonical_eta_basis, compute_rs
     from g2kit.dga import CoframeDGA
     from g2kit.forms import ExteriorForm
+    from g2kit.g2 import associative_three_form, standard_frame
+    from g2kit.polyforms import Poly, PolyCoefForm
+    from g2kit.sampling import random_rational_frame
+    from g2kit.sphere import SpherePoint, basis_point, omega_at
+    from g2kit.threeforms import classify_3form, elliptic_normal_form, split_normal_form
 
     z = ComplexRational(Fraction(-1, 2), Fraction(3, 4))
-    return [
-        z,
-        ComplexRational(7),
-        ExteriorForm(4, 2, {(1, 2): z, (3, 4): Fraction(1, 3)}),
-        ExteriorForm(3, 1, {(1,): 0.5}, mode="float"),
-        CoframeDGA()._d_table[0],
-    ]
+    frame, u = standard_frame(), basis_point(1)
+    basis = [e_vec(7, k) for k in range(2, 8)]  # the tangent space at e1
+    report = elliptic_definite_check(
+        omega_at(u).restrict(basis), (3 * associative_three_form()).restrict(basis)
+    )
+    elliptic = classify_3form(elliptic_normal_form())
+    elliptic.upsilon  # built on first read; the clone carries it
+    x = Poly.var(3, 1)
+    return {
+        "gaussian": z,
+        "int": ComplexRational(7),
+        "exact-form": ExteriorForm(4, 2, {(1, 2): z, (3, 4): Fraction(1, 3)}),
+        "float-form": ExteriorForm(3, 1, {(1,): 0.5}, mode="float"),
+        "dga-element": CoframeDGA()._d_table[0],
+        "frame": frame,
+        "random-frame": random_rational_frame(random.Random(0)),
+        "candidate-j": CandidateJ.standard(u),
+        "float-candidate-j": CandidateJ.standard(SpherePoint([1.0] + [0.0] * 6)),
+        "chern-data": compute_rs(CandidateJ.standard(u), frame, canonical_eta_basis(frame)),
+        "elliptic-class": elliptic,
+        "split-class": classify_3form(split_normal_form()),
+        "sphere-point": u,
+        "float-sphere-point": SpherePoint([0.6, 0.8] + [0.0] * 5),
+        "poly": x * x + Poly.const(3, Fraction(1, 2)),
+        "poly-form": PolyCoefForm(3, 2, {(1, 2): x, (2, 3): Fraction(-1, 3)}),
+        "constant-poly-form": PolyCoefForm.from_constant_form(ExteriorForm(3, 1, {(1,): 2})),
+        "decomposition": report.decomposition,
+        "elliptic-report": report,
+    }
 
 
-@pytest.mark.parametrize(
-    "value", _immutable_values(), ids=["gaussian", "int", "exact-form", "float-form", "dga-element"]
-)
+def _state(v):
+    """The value of ``v`` down to scalars: slots of immutable classes, items of containers."""
+    if isinstance(v, (list, tuple)):
+        return [type(v).__name__, *map(_state, v)]
+    if isinstance(v, dict):
+        return sorted((repr(k), _state(x)) for k, x in v.items())
+    slots = getattr(type(v), "__slots__", None)
+    if slots is not None and not isinstance(v, (ComplexRational, Fraction)):
+        return [type(v).__name__, *(_state(getattr(v, k)) for k in slots)]
+    return [type(v).__name__, repr(v)]
+
+
+_IMMUTABLE = _immutable_values()
+
+
+@pytest.mark.parametrize("value", _IMMUTABLE.values(), ids=_IMMUTABLE.keys())
 def test_immutable_values_copy_and_pickle(value):
-    """copy, deepcopy and a pickle round trip rebuild an equal value of the same type."""
+    """copy, deepcopy and a pickle round trip rebuild the same value of the same type.
+
+    Every slot is compared, nested values included; ``==`` and ``repr`` too
+    where the class defines them.
+    """
     import copy
     import pickle
 
@@ -117,7 +166,11 @@ def test_immutable_values_copy_and_pickle(value):
         pickle.loads(pickle.dumps(value)),
     ):
         assert type(clone) is type(value)
-        assert clone == value and repr(clone) == repr(value)
+        assert _state(clone) == _state(value)
+        if type(value).__eq__ is not object.__eq__:
+            assert clone == value
+        if type(value).__repr__ is not object.__repr__:
+            assert repr(clone) == repr(value)
     if isinstance(value, ComplexRational):
         assert hash(pickle.loads(pickle.dumps(value))) == hash(value)
 
