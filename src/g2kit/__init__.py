@@ -38,7 +38,6 @@ from .forms import (
     form_defect,
     interior,
     pullback,
-    restrict_to_subspace,
     wedge,
 )
 from .polyforms import DegreeCapError, Poly, PolyCoefForm, ext_d, position_field
@@ -47,7 +46,6 @@ from .g2 import (
     AdaptedFrame,
     FrameConstructionError,
     adapted_frame,
-    ambient_metric,
     associative_three_form,
     cross,
     dot,
@@ -67,7 +65,6 @@ from .sphere import (
     omega_at,
     phi_tangential,
     standard_j,
-    tangent_basis,
     upsilon_at,
     verify_domega_pointwise,
 )
@@ -76,8 +73,6 @@ from .compat import (
     NotComplexStructureError,
     compatibility_space_dims,
     induced_metric,
-    inertial_index,
-    is_compatible_metric,
     is_compatible_omega,
     omega_index,
     standard_complex_structure,

@@ -21,7 +21,6 @@ from .forms import ExteriorForm
 from .linalg import DegenerateFormError
 from .scalars import EXACT, FLOAT
 
-from .compat import inertial_index
 from .threeforms import classify_3form
 
 
@@ -151,7 +150,7 @@ def elliptic_definite_check(
         [float(x) for x in row] for row in j
     ]
     g = linalg.mat_mul(omat, jmat)
-    pos, neg = inertial_index(g, None if not float_mode else tol * 100)
+    pos, neg = linalg.signature(g, tol * 100 if float_mode else 0.0)
     if pos % 2 or neg % 2:
         raise DegenerateFormError(f"hermitian inertia ({pos},{neg}) is not even")
     signature = (pos // 2, neg // 2)

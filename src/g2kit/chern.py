@@ -655,10 +655,14 @@ def signature_dichotomy_sweep(trials, seed, crosscheck_every=200):
     Each trial re-verifies det(conj(s)) = det(r), the symmetry of t(r)conj(s),
     det(P) = |det r|^2, and that H is nondegenerate (which certifies the
     datum corresponds to an actual structure).  Returns a report dict.
-    Raises ``ValueError`` for ``trials < 0`` or ``crosscheck_every < 1``.
+    Raises ``TypeError`` unless ``trials`` and ``crosscheck_every`` are ints
+    (``bool`` is not), and ``ValueError`` for ``trials < 0`` or
+    ``crosscheck_every < 1``.
     """
     import random
 
+    if type(trials) is not int or type(crosscheck_every) is not int:
+        raise TypeError(f"trials and crosscheck_every must be ints: {trials!r}, {crosscheck_every!r}")
     if trials < 0 or crosscheck_every < 1:
         raise ValueError(f"need trials >= 0 and crosscheck_every >= 1: {trials}, {crosscheck_every}")
     rng = random.Random(seed)

@@ -3,13 +3,17 @@
 Subcommands run the verification suites and emit deterministic JSON reports:
 
     g2kit verify-structure [--mutate NAME] [--report PATH]
-    g2kit classify-3form --input FORM.json [--vol VOL.json] [--report PATH]
-    g2kit sphere-suite --samples N --seed S [--tol T] [--threads K] [--mutate NAME]
+    g2kit classify-3form --input FORM.json [--vol VOL.json] [--tol T] [--report PATH]
+    g2kit sphere-suite [--samples N --seed S] [--tol T] [--threads K] [--mutate NAME]
+                       [--report PATH]
     g2kit chern [--family standard|minus-standard|flip23] [--input DATA.json]
+                [--report PATH]
 
+There is no mode flag: an input document states its mode in its "mode" key
+(exact when absent), and sphere-suite samples float points when --samples > 0.
 Exit code 0 means every check in the report passed; 1 means some check
 failed; 2 is a usage or input error.  Reports are byte-reproducible given
-(command, inputs, seed, mode): keys are sorted and floats use fixed
+(command, inputs, seed): keys are sorted and floats use fixed
 17-significant-digit formatting.
 
 ``--threads`` is accepted, but samples run serially: they are CPU-bound pure
@@ -48,9 +52,12 @@ class InputError(Exception):
 def _load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path} is not a JSON object")
+    return doc
 
 
 def _emit(report, args):
@@ -60,29 +67,6 @@ def _emit(report, args):
         with open(args.report, "w") as fh:
             fh.write(text + "\n")
     return 0 if report["pass"] else 1
-
-
-def _common_flags(sub, samples=False):
-    sub.add_argument("--mode", choices=(EXACT, FLOAT), default=None)
-    sub.add_argument("--tol", type=float, default=None)
-    sub.add_argument("--report", default=None, help="also write the JSON report here")
-    sub.add_argument("--input", default=None, help="input JSON document")
-    if samples:
-        sub.add_argument("--samples", type=int, default=None)
-        sub.add_argument("--seed", type=int, default=None)
-        sub.add_argument("--threads", type=int, default=1, help="samples run serially")
-
-
-def _validate_config(args, parser):
-    samples = getattr(args, "samples", None)
-    if samples and samples > 0 and getattr(args, "seed", None) is None:
-        parser.error("--seed is required when --samples > 0")
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be at least 1")
-    if args.tol is not None:
-        implicit_float = args.command == "sphere-suite" and (samples or 0) > 0
-        if args.mode != FLOAT and not implicit_float:
-            parser.error("--tol is only legal in float mode")
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +103,12 @@ def cmd_verify_structure(args):
 # classify-3form
 # ---------------------------------------------------------------------------
 
-def cmd_classify_3form(args, parser):
+def cmd_classify_3form(args):
     from .threeforms import classify_3form, standard_volume_form
 
-    if not args.input:
-        parser.error("classify-3form needs --input FORM.json")
     rho = jsonio.form_from_obj(_load_json(args.input))
     vol = jsonio.form_from_obj(_load_json(args.vol)) if args.vol else standard_volume_form()
-    cls = classify_3form(rho, vol, tol=args.tol if args.tol is not None else 1e-12)
+    cls = classify_3form(rho, vol, tol=args.tol)
     result = {
         "command": "classify-3form",
         "mode": rho.mode,
@@ -198,9 +180,12 @@ def _sphere_sample_check(seed_i, tol, upsilon_scale):
     }
 
 
-def cmd_sphere_suite(args):
-    tol = args.tol if args.tol is not None else 1e-10
-    samples = args.samples or 0
+def cmd_sphere_suite(args, parser):
+    tol, samples = args.tol, args.samples
+    if samples > 0 and args.seed is None:
+        parser.error("--seed is required when --samples > 0")
+    if args.threads < 1:
+        parser.error("--threads must be at least 1")
     upsilon_scale = 7 if args.mutate == "upsilon-scale" else 8
     checks = []
 
@@ -264,12 +249,13 @@ def _frame_from_input(doc, mode):
     return frame_at_float_point(random.Random(doc.get("frame_seed", 0)), point)
 
 
-def cmd_chern(args, parser):
-    mode = args.mode or EXACT
+def cmd_chern(args):
     family = args.family
     if args.input:
         doc = _load_json(args.input)
-        mode = doc.get("mode", mode)
+        mode = doc.get("mode", EXACT)
+        if mode not in (EXACT, FLOAT):
+            raise InputError(f"unknown mode {mode!r}")
         frame = _frame_from_input(doc, mode)
         if "J" in doc:
             family = "from-input"
@@ -333,41 +319,45 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     p1 = subs.add_parser("verify-structure", help="structure-equation consistency")
-    _common_flags(p1)
     p1.add_argument("--mutate", choices=CoframeDGA.MUTATIONS, default=None)
 
     p2 = subs.add_parser("classify-3form", help="split/elliptic/degenerate tag")
-    _common_flags(p2)
+    p2.add_argument("--input", required=True, help="3-form JSON document")
     p2.add_argument("--vol", default=None, help="volume form JSON (default standard)")
+    p2.add_argument("--tol", type=float, default=1e-12)
 
     p3 = subs.add_parser("sphere-suite", help="pointwise sphere checks")
-    _common_flags(p3, samples=True)
+    p3.add_argument("--samples", type=int, default=0)
+    p3.add_argument("--seed", type=int, default=None)
+    p3.add_argument("--tol", type=float, default=1e-10)
+    p3.add_argument("--threads", type=int, default=1, help="samples run serially")
     p3.add_argument("--mutate", choices=("upsilon-scale",), default=None)
 
     p4 = subs.add_parser("chern", help="transition invariants of a structure")
-    _common_flags(p4)
+    p4.add_argument("--input", default=None, help="point/frame/J JSON document")
     p4.add_argument(
         "--family",
         choices=("standard", "minus-standard", "flip23"),
         default=None,
         help="built-in structure family (default standard)",
     )
+    for sub in (p1, p2, p3, p4):
+        sub.add_argument("--report", default=None, help="also write the JSON report here")
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    _validate_config(args, parser)
     try:
         if args.command == "verify-structure":
             return cmd_verify_structure(args)
         if args.command == "classify-3form":
-            return cmd_classify_3form(args, parser)
+            return cmd_classify_3form(args)
         if args.command == "sphere-suite":
-            return cmd_sphere_suite(args)
+            return cmd_sphere_suite(args, parser)
         if args.command == "chern":
-            return cmd_chern(args, parser)
+            return cmd_chern(args)
     except (InputError, JsonFormatError, FrameConstructionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -83,14 +83,6 @@ def induced_metric(omega, j, tol=None):
     return linalg.mat_mul(omega, j)
 
 
-def symmetry_defect(m):
-    n = len(m)
-    return max(
-        (sabs(m[a][b] - m[b][a]) for a in range(n) for b in range(a + 1, n)),
-        default=0.0,
-    )
-
-
 def is_compatible_omega(omega, j, tol=None):
     """omega(Jv, Jw) = omega(v, w), i.e. t(J) omega J = omega."""
     omega = [list(r) for r in omega]
@@ -100,28 +92,12 @@ def is_compatible_omega(omega, j, tol=None):
     return _is_zero_matrix(linalg.mat_sub(lhs, omega), t)
 
 
-def is_compatible_metric(g, j, tol=None):
-    """g(Jv, Jw) = g(v, w), i.e. t(J) g J = g."""
-    g = [list(r) for r in g]
-    j = check_complex_structure(j, tol)
-    t = _tol_for(g, tol)
-    lhs = linalg.mat_mul(linalg.transpose(j), linalg.mat_mul(g, j))
-    return _is_zero_matrix(linalg.mat_sub(lhs, g), t)
-
-
-def inertial_index(g, tol=None):
-    """(positives, negatives) of a symmetric form; degenerate input raises."""
-    g = [list(r) for r in g]
-    t = _tol_for(g, tol)
-    return linalg.signature(g, t)
-
-
 def omega_index(omega, j, tol=None):
     """The (p, q) with p + q = n such that the induced metric has inertia (2p, 2q)."""
     if not is_compatible_omega(omega, j, tol):
         raise IncompatiblePairError("pair is not omega-compatible")
     g = induced_metric(omega, j, tol)
-    pos, neg = inertial_index(g, tol)
+    pos, neg = linalg.signature(g, _tol_for(g, tol))
     if pos % 2 or neg % 2:
         raise IncompatiblePairError(
             f"induced metric inertia ({pos},{neg}) is not even"

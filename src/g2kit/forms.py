@@ -472,10 +472,6 @@ def pullback(a, matrix):
     return a.pullback(matrix)
 
 
-def restrict_to_subspace(a, basis, tol=0.0):
-    return a.restrict(basis, tol)
-
-
 def form_defect(a, b):
     """Max-norm of a - b, usable across modes (for float comparisons)."""
     if a.dim != b.dim or a.degree != b.degree:

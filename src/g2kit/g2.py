@@ -109,11 +109,6 @@ def dot(u, v):
     return sum((a * b for a, b in zip(u, v)), start=u[0] * 0)
 
 
-def ambient_metric(u, v):
-    """The inner product the cross product is calibrated against."""
-    return dot(u, v)
-
-
 def g2_defect(matrix) -> ExteriorForm:
     """pullback(phi, g) - phi; the zero form exactly when g is in the group."""
     phi = associative_three_form()

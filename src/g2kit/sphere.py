@@ -82,23 +82,6 @@ def check_tangent(u, v, tol=UNIT_TOL):
         raise NotTangentError(f"u.v = {p} != 0")
 
 
-def tangent_basis(u):
-    """Six independent vectors spanning u-perp (projections of coordinate axes).
-
-    The axis with the largest |u_i| is dropped, which guarantees independence.
-    """
-    u = point_vector(u)
-    drop = max(range(7), key=lambda i: abs(to_float(u[i])))
-    basis = []
-    for a in range(7):
-        if a == drop:
-            continue
-        ua = u[a]
-        vec = tuple((1 if i == a else 0) - ua * u[i] for i in range(7))
-        basis.append(vec)
-    return basis
-
-
 def standard_j(u, v, tol=UNIT_TOL):
     """The invariant almost-complex structure: v |-> u x v on tangent vectors."""
     u = point_vector(u)
@@ -280,26 +263,16 @@ class StereographicChart:
 
         u0 = np.asarray([to_float(x) for x in point_vector(u0)], dtype=float)
         self.u0 = u0 / np.linalg.norm(u0)
-        # orthonormal basis of u0-perp
+        # orthonormal basis of u0-perp: Gram-Schmidt on the six axes other than
+        # argmax|u0_i|; with u0 they span R^7, and every residual norm is at
+        # least max|u0_i| >= 1/sqrt(7), so no axis is ever dropped
         basis = []
         for a in np.argsort(-np.abs(self.u0))[1:]:
             v = np.zeros(7)
             v[a] = 1.0
             for b in [self.u0] + basis:
                 v = v - (v @ b) * b
-            n = np.linalg.norm(v)
-            if n > 1e-9:
-                basis.append(v / n)
-        seeds = 0
-        while len(basis) < 6:  # unreachable for unit u0, kept for safety
-            v = np.zeros(7)
-            v[seeds % 7] = 1.0
-            for b in [self.u0] + basis:
-                v = v - (v @ b) * b
-            n = np.linalg.norm(v)
-            if n > 1e-9:
-                basis.append(v / n)
-            seeds += 1
+            basis.append(v / np.linalg.norm(v))
         self.E = np.column_stack(basis)  # 7 x 6
 
     def point(self, y):

@@ -22,7 +22,7 @@ from itertools import combinations
 from . import linalg
 from .compat import check_complex_structure
 from .forms import ExteriorForm
-from .scalars import EXACT, FLOAT, I_EXACT, sabs, sqrt_fraction, to_float
+from .scalars import EXACT, FLOAT, I_EXACT, sqrt_fraction, to_float
 
 
 class NotEllipticError(ValueError):
@@ -169,19 +169,6 @@ def recover_upsilon(rho: ExteriorForm, j) -> ExteriorForm:
     re_part = ExteriorForm(6, 3, re_terms, mode=rho.mode)
     i_unit = 1j if float_mode else I_EXACT
     return re_part + i_unit * im_part
-
-
-def upsilon_type_defect(upsilon: ExteriorForm, j, tol=0.0):
-    """Max |Upsilon(Jv, w, z) - i Upsilon(v, w, z)| over basis triples ((3,0)-ness)."""
-    float_mode = upsilon.mode == FLOAT
-    i_unit = 1j if float_mode else I_EXACT
-    worst = 0.0
-    for idx in combinations(range(1, 7), 3):
-        vecs = [list(_basis_vec(6, a - 1, float_mode)) for a in idx]
-        lhs = upsilon.evaluate([linalg.mat_vec(j, vecs[0]), vecs[1], vecs[2]])
-        rhs = i_unit * upsilon.evaluate(vecs)
-        worst = max(worst, sabs(lhs - rhs))
-    return worst
 
 
 def classify_3form(rho: ExteriorForm, vol: ExteriorForm = None, tol=1e-12) -> ThreeFormClass:

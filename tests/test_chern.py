@@ -313,10 +313,12 @@ def test_sweep_report_is_pinned(seed, digest):
 
 
 @pytest.mark.parametrize(
-    "trials, crosscheck_every", [(-3, 200), (-1, 1), (5, 0), (5, -2), (0, 0)]
+    "trials, crosscheck_every",
+    [(-3, 200), (-1, 1), (5, 0), (5, -2), (0, 0), (2.5, 1), (3, 1.5), (True, 1), (3, True)],
 )
 def test_sweep_rejects_bad_arguments(trials, crosscheck_every):
-    with pytest.raises(ValueError):
+    ints = type(trials) is int and type(crosscheck_every) is int
+    with pytest.raises(ValueError if ints else TypeError):
         signature_dichotomy_sweep(trials, seed=1, crosscheck_every=crosscheck_every)
 
 

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from g2kit import jsonio
 from g2kit.cli import main
 from g2kit.forms import ExteriorForm
@@ -95,11 +97,6 @@ def test_sphere_suite_rejects_threads_below_one():
         proc = run_cli(["sphere-suite", "--samples", "2", "--seed", "1", "--threads", threads])
         assert proc.returncode == 2
         assert "--threads" in proc.stderr
-
-
-def test_tol_requires_float_mode():
-    proc = run_cli(["verify-structure", "--tol", "1e-8"])
-    assert proc.returncode == 2
 
 
 def test_chern_families():
@@ -354,3 +351,74 @@ def test_structure_chern_and_sphere_reports_byte_stable(tmp_path, capsys):
         "e6b8d32345e9df6bbe2600e1c9f506bb6fa4d4da9e645e4c31855469e4b9090a",
         "b7ab87b070f68e36584b8c907700dd4469a0df28ead0779d5de7db22899b4ca8",
     ]
+
+
+def run_main(argv, capsys):
+    """Exit code, stdout and stderr of ``main`` in-process; argparse usage errors give 2."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def exact_elliptic_doc(tmp_path):
+    path = tmp_path / "elliptic.json"
+    path.write_text(json.dumps(jsonio.form_to_obj(elliptic_normal_form())))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["verify-structure", "--mode", "exact"], id="verify-structure-mode"),
+        pytest.param(["verify-structure", "--tol", "1e-8"], id="verify-structure-tol"),
+        pytest.param(["verify-structure", "--input", "DOC"], id="verify-structure-input"),
+        pytest.param(["classify-3form", "--input", "DOC", "--mode", "exact"], id="classify-3form-mode"),
+        pytest.param(["sphere-suite", "--mode", "float"], id="sphere-suite-mode"),
+        pytest.param(["sphere-suite", "--input", "DOC"], id="sphere-suite-input"),
+        pytest.param(["chern", "--mode", "exact"], id="chern-mode"),
+        pytest.param(["chern", "--tol", "1e-9"], id="chern-tol"),
+        # the mode comes from documents only: an exact request never runs float samples
+        pytest.param(
+            ["sphere-suite", "--mode", "exact", "--samples", "2", "--seed", "1"],
+            id="sphere-suite-mode-exact-samples",
+        ),
+    ],
+)
+def test_removed_flags_exit_2(argv, tmp_path, capsys):
+    doc = exact_elliptic_doc(tmp_path)
+    code, out, _ = run_main([doc if a == "DOC" else a for a in argv], capsys)
+    assert (code, out) == (2, "")
+
+
+def test_classify_tol_leaves_exact_report_unchanged(tmp_path, capsys):
+    doc = exact_elliptic_doc(tmp_path)
+    plain = run_main(["classify-3form", "--input", doc], capsys)
+    assert plain[0] == 0
+    assert run_main(["classify-3form", "--input", doc, "--tol", "1e-9"], capsys) == plain
+
+
+@pytest.mark.parametrize("payload", ["[1, 2]", '"x"'], ids=["list", "string"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chern", "--input", "BAD"],
+        ["classify-3form", "--input", "BAD"],
+        ["classify-3form", "--input", "DOC", "--vol", "BAD"],
+    ],
+    ids=["chern-input", "classify-3form-input", "classify-3form-vol"],
+)
+def test_non_object_document_is_an_input_error(argv, payload, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload)
+    paths = {"BAD": str(bad), "DOC": exact_elliptic_doc(tmp_path)}
+    code, out, err = run_main([paths.get(a, a) for a in argv], capsys)
+    assert (code, out) == (2, "") and "input error" in err
+
+
+def test_chern_rejects_unknown_document_mode(tmp_path, capsys):
+    path = tmp_path / "bogus.json"
+    path.write_text(json.dumps({"mode": "bogus"}))
+    code, out, err = run_main(["chern", "--input", str(path)], capsys)
+    assert (code, out) == (2, "") and "unknown mode" in err

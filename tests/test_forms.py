@@ -16,7 +16,6 @@ from g2kit.forms import (
     form_defect,
     interior,
     pullback,
-    restrict_to_subspace,
 )
 from g2kit.polyforms import Poly, PolyCoefForm
 from g2kit.scalars import ComplexRational, MixedModeError, normalize_scalar
@@ -216,7 +215,7 @@ def test_restrict_matches_contraction(rng):
 
     phi = associative_three_form()
     basis = [e_vec(7, k) for k in range(2, 8)]
-    restricted = restrict_to_subspace(phi, basis)
+    restricted = phi.restrict(basis)
     for idx in combinations(range(6), 3):
         lhs = restricted.evaluate([e_vec(6, i + 1) for i in idx])
         rhs = phi.evaluate([basis[i] for i in idx])
@@ -232,14 +231,14 @@ def test_restrict_matches_contraction(rng):
 def test_restrict_to_missing_span_is_zero():
     e12 = ExteriorForm.basis(7, (1, 2))
     basis = [e_vec(7, k) for k in range(3, 8)]
-    assert restrict_to_subspace(e12, basis).is_zero
+    assert e12.restrict(basis).is_zero
 
 
 def test_restrict_dependent_basis_errors():
     e12 = ExteriorForm.basis(7, (1, 2))
     basis = [e_vec(7, 1), e_vec(7, 1)]
     with pytest.raises(DependentBasisError):
-        restrict_to_subspace(e12, basis)
+        e12.restrict(basis)
 
 
 def test_mixed_mode_rejected(rng):

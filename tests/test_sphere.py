@@ -20,7 +20,6 @@ from g2kit.sphere import (
     random_admissible_triple,
     random_float_point,
     standard_j,
-    tangent_basis,
     upsilon_at,
     verify_domega_pointwise,
 )
@@ -76,9 +75,10 @@ def test_omega_examples():
 
 
 def test_omega_rank_and_invariance(rng):
-    u = random_rational_frame(rng).x
+    frame = random_rational_frame(rng)
+    u = frame.x
     om = omega_at(u)
-    basis = tangent_basis(u)
+    basis = frame.tangent_columns()
     mat = [[om.evaluate([a, b]) for b in basis] for a in basis]
     assert linalg.det(mat) != 0  # rank 6
     for _ in range(10):
@@ -87,14 +87,6 @@ def test_omega_rank_and_invariance(rng):
         jv, jw = standard_j(u, v), standard_j(u, w)
         assert om.evaluate([jv, jw]) == om.evaluate([v, w])
         assert dot(jv, jw) == dot(v, w)  # metric invariance
-
-
-def test_tangent_basis_is_tangent_and_independent(rng):
-    u = random_rational_frame(rng).x
-    basis = tangent_basis(u)
-    assert len(basis) == 6
-    assert all(dot(u, b) == 0 for b in basis)
-    assert linalg.rank([list(b) for b in basis]) == 6
 
 
 def test_upsilon_standard_point():

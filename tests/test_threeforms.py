@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,6 @@ from g2kit.threeforms import (
     recover_upsilon,
     split_normal_form,
     standard_volume_form,
-    upsilon_type_defect,
 )
 
 from conftest import e_vec
@@ -45,7 +45,11 @@ def test_elliptic_normal_form():
     assert cls.sqrt_is_exact
     j2 = linalg.mat_mul(cls.j_matrix, cls.j_matrix)
     assert all(j2[a][b] == (-1 if a == b else 0) for a in range(6) for b in range(6))
-    assert upsilon_type_defect(cls.upsilon, cls.j_matrix) == 0
+    # Upsilon has type (3,0): Upsilon(Jv, w, z) = i Upsilon(v, w, z) on basis triples
+    for idx in combinations(range(1, 7), 3):
+        vecs = [e_vec(6, a) for a in idx]
+        jv = linalg.mat_vec(cls.j_matrix, vecs[0])
+        assert cls.upsilon.evaluate([jv, *vecs[1:]]) == I_EXACT * cls.upsilon.evaluate(vecs)
 
 
 def test_elliptic_normal_form_is_imaginary_part():
