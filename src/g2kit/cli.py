@@ -16,6 +16,9 @@ failed; 2 is a usage or input error.  Reports are byte-reproducible given
 (command, inputs, seed): keys are sorted and floats use fixed
 17-significant-digit formatting.
 
+The argparse parser is built once per process, on the first call of
+:func:`main`, and reused by later calls: parsing leaves no state on it.
+
 ``--threads`` is accepted, but samples run serially: they are CPU-bound pure
 Python, and a thread pool under the interpreter lock ran no faster.
 """
@@ -23,6 +26,7 @@ Python, and a thread pool under the interpreter lock ran no faster.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -107,7 +111,11 @@ def cmd_classify_3form(args):
     from .threeforms import classify_3form, standard_volume_form
 
     rho = jsonio.form_from_obj(_load_json(args.input))
-    vol = jsonio.form_from_obj(_load_json(args.vol)) if args.vol else standard_volume_form()
+    vol = standard_volume_form()
+    if args.vol:
+        vol = jsonio.form_from_obj(_load_json(args.vol))
+        if (vol.dim, vol.degree) != (6, 6) or vol.is_zero:
+            raise InputError(f"{args.vol} is not a nonzero 6-form on R^6")
     cls = classify_3form(rho, vol, tol=args.tol)
     result = {
         "command": "classify-3form",
@@ -312,6 +320,7 @@ def _family_structure(name, frame):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="g2kit", description="exact verification suites for the toolkit"

@@ -189,13 +189,16 @@ class AdaptedFrame:
     The constructor verifies membership with :func:`is_g2` and raises
     :class:`FrameConstructionError` on failure.  ``check=False`` skips that
     test; it is for a matrix already known to be in the group, such as a
-    product of verified elements.
+    product of verified elements.  A matrix that is not 7x7 raises
+    :class:`FrameConstructionError` either way.
     """
 
     __slots__ = ("matrix", "mode")
 
     def __init__(self, matrix, check=True, tol=None):
         rows = tuple(tuple(r) for r in matrix)
+        if len(rows) != 7 or any(len(r) != 7 for r in rows):
+            raise FrameConstructionError("a frame is a 7x7 matrix")
         mode = EXACT if matrix_mode(rows) != FLOAT else FLOAT
         if check and not is_g2(rows, tol):
             raise FrameConstructionError("matrix does not preserve phi")

@@ -58,8 +58,8 @@ def number_to_obj(x, mode):
 
 def number_from_obj(obj, mode):
     if mode == FLOAT:
-        if isinstance(obj, str):
-            raise JsonFormatError("float documents must use JSON numbers")
+        if not isinstance(obj, (int, float)):
+            raise JsonFormatError(f"float documents must use JSON numbers, got {obj!r}")
         return float(obj)
     if isinstance(obj, (int, str)):
         return Fraction(obj)
@@ -101,6 +101,8 @@ def vector_to_obj(v, mode):
 
 
 def vector_from_obj(obj, mode):
+    if not isinstance(obj, list):
+        raise JsonFormatError(f"a vector must be a JSON array, got {obj!r}")
     return tuple(number_from_obj(x, mode) for x in obj)
 
 
@@ -109,6 +111,8 @@ def matrix_to_obj(m, mode):
 
 
 def matrix_from_obj(obj, mode):
+    if not isinstance(obj, list):
+        raise JsonFormatError(f"a matrix must be a JSON array of rows, got {obj!r}")
     rows = [vector_from_obj(row, mode) for row in obj]
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise JsonFormatError("ragged matrix")

@@ -22,7 +22,7 @@ from itertools import combinations
 from . import linalg
 from .compat import check_complex_structure
 from .forms import ExteriorForm
-from .scalars import EXACT, FLOAT, I_EXACT, sqrt_fraction, to_float
+from .scalars import EXACT, FLOAT, I_EXACT, normalize_scalar, sqrt_fraction, to_float
 
 
 class NotEllipticError(ValueError):
@@ -90,8 +90,50 @@ def _basis_vec(dim, a, float_mode):
     return tuple(Fraction(1 if i == a else 0) for i in range(dim))
 
 
+def _k_table():
+    """3-subset I -> one ``(sign, ((k, J, s), ...))`` per a in I, as described in k_operator."""
+    full = range(1, 7)
+    table = {}
+    for idx in combinations(full, 3):
+        per_a = []
+        for pos, a in enumerate(idx):
+            r1, r2 = idx[:pos] + idx[pos + 1 :]
+            entries = []
+            for b in full:
+                if b != r1 and b != r2:
+                    j = tuple(i for i in full if i != b and i != r1 and i != r2)
+                    # e_r1 ^ e_r2 ^ e_J takes one transposition per i in J below r1 or r2
+                    moves = r1 + r2 - 3 - (b < r1) - (b < r2)
+                    entries.append((6 * b + a - 7, j, -1 if moves % 2 else 1))
+            per_a.append((-1 if pos % 2 else 1, tuple(entries)))
+        table[idx] = tuple(per_a)
+    return table
+
+
+_K_TABLE = _k_table()
+
+
 def k_operator(rho: ExteriorForm, vol: ExteriorForm):
-    """Matrix of v |-> (iota_v rho) ^ rho under iota_w vol = that 5-form."""
+    """Matrix of v |-> (iota_v rho) ^ rho under iota_w vol = that 5-form.
+
+    K[b][a] = (-1)^b c_b(a) / vol_123456 (0-based a, b), where c_b(a) is the
+    coefficient of e_(all but b) in (iota_{e_a} rho) ^ rho.  Only the pairs
+    with iota_{e_a} e_I ^ e_J = +-e_(all but b) reach that coefficient, and
+    ``_K_TABLE`` lists them once: for each 3-subset I and each a in I it
+    holds the sign (-1)^pos of iota_{e_a} e_I = +-e_(I - a), and the four
+    triples (k, J, s) with k = 6b + a, J = (all but b) - (I - a) and s the
+    sign of e_(I - a) ^ e_J.  The 5-forms are never built.
+
+    Exact rational input clears its denominators once (``linalg._cleared``),
+    sums int products, and divides once per entry.  Any other input (floats,
+    complex or Gaussian-rational coefficients) runs the same loop on its
+    scalars with the arithmetic of ``rho.interior(e_a).wedge(rho)``, so its
+    float bits equal that construction's: each entry adds its signed
+    products rho_I * rho_J in ``rho.terms`` order (the order ``wedge_terms``
+    visits them, as a fixed (a, b) meets at most one J per I), drops a zero
+    sum as a missing key, and applies the column sign and the division after
+    the sum.
+    """
     if rho.dim != 6 or rho.degree != 3:
         raise ValueError("classification needs a 3-form on R^6")
     if vol.dim != 6 or vol.degree != 6 or vol.is_zero:
@@ -99,19 +141,40 @@ def k_operator(rho: ExteriorForm, vol: ExteriorForm):
     float_mode = rho.mode == FLOAT or vol.mode == FLOAT
     if float_mode:
         rho, vol = rho.as_float(), vol.as_float()
-    c = vol.terms.get((1, 2, 3, 4, 5, 6), 0.0 if float_mode else Fraction(0))
-    full = tuple(range(1, 7))
-    cols = []
-    for a in range(6):
-        xi = rho.interior(_basis_vec(6, a, float_mode)).wedge(rho)
-        col = []
-        for b in range(1, 7):
-            rest = tuple(i for i in full if i != b)
-            sign = 1 if (b - 1) % 2 == 0 else -1
-            coeff = xi.terms.get(rest, 0.0 if float_mode else Fraction(0))
-            col.append(sign * coeff / c)
-        cols.append(col)
-    return [[cols[a][b] for a in range(6)] for b in range(6)]
+    c = vol.terms[(1, 2, 3, 4, 5, 6)]
+    terms = rho.terms
+    cleared = linalg._cleared(list(terms.values()))
+    if cleared is not None and len(cleared) == 2 and type(c) is Fraction:
+        nums, d = cleared
+        num = dict(zip(terms, nums))
+        acc = [0] * 36
+        for idx, n in num.items():
+            for sign, entries in _K_TABLE[idx]:
+                n_a = sign * n
+                for k, j, s in entries:
+                    m = num.get(j)
+                    if m is not None:
+                        acc[k] += s * n_a * m
+        den = (d or 1) ** 2 * c.numerator
+        return [
+            [Fraction((-1) ** b * acc[6 * b + a] * c.denominator, den) for a in range(6)]
+            for b in range(6)
+        ]
+    unit, zero = (1.0, 0.0) if float_mode else (Fraction(1), Fraction(0))
+    acc = [None] * 36
+    for idx, x in terms.items():
+        for sign, entries in _K_TABLE[idx]:
+            xa = normalize_scalar(unit * x if sign == 1 else -(unit * x))
+            for k, j, s in entries:
+                y = terms.get(j)
+                if y is None:
+                    continue
+                t = xa * y if s == 1 else -(xa * y)
+                v = acc[k]
+                v = t if v is None else v + t
+                acc[k] = v if v else None
+    acc = [zero if v is None else normalize_scalar(v) for v in acc]
+    return [[(-1) ** b * acc[6 * b + a] / c for a in range(6)] for b in range(6)]
 
 
 def discriminant(rho: ExteriorForm, vol: ExteriorForm):

@@ -317,12 +317,19 @@ def test_classify_reports_byte_stable(tmp_path, capsys):
     }
 
 
-def test_structure_chern_and_sphere_reports_byte_stable(tmp_path, capsys):
-    """More reports whose bytes are pinned: the DGA products of verify-structure
-    (plain and mutated), chern families at the float point of
-    ``test_chern_float_point`` (its J is built by float cross products), and a
-    longer sphere-suite run.
-    """
+_PINNED_DIGESTS = [
+    "245915a97b4e51b3cdb69424a6210e153632722269d56e381488fbc11248bc94",
+    "28b8e36492ba7ea2ac0c0f79e3e3be2c7cdb5208b408fd7f5bd77fa9c3da2b6b",
+    "ac7a3bfecf76068390a69793c45afae4c6742c5e9e4b449edb01c734a7496384",
+    "5823cc02cb37d4eeca13f9640f37396494b2a67b1b569fcaada44dcc4168c064",
+    "01c24a0ff97ed55edf498a09fcc7bcfeb28c9cbc47a9d37bc851eb7ba10af9cb",
+    "e6b8d32345e9df6bbe2600e1c9f506bb6fa4d4da9e645e4c31855469e4b9090a",
+    "b7ab87b070f68e36584b8c907700dd4469a0df28ead0779d5de7db22899b4ca8",
+]
+
+
+def _pinned_digests(tmp_path, capsys):
+    """stdout sha256 of the runs that ``_PINNED_DIGESTS`` pins, each checked for its exit code."""
     import hashlib
     import math
 
@@ -342,15 +349,82 @@ def test_structure_chern_and_sphere_reports_byte_stable(tmp_path, capsys):
     for args, code in runs.items():
         assert main(list(args)) == code, args
         digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
-    assert digests == [
-        "245915a97b4e51b3cdb69424a6210e153632722269d56e381488fbc11248bc94",
-        "28b8e36492ba7ea2ac0c0f79e3e3be2c7cdb5208b408fd7f5bd77fa9c3da2b6b",
-        "ac7a3bfecf76068390a69793c45afae4c6742c5e9e4b449edb01c734a7496384",
-        "5823cc02cb37d4eeca13f9640f37396494b2a67b1b569fcaada44dcc4168c064",
-        "01c24a0ff97ed55edf498a09fcc7bcfeb28c9cbc47a9d37bc851eb7ba10af9cb",
-        "e6b8d32345e9df6bbe2600e1c9f506bb6fa4d4da9e645e4c31855469e4b9090a",
-        "b7ab87b070f68e36584b8c907700dd4469a0df28ead0779d5de7db22899b4ca8",
-    ]
+    return digests
+
+
+def test_structure_chern_and_sphere_reports_byte_stable(tmp_path, capsys):
+    """More reports whose bytes are pinned: the DGA products of verify-structure
+    (plain and mutated), chern families at the float point of
+    ``test_chern_float_point`` (its J is built by float cross products), and a
+    longer sphere-suite run.
+    """
+    assert _pinned_digests(tmp_path, capsys) == _PINNED_DIGESTS
+
+
+def test_usage_error_leaves_later_reports_unchanged(tmp_path, capsys):
+    """The parser is built once per process: a usage error on it changes no later report."""
+    from g2kit.cli import build_parser
+
+    assert build_parser() is build_parser()
+    assert run_main(["sphere-suite", "--samples", "x"], capsys)[:2] == (2, "")
+    assert _pinned_digests(tmp_path, capsys) == _PINNED_DIGESTS
+
+
+def test_classify_degenerate_reports_byte_stable(tmp_path, capsys):
+    """classify-3form on pullbacks of degenerate forms prints the report it always has.
+
+    A float discriminant here is what is left of K^2 after cancellation, so
+    its 17 digits show any change in the order of the float sums that build K.
+    """
+    import hashlib
+    import random
+
+    from g2kit.sampling import random_invertible_rational
+
+    degenerate = {
+        "e123": ExteriorForm(6, 3, {(1, 2, 3): 1}),
+        "e1(e23+e45)": ExteriorForm(6, 3, {(1, 2, 3): 1, (1, 4, 5): 1}),
+    }
+    digests = {}
+    for seed in (0, 1):
+        g = random_invertible_rational(random.Random(seed), 6)
+        rng = random.Random(seed)
+        gf = [[(a == b) + rng.uniform(-0.5, 0.5) for b in range(6)] for a in range(6)]
+        for name, normal in degenerate.items():
+            rho = Fraction(1, 3) * normal.pullback(g)
+            forms = {
+                "exact": rho,
+                "float": rho.as_float(),
+                "float-pullback": normal.as_float().pullback(gf),
+            }
+            for mode, form in forms.items():
+                path = tmp_path / f"{seed}{mode}.json"
+                path.write_text(json.dumps(jsonio.form_to_obj(form)))
+                assert main(["classify-3form", "--input", str(path)]) == 0
+                out = capsys.readouterr().out
+                assert json.loads(out)["tag"] == "degenerate"
+                digests[name, seed, mode] = hashlib.sha256(out.encode()).hexdigest()
+    exact_zero = "6f0689c4ba32136078b6eacfd6a0630b036f3936a79e9e3c8094ad3e709eb50e"
+    assert digests == {
+        ("e123", 0, "exact"): exact_zero,
+        ("e123", 0, "float"): "cebed787678d7b9d36d1639dc5fe2b9ece3516d6861228a2c9b83e29a61e6e64",
+        ("e123", 0, "float-pullback"):
+            "9131636d52616c9394596cef38e6ec8c81b2dabd337f9b102babf1e0d0581f79",
+        ("e1(e23+e45)", 0, "exact"): exact_zero,
+        ("e1(e23+e45)", 0, "float"):
+            "74f7b3c896c84f5279dc8a069722305be465f6050b48478179549a29e468c18d",
+        ("e1(e23+e45)", 0, "float-pullback"):
+            "1b505ed02078d545afd66f848361642708c21650fe5c40fca8bfa240e3978b22",
+        ("e123", 1, "exact"): exact_zero,
+        ("e123", 1, "float"): "6b23440f428512f4c7c5f593867dd2a579ab322866dcc40c8ed9ffd639d78f0c",
+        ("e123", 1, "float-pullback"):
+            "e589b4cc6b15337a82c31713d0647baae428745e095f934fcf7a9dfaa60ec72f",
+        ("e1(e23+e45)", 1, "exact"): exact_zero,
+        ("e1(e23+e45)", 1, "float"):
+            "a0214d6a1e5da6609faee2535d94448cba33a6c5c5a30767594665a3afcd4ed7",
+        ("e1(e23+e45)", 1, "float-pullback"):
+            "3f027fa8e90182e241ce6e8d1d3c7c915d8516fc74003911970f49ac8847cb6f",
+    }
 
 
 def run_main(argv, capsys):
@@ -422,3 +496,61 @@ def test_chern_rejects_unknown_document_mode(tmp_path, capsys):
     path.write_text(json.dumps({"mode": "bogus"}))
     code, out, err = run_main(["chern", "--input", str(path)], capsys)
     assert (code, out) == (2, "") and "unknown mode" in err
+
+
+_SEVEN = ["1", "0", "0", "0", "0", "0", "0"]
+
+# malformed documents that must exit 2: a vector or matrix that is not a JSON
+# array, a float entry that is not a number, a frame that is not 7x7, and a
+# --vol that is not a nonzero 6-form on R^6
+BAD_INPUTS = {
+    "point-digit-string": ("chern", {"point": "1000000"}),
+    "point-string": ("chern", {"point": "abc"}),
+    "float-point-string": ("chern", {"mode": "float", "point": "abc"}),
+    "float-point-null-entry": ("chern", {"mode": "float", "point": [None] + [0] * 6}),
+    "float-frame-list-entry": ("chern", {"mode": "float", "frame": [[[1]] + [0] * 6] * 7}),
+    "frame-string": ("chern", {"frame": "abc"}),
+    "frame-row-string": ("chern", {"frame": ["abc"] * 7}),
+    "frame-1x7-float": ("chern", {"mode": "float", "frame": [[1, 0, 0, 0, 0, 0, 0]]}),
+    "frame-1x7-exact": ("chern", {"frame": [_SEVEN]}),
+    "frame-7x6-exact": ("chern", {"frame": [_SEVEN[:6]] * 7}),
+    "vol-3-form": ("vol", jsonio.form_to_obj(elliptic_normal_form())),
+    "vol-zero-6-form": ("vol", {"dim": 6, "degree": 6, "terms": []}),
+    "vol-float-zero-6-form": ("vol", {"mode": "float", "dim": 6, "degree": 6, "terms": []}),
+    "vol-7-form-on-r7": (
+        "vol", {"dim": 7, "degree": 7, "terms": [{"idx": [1, 2, 3, 4, 5, 6, 7], "re": "1"}]}
+    ),
+}
+
+
+def bad_input_argv(case, tmp_path):
+    command, doc = BAD_INPUTS[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+    if command == "vol":
+        return ["classify-3form", "--input", exact_elliptic_doc(tmp_path), "--vol", str(path)]
+    return [command, "--input", str(path)]
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_malformed_vectors_frames_and_volumes_exit_2(case, tmp_path, capsys):
+    code, out, err = run_main(bad_input_argv(case, tmp_path), capsys)
+    assert (code, out) == (2, "") and "input error" in err
+
+
+def test_malformed_inputs_exit_2_under_optimize(tmp_path):
+    """The exit-2 checks of ``BAD_INPUTS`` do not rest on ``assert``."""
+    script = (
+        "import json, sys\n"
+        "from g2kit.cli import main\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(3)\n"
+        "for argv in map(json.loads, sys.stdin):\n"
+        "    print(main(argv))\n"
+    )
+    argvs = "".join(json.dumps(bad_input_argv(case, tmp_path)) + "\n" for case in BAD_INPUTS)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], input=argvs, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2"] * len(BAD_INPUTS)

@@ -9,6 +9,7 @@ from g2kit.forms import ExteriorForm
 from g2kit.scalars import ComplexRational
 from g2kit.g2 import (
     _CROSS_TABLE,
+    AdaptedFrame,
     FrameConstructionError,
     adapted_frame,
     associative_three_form,
@@ -99,6 +100,17 @@ def test_is_g2_identity_and_reflections():
 def test_is_g2_shape_errors():
     with pytest.raises(ValueError):
         is_g2([[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("check", [True, False])
+@pytest.mark.parametrize(
+    "rows",
+    [[], [[1] + [0] * 6], [[1] + [0] * 5] * 7, [[1] + [0] * 7] * 7, [[1] + [0] * 6] * 8],
+    ids=["0x0", "1x7", "7x6", "7x8", "8x7"],
+)
+def test_adapted_frame_rejects_matrices_that_are_not_7x7(rows, check):
+    with pytest.raises(FrameConstructionError, match="7x7"):
+        AdaptedFrame([[Fraction(x) for x in row] for row in rows], check=check)
 
 
 def test_adapted_frame_standard_triple():

@@ -96,3 +96,25 @@ def test_gaussian_rational_dumps_are_pinned():
         {"re": "-2", "im": "1"},
     ]
     assert [repr(v) for v in vals] == ["-1/2", "-3/4*i", "0", "(5/3-7/6*i)", "(-2+1*i)"]
+
+
+@pytest.mark.parametrize("obj", ["1000000", "abc", 7, None, {"0": "1"}])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_vectors_and_matrices_must_be_json_arrays(obj, mode):
+    """A string is not read character by character as a vector."""
+    with pytest.raises(JsonFormatError):
+        jsonio.vector_from_obj(obj, mode)
+    with pytest.raises(JsonFormatError):
+        jsonio.matrix_from_obj(obj, mode)
+    with pytest.raises(JsonFormatError):
+        jsonio.matrix_from_obj([obj], mode)
+
+
+@pytest.mark.parametrize("entry", [None, [1], {"re": 1}, "1"])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_vector_entries_must_be_numbers_or_strings(entry, mode):
+    if mode == "exact" and entry == "1":
+        assert jsonio.vector_from_obj([entry], mode) == (Fraction(1),)
+        return
+    with pytest.raises(JsonFormatError):
+        jsonio.vector_from_obj([entry], mode)

@@ -1,4 +1,5 @@
 import random
+import struct
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 from g2kit import linalg
 from g2kit.forms import ExteriorForm, pullback
 from g2kit.sampling import random_invertible_rational
-from g2kit.scalars import I_EXACT
+from g2kit.scalars import FLOAT, I_EXACT, ComplexRational
 from g2kit.threeforms import (
     classify_3form,
     elliptic_normal_form,
+    k_operator,
     recover_upsilon,
     split_normal_form,
     standard_volume_form,
@@ -208,3 +210,62 @@ def test_non_complex_j_raises_from_classify(monkeypatch):
     monkeypatch.setattr(threeforms, "k_operator", lambda rho, vol: k)
     with pytest.raises(NotComplexStructureError):
         classify_3form(elliptic_normal_form())
+
+
+def k_operator_reference(rho, vol):
+    """K from the whole 5-forms (iota_{e_a} rho) ^ rho: the construction k_operator replaced."""
+    float_mode = rho.mode == FLOAT or vol.mode == FLOAT
+    if float_mode:
+        rho, vol = rho.as_float(), vol.as_float()
+    zero = 0.0 if float_mode else Fraction(0)
+    c = vol.terms[(1, 2, 3, 4, 5, 6)]
+    cols = []
+    for a in range(6):
+        xi = rho.interior(e_vec(6, a + 1, float_mode)).wedge(rho)
+        rests = [tuple(i for i in range(1, 7) if i != b) for b in range(1, 7)]
+        cols.append([(-1) ** b * xi.terms.get(rest, zero) / c for b, rest in enumerate(rests)])
+    return [[cols[a][b] for a in range(6)] for b in range(6)]
+
+
+_EXACT = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+# small integers make exact cancellations; tiny values make products that underflow to +-0.0
+_FLOAT = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-1e3, 1e3),
+    st.floats(-1e-160, 1e-160),
+)
+_COEFFS = {
+    "exact": _EXACT,
+    "gaussian": st.builds(ComplexRational, _EXACT, _EXACT),
+    "float": _FLOAT,
+    "complex": st.builds(complex, _FLOAT, _FLOAT),
+}
+
+
+@st.composite
+def _k_case(draw):
+    rho_kind = draw(st.sampled_from(sorted(_COEFFS)))
+    vol_kind = draw(st.sampled_from([rho_kind, "exact", "float"]))
+    # any subset of the 20 basis 3-forms, in any insertion order: sparse to dense
+    keys = draw(st.permutations(list(combinations(range(1, 7), 3))))[: draw(st.integers(0, 20))]
+    terms = {idx: draw(_COEFFS[rho_kind]) for idx in keys}
+    c = draw(_COEFFS[vol_kind].filter(bool))
+    return ExteriorForm(6, 3, terms), ExteriorForm(6, 6, {(1, 2, 3, 4, 5, 6): c})
+
+
+def _bits(x):
+    """The value and its type, with floats as their bytes, so that -0.0 != 0.0."""
+    if isinstance(x, complex):
+        return complex, struct.pack("<dd", x.real, x.imag)
+    if isinstance(x, float):
+        return float, struct.pack("<d", x)
+    return type(x), x
+
+
+@settings(max_examples=200, deadline=None)
+@given(_k_case())
+def test_k_operator_matches_the_wedge_construction(case):
+    """Equal exact values of equal types; float bits equal, signed zeros included."""
+    rho, vol = case
+    got, want = k_operator(rho, vol), k_operator_reference(rho, vol)
+    assert [[_bits(x) for x in row] for row in got] == [[_bits(x) for x in row] for row in want]
