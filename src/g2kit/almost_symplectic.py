@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import linalg
 from .forms import ExteriorForm
 from .linalg import DegenerateFormError
-from .scalars import EXACT, FLOAT
+from .scalars import EXACT, FLOAT, Immutable
 
 from .threeforms import classify_3form
 
@@ -28,7 +28,7 @@ class PrimitivityError(ArithmeticError):
     """The remainder pi of a primitive decomposition failed omega ^ pi = 0."""
 
 
-class PrimitiveDecomposition:
+class PrimitiveDecomposition(Immutable):
     """The pair (lambda 1-form, pi primitive 3-form) with d(omega) = lam^omega + pi."""
 
     __slots__ = ("lam", "pi")
@@ -37,17 +37,11 @@ class PrimitiveDecomposition:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "pi", pi)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PrimitiveDecomposition is immutable")
-
-    def __reduce__(self):
-        return PrimitiveDecomposition, (self.lam, self.pi)
-
     def __iter__(self):
         return iter((self.lam, self.pi))
 
 
-class EllipticDefiniteReport:
+class EllipticDefiniteReport(Immutable):
     __slots__ = ("tag", "j_matrix", "signature", "elliptic_definite", "decomposition")
 
     def __init__(self, tag, j_matrix, signature, elliptic_definite, decomposition):
@@ -57,13 +51,6 @@ class EllipticDefiniteReport:
         object.__setattr__(self, "elliptic_definite", elliptic_definite)
         object.__setattr__(self, "decomposition", decomposition)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("EllipticDefiniteReport is immutable")
-
-    def __reduce__(self):
-        fields = (self.tag, self.j_matrix, self.signature, self.elliptic_definite, self.decomposition)
-        return EllipticDefiniteReport, fields
-
     def as_dict(self):
         return {
             "tag": self.tag,
@@ -72,15 +59,26 @@ class EllipticDefiniteReport:
         }
 
 
-def _one_form_basis(float_mode):
-    return [ExteriorForm.basis(6, (a,), 1.0 if float_mode else 1) for a in range(1, 7)]
-
-
 def _five_form_coords(form):
     full = tuple(range(1, 7))
     keys = [tuple(i for i in full if i != b) for b in range(1, 7)]
     zero = 0.0 if form.mode == FLOAT else 0
     return [form.terms.get(k, zero) for k in keys]
+
+
+def _om2_matrix(om2):
+    """The matrix of lam -> lam ^ omega^2 in ``_five_form_coords``, read off omega^2.
+
+    Entry (b, a) is (-1)^#{k in K : k < a} omega^2_K with K = full - {a, b}, so
+    for p < q it is (-1)^(p-1) omega^2_K at (q, p) and (-1)^q omega^2_K at (p, q).
+    """
+    zero = 0.0 if om2.mode == FLOAT else 0
+    matrix = [[zero] * 6 for _ in range(6)]
+    for key, c in om2.terms.items():
+        p, q = (i for i in range(1, 7) if i not in key)
+        matrix[q - 1][p - 1] = c if p % 2 else -c
+        matrix[p - 1][q - 1] = -c if q % 2 else c
+    return matrix
 
 
 def primitive_decompose(omega: ExteriorForm, domega: ExteriorForm, tol=0.0) -> PrimitiveDecomposition:
@@ -106,10 +104,8 @@ def _decompose(omega, domega, tol):
     om2 = omega.wedge(omega)
     if omega.wedge(om2).is_zero:
         raise DegenerateFormError("omega is degenerate (omega^3 = 0)")
-    cols = [_five_form_coords(b.wedge(om2)) for b in _one_form_basis(float_mode)]
-    matrix = [[cols[j][i] for j in range(6)] for i in range(6)]
     rhs = _five_form_coords(domega.wedge(omega))
-    coeffs = linalg.solve(matrix, rhs, tol)
+    coeffs = linalg.solve(_om2_matrix(om2), rhs, tol)
     lam = ExteriorForm(6, 1, {(a + 1,): c for a, c in enumerate(coeffs) if c})
     if float_mode and lam.mode == EXACT:
         lam = lam.as_float()

@@ -22,7 +22,6 @@ residual is gauge-invariant.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
 
 from . import linalg
 from .compat import NotComplexStructureError
@@ -32,6 +31,7 @@ from .scalars import (
     FLOAT,
     ComplexRational,
     I_EXACT,
+    Immutable,
     sabs,
     sconj,
     sim,
@@ -56,7 +56,7 @@ def _require(ok, message):
         raise ChernCheckError(message)
 
 
-class CandidateJ:
+class CandidateJ(Immutable):
     """An almost-complex structure on the tangent space at one sphere point.
 
     Stored as the ambient 7x7 matrix that kills u and squares to minus the
@@ -75,12 +75,6 @@ class CandidateJ:
         object.__setattr__(self, "point", u)
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "mode", mode)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CandidateJ is immutable")
-
-    def __reduce__(self):  # checked when first built, at its own tolerance
-        return CandidateJ, (self.point, self.matrix, inf)
 
     @staticmethod
     def _validate(u, rows, mode, tol):
@@ -167,7 +161,7 @@ class CandidateJ:
         ]
 
 
-class ChernData:
+class ChernData(Immutable):
     """Transition matrices (r, s) and every invariant derived from them."""
 
     __slots__ = ("r", "s", "context")
@@ -176,12 +170,6 @@ class ChernData:
         object.__setattr__(self, "r", tuple(tuple(x) for x in r))
         object.__setattr__(self, "s", tuple(tuple(x) for x in s))
         object.__setattr__(self, "context", context)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChernData is immutable")
-
-    def __reduce__(self):
-        return ChernData, (self.r, self.s, self.context)
 
     def _m(self, m):
         return [list(row) for row in m]

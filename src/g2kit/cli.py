@@ -246,7 +246,10 @@ def _frame_from_input(doc, mode):
         return frame
     point = tuple(jsonio.vector_from_obj(doc["point"], mode)) if "point" in doc else None
     if point is None or point == basis_point(1).u:
-        return standard_frame()
+        frame = standard_frame()
+        if mode == EXACT:
+            return frame
+        return AdaptedFrame([[float(x) for x in row] for row in frame.matrix], check=False)
     if mode == EXACT:
         raise InputError(
             "exact mode at a general point needs an explicit frame; "

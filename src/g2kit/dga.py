@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .forms import add_terms, canonical_terms, wedge_terms
-from .scalars import ComplexRational, I_EXACT
+from .scalars import ComplexRational, I_EXACT, Immutable, _restore
 
 # canonical generator order: t1 < t2 < t3 < t1b < t2b < t3b < k-block (lex i,j)
 GENERATORS = (
@@ -54,7 +54,7 @@ def _as_complex_rational(c):
     return c if isinstance(c, ComplexRational) else ComplexRational(c)
 
 
-class DgaElement:
+class DgaElement(Immutable):
     """Formal sum of canonical words with Gaussian-rational coefficients."""
 
     __slots__ = ("terms",)
@@ -62,18 +62,10 @@ class DgaElement:
     def __init__(self, terms=None):
         object.__setattr__(self, "terms", canonical_terms(terms or {}, _as_complex_rational))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DgaElement is immutable")
-
-    def __reduce__(self):
-        return DgaElement, (self.terms,)
-
     @classmethod
     def _trusted(cls, terms):
         """Build from kernel output: canonical words, nonzero ComplexRational coefficients."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return _restore(cls, terms)
 
     @classmethod
     def generator(cls, name):

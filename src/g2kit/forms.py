@@ -27,7 +27,9 @@ from .scalars import (
     EXACT,
     FLOAT,
     ComplexRational,
+    Immutable,
     MixedModeError,
+    _restore,
     join_modes,
     matrix_mode,
     mode_of,
@@ -165,7 +167,7 @@ def interior_terms(terms, comps):
     return out
 
 
-class ExteriorForm:
+class ExteriorForm(Immutable):
     __slots__ = ("dim", "degree", "terms", "mode")
 
     def __init__(self, dim, degree, terms=None, mode=None):
@@ -201,12 +203,6 @@ class ExteriorForm:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "mode", mode)
 
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("ExteriorForm is immutable")
-
-    def __reduce__(self):
-        return ExteriorForm, (self.dim, self.degree, self.terms, self.mode)
-
     # -- constructors --------------------------------------------------
     @classmethod
     def _trusted(cls, dim, degree, terms, mode):
@@ -216,14 +212,8 @@ class ExteriorForm:
         validation and mode inference are skipped.  Only operations of this
         module call it, on forms that already passed the public constructor.
         """
-        form = object.__new__(cls)
-        object.__setattr__(form, "dim", dim)
-        object.__setattr__(form, "degree", degree)
-        object.__setattr__(
-            form, "terms", {k: normalize_scalar(c) for k, c in terms.items() if c}
-        )
-        object.__setattr__(form, "mode", mode)
-        return form
+        terms = {k: normalize_scalar(c) for k, c in terms.items() if c}
+        return _restore(cls, dim, degree, terms, mode)
 
     @classmethod
     def zero(cls, dim, degree, mode=EXACT):

@@ -27,6 +27,7 @@ from .scalars import (
     EXACT,
     FLOAT,
     ComplexRational,
+    Immutable,
     join_modes,
     matrix_mode,
     to_float,
@@ -179,7 +180,7 @@ def _is_g2_cleared(cols):
     return True
 
 
-class AdaptedFrame:
+class AdaptedFrame(Immutable):
     """A group element as a moving frame: base point x = g1, complex frame f_j.
 
     ``matrix`` is row-major; ``col(j)`` returns column j (1-based).  theta(j)
@@ -204,12 +205,6 @@ class AdaptedFrame:
             raise FrameConstructionError("matrix does not preserve phi")
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "mode", mode)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AdaptedFrame is immutable")
-
-    def __reduce__(self):  # already verified to be in the group
-        return AdaptedFrame, (self.matrix, False)
 
     def col(self, j):
         return tuple(self.matrix[i][j - 1] for i in range(7))

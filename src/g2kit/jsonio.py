@@ -33,19 +33,9 @@ def scalar_to_obj(x, mode):
 
 
 def scalar_from_obj(obj, mode):
-    re, im = obj.get("re", 0), obj.get("im", 0)
+    re, im = number_from_obj(obj.get("re", 0), mode), number_from_obj(obj.get("im", 0), mode)
     if mode == FLOAT:
-        if isinstance(re, str) or isinstance(im, str):
-            raise JsonFormatError("float documents must use JSON numbers")
-        return complex(re, im) if im else float(re)
-    if isinstance(re, (int, str)):
-        re = Fraction(re)
-    else:
-        raise JsonFormatError(f"exact documents need 'p/q' strings, got {re!r}")
-    if isinstance(im, (int, str)):
-        im = Fraction(im)
-    else:
-        raise JsonFormatError(f"exact documents need 'p/q' strings, got {im!r}")
+        return complex(re, im) if im else re
     return ComplexRational(re, im) if im else re
 
 
@@ -57,13 +47,20 @@ def number_to_obj(x, mode):
 
 
 def number_from_obj(obj, mode):
+    """A real scalar; JSON types are checked exactly, so ``true`` is not the number 1."""
     if mode == FLOAT:
-        if not isinstance(obj, (int, float)):
+        if type(obj) not in (int, float):
             raise JsonFormatError(f"float documents must use JSON numbers, got {obj!r}")
         return float(obj)
-    if isinstance(obj, (int, str)):
+    if type(obj) in (int, str):
         return Fraction(obj)
     raise JsonFormatError(f"exact documents need 'p/q' strings, got {obj!r}")
+
+
+def _int_from_obj(obj, what):
+    if type(obj) is not int:
+        raise JsonFormatError(f"{what} must be a JSON integer, got {obj!r}")
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -87,13 +84,19 @@ def form_from_obj(obj):
     if mode not in (EXACT, FLOAT):
         raise JsonFormatError(f"unknown mode {mode!r}")
     try:
-        dim, degree = int(obj["dim"]), int(obj["degree"])
+        dim, degree = _int_from_obj(obj["dim"], "dim"), _int_from_obj(obj["degree"], "degree")
         terms = {
-            tuple(t["idx"]): scalar_from_obj(t, mode) for t in obj.get("terms", [])
+            _index_from_obj(t["idx"]): scalar_from_obj(t, mode) for t in obj.get("terms", [])
         }
     except (KeyError, TypeError) as exc:
         raise JsonFormatError(f"malformed form document: {exc}") from exc
     return ExteriorForm(dim, degree, terms, mode=mode)
+
+
+def _index_from_obj(obj):
+    if not isinstance(obj, list):
+        raise JsonFormatError(f"an index must be a JSON array, got {obj!r}")
+    return tuple(_int_from_obj(i, "an index entry") for i in obj)
 
 
 def vector_to_obj(v, mode):

@@ -23,6 +23,7 @@ from .forms import (
     interior_terms,
     wedge_terms,
 )
+from .scalars import Immutable
 
 DEGREE_CAP = 8
 
@@ -31,7 +32,7 @@ class DegreeCapError(ValueError):
     """Polynomial total degree exceeded the configured cap."""
 
 
-class Poly:
+class Poly(Immutable):
     """Sparse polynomial in nvars variables over the rationals."""
 
     __slots__ = ("nvars", "terms")
@@ -49,12 +50,6 @@ class Poly:
                 clean[expo] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
-    def __reduce__(self):
-        return Poly, (self.nvars, self.terms)
 
     @classmethod
     def const(cls, nvars, c):
@@ -149,7 +144,7 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
-class PolyCoefForm:
+class PolyCoefForm(Immutable):
     """Differential form with Poly coefficients on increasing index tuples."""
 
     __slots__ = ("dim", "degree", "terms")
@@ -171,12 +166,6 @@ class PolyCoefForm:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", canonical_terms(terms, coerce))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyCoefForm is immutable")
-
-    def __reduce__(self):
-        return PolyCoefForm, (self.dim, self.degree, self.terms)
 
     @classmethod
     def from_constant_form(cls, form: ExteriorForm):

@@ -11,6 +11,11 @@ A :class:`ComplexRational` is stored as one Gaussian integer over one
 denominator, the cleared triple (a, b, d) with gcd(a, b, d) = 1, so its
 arithmetic runs on Python ints and reduces once per result; ``linalg``
 reads the triple directly when it clears a whole row.
+
+:class:`Immutable` is the base of every value class in the package: a value
+is checked once, by its constructor, and never changes after.  copy,
+deepcopy and pickle rebuild it from its slots through :func:`_restore`, and
+so do the unchecked ``_trusted`` builders of forms and DGA elements.
 """
 
 from __future__ import annotations
@@ -28,7 +33,29 @@ class MixedModeError(TypeError):
     """Exact and float scalars were combined in one operation."""
 
 
-class ComplexRational:
+class Immutable:
+    """Fields in ``__slots__``, set once by the constructor with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _restore, (type(self), *(getattr(self, k) for k in self.__slots__))
+
+
+def _restore(cls, *values):
+    """A ``cls`` with ``values`` in its slots, in ``__slots__`` order; nothing is checked."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+class ComplexRational(Immutable):
     """A Gaussian rational (a + b*i)/d, stored as its cleared triple.
 
     a and b are ints, d > 0 and gcd(a, b, d) == 1, so the triple is unique and
@@ -52,12 +79,6 @@ class ComplexRational:
         _set_a(self, a)
         _set_b(self, b)
         _set_d(self, d)
-
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("ComplexRational is immutable")
-
-    def __reduce__(self):
-        return ComplexRational, (self.re, self.im)
 
     @staticmethod
     def _from_cleared(a, b, d):

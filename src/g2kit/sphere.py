@@ -18,7 +18,7 @@ from fractions import Fraction
 from .forms import ExteriorForm, form_defect
 from .g2 import AdaptedFrame, adapted_frame, associative_three_form, cross, dot
 from .polyforms import PolyCoefForm, ext_d, position_field
-from .scalars import EXACT, FLOAT, sabs, to_float, vector_mode
+from .scalars import EXACT, FLOAT, Immutable, sabs, to_float, vector_mode
 
 UNIT_TOL = 1e-12
 DEFAULT_TOL = 1e-10
@@ -28,7 +28,7 @@ class NotTangentError(ValueError):
     """Vector is not tangent to the sphere at the given point."""
 
 
-class SpherePoint:
+class SpherePoint(Immutable):
     """A unit vector in R^7 (exact rational or float)."""
 
     __slots__ = ("u", "mode")
@@ -46,12 +46,6 @@ class SpherePoint:
             raise ValueError(f"|u|^2 = {n} deviates from 1 beyond {tol}")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "mode", mode)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpherePoint is immutable")
-
-    def __reduce__(self):  # checked when first built, at its own tolerance
-        return SpherePoint, (self.u, math.inf)
 
     def __iter__(self):
         return iter(self.u)

@@ -22,14 +22,14 @@ from itertools import combinations
 from . import linalg
 from .compat import check_complex_structure
 from .forms import ExteriorForm
-from .scalars import EXACT, FLOAT, I_EXACT, normalize_scalar, sqrt_fraction, to_float
+from .scalars import EXACT, FLOAT, I_EXACT, Immutable, normalize_scalar, sqrt_fraction, to_float
 
 
 class NotEllipticError(ValueError):
     """Operation requires an elliptic 3-form."""
 
 
-class ThreeFormClass:
+class ThreeFormClass(Immutable):
     """Classification result: tag, discriminant, and elliptic extras.
 
     ``upsilon`` is built by :func:`recover_upsilon` on first access, and cached.
@@ -50,14 +50,6 @@ class ThreeFormClass:
         if self._upsilon is None and self._rho is not None:
             object.__setattr__(self, "_upsilon", recover_upsilon(self._rho, self.j_matrix))
         return self._upsilon
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ThreeFormClass is immutable")
-
-    def __reduce__(self):
-        return ThreeFormClass, (
-            self.tag, self.discriminant, self.j_matrix, self._upsilon, self.sqrt_is_exact, self._rho
-        )
 
     def __repr__(self):
         return f"ThreeFormClass({self.tag}, discriminant={self.discriminant})"

@@ -1,10 +1,19 @@
+import struct
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from g2kit.almost_symplectic import elliptic_definite_check, primitive_decompose
+from g2kit.almost_symplectic import (
+    _five_form_coords,
+    _om2_matrix,
+    elliptic_definite_check,
+    primitive_decompose,
+)
 from g2kit.forms import ExteriorForm
 from g2kit.linalg import DegenerateFormError
+from g2kit.scalars import FLOAT, ComplexRational
 from g2kit.threeforms import elliptic_normal_form, split_normal_form
 
 from conftest import e_vec, rand_form
@@ -150,3 +159,45 @@ def test_primitivity_check_survives_optimize_flag():
     )
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _om2_matrix_by_wedges(om2):
+    """The reference: column a holds the coordinates of e^a ^ omega^2, one wedge each."""
+    one = 1.0 if om2.mode == FLOAT else 1
+    cols = [_five_form_coords(ExteriorForm.basis(6, (a,), one).wedge(om2)) for a in range(1, 7)]
+    return [[cols[a][b] for a in range(6)] for b in range(6)]
+
+
+_EXACT = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+# omega is real in float mode; tiny values make products that underflow to +-0.0
+_COEFFS = {
+    "exact": _EXACT,
+    "gaussian": st.builds(ComplexRational, _EXACT, _EXACT),
+    "float": st.one_of(
+        st.integers(-3, 3).map(float), st.floats(-1e3, 1e3), st.floats(-1e-160, 1e-160)
+    ),
+}
+
+
+@st.composite
+def _omega(draw):
+    kind = draw(st.sampled_from(sorted(_COEFFS)))
+    keys = draw(st.permutations(list(combinations(range(1, 7), 2))))[: draw(st.integers(0, 15))]
+    mode = FLOAT if kind == "float" else None
+    return ExteriorForm(6, 2, {idx: draw(_COEFFS[kind]) for idx in keys}, mode=mode)
+
+
+def _bits(x):
+    """The value and its type, with floats as their bytes, so that -0.0 != 0.0."""
+    if isinstance(x, float):
+        return float, struct.pack("<d", x)
+    return type(x), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_omega())
+def test_om2_matrix_matches_the_wedge_construction(omega):
+    """Equal exact values of equal types; float bits equal, signed zeros included."""
+    om2 = omega.wedge(omega)
+    got, want = _om2_matrix(om2), _om2_matrix_by_wedges(om2)
+    assert [[_bits(x) for x in row] for row in got] == [[_bits(x) for x in row] for row in want]

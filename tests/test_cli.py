@@ -187,6 +187,18 @@ def test_chern_float_point(tmp_path):
     assert "residual zero" in report["verdict"]
 
 
+@pytest.mark.parametrize("doc", [{}, {"point": [1.0] + [0.0] * 6}])
+def test_float_chern_document_at_e1_runs_float(doc, tmp_path, capsys):
+    """A float document at e1 uses the float copy of the standard frame, not the exact one."""
+    path = tmp_path / "e1.json"
+    path.write_text(json.dumps({"mode": "float", **doc}))
+    code, out, _ = run_main(["chern", "--input", str(path)], capsys)
+    report = json.loads(out)
+    assert code == 0
+    assert report["mode"] == "float"
+    assert report["residual"] == {"re": -1, "im": 0} and report["H_signature"] == [3, 0]
+
+
 def test_reports_byte_reproducible():
     a = run_cli(["sphere-suite", "--samples", "3", "--seed", "5"]).stdout
     b = run_cli(["sphere-suite", "--samples", "3", "--seed", "5"]).stdout
@@ -499,10 +511,20 @@ def test_chern_rejects_unknown_document_mode(tmp_path, capsys):
 
 
 _SEVEN = ["1", "0", "0", "0", "0", "0", "0"]
+_FLOAT_IDENTITY = [[float(i == j) for j in range(7)] for i in range(7)]
+
+
+
+def _form(mode="exact", dim=6, degree=3, **term):
+    """A one-term 3-form document on R^6, with ``term`` overriding the e^123 term's keys."""
+    term = {"idx": [1, 2, 3], "re": "1", **term}
+    return {"mode": mode, "dim": dim, "degree": degree, "terms": [term]}
+
 
 # malformed documents that must exit 2: a vector or matrix that is not a JSON
-# array, a float entry that is not a number, a frame that is not 7x7, and a
-# --vol that is not a nonzero 6-form on R^6
+# array, a float entry that is not a number, a frame that is not 7x7, a
+# --vol that is not a nonzero 6-form on R^6, a JSON boolean where a number
+# belongs, and a dim, degree or index entry that is not a JSON integer
 BAD_INPUTS = {
     "point-digit-string": ("chern", {"point": "1000000"}),
     "point-string": ("chern", {"point": "abc"}),
@@ -520,6 +542,18 @@ BAD_INPUTS = {
     "vol-7-form-on-r7": (
         "vol", {"dim": 7, "degree": 7, "terms": [{"idx": [1, 2, 3, 4, 5, 6, 7], "re": "1"}]}
     ),
+    "float-point-bools": ("chern", {"mode": "float", "point": [True, False] + [0.0] * 5}),
+    "exact-point-bool": ("chern", {"point": [True] + _SEVEN[1:]}),
+    "float-identity-frame-bool": (
+        "chern", {"mode": "float", "frame": [[True] + [0] * 6] + _FLOAT_IDENTITY[1:]}
+    ),
+    "form-im-false": ("classify-3form", _form(im=False)),
+    "float-form-re-true": ("classify-3form", _form("float", re=True)),
+    "form-dim-float": ("classify-3form", _form(dim=6.9)),
+    "form-degree-string": ("classify-3form", _form(degree="3")),
+    "form-idx-bool": ("classify-3form", _form(idx=[1, 2, True])),
+    "form-idx-float": ("classify-3form", _form(idx=[1.5, 2, 3])),
+    "form-idx-string": ("classify-3form", _form(idx="123")),
 }
 
 

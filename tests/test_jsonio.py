@@ -118,3 +118,53 @@ def test_vector_entries_must_be_numbers_or_strings(entry, mode):
         return
     with pytest.raises(JsonFormatError):
         jsonio.vector_from_obj([entry], mode)
+
+
+@pytest.mark.parametrize("entry", [True, False])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_json_booleans_are_not_numbers(entry, mode):
+    with pytest.raises(JsonFormatError):
+        jsonio.number_from_obj(entry, mode)
+    for key in ("re", "im"):
+        with pytest.raises(JsonFormatError):
+            jsonio.scalar_from_obj({"re": 1, key: entry}, mode)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"dim": 6.9},
+        {"dim": 6.0},
+        {"dim": "6"},
+        {"dim": True},
+        {"degree": 3.0},
+        {"degree": "3"},
+        {"terms": [{"idx": [1, 2, True], "re": "1"}]},
+        {"terms": [{"idx": [1.5, 2, 3], "re": "1"}]},
+        {"terms": [{"idx": [1, 2, "3"], "re": "1"}]},
+        {"terms": [{"idx": "123", "re": "1"}]},
+        {"terms": [{"idx": {"1": 2}, "re": "1"}]},
+    ],
+)
+def test_dim_degree_and_index_entries_must_be_json_integers(change):
+    doc = {"dim": 6, "degree": 3, "terms": [{"idx": [1, 2, 3], "re": "1"}]}
+    assert jsonio.form_from_obj(doc) == ExteriorForm(6, 3, {(1, 2, 3): 1})
+    with pytest.raises(JsonFormatError):
+        jsonio.form_from_obj({**doc, **change})
+
+
+def test_scalars_read_as_before():
+    """Float parts come back as float or complex, exact parts as Fraction or ComplexRational."""
+    cases = [
+        ({"re": 2}, "float", 2.0),
+        ({"re": 2, "im": 0}, "float", 2.0),
+        ({"re": 0.5, "im": -0.0}, "float", 0.5),
+        ({"re": 1, "im": 2}, "float", complex(1, 2)),
+        ({"im": 0.5}, "float", 0.5j),
+        ({"re": "1/2"}, "exact", Fraction(1, 2)),
+        ({"re": 3, "im": "0"}, "exact", Fraction(3)),
+        ({"re": "1", "im": "-1/3"}, "exact", ComplexRational(1, Fraction(-1, 3))),
+    ]
+    for obj, mode, want in cases:
+        got = jsonio.scalar_from_obj(obj, mode)
+        assert type(got) is type(want) and repr(got) == repr(want), obj

@@ -175,6 +175,90 @@ def test_immutable_values_copy_and_pickle(value):
         assert hash(pickle.loads(pickle.dumps(value))) == hash(value)
 
 
+@pytest.mark.parametrize("value", _IMMUTABLE.values(), ids=_IMMUTABLE.keys())
+def test_immutable_values_refuse_setattr_and_del(value):
+    """Every slot, and any other name, refuses both assignment and deletion."""
+    import copy
+
+    value = copy.deepcopy(value)  # a failure must not spoil the shared value
+    before = _state(value)
+    for name in (*type(value).__slots__, "extra"):
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match="is immutable"):
+            delattr(value, name)
+    assert _state(value) == before
+
+
+def test_every_slotted_class_uses_the_immutable_base():
+    """One base owns the guard and the pickle support; no value class repeats them."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import g2kit
+    from g2kit.scalars import Immutable
+
+    slotted = []
+    for info in pkgutil.iter_modules(g2kit.__path__):
+        module = importlib.import_module(f"g2kit.{info.name}")
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                if "__slots__" in vars(cls) and cls is not Immutable:
+                    slotted.append(cls.__name__)
+                    assert issubclass(cls, Immutable), cls
+                for method in ("__setattr__", "__delattr__", "__reduce__", "__reduce_ex__"):
+                    assert cls is Immutable or method not in vars(cls), (cls, method)
+    assert len(slotted) == 12, slotted
+
+
+# Pickles of three values written before the immutable base existed (Python
+# 3.11, protocol 4); they name the class itself and rerun its constructor.
+_OLD_PICKLES = {
+    "exact-form": (
+        "gASVoQAAAAAAAACMC2cya2l0LmZvcm1zlIwMRXh0ZXJpb3JGb3JtlJOUKEsESwJ9lChLAUsChpSMDWcy"
+        "a2l0LnNjYWxhcnOUjA9Db21wbGV4UmF0aW9uYWyUk5SMCWZyYWN0aW9uc5SMCEZyYWN0aW9ulJOUSv//"
+        "//9LAoaUUpRoCksDSwSGlFKUhpRSlEsDSwSGlGgKSwFLA4aUUpR1jAVleGFjdJR0lFKULg=="
+    ),
+    "float-form": (
+        "gASVcwAAAAAAAACMC2cya2l0LmZvcm1zlIwMRXh0ZXJpb3JGb3JtlJOUKEsDSwF9lChLAYWURz/gAAAA"
+        "AAAASwOFlIwIYnVpbHRpbnOUjAdjb21wbGV4lJOURz+5mZmZmZmaR8AEAAAAAAAAhpRSlHWMBWZsb2F0"
+        "lHSUUpQu"
+    ),
+    "candidate-j": (
+        "gASVdgEAAAAAAACMC2cya2l0LmNoZXJulIwKQ2FuZGlkYXRlSpSTlCiMCWZyYWN0aW9uc5SMCEZyYWN0"
+        "aW9ulJOUSwFLAYaUUpRoBUsASwGGlFKUaAVLAEsBhpRSlGgFSwBLAYaUUpRoBUsASwGGlFKUaAVLAEsB"
+        "hpRSlGgFSwBLAYaUUpR0lCgoaAVLAEsBhpRSlGgFSwBLAYaUUpRoBUsASwGGlFKUaAVLAEsBhpRSlGgF"
+        "SwBLAYaUUpRoBUsASwGGlFKUaAVLAEsBhpRSlHSUKGgWaBhoBUr/////SwGGlFKUaBxoHmggaCJ0lCho"
+        "FmgFSwFLAYaUUpRoGmgcaB5oIGgidJQoaBZoGGgaaBxoBUr/////SwGGlFKUaCBoInSUKGgWaBhoGmgF"
+        "SwFLAYaUUpRoHmggaCJ0lChoFmgYaBpoHGgeaCBoBUr/////SwGGlFKUdJQoaBZoGGgaaBxoHmgFSwFL"
+        "AYaUUpRoInSUdJRHf/AAAAAAAACHlFKULg=="
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _OLD_PICKLES)
+def test_pickles_written_before_the_immutable_base_still_load(name):
+    import base64
+    import pickle
+
+    from g2kit.chern import CandidateJ
+    from g2kit.forms import ExteriorForm
+    from g2kit.sphere import basis_point
+
+    want = {
+        "exact-form": lambda: ExteriorForm(
+            4, 2, {(1, 2): ComplexRational(Fraction(-1, 2), Fraction(3, 4)), (3, 4): Fraction(1, 3)}
+        ),
+        "float-form": lambda: ExteriorForm(3, 1, {(1,): 0.5, (3,): 0.1 - 2.5j}, mode="float"),
+        "candidate-j": lambda: CandidateJ.standard(basis_point(1)),
+    }[name]()
+    got = pickle.loads(base64.b64decode(_OLD_PICKLES[name]))
+    assert type(got) is type(want) and _state(got) == _state(want)
+    with pytest.raises(AttributeError):
+        delattr(got, type(got).__slots__[0])
+
+
 class ReferenceComplexRational:
     """The earlier ComplexRational, with two reduced ``Fraction`` parts: the oracle."""
 
