@@ -239,12 +239,15 @@ def cmd_sphere_suite(args, parser):
 # ---------------------------------------------------------------------------
 
 def _frame_from_input(doc, mode):
+    point = jsonio.vector_from_obj(doc["point"], mode) if "point" in doc else None
+    if point is not None and len(point) != 7:
+        raise InputError(f"a point needs 7 entries, got {len(point)}")
+    seed = jsonio._int_from_obj(doc.get("frame_seed", 0), "frame_seed")
     if "frame" in doc:
         frame = AdaptedFrame(jsonio.matrix_from_obj(doc["frame"], mode))
-        if "point" in doc and tuple(jsonio.vector_from_obj(doc["point"], mode)) != frame.x:
+        if point is not None and point != frame.x:
             raise InputError("frame is not based at the given point")
         return frame
-    point = tuple(jsonio.vector_from_obj(doc["point"], mode)) if "point" in doc else None
     if point is None or point == basis_point(1).u:
         frame = standard_frame()
         if mode == EXACT:
@@ -257,7 +260,7 @@ def _frame_from_input(doc, mode):
         )
     import random
 
-    return frame_at_float_point(random.Random(doc.get("frame_seed", 0)), point)
+    return frame_at_float_point(random.Random(seed), point)
 
 
 def cmd_chern(args):

@@ -20,16 +20,21 @@ identity of the algebra), machine-checked by :meth:`CoframeDGA.verify_d_squared`
 kernel of :mod:`g2kit.forms` (``canonical_terms``, ``add_terms``,
 ``wedge_terms``): a word is an increasing tuple of 0-based generator indices,
 and its coefficient is a ``ComplexRational``.  The structure constants are
-Gaussian integers (halves appear only in Im Upsilon), so nearly every
-coefficient product runs on ints with denominator 1 and takes no gcd.
+Gaussian integers, read off the two equations above into a table of
+{2-word: (re, im)} int pairs (d t_ib by conjugating d t_i).  ``d`` is one
+integer Leibniz kernel over that table: it clears the coefficients of its
+argument to Gaussian integers over one lcm, merges every word of
+d(g) ^ rest into one int-pair accumulator, and normalizes one
+``ComplexRational`` per output word.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from math import prod
 
-from .forms import add_terms, canonical_terms, wedge_terms
+from .forms import _MERGED, _merged, add_terms, canonical_terms, sort_sign, wedge_terms
+from .linalg import _cleared
 from .scalars import ComplexRational, I_EXACT, Immutable, _restore
 
 # canonical generator order: t1 < t2 < t3 < t1b < t2b < t3b < k-block (lex i,j)
@@ -144,10 +149,17 @@ class DgaElement(Immutable):
         return " + ".join(bits)
 
 
-_EPS = {
-    (1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
-    (1, 3, 2): -1, (2, 1, 3): -1, (3, 2, 1): -1,
+# the conjugation rule of the module docstring, generator -> (conjugate generator, sign)
+_CONJ = {
+    _INDEX[n]: (_INDEX[f"k{n[2]}{n[1]}"], -1) if n[0] == "k"
+    else (_INDEX[n[:2] if n[2:] else n + "b"], 1)
+    for n in GENERATORS
 }
+
+
+def _gen_sum(name):
+    """A generator as (index, sign) pairs; k33 is the trace substitution -k11 - k22."""
+    return ((_INDEX["k11"], -1), (_INDEX["k22"], -1)) if name == "k33" else ((_INDEX[name], 1),)
 
 
 class CoframeDGA:
@@ -165,8 +177,16 @@ class CoframeDGA:
         if mutation is not None and mutation not in self.MUTATIONS:
             raise ValueError(f"unknown mutation {mutation!r}; known: {self.MUTATIONS}")
         self.mutation = mutation
-        self._conj_table = self._build_conj_table()
-        self._d_table = self._build_d_table()
+        self._conj_table = {
+            g: DgaElement._trusted({(h,): ComplexRational(s)}) for g, (h, s) in _CONJ.items()
+        }
+        self._d_words = self._structure_constants()
+        self._d_table = {
+            g: DgaElement._trusted(
+                {w: ComplexRational._from_cleared(re, im, 1) for w, (re, im) in words.items()}
+            )
+            for g, words in self._d_words.items()
+        }
 
     # -- generator accessors ------------------------------------------------
     @staticmethod
@@ -184,74 +204,74 @@ class CoframeDGA:
             return -DgaElement.generator("k11") - DgaElement.generator("k22")
         return DgaElement.generator(f"k{i}{j}")
 
-    # -- conjugation ---------------------------------------------------------
-    def _build_conj_table(self):
-        table = {}
-        for i in (1, 2, 3):
-            table[_INDEX[f"t{i}"]] = DgaElement.generator(f"t{i}b")
-            table[_INDEX[f"t{i}b"]] = DgaElement.generator(f"t{i}")
-        for i in (1, 2, 3):
-            for j in (1, 2, 3):
-                if (i, j) == (3, 3):
-                    continue
-                name = f"k{i}{j}"
-                if name in _INDEX:
-                    table[_INDEX[name]] = -self.kappa(j, i)
-        return table
-
     def conj(self, e: DgaElement) -> DgaElement:
         return e.conj(self._conj_table)
 
     # -- differential ---------------------------------------------------------
-    def _d_theta(self, i):
-        out = DgaElement()
-        for l in (1, 2, 3):
-            out = out - self.kappa(i, l) * self.theta(l)
-        eps_coeff = Fraction(3 if self.mutation == "dtheta-coeff" else 2)
-        for j, k in combinations((1, 2, 3), 2):
-            eps = _EPS.get((i, j, k), 0)
-            if eps:
-                out = out + (self.theta_bar(j) * self.theta_bar(k)).smul(
-                    ComplexRational(eps * eps_coeff)
-                )
-        return out
+    def _structure_constants(self):
+        """d of every generator as {2-word: (re, im)}, read off the structure equations.
 
-    def _d_kappa(self, i, j):
-        out = DgaElement()
-        for l in (1, 2, 3):
-            out = out - self.kappa(i, l) * self.kappa(l, j)
-        three = Fraction(4 if self.mutation == "dkappa-coeff" else 3)
-        out = out + (self.theta(i) * self.theta_bar(j)).smul(ComplexRational(three))
-        if i == j:
-            for l in (1, 2, 3):
-                out = out - self.theta(l) * self.theta_bar(l)
-        return out
-
-    def _build_d_table(self):
-        table = {}
+        Each equation is a list of (c, x, y) for c * x ^ y, x and y generator
+        names or k33; d(t_ib) = conj(d(t_i)) by the conjugation rule.
+        """
+        two = 3 if self.mutation == "dtheta-coeff" else 2
+        three = 4 if self.mutation == "dkappa-coeff" else 3
+        equations = {}
         for i in (1, 2, 3):
-            dt = self._d_theta(i)
-            table[_INDEX[f"t{i}"]] = dt
-            table[_INDEX[f"t{i}b"]] = self.conj(dt)
-        for i in (1, 2, 3):
+            a, b = (l for l in (1, 2, 3) if l != i)  # a < b, and eps_iab = -1 only for i = 2
+            equations[f"t{i}"] = [(-1, f"k{i}{l}", f"t{l}") for l in (1, 2, 3)]
+            equations[f"t{i}"].append((-two if i == 2 else two, f"t{a}b", f"t{b}b"))
             for j in (1, 2, 3):
-                name = f"k{i}{j}"
-                if name in _INDEX:
-                    table[_INDEX[name]] = self._d_kappa(i, j)
+                if (i, j) != (3, 3):
+                    eq = equations[f"k{i}{j}"] = [(-1, f"k{i}{l}", f"k{l}{j}") for l in (1, 2, 3)]
+                    eq.append((three, f"t{i}", f"t{j}b"))
+                    eq += [(-1, f"t{l}", f"t{l}b") for l in (1, 2, 3) if i == j]
+        table = {}
+        for name, products in equations.items():
+            out = {}
+            for c, x, y in products:
+                for gx, cx in _gen_sum(x):
+                    for gy, cy in _gen_sum(y):
+                        word, sign = sort_sign((gx, gy))
+                        if sign:
+                            out[word] = out.get(word, 0) + sign * c * cx * cy
+            table[_INDEX[name]] = {w: (c, 0) for w, c in out.items() if c}
+        for i in (1, 2, 3):  # conj of d(t_i), word by word
+            conj = table[_INDEX[f"t{i}b"]] = {}
+            for word, (re, im) in table[_INDEX[f"t{i}"]].items():
+                key, sign = sort_sign(_CONJ[g][0] for g in word)
+                sign *= prod(_CONJ[g][1] for g in word)
+                conj[key] = (sign * re, -sign * im)
         return table
 
     def d(self, e: DgaElement) -> DgaElement:
-        """Degree +1 derivation extending the generator rules (graded Leibniz)."""
-        out = DgaElement()
-        for word, c in e.terms.items():
+        """Degree +1 derivation extending the generator rules (graded Leibniz).
+
+        The coefficients of ``e`` are cleared once, to Gaussian integers over
+        one lcm.  The generator g at position pos of a word contributes
+        (-1)^pos left ^ d(g) ^ right = (-1)^pos d(g) ^ rest, as d(g) has even
+        degree and rest = left + right; its words are merged into one int-pair
+        accumulator, and each output word is normalized once.
+        """
+        if e.is_zero:
+            return DgaElement()
+        res, ims, den = _cleared(list(e.terms.values()))
+        acc, merged = {}, _MERGED
+        for word, a, b in zip(e.terms, res, ims):
             for pos, g in enumerate(word):
-                rest_left = word[:pos]
-                rest_right = word[pos + 1 :]
-                piece = DgaElement({rest_left: c if pos % 2 == 0 else -c})
-                piece = piece * self._d_table[g]
-                piece = piece * DgaElement({rest_right: _ONE})
-                out = out + piece
-        return out
+                rest = word[:pos] + word[pos + 1 :]
+                for w2, (p, q) in self._d_words[g].items():
+                    if w2[0] in rest or w2[1] in rest:
+                        continue
+                    sign, key = merged.get((w2, rest)) or _merged(w2, rest)
+                    if pos % 2:
+                        sign = -sign
+                    re, im = sign * (a * p - b * q), sign * (a * q + b * p)
+                    old = acc.get(key)
+                    acc[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
+        return DgaElement._trusted(
+            {w: ComplexRational._from_cleared(*z, den) for w, z in acc.items() if any(z)}
+        )
 
     # -- distinguished invariant elements -------------------------------------
     def invariant_two_form(self) -> DgaElement:

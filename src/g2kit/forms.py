@@ -72,7 +72,7 @@ def sort_sign(idx):
 
 
 # (ia, ib) -> (sign, key) of sort_sign(ia + ib) for disjoint increasing ia, ib:
-# at most 3^7 pairs on R^7, plus about 600 coframe-DGA word pairs.
+# at most 3^7 pairs on R^7, plus about 420 coframe-DGA word pairs.
 _MERGED = {}
 # increasing index tuple -> bitmask of its indices: at most 2^n on R^n, plus the DGA words
 _MASKS = {}

@@ -53,7 +53,10 @@ def number_from_obj(obj, mode):
             raise JsonFormatError(f"float documents must use JSON numbers, got {obj!r}")
         return float(obj)
     if type(obj) in (int, str):
-        return Fraction(obj)
+        try:
+            return Fraction(obj)
+        except ValueError as exc:
+            raise JsonFormatError(f"not an exact number: {obj!r}") from exc
     raise JsonFormatError(f"exact documents need 'p/q' strings, got {obj!r}")
 
 

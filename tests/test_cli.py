@@ -512,6 +512,7 @@ def test_chern_rejects_unknown_document_mode(tmp_path, capsys):
 
 _SEVEN = ["1", "0", "0", "0", "0", "0", "0"]
 _FLOAT_IDENTITY = [[float(i == j) for j in range(7)] for i in range(7)]
+_FLOAT_POINT = [0.6, 0.8, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
 
@@ -554,6 +555,16 @@ BAD_INPUTS = {
     "form-idx-bool": ("classify-3form", _form(idx=[1, 2, True])),
     "form-idx-float": ("classify-3form", _form(idx=[1.5, 2, 3])),
     "form-idx-string": ("classify-3form", _form(idx="123")),
+    "form-re-not-a-number": ("classify-3form", _form(re="abc")),
+    "form-im-not-a-number": ("classify-3form", _form(im="1/2x")),
+    "frame-entries-not-numbers": ("chern", {"frame": [["abc"] * 7] * 7}),
+    "exact-point-entries-not-numbers": ("chern", {"point": ["abc"] * 7}),
+    "float-point-3-entries": ("chern", {"mode": "float", "point": [0.6, 0.8, 0.0]}),
+    "float-point-8-entries": ("chern", {"mode": "float", "point": [0.6, 0.8] + [0.0] * 6}),
+    "frame-seed-list": ("chern", {"mode": "float", "point": _FLOAT_POINT, "frame_seed": [1]}),
+    "frame-seed-bool": ("chern", {"mode": "float", "point": _FLOAT_POINT, "frame_seed": True}),
+    "frame-seed-float": ("chern", {"mode": "float", "point": _FLOAT_POINT, "frame_seed": 1.0}),
+    "frame-seed-string": ("chern", {"mode": "float", "point": _FLOAT_POINT, "frame_seed": "1"}),
 }
 
 

@@ -189,6 +189,79 @@ def test_d_table_and_d_squared_are_pinned(mutation, digest):
     assert hashlib.sha256("\n".join(table + squares).encode()).hexdigest() == digest
 
 
+def _reference_d_table(dga):
+    """The structure equations built from DgaElement products, d(t_ib) by conjugating d(t_i)."""
+    conj_table = {}
+    for i in (1, 2, 3):
+        conj_table[GENERATORS.index(f"t{i}")] = dga.theta_bar(i)
+        conj_table[GENERATORS.index(f"t{i}b")] = dga.theta(i)
+        for j in (1, 2, 3):
+            if (i, j) != (3, 3):
+                conj_table[GENERATORS.index(f"k{i}{j}")] = -dga.kappa(j, i)
+    two = Fraction(3 if dga.mutation == "dtheta-coeff" else 2)
+    three = Fraction(4 if dga.mutation == "dkappa-coeff" else 3)
+    eps = {(1, 2, 3): 1, (2, 1, 3): -1, (3, 1, 2): 1}
+    table = {}
+    for i in (1, 2, 3):
+        dt = DgaElement()
+        for l in (1, 2, 3):
+            dt = dt - dga.kappa(i, l) * dga.theta(l)
+        j, k = (l for l in (1, 2, 3) if l != i)
+        dt = dt + (dga.theta_bar(j) * dga.theta_bar(k)).smul(eps[i, j, k] * two)
+        table[GENERATORS.index(f"t{i}")] = dt
+        table[GENERATORS.index(f"t{i}b")] = dt.conj(conj_table)
+        for j in (1, 2, 3):
+            if (i, j) == (3, 3):
+                continue
+            dk = (dga.theta(i) * dga.theta_bar(j)).smul(three)
+            for l in (1, 2, 3):
+                dk = dk - dga.kappa(i, l) * dga.kappa(l, j)
+                if i == j:
+                    dk = dk - dga.theta(l) * dga.theta_bar(l)
+            table[GENERATORS.index(f"k{i}{j}")] = dk
+    return table
+
+
+def _reference_d(dga, e):
+    """Graded Leibniz as three products per (word, position): (+-c left) * d(g) * right."""
+    out = DgaElement()
+    for word, c in e.terms.items():
+        for pos, g in enumerate(word):
+            left = DgaElement({word[:pos]: c if pos % 2 == 0 else -c})
+            right = DgaElement({word[pos + 1 :]: ComplexRational(1)})
+            out = out + left * dga._d_table[g] * right
+    return out
+
+
+_DGAS = {m: CoframeDGA(m) for m in (None, *CoframeDGA.MUTATIONS)}
+
+
+@pytest.mark.parametrize("mutation", _DGAS)
+def test_integer_table_matches_the_structure_equations(mutation):
+    dga = _DGAS[mutation]
+    reference = _reference_d_table(dga)
+    assert sorted(dga._d_table) == sorted(reference) == list(range(len(GENERATORS)))
+    for g, expected in reference.items():
+        assert dga._d_table[g].terms == expected.terms, GENERATORS[g]
+        assert all(type(c) is ComplexRational for c in dga._d_table[g].terms.values())
+
+
+_PARTS = [0, 1, -2, 3, Fraction(1, 2), Fraction(-1, 3), Fraction(1, 6), Fraction(7, 4)]
+_COEFFS = st.builds(ComplexRational, st.sampled_from(_PARTS), st.sampled_from(_PARTS))
+_WORDS = st.lists(st.integers(0, len(GENERATORS) - 1), max_size=4, unique=True).map(tuple)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_DGAS, key=str)), st.dictionaries(_WORDS, _COEFFS, max_size=5))
+def test_integer_leibniz_kernel_matches_three_products(mutation, terms):
+    """Words of length 0-4 with mixed denominators (1/2, 1/3, i/6, ...)."""
+    dga = _DGAS[mutation]
+    e = DgaElement(terms)
+    got, expected = dga.d(e), _reference_d(dga, e)
+    assert got.terms == expected.terms
+    assert all(type(c) is ComplexRational for c in got.terms.values())
+
+
 def test_structure_verdicts_survive_optimize_flag():
     """Under python -O verify-structure still passes, and each mutation still fails."""
     import json
