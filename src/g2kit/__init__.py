@@ -79,7 +79,6 @@ from .compat import (
     standard_symplectic_matrix,
 )
 from .threeforms import (
-    NotEllipticError,
     ThreeFormClass,
     classify_3form,
     elliptic_normal_form,

@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
+from .compat import hermitian_index
 from .forms import ExteriorForm
 from .linalg import DegenerateFormError
 from .scalars import EXACT, FLOAT, Immutable
@@ -128,8 +129,8 @@ def elliptic_definite_check(
 
     orientation defaults to omega^3.  For an elliptic primitive part, J is the
     structure recovered from it (inducing the given orientation) and the
-    signature is the inertia of g(v, w) = omega(v, Jw) halved per complex
-    direction; the verdict is elliptic-definite iff that signature is (3, 0).
+    signature is the :func:`~g2kit.compat.hermitian_index` of
+    g(v, w) = omega(v, Jw); the verdict is elliptic-definite iff that signature is (3, 0).
     """
     decomp, om2 = _decompose(omega, domega, 0.0 if omega.mode == EXACT else tol)
     if orientation is None:  # omega^2 of the decomposition, unless it ran on a float copy
@@ -142,14 +143,8 @@ def elliptic_definite_check(
     om = omega.as_float() if (float_mode and omega.mode == EXACT) else omega
     zero = 0.0 if float_mode else Fraction(0)
     omat = [[om.coeff((a, b)) if a != b else zero for b in range(1, 7)] for a in range(1, 7)]
-    jmat = j if not (float_mode and not isinstance(j[0][0], (float, complex))) else [
-        [float(x) for x in row] for row in j
-    ]
-    g = linalg.mat_mul(omat, jmat)
-    pos, neg = linalg.signature(g, tol * 100 if float_mode else 0.0)
-    if pos % 2 or neg % 2:
-        raise DegenerateFormError(f"hermitian inertia ({pos},{neg}) is not even")
-    signature = (pos // 2, neg // 2)
+    g = linalg.mat_mul(omat, j)
+    signature = hermitian_index(g, tol * 100 if float_mode else 0.0)
     return EllipticDefiniteReport(
         "elliptic", j, signature, signature == (3, 0), decomp
     )

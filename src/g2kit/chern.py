@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .compat import NotComplexStructureError
+from .compat import NotComplexStructureError, complex_basis
 from .g2 import AdaptedFrame, cross, dot, frame_rotate
 from .scalars import (
     EXACT,
@@ -351,25 +351,12 @@ def default_eta_basis(j: CandidateJ, tol=1e-8):
     """Greedy J-complex basis of u-perp from projected coordinate seeds.
 
     Seeds e_a - (u.e_a) u are taken in index order; a seed is kept when it
-    grows the real span together with its J-image.
+    grows the real span together with its J-image (:func:`compat.complex_basis`).
     """
     u = j.point
-    exact = j.mode == EXACT
-    chosen = []
-    span_rows = []
-    for a in range(7):
-        ua = u[a]
-        seed = tuple(
-            ((1 if i == a else 0) - ua * u[i]) for i in range(7)
-        )
-        jseed = j.apply(seed)
-        candidate = span_rows + [list(seed), list(jseed)]
-        if linalg.rank(candidate, 0.0 if exact else tol) == len(candidate):
-            span_rows = candidate
-            chosen.append(seed)
-        if len(chosen) == 3:
-            return chosen
-    raise NotComplexStructureError("could not find a J-complex basis of u-perp")
+    seeds = (tuple((1 if i == a else 0) - u[a] * u[i] for i in range(7)) for a in range(7))
+    pairs = complex_basis(seeds, j.apply, 3, 0.0 if j.mode == EXACT else tol)
+    return [v for v, _ in pairs]
 
 
 def compute_rs(j: CandidateJ, frame: AdaptedFrame, eta_basis=None) -> ChernData:
@@ -410,42 +397,13 @@ def compute_rs(j: CandidateJ, frame: AdaptedFrame, eta_basis=None) -> ChernData:
     return ChernData(r, s, context={"frame": frame, "j": j, "eta_basis": [tuple(v) for v in basis]})
 
 
-def eta_values(j: CandidateJ, basis, v):
-    """(eta_1(v), eta_2(v), eta_3(v)) for the coframe dual to a J-basis."""
-    exact = j.mode == EXACT and vector_mode(v) != FLOAT
-    real_basis = []
-    for b in basis:
-        real_basis.append(list(b))
-        real_basis.append(list(j.apply(b)))
-    m = [[real_basis[k][i] for k in range(6)] for i in range(7)]
-    # least-squares-free exact solve: restrict to 6 independent coordinates
-    rows_idx = _independent_rows(m, 0.0 if exact else 1e-9)
-    sq = [m[i] for i in rows_idx]
-    rhs = [v[i] for i in rows_idx]
-    coords = linalg.solve(sq, rhs, 0.0 if exact else 1e-12)
-    i_unit = I_EXACT if exact else 1j
-    return [coords[2 * k] + i_unit * coords[2 * k + 1] for k in range(3)]
-
-
-def _independent_rows(m, tol):
-    chosen = []
-    rows = []
-    for i, row in enumerate(m):
-        candidate = rows + [list(row)]
-        if linalg.rank(candidate, tol) == len(candidate):
-            rows = candidate
-            chosen.append(i)
-        if len(chosen) == len(m[0]):
-            return chosen
-    raise linalg.DegenerateFormError("rows do not span")
-
-
 def reconstruction_defects(data: ChernData):
     """Exactness checks of the type decompositions against the frame data.
 
     Returns (omega_defect, metric_defect): max deviation, over all real basis
     pairs, of the reconstructed 2-form from iota_u phi and of the
-    reconstructed symmetric form from the ambient dot product.
+    reconstructed symmetric form from the ambient dot product.  The coframe
+    eta is dual to the J-basis, so eta(v_l) = e_l and eta(J v_l) = i e_l.
     """
     ctx = data.context
     if not ctx:
@@ -459,11 +417,12 @@ def reconstruction_defects(data: ChernData):
     gamma = data.gamma_matrix
     pq = linalg.mat_add(data.p_matrix, data.q_matrix)
 
-    real_basis = []
-    for v in basis:
-        real_basis.append(tuple(v))
-        real_basis.append(j.apply(v))
-    evals = [eta_values(j, basis, v) for v in real_basis]
+    i_unit = 1j if isinstance(data.r[0][0], (float, complex)) else I_EXACT
+    real_basis, evals = [], []
+    for l, v in enumerate(basis):
+        e_l = [1 if k == l else 0 for k in range(3)]
+        real_basis += [tuple(v), j.apply(v)]
+        evals += [e_l, [i_unit * x for x in e_l]]
 
     def pairing(mat, ev, fw, conj_left, conj_right):
         left = [sconj(x) for x in ev] if conj_left else ev

@@ -263,10 +263,16 @@ def _frame_from_input(doc, mode):
     return frame_at_float_point(random.Random(seed), point)
 
 
+_CHERN_KEYS = {"mode", "point", "frame", "frame_seed", "J"}
+
+
 def cmd_chern(args):
     family = args.family
     if args.input:
         doc = _load_json(args.input)
+        unknown = sorted(set(doc) - _CHERN_KEYS)
+        if unknown:
+            raise InputError(f"unknown keys {unknown}; a chern document has {sorted(_CHERN_KEYS)}")
         mode = doc.get("mode", EXACT)
         if mode not in (EXACT, FLOAT):
             raise InputError(f"unknown mode {mode!r}")

@@ -6,6 +6,9 @@ g(v, w) = omega(v, Jw) is then symmetric and nondegenerate, and its inertia
 (2p, 2q) defines the omega-index (p, q) of J.  Everything here works on
 plain matrices: omega is the matrix O with O[i][j] = omega(e_i, e_j).
 
+The package builds every J-complex basis here (:func:`complex_basis`) and
+halves every hermitian inertia here (:func:`hermitian_index`).
+
 Signatures are computed by exact congruence reduction over the rationals
 (see :mod:`g2kit.linalg`), never by eigenvalues.
 """
@@ -92,17 +95,38 @@ def is_compatible_omega(omega, j, tol=None):
     return _is_zero_matrix(linalg.mat_sub(lhs, omega), t)
 
 
+def complex_basis(seeds, apply_j, n, tol):
+    """The pairs (v, Jv) of the first n seeds, in order, that grow the real span.
+
+    Jv is ``apply_j(v)``; independence is a rank test at pivot tolerance ``tol``.
+    """
+    pairs = []
+    rows = []
+    for v in seeds:
+        jv = apply_j(v)
+        candidate = rows + [list(v), list(jv)]
+        if linalg.rank(candidate, tol) == len(candidate):
+            rows = candidate
+            pairs.append((v, jv))
+            if len(pairs) == n:
+                return pairs
+    raise NotComplexStructureError(f"the seeds span no J-complex basis of {n} pairs")
+
+
+def hermitian_index(g, tol):
+    """The (p, q) of a J-hermitian g(v, w) = omega(v, Jw) with inertia (2p, 2q); odd raises."""
+    pos, neg = linalg.signature(g, tol)
+    if pos % 2 or neg % 2:
+        raise IncompatiblePairError(f"hermitian inertia ({pos},{neg}) is not even")
+    return (pos // 2, neg // 2)
+
+
 def omega_index(omega, j, tol=None):
     """The (p, q) with p + q = n such that the induced metric has inertia (2p, 2q)."""
     if not is_compatible_omega(omega, j, tol):
         raise IncompatiblePairError("pair is not omega-compatible")
     g = induced_metric(omega, j, tol)
-    pos, neg = linalg.signature(g, _tol_for(g, tol))
-    if pos % 2 or neg % 2:
-        raise IncompatiblePairError(
-            f"induced metric inertia ({pos},{neg}) is not even"
-        )
-    return (pos // 2, neg // 2)
+    return hermitian_index(g, _tol_for(g, tol))
 
 
 # ---------------------------------------------------------------------------

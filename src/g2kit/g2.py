@@ -213,15 +213,6 @@ class AdaptedFrame(Immutable):
     def x(self):
         return self.col(1)
 
-    def f(self, j):
-        """Complex tangent frame vector f_j = (g_2j - i g_2j+1)/2."""
-        a, b = self.col(2 * j), self.col(2 * j + 1)
-        if self.mode == EXACT:
-            return tuple(
-                ComplexRational(Fraction(x) / 2, -Fraction(y) / 2) for x, y in zip(a, b)
-            )
-        return tuple((x - 1j * y) / 2.0 for x, y in zip(a, b))
-
     def theta(self, j) -> ExteriorForm:
         """Coframe 1-form theta_j = (g_2j+1 - i g_2j)/2 as covector (ambient)."""
         a, b = self.col(2 * j), self.col(2 * j + 1)

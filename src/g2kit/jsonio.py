@@ -88,9 +88,10 @@ def form_from_obj(obj):
         raise JsonFormatError(f"unknown mode {mode!r}")
     try:
         dim, degree = _int_from_obj(obj["dim"], "dim"), _int_from_obj(obj["degree"], "degree")
-        terms = {
-            _index_from_obj(t["idx"]): scalar_from_obj(t, mode) for t in obj.get("terms", [])
-        }
+        terms = {}  # a repeated idx adds, as a permuted one does in ExteriorForm
+        for t in obj.get("terms", []):
+            idx, c = _index_from_obj(t["idx"]), scalar_from_obj(t, mode)
+            terms[idx] = c if idx not in terms else terms[idx] + c
     except (KeyError, TypeError) as exc:
         raise JsonFormatError(f"malformed form document: {exc}") from exc
     return ExteriorForm(dim, degree, terms, mode=mode)

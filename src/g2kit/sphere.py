@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 
 from .forms import ExteriorForm, form_defect
-from .g2 import AdaptedFrame, adapted_frame, associative_three_form, cross, dot
+from .g2 import AdaptedFrame, adapted_frame, associative_three_form, cross, dot, standard_frame
 from .polyforms import PolyCoefForm, ext_d, position_field
 from .scalars import EXACT, FLOAT, Immutable, sabs, to_float, vector_mode
 
@@ -212,12 +212,7 @@ def verify_domega_pointwise(samples, seed, tol=DEFAULT_TOL, upsilon_scale=8):
     symbolic_ok = _ambient_identity_holds()
 
     e1 = basis_point(1)
-    std = adapted_frame(
-        e1.u,
-        tuple(Fraction(1 if i == 1 else 0) for i in range(7)),
-        tuple(Fraction(1 if i == 3 else 0) for i in range(7)),
-    )
-    exact_defect_form = upsilon_at(e1, std, upsilon_scale).imag() - phi_tangential(e1)
+    exact_defect_form = upsilon_at(e1, standard_frame(), upsilon_scale).imag() - phi_tangential(e1)
     exact_zero = exact_defect_form.is_zero
 
     max_defect = 0.0

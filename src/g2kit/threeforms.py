@@ -20,13 +20,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .compat import check_complex_structure
+from .compat import check_complex_structure, complex_basis
 from .forms import ExteriorForm
 from .scalars import EXACT, FLOAT, I_EXACT, Immutable, normalize_scalar, sqrt_fraction, to_float
-
-
-class NotEllipticError(ValueError):
-    """Operation requires an elliptic 3-form."""
 
 
 class ThreeFormClass(Immutable):
@@ -181,24 +177,12 @@ def _discriminant_of(k):
 
 
 def _orientation_sign(j, vol, tol):
-    """Sign of vol on a J-adapted basis (v1, Jv1, v2, Jv2, v3, Jv3)."""
-    n = 6
+    """Sign of vol on the J-adapted basis (v1, Jv1, v2, Jv2, v3, Jv3) of coordinate seeds."""
     float_mode = isinstance(j[0][0], (float, complex))
-    chosen = []
-    span_rows = []
-    for a in range(n):
-        v = _basis_vec(n, a, float_mode)
-        jv = tuple(linalg.mat_vec(j, list(v)))
-        candidate = span_rows + [list(v), list(jv)]
-        if linalg.rank(candidate, tol) == len(candidate):
-            span_rows = candidate
-            chosen.extend([v, jv])
-        if len(chosen) == 6:
-            break
-    if len(chosen) != 6:
-        raise NotEllipticError("could not build a J-adapted basis")
-    val = vol.evaluate(chosen)
-    return (1 if to_float(val) > 0 else -1), chosen
+    seeds = (_basis_vec(6, a, float_mode) for a in range(6))
+    pairs = complex_basis(seeds, lambda v: tuple(linalg.mat_vec(j, list(v))), 3, tol)
+    val = vol.evaluate([x for pair in pairs for x in pair])
+    return 1 if to_float(val) > 0 else -1
 
 
 def recover_upsilon(rho: ExteriorForm, j) -> ExteriorForm:
@@ -263,8 +247,7 @@ def classify_3form(rho: ExteriorForm, vol: ExteriorForm = None, tol=1e-12) -> Th
     else:
         root = (-to_float(lam)) ** 0.5
     j = [[x / root for x in row] for row in k]
-    sign, _ = _orientation_sign(j, vol, pivot_tol)
-    if sign < 0:
+    if _orientation_sign(j, vol, pivot_tol) < 0:
         j = [[-x for x in row] for row in j]
     check_complex_structure(j)
     return ThreeFormClass("elliptic", lam, j_matrix=j, sqrt_is_exact=sqrt_is_exact, rho=rho)

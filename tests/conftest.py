@@ -18,6 +18,12 @@ def e7(k):
     return e_vec(7, k)
 
 
+def complex_frame_vector(frame, j):
+    """f_j = (g_2j - i g_2j+1) / 2 of an exact adapted frame."""
+    a, b = frame.col(2 * j), frame.col(2 * j + 1)
+    return tuple(ComplexRational(Fraction(x) / 2, -Fraction(y) / 2) for x, y in zip(a, b))
+
+
 def rand_fraction(rng, bound=6, denom=4):
     return Fraction(rng.randint(-bound, bound), rng.randint(1, denom))
 

@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2kit import linalg
 from g2kit.chern import (
@@ -9,6 +11,7 @@ from g2kit.chern import (
     canonical_eta_basis,
     chern_residual,
     compute_rs,
+    default_eta_basis,
     equivariance_check,
     index_from_h,
     is_omega_compatible_data,
@@ -18,16 +21,25 @@ from g2kit.chern import (
     signature_dichotomy_sweep,
     upsilon_type_extremes,
 )
-from g2kit.compat import is_compatible_omega
-from g2kit.g2 import dot, frame_rotate, standard_frame
+from g2kit.compat import NotComplexStructureError, is_compatible_omega
+from g2kit.g2 import AdaptedFrame, dot, frame_rotate, standard_frame
 from g2kit.sampling import (
     random_gl3_complex,
+    random_invertible_rational,
     random_rational_frame,
     random_su3,
     random_symplectic,
 )
-from g2kit.scalars import ComplexRational, I_EXACT
-from g2kit.sphere import basis_point, omega_at, standard_j
+from g2kit.scalars import EXACT, ComplexRational, I_EXACT, to_float
+from g2kit.sphere import basis_point, frame_at_float_point, omega_at, standard_j
+from g2kit.threeforms import (
+    _orientation_sign,
+    classify_3form,
+    elliptic_normal_form,
+    standard_volume_form,
+)
+
+from conftest import e_vec, rand_form
 
 E1 = basis_point(1)
 FRAME = standard_frame()
@@ -150,6 +162,18 @@ def test_default_eta_basis_gauge_free_verdicts(rng):
     assert data.orientation == 1
     om_defect, g_defect = reconstruction_defects(data)
     assert om_defect == 0 and g_defect == 0
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_eta_basis_must_be_j_complexly_independent(exact):
+    """A triple whose pairs (v, Jv) do not span u-perp is rejected, exact or float."""
+    frame = FRAME if exact else _float_frame(FRAME)
+    j = CandidateJ.flipped(frame, (2,))
+    v, w = canonical_eta_basis(frame)[:2]
+    for basis in ([v, j.apply(v), w], [v, w, tuple(2 * x - y for x, y in zip(v, w))]):
+        with pytest.raises(NotComplexStructureError):
+            compute_rs(j, frame, basis)
+    assert compute_rs(j, frame, [v, w, canonical_eta_basis(frame)[2]]).orientation == -1
 
 
 def test_reconstruction_random_compatible(rng):
@@ -576,3 +600,111 @@ def test_sweep_reports_skipped_degenerate_trials(monkeypatch):
     assert rep["pass"]
     monkeypatch.undo()
     assert signature_dichotomy_sweep(5, seed=1)["skipped_degenerate"] == 0
+
+
+# ---------------------------------------------------------------------------
+# the shared greedy J-basis against the two loops it replaced
+# ---------------------------------------------------------------------------
+
+def default_eta_basis_reference(j, tol=1e-8):
+    """The greedy loop that ``default_eta_basis`` ran before ``compat.complex_basis``."""
+    u = j.point
+    exact = j.mode == EXACT
+    chosen = []
+    span_rows = []
+    for a in range(7):
+        ua = u[a]
+        seed = tuple(
+            ((1 if i == a else 0) - ua * u[i]) for i in range(7)
+        )
+        jseed = j.apply(seed)
+        candidate = span_rows + [list(seed), list(jseed)]
+        if linalg.rank(candidate, 0.0 if exact else tol) == len(candidate):
+            span_rows = candidate
+            chosen.append(seed)
+        if len(chosen) == 3:
+            return chosen
+    raise NotComplexStructureError("could not find a J-complex basis of u-perp")
+
+
+def orientation_sign_reference(j, vol, tol):
+    """The greedy loop that ``threeforms._orientation_sign`` ran before ``compat.complex_basis``."""
+    n = 6
+    float_mode = isinstance(j[0][0], (float, complex))
+    chosen = []
+    span_rows = []
+    for a in range(n):
+        v = e_vec(n, a + 1, float_mode)
+        jv = tuple(linalg.mat_vec(j, list(v)))
+        candidate = span_rows + [list(v), list(jv)]
+        if linalg.rank(candidate, tol) == len(candidate):
+            span_rows = candidate
+            chosen.extend([v, jv])
+        if len(chosen) == 6:
+            break
+    if len(chosen) != 6:
+        raise NotComplexStructureError("could not build a J-adapted basis")
+    val = vol.evaluate(chosen)
+    return (1 if to_float(val) > 0 else -1), chosen
+
+
+def _typed_bits(vectors):
+    return [
+        (type(v), [(type(x), x.hex() if isinstance(x, float) else x) for x in v])
+        for v in vectors
+    ]
+
+
+def _float_frame(frame):
+    return AdaptedFrame([[float(x) for x in row] for row in frame.matrix], check=False)
+
+
+def _structure_case(source, exact, seed):
+    """A structure J at a frame, as (CandidateJ, its 6x6 matrix in the frame basis).
+
+    ``compatible``: a symplectic conjugate of the standard structure;
+    ``flipped``: the plane-flip family over a random subset of planes;
+    ``elliptic``: K / sqrt(-lambda) of a random elliptic 3-form, lifted
+    ambiently; exact input gives a float J when -lambda is not a rational
+    square, and a pulled-back normal form always gives an exact one.
+    """
+    rng = random.Random(seed)
+    if source == "compatible":
+        j = random_compatible_j(rng, FRAME)
+        if exact:
+            return j, j.tangent_matrix(FRAME)
+        j6 = [[float(x) for x in row] for row in j.tangent_matrix(FRAME)]
+        return CandidateJ.from_tangent_matrix(_float_frame(FRAME), j6), j6
+    frame = random_rational_frame(rng) if exact else frame_at_float_point(rng, None)
+    if source == "flipped":
+        planes = tuple(k for k in (1, 2, 3) if rng.random() < 0.5)
+        j = CandidateJ.flipped(frame, planes)
+        return j, j.tangent_matrix(frame)
+    cls = None
+    if rng.random() < 0.5:
+        rho = elliptic_normal_form().pullback(random_invertible_rational(rng, 6))
+        cls = classify_3form(rho if exact else rho.as_float())
+    while cls is None or cls.tag != "elliptic":
+        rho = rand_form(rng, 6, 3, nterms=rng.randint(4, 20))
+        cls = classify_3form(rho if exact else rho.as_float())
+    j6 = cls.j_matrix
+    if isinstance(j6[0][0], float) and frame.mode == EXACT:
+        frame = _float_frame(frame)
+    return CandidateJ.from_tangent_matrix(frame, j6), j6
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    source=st.sampled_from(["compatible", "flipped", "elliptic"]),
+    exact=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_complex_basis_matches_the_replaced_loops(source, exact, seed):
+    """``default_eta_basis`` and ``_orientation_sign`` give the old vectors and signs, bit for bit."""
+    j, j6 = _structure_case(source, exact, seed)
+    assert _typed_bits(default_eta_basis(j)) == _typed_bits(default_eta_basis_reference(j))
+    float_j6 = isinstance(j6[0][0], float)
+    vol = standard_volume_form().as_float() if float_j6 else standard_volume_form()
+    tol = 1e-12 if float_j6 else 0.0
+    for m in (j6, minus(j6)):
+        assert _orientation_sign(m, vol, tol) == orientation_sign_reference(m, vol, tol)[0]

@@ -1,10 +1,13 @@
+import ast
 import json
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import g2kit
 from g2kit import jsonio
 from g2kit.cli import main
 from g2kit.forms import ExteriorForm
@@ -525,7 +528,8 @@ def _form(mode="exact", dim=6, degree=3, **term):
 # malformed documents that must exit 2: a vector or matrix that is not a JSON
 # array, a float entry that is not a number, a frame that is not 7x7, a
 # --vol that is not a nonzero 6-form on R^6, a JSON boolean where a number
-# belongs, and a dim, degree or index entry that is not a JSON integer
+# belongs, a dim, degree or index entry that is not a JSON integer, and a
+# chern document with a key outside mode, point, frame, frame_seed and J
 BAD_INPUTS = {
     "point-digit-string": ("chern", {"point": "1000000"}),
     "point-string": ("chern", {"point": "abc"}),
@@ -565,6 +569,9 @@ BAD_INPUTS = {
     "frame-seed-bool": ("chern", {"mode": "float", "point": _FLOAT_POINT, "frame_seed": True}),
     "frame-seed-float": ("chern", {"mode": "float", "point": _FLOAT_POINT, "frame_seed": 1.0}),
     "frame-seed-string": ("chern", {"mode": "float", "point": _FLOAT_POINT, "frame_seed": "1"}),
+    "chern-unknown-key-family": ("chern", {"mode": "exact", "family": "bogus"}),
+    "chern-misspelled-frame-seed": ("chern", {"frame_sed": 3}),
+    "chern-lowercase-j": ("chern", {"j": [_SEVEN] * 7}),
 }
 
 
@@ -599,3 +606,15 @@ def test_malformed_inputs_exit_2_under_optimize(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["2"] * len(BAD_INPUTS)
+
+
+def test_package_has_no_assert_statements():
+    """No check in the package is an ``assert``, which ``python -O`` strips."""
+    src = pathlib.Path(g2kit.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(list(src.glob("*.py"))) > 10 and found == []

@@ -22,7 +22,7 @@ from g2kit.g2 import (
 )
 from g2kit.sampling import random_g2_matrix, random_rational_frame, random_su3
 
-from conftest import e7, rand_vector
+from conftest import complex_frame_vector, e7, rand_vector
 
 
 def test_calibration_form_terms():
@@ -176,7 +176,7 @@ def test_theta_coframe_properties():
         assert th.evaluate([frame.x]) == ComplexRational(0)
         for k in (1, 2, 3):
             val = sum(
-                (th.coeff((i + 1,)) * frame.f(k)[i] for i in range(7)),
+                (th.coeff((i + 1,)) * complex_frame_vector(frame, k)[i] for i in range(7)),
                 start=ComplexRational(0),
             )
             expected = ComplexRational(0, Fraction(-1, 2)) if j == k else ComplexRational(0)

@@ -168,3 +168,20 @@ def test_scalars_read_as_before():
     for obj, mode, want in cases:
         got = jsonio.scalar_from_obj(obj, mode)
         assert type(got) is type(want) and repr(got) == repr(want), obj
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_repeated_indices_are_summed_however_spelled(mode):
+    """An exact repeat and a permuted repeat of an index both add their coefficients."""
+    one = "1" if mode == "exact" else 1.0
+
+    def doc(*terms):
+        return {"mode": mode, "dim": 6, "degree": 3, "terms": [
+            {"idx": idx, "re": re} for idx, re in terms
+        ]}
+
+    minus = "-1" if mode == "exact" else -1.0
+    two = ExteriorForm(6, 3, {(1, 2, 3): 2 if mode == "exact" else 2.0}, mode=mode)
+    assert jsonio.form_from_obj(doc(([1, 2, 3], one), ([1, 2, 3], one))) == two
+    assert jsonio.form_from_obj(doc(([1, 2, 3], one), ([2, 1, 3], minus))) == two
+    assert jsonio.form_from_obj(doc(([1, 2, 3], one), ([1, 2, 3], minus))).is_zero

@@ -24,7 +24,7 @@ from g2kit.sphere import (
     verify_domega_pointwise,
 )
 
-from conftest import e7
+from conftest import complex_frame_vector, e7
 
 
 def test_point_validation():
@@ -97,7 +97,7 @@ def test_upsilon_standard_point():
     # vectors (f_1, f_2, f_3) gives 8 * (-i/2)^3 = i
     from g2kit.scalars import ComplexRational
 
-    val = ups.evaluate([frame.f(1), frame.f(2), frame.f(3)])
+    val = ups.evaluate([complex_frame_vector(frame, k) for k in (1, 2, 3)])
     assert val == ComplexRational(0, 1)
     assert ups == 8 * frame.theta(1).wedge(frame.theta(2)).wedge(frame.theta(3))
     # the imaginary part is the tangential calibration form
