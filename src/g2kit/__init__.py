@@ -99,7 +99,6 @@ from .chern import (
     ChernData,
     TheoremContradictionError,
     canonical_eta_basis,
-    chern_residual,
     compute_rs,
     equivariance_check,
     index_from_h,

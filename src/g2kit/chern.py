@@ -17,6 +17,23 @@ the omega-index to (2,1) or (1,2).
 Frame gauge: rotating the adapted frame by g in SU(3) and the J-coframe by
 h in GL(3, C) maps (r, s) to (g^-1 r h, g^-1 s conj(h)); the vanishing of the
 residual is gauge-invariant.
+
+The four type formulas used here are proved in ``tests/test_chern.py`` as
+polynomial identities in r, s, conj(r) and conj(s), by substituting
+theta = r eta + s conj(eta):
+
+1. omega = 2i sum theta_j ^ conj(theta_j) has J-type matrices
+   (M20, M11 = 2i H, M02) (:func:`omega_type_components`);
+2. the metric on u-perp is 4 sym(gamma eta eta + (P + Q) eta conj(eta)
+   + conj(gamma) conj(eta) conj(eta)) (``gamma_matrix``, ``p_matrix``,
+   ``q_matrix``);
+3. Upsilon = 8 theta_1 theta_2 theta_3 has (3,0) and (0,3) coefficients
+   8 det r and 8 det s (:func:`upsilon_type_extremes`);
+4. the (3,0)-coefficient of 3 Im Upsilon = d(omega)|tan is
+   12i (det conj(s) - det r), 12i times ``residual``.
+
+The same tests evaluate each polynomial at computed data and compare it
+with the functions named above.
 """
 
 from __future__ import annotations
@@ -32,6 +49,8 @@ from .scalars import (
     ComplexRational,
     I_EXACT,
     Immutable,
+    join_modes,
+    matrix_mode,
     sabs,
     sconj,
     sim,
@@ -162,14 +181,21 @@ class CandidateJ(Immutable):
 
 
 class ChernData(Immutable):
-    """Transition matrices (r, s) and every invariant derived from them."""
+    """Transition matrices (r, s) and every invariant derived from them.
 
-    __slots__ = ("r", "s", "context")
+    ``mode`` is FLOAT when r or s holds a float entry and EXACT otherwise;
+    it is decided here, once, and every invariant reads it.
+    """
+
+    __slots__ = ("r", "s", "context", "mode")
 
     def __init__(self, r, s, context=None):
-        object.__setattr__(self, "r", tuple(tuple(x) for x in r))
-        object.__setattr__(self, "s", tuple(tuple(x) for x in s))
+        r, s = tuple(tuple(x) for x in r), tuple(tuple(x) for x in s)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
         object.__setattr__(self, "context", context)
+        mode = join_modes(matrix_mode(r), matrix_mode(s))
+        object.__setattr__(self, "mode", FLOAT if mode == FLOAT else EXACT)
 
     def _m(self, m):
         return [list(row) for row in m]
@@ -192,7 +218,7 @@ class ChernData(Immutable):
     def gamma_matrix(self):
         """(t(r) conj(s) + t(conj(s)) r) / 2: complex symmetric."""
         a = self._r_t_conj_s()
-        half = Fraction(1, 2) if not isinstance(a[0][0], (float, complex)) else 0.5
+        half = Fraction(1, 2) if self.mode == EXACT else 0.5
         return linalg.mat_scale(half, linalg.mat_add(a, linalg.transpose(a)))
 
     @property
@@ -258,18 +284,14 @@ class ChernData(Immutable):
         ``residual_normalized_abs`` against 1e-9: the raw float residual
         scales by det(h) with the eta basis, and so would a verdict on it.
         """
-        if isinstance(self.r[0][0], (float, complex)):
+        if self.mode == FLOAT:
             return self.residual_normalized_abs < 1e-9
         return self.residual == 0
 
 
-def chern_residual(data: ChernData):
-    return data.residual
-
-
 def upsilon_type_extremes(data: ChernData):
     """Coefficients (8 det r, 8 det s) of the (3,0) and (0,3) volume parts."""
-    eight = Fraction(8) if not isinstance(data.r[0][0], (float, complex)) else 8.0
+    eight = Fraction(8) if data.mode == EXACT else 8.0
     return (eight * data.det_r, eight * data.det_s)
 
 
@@ -279,7 +301,7 @@ def omega_type_components(data: ChernData):
     omega = t(eta)^M20 eta + t(eta)^M11 conj(eta) + t(conj(eta))^M02 conj(eta),
     with M20 = i(t(r) conj(s) - t(conj(s)) r), M11 = 2i H, M02 = conj(M20).
     """
-    float_mode = isinstance(data.r[0][0], (float, complex))
+    float_mode = data.mode == FLOAT
     i_unit = 1j if float_mode else I_EXACT
     a = data._r_t_conj_s()
     m20 = linalg.mat_scale(i_unit, linalg.mat_sub(a, linalg.transpose(a)))
@@ -298,7 +320,7 @@ def index_from_h(data: ChernData, tol=None):
     """
     h = data.h_matrix
     if tol is None:
-        tol = 1e-10 if isinstance(h[0][0], (float, complex)) else 0.0
+        tol = 1e-10 if data.mode == FLOAT else 0.0
     pos, neg = linalg.signature(h, tol)
     if data.residual_is_zero and (neg == 0 or pos == 0):
         raise TheoremContradictionError(
@@ -363,26 +385,30 @@ def compute_rs(j: CandidateJ, frame: AdaptedFrame, eta_basis=None) -> ChernData:
     """Transition matrices of J against the frame's reference coframe.
 
     eta_basis, when given, is a triple of tangent vectors forming a J-complex
-    basis (the coframe eta is its complex dual); otherwise a deterministic
-    basis is built from projected coordinate seeds.  The defining relation
+    basis (the coframe eta is its complex dual), and is checked to be one;
+    otherwise :func:`default_eta_basis` builds one.  The defining relation
     theta = r eta + s conj(eta) is solved exactly on the real basis
     (v_l, J v_l).
     """
     u = frame.x
     if j.point != u:
         raise ValueError("J and frame are based at different points")
-    basis = list(eta_basis) if eta_basis is not None else default_eta_basis(j)
-    if len(basis) != 3:
-        raise ValueError("eta basis must consist of three tangent vectors")
     exact = j.mode == EXACT and frame.mode == EXACT
-    for v in basis:
-        check_tangent(u, v, 1e-8)
+    if eta_basis is None:
+        basis = default_eta_basis(j)
+    else:
+        basis = list(eta_basis)
+        if len(basis) != 3:
+            raise ValueError("eta basis must consist of three tangent vectors")
+        for v in basis:
+            check_tangent(u, v, 1e-8)
     real_basis = []
     for v in basis:
         real_basis.append(tuple(v))
         real_basis.append(j.apply(v))
-    if linalg.rank([list(v) for v in real_basis], 0.0 if exact else 1e-8) != 6:
-        raise NotComplexStructureError("eta basis is not J-complexly independent")
+    if eta_basis is not None:  # default_eta_basis proved its basis independent
+        if linalg.rank([list(v) for v in real_basis], 0.0 if exact else 1e-8) != 6:
+            raise NotComplexStructureError("eta basis is not J-complexly independent")
 
     half = Fraction(1, 2) if exact else 0.5
     i_unit = I_EXACT if exact else 1j
@@ -395,71 +421,6 @@ def compute_rs(j: CandidateJ, frame: AdaptedFrame, eta_basis=None) -> ChernData:
             r[jrow][l] = half * (tv[jrow] - i_unit * tjv[jrow])
             s[jrow][l] = half * (tv[jrow] + i_unit * tjv[jrow])
     return ChernData(r, s, context={"frame": frame, "j": j, "eta_basis": [tuple(v) for v in basis]})
-
-
-def reconstruction_defects(data: ChernData):
-    """Exactness checks of the type decompositions against the frame data.
-
-    Returns (omega_defect, metric_defect): max deviation, over all real basis
-    pairs, of the reconstructed 2-form from iota_u phi and of the
-    reconstructed symmetric form from the ambient dot product.  The coframe
-    eta is dual to the J-basis, so eta(v_l) = e_l and eta(J v_l) = i e_l.
-    """
-    ctx = data.context
-    if not ctx:
-        raise ValueError("data has no frame context")
-    frame, j, basis = ctx["frame"], ctx["j"], ctx["eta_basis"]
-    u = frame.x
-    from .sphere import omega_at
-
-    omega = omega_at(u)
-    m20, m11, m02 = omega_type_components(data)
-    gamma = data.gamma_matrix
-    pq = linalg.mat_add(data.p_matrix, data.q_matrix)
-
-    i_unit = 1j if isinstance(data.r[0][0], (float, complex)) else I_EXACT
-    real_basis, evals = [], []
-    for l, v in enumerate(basis):
-        e_l = [1 if k == l else 0 for k in range(3)]
-        real_basis += [tuple(v), j.apply(v)]
-        evals += [e_l, [i_unit * x for x in e_l]]
-
-    def pairing(mat, ev, fw, conj_left, conj_right):
-        left = [sconj(x) for x in ev] if conj_left else ev
-        right = [sconj(x) for x in fw] if conj_right else fw
-        return sum(
-            (mat[a][b] * left[a] * right[b] for a in range(3) for b in range(3)),
-            start=mat[0][0] * 0,
-        )
-
-    om_defect = 0.0
-    g_defect = 0.0
-    n = len(real_basis)
-    for aa in range(n):
-        for bb in range(n):
-            ev, fw = evals[aa], evals[bb]
-            rec = (
-                (pairing(m20, ev, fw, False, False) - pairing(m20, fw, ev, False, False))
-                + (pairing(m11, ev, fw, False, True) - pairing(m11, fw, ev, False, True))
-                + (pairing(m02, ev, fw, True, True) - pairing(m02, fw, ev, True, True))
-            )
-            target = omega.evaluate([real_basis[aa], real_basis[bb]])
-            om_defect = max(om_defect, sabs(rec - target))
-            four = 4
-            rec_g = four * (
-                pairing(gamma, ev, fw, False, False)
-                + pairing(pq, ev, fw, False, True)
-                + pairing(linalg.mat_conj(gamma), ev, fw, True, True)
-            )
-            # symmetric forms pair by the symmetrized product
-            rec_g = (rec_g + four * (
-                pairing(gamma, fw, ev, False, False)
-                + pairing(pq, fw, ev, False, True)
-                + pairing(linalg.mat_conj(gamma), fw, ev, True, True)
-            )) / 2
-            target_g = dot(real_basis[aa], real_basis[bb])
-            g_defect = max(g_defect, sabs(rec_g - target_g))
-    return om_defect, g_defect
 
 
 # ---------------------------------------------------------------------------

@@ -270,14 +270,14 @@ def cmd_chern(args):
     family = args.family
     if args.input:
         doc = _load_json(args.input)
-        unknown = sorted(set(doc) - _CHERN_KEYS)
-        if unknown:
-            raise InputError(f"unknown keys {unknown}; a chern document has {sorted(_CHERN_KEYS)}")
+        jsonio._check_keys(doc, _CHERN_KEYS, "a chern document")
         mode = doc.get("mode", EXACT)
         if mode not in (EXACT, FLOAT):
             raise InputError(f"unknown mode {mode!r}")
         frame = _frame_from_input(doc, mode)
         if "J" in doc:
+            if family is not None:
+                raise InputError(f"--family {family} conflicts with the document's J")
             family = "from-input"
             try:
                 j = CandidateJ(frame.x, jsonio.matrix_from_obj(doc["J"], mode))
@@ -297,20 +297,18 @@ def cmd_chern(args):
     data = compute_rs(j, frame, eta)
     sig = index_from_h(data)
     residual = data.residual
-    exact = not isinstance(data.r[0][0], (float, complex))
     verdict = (
         f"residual zero: passes the necessary determinant condition, index ({sig[0]},{sig[1]})"
         if data.residual_is_zero
         else "residual nonzero: first-order obstruction to integrability present"
     )
-    rep_mode = EXACT if exact else FLOAT
     report = {
         "command": "chern",
-        "mode": rep_mode,
+        "mode": data.mode,
         "family": family,
-        "r": [[jsonio.scalar_to_obj(x, rep_mode) for x in row] for row in data.r],
-        "s": [[jsonio.scalar_to_obj(x, rep_mode) for x in row] for row in data.s],
-        "residual": jsonio.scalar_to_obj(residual, rep_mode),
+        "r": [[jsonio.scalar_to_obj(x, data.mode) for x in row] for row in data.r],
+        "s": [[jsonio.scalar_to_obj(x, data.mode) for x in row] for row in data.s],
+        "residual": jsonio.scalar_to_obj(residual, data.mode),
         "residual_normalized_abs": data.residual_normalized_abs,
         "H_signature": list(sig),
         "orientation": f"{data.orientation:+d}",

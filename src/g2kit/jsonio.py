@@ -82,7 +82,19 @@ def form_to_obj(form: ExteriorForm):
     }
 
 
+_FORM_KEYS = {"mode", "dim", "degree", "terms"}
+_TERM_KEYS = {"idx", "re", "im"}
+
+
+def _check_keys(obj, allowed, what):
+    """A misspelled key is an error, not a silently absent value."""
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        raise JsonFormatError(f"unknown keys {unknown}; {what} has {sorted(allowed)}")
+
+
 def form_from_obj(obj):
+    _check_keys(obj, _FORM_KEYS, "a form document")
     mode = obj.get("mode", EXACT)
     if mode not in (EXACT, FLOAT):
         raise JsonFormatError(f"unknown mode {mode!r}")
@@ -90,6 +102,7 @@ def form_from_obj(obj):
         dim, degree = _int_from_obj(obj["dim"], "dim"), _int_from_obj(obj["degree"], "degree")
         terms = {}  # a repeated idx adds, as a permuted one does in ExteriorForm
         for t in obj.get("terms", []):
+            _check_keys(t, _TERM_KEYS, "a term")
             idx, c = _index_from_obj(t["idx"]), scalar_from_obj(t, mode)
             terms[idx] = c if idx not in terms else terms[idx] + c
     except (KeyError, TypeError) as exc:

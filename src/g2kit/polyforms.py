@@ -5,8 +5,11 @@ calibration 3-form with the position field) and for exercising the exterior
 derivative: d is exact here, so d(d(a)) = 0 is a hard equality, not a
 numerical statement.
 
-Polynomials are sparse exponent-vector maps with Fraction coefficients.
-Total degree is capped (default 8) to keep accidental blowup loud.
+Polynomials are sparse exponent-vector maps with exact Gaussian-rational
+coefficients, stored as ``scalars.normalize_scalar`` leaves them (Fraction, or
+ComplexRational when the imaginary part is nonzero); a float coefficient
+raises :class:`~g2kit.scalars.MixedModeError`.  Total degree is capped
+(default 8) to keep accidental blowup loud.
 :class:`PolyCoefForm` is a thin wrapper over the sparse alternating-algebra
 kernel of :mod:`g2kit.forms` (``canonical_terms``, ``add_terms``,
 ``wedge_terms``, ``interior_terms``) with ``Poly`` as the coefficient ring.
@@ -23,9 +26,10 @@ from .forms import (
     interior_terms,
     wedge_terms,
 )
-from .scalars import Immutable
+from .scalars import ComplexRational, Immutable, MixedModeError, normalize_scalar, to_float
 
 DEGREE_CAP = 8
+_EXACT_SCALARS = (int, Fraction, ComplexRational)
 
 
 class DegreeCapError(ValueError):
@@ -33,7 +37,7 @@ class DegreeCapError(ValueError):
 
 
 class Poly(Immutable):
-    """Sparse polynomial in nvars variables over the rationals."""
+    """Sparse polynomial in nvars variables over the Gaussian rationals."""
 
     __slots__ = ("nvars", "terms")
 
@@ -45,7 +49,9 @@ class Poly(Immutable):
                 raise ValueError(f"bad exponent vector {expo} for {nvars} variables")
             if sum(expo) > DEGREE_CAP:
                 raise DegreeCapError(f"total degree {sum(expo)} exceeds cap {DEGREE_CAP}")
-            c = Fraction(c)
+            if isinstance(c, (float, complex)):
+                raise MixedModeError(f"Poly coefficients are exact, got {c!r}")
+            c = normalize_scalar(c)
             if c:
                 clean[expo] = c
         object.__setattr__(self, "nvars", nvars)
@@ -53,7 +59,7 @@ class Poly(Immutable):
 
     @classmethod
     def const(cls, nvars, c):
-        return cls(nvars, {tuple([0] * nvars): Fraction(c)})
+        return cls(nvars, {tuple([0] * nvars): c})
 
     @classmethod
     def var(cls, nvars, i):
@@ -72,8 +78,11 @@ class Poly(Immutable):
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
+    def _lift(self, other):
+        return other if isinstance(other, Poly) else Poly.const(self.nvars, other)
+
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _EXACT_SCALARS):
             other = Poly.const(self.nvars, other)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -83,9 +92,7 @@ class Poly(Immutable):
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.nvars, other)
-        return Poly(self.nvars, add_terms(self.terms, other.terms))
+        return Poly(self.nvars, add_terms(self.terms, self._lift(other).terms))
 
     __radd__ = __add__
 
@@ -93,13 +100,12 @@ class Poly(Immutable):
         return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.nvars, other)
-        return self + (-other)
+        return self + (-self._lift(other))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _EXACT_SCALARS):
             return Poly(self.nvars, {e: c * other for e, c in self.terms.items()})
+        other = self._lift(other)
         # e2 |-> e1 + e2 is injective, so each row is a term dict of its own.
         # The top-degree part of a product never cancels, so the constructor's
         # cap check sees every product that exceeds the cap.
@@ -124,10 +130,12 @@ class Poly(Immutable):
         return Poly(self.nvars, terms)
 
     def eval(self, point):
+        """The value at ``point``: exact at exact points, float otherwise."""
         point = list(point)
-        total = Fraction(0) if all(isinstance(x, (int, Fraction)) for x in point) else 0.0
+        exact = all(isinstance(x, _EXACT_SCALARS) for x in point)
+        total = Fraction(0) if exact else 0.0
         for e, c in self.terms.items():
-            v = c if isinstance(total, Fraction) else float(c)
+            v = c if exact else to_float(c)
             for x, k in zip(point, e):
                 for _ in range(k):
                     v = v * x

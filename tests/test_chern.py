@@ -9,7 +9,6 @@ from g2kit.chern import (
     CandidateJ,
     ChernData,
     canonical_eta_basis,
-    chern_residual,
     compute_rs,
     default_eta_basis,
     equivariance_check,
@@ -17,11 +16,11 @@ from g2kit.chern import (
     is_omega_compatible_data,
     omega_type_components,
     random_residual_zero_data,
-    reconstruction_defects,
     signature_dichotomy_sweep,
     upsilon_type_extremes,
 )
 from g2kit.compat import NotComplexStructureError, is_compatible_omega
+from g2kit.forms import add_terms, canonical_terms, wedge_terms
 from g2kit.g2 import AdaptedFrame, dot, frame_rotate, standard_frame
 from g2kit.sampling import (
     random_gl3_complex,
@@ -30,8 +29,16 @@ from g2kit.sampling import (
     random_su3,
     random_symplectic,
 )
-from g2kit.scalars import EXACT, ComplexRational, I_EXACT, to_float
-from g2kit.sphere import basis_point, frame_at_float_point, omega_at, standard_j
+from g2kit.polyforms import Poly
+from g2kit.scalars import EXACT, ComplexRational, I_EXACT, sconj, to_float
+from g2kit.sphere import (
+    basis_point,
+    frame_at_float_point,
+    omega_at,
+    phi_tangential,
+    standard_j,
+    upsilon_at,
+)
 from g2kit.threeforms import (
     _orientation_sign,
     classify_3form,
@@ -85,7 +92,7 @@ def test_standard_structure_matrices():
     data = compute_rs(j, FRAME, canonical_eta_basis(FRAME))
     assert data.r == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert all(not x for row in data.s for x in row)
-    assert chern_residual(data) == -1
+    assert data.residual == -1
     assert data.orientation == 1
     assert upsilon_type_extremes(data) == (8, 0)
     assert index_from_h(data) == (3, 0)
@@ -100,7 +107,7 @@ def test_minus_standard_structure():
     data = compute_rs(j, FRAME, canonical_eta_basis(FRAME))
     assert all(not x for row in data.r for x in row)
     assert data.s == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert chern_residual(data) == 1
+    assert data.residual == 1
     assert data.orientation == -1
     assert index_from_h(data) == (0, 3)
 
@@ -110,7 +117,7 @@ def test_flipped_family_matrices():
     data = compute_rs(j, FRAME, canonical_eta_basis(FRAME))
     assert data.r == ((1, 0, 0), (0, 0, 0), (0, 0, 0))
     assert data.s == ((0, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert chern_residual(data) == 0
+    assert data.residual == 0
     assert index_from_h(data) == (1, 2)
     assert data.orientation == 1
     assert upsilon_type_extremes(data) == (0, 0)
@@ -128,14 +135,14 @@ def test_flipped_family_at_random_frames(rng):
     frame = random_rational_frame(rng)
     j = CandidateJ.flipped(frame, (2, 3))
     data = compute_rs(j, frame, canonical_eta_basis(frame))
-    assert chern_residual(data) == 0
+    assert data.residual == 0
     assert index_from_h(data) == (1, 2)
     assert is_omega_compatible_data(data)
     # rotating within the stabilizer keeps the family's invariants
     rotated = frame_rotate(frame, random_su3(rng))
     j2 = CandidateJ.flipped(rotated, (2, 3))
     d2 = compute_rs(j2, rotated, canonical_eta_basis(rotated))
-    assert chern_residual(d2) == 0
+    assert d2.residual == 0
     assert index_from_h(d2) == (1, 2)
 
 
@@ -150,18 +157,18 @@ def test_constructed_equal_determinants_give_zero_residual():
     # det r = det(conj(s)) = 5 by construction
     r = [[Fraction(5), 0, 0], [0, Fraction(1), 0], [0, 0, Fraction(1)]]
     s = [[Fraction(5), 0, 0], [0, Fraction(1), 0], [0, 0, Fraction(1)]]
-    assert chern_residual(ChernData(r, s)) == 0
+    assert ChernData(r, s).residual == 0
 
 
 def test_default_eta_basis_gauge_free_verdicts(rng):
     """The default eta gauge changes (r, s) but not the exported verdicts."""
     j = CandidateJ.standard(E1)
     data = compute_rs(j, FRAME)  # default greedy basis
-    assert chern_residual(data) != 0
+    assert data.residual != 0
     assert index_from_h(data) == (3, 0)
     assert data.orientation == 1
-    om_defect, g_defect = reconstruction_defects(data)
-    assert om_defect == 0 and g_defect == 0
+    assert_defining_relation(data)
+    assert_formulas_hold_at(data)
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -179,8 +186,8 @@ def test_eta_basis_must_be_j_complexly_independent(exact):
 def test_reconstruction_random_compatible(rng):
     j = random_compatible_j(rng, FRAME)
     data = compute_rs(j, FRAME)
-    om_defect, g_defect = reconstruction_defects(data)
-    assert om_defect == 0 and g_defect == 0
+    assert_defining_relation(data)
+    assert_formulas_hold_at(data)
     assert is_omega_compatible_data(data)
 
 
@@ -203,9 +210,185 @@ def test_compatibility_bridge(rng):
     data_bad = compute_rs(j_bad, FRAME)
     assert not is_compatible_omega(om, j6_bad)
     assert not is_omega_compatible_data(data_bad)
-    # the type-decomposition reconstructions hold for any structure
-    om_defect, g_defect = reconstruction_defects(data_bad)
-    assert om_defect == 0 and g_defect == 0
+    # the type decompositions hold for any structure, and here M20 is nonzero
+    assert_defining_relation(data_bad)
+    assert_formulas_hold_at(data_bad)
+    assert any(x for row in omega_type_components(data_bad)[0] for x in row)
+
+
+# ---------------------------------------------------------------------------
+# Chern's type formulas as polynomial identities
+#
+# Substitute theta_j = sum_a r_ja eta_a + s_ja conj(eta_a) with 36 formal
+# variables: r, s, conj(r) and conj(s), the conjugates independent of r and s.
+# Forms are term dicts over the six generators eta_1..3 (indices 1..3) and
+# conj(eta)_1..3 (indices 4..6), with Poly coefficients.  Each formula of
+# chern.py is then an equality of polynomials, proved once for every (r, s);
+# assert_formulas_hold_at ties the code's matrices to these polynomials.
+# ---------------------------------------------------------------------------
+
+NV = 36
+R, S, RB, SB = (
+    [[Poly.var(NV, 9 * block + 3 * j + a + 1) for a in range(3)] for j in range(3)]
+    for block in range(4)
+)
+ZERO = Poly(NV)
+PERMUTATIONS = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))
+
+
+def conj_poly(p):
+    """r <-> conj(r), s <-> conj(s), and each coefficient conjugated."""
+    return Poly(NV, {e[18:] + e[:18]: sconj(c) for e, c in p.terms.items()})
+
+
+def conj_terms(terms):
+    """The conjugate form: eta <-> conj(eta) on the indices, conj_poly on the coefficients."""
+    flip = {i: i + 3 if i <= 3 else i - 3 for i in range(1, 7)}
+    return canonical_terms(
+        {tuple(flip[i] for i in idx): conj_poly(p) for idx, p in terms.items()}, lambda p: p
+    )
+
+
+def scale_terms(c, terms):
+    return {idx: p * c for idx, p in terms.items()}
+
+
+def product(m1, m2):
+    """(t(m1) m2)_ab = sum_j m1_ja m2_jb."""
+    return [[sum((m1[j][a] * m2[j][b] for j in range(3)), ZERO) for b in range(3)]
+            for a in range(3)]
+
+
+def det3(m):
+    return sum((sign * m[0][p[0]] * m[1][p[1]] * m[2][p[2]] for p, sign in PERMUTATIONS), ZERO)
+
+
+def tensor_terms(alpha, beta):
+    """alpha (x) beta for 1-forms, keyed by ordered generator pairs."""
+    return {(i, k): a * b for (i,), a in alpha.items() for (k,), b in beta.items()}
+
+
+def symmetrize(t):
+    half = Fraction(1, 2)
+    keys = {(i, k) for i, k in t} | {(k, i) for i, k in t}
+    out = {key: (t.get(key, ZERO) + t.get(key[::-1], ZERO)) * half for key in keys}
+    return {key: p for key, p in out.items() if p}
+
+
+def sum_terms(dicts):
+    out = {}
+    for d in dicts:
+        out = add_terms(out, d)
+    return out
+
+
+THETA = [{**{(a + 1,): R[j][a] for a in range(3)}, **{(a + 4,): S[j][a] for a in range(3)}}
+         for j in range(3)]
+THETA_BAR = [conj_terms(t) for t in THETA]
+
+# the matrices of chern.py, spelled as polynomials
+A = product(R, SB)  # t(r) conj(s)
+A_T = [[A[b][a] for b in range(3)] for a in range(3)]
+P, Q = product(R, RB), product(SB, S)
+M20 = [[I_EXACT * (A[a][b] - A_T[a][b]) for b in range(3)] for a in range(3)]
+M11 = [[2 * I_EXACT * (P[a][b] - Q[a][b]) for b in range(3)] for a in range(3)]
+M02 = [[conj_poly(x) for x in row] for row in M20]
+GAMMA = [[(A[a][b] + A_T[a][b]) * Fraction(1, 2) for b in range(3)] for a in range(3)]
+
+# omega = 2i sum_j theta_j ^ conj(theta_j) and Upsilon = 8 theta_1 ^ theta_2 ^ theta_3
+OMEGA = scale_terms(2 * I_EXACT, sum_terms(wedge_terms(t, tb) for t, tb in zip(THETA, THETA_BAR)))
+UPSILON = scale_terms(8, wedge_terms(wedge_terms(THETA[0], THETA[1]), THETA[2]))
+THREE_IM_UPSILON = scale_terms(  # 3 (Upsilon - conj(Upsilon)) / 2i
+    Fraction(3, 2) * -I_EXACT, add_terms(UPSILON, scale_terms(-1, conj_terms(UPSILON)))
+)
+
+
+def test_omega_type_decomposition_is_an_identity():
+    """omega = sum M20_ab eta_a^eta_b + M11_ab eta_a^conj(eta_b) + M02_ab conj(eta_a)^conj(eta_b)."""
+    by_type = {}
+    for a in range(3):
+        for b in range(3):
+            by_type[a + 1, b + 1] = M20[a][b]
+            by_type[a + 1, b + 4] = M11[a][b]
+            by_type[a + 4, b + 4] = M02[a][b]
+    assert OMEGA == canonical_terms(by_type, lambda p: p)
+    assert max(p.total_degree() for p in OMEGA.values()) == 2
+
+
+def test_metric_from_gamma_and_p_plus_q_is_an_identity():
+    """g = 2 sum_j (theta_j conj(theta_j) + conj(theta_j) theta_j), by J-type.
+
+    sym 4 (gamma_ab eta_a eta_b + (P + Q)_ab eta_a conj(eta_b)
+    + conj(gamma)_ab conj(eta_a) conj(eta_b)).
+    """
+    metric = symmetrize(scale_terms(4, sum_terms(
+        tensor_terms(t, tb) for t, tb in zip(THETA, THETA_BAR))))
+    by_type = {}
+    for a in range(3):
+        for b in range(3):
+            by_type[a + 1, b + 1] = GAMMA[a][b]
+            by_type[a + 1, b + 4] = P[a][b] + Q[a][b]
+            by_type[a + 4, b + 4] = conj_poly(GAMMA[a][b])
+    assert metric == symmetrize(scale_terms(4, by_type))
+
+
+def test_upsilon_type_extremes_are_an_identity():
+    """The (3,0) and (0,3) coefficients of Upsilon are 8 det r and 8 det s."""
+    assert UPSILON[1, 2, 3] == 8 * det3(R)
+    assert UPSILON[4, 5, 6] == 8 * det3(S)
+    assert len(UPSILON) == 20 and max(p.total_degree() for p in UPSILON.values()) == 3
+
+
+def test_volume_residual_is_an_identity():
+    """The (3,0)-coefficient of 3 Im Upsilon = d(omega)|tan is 12i (det conj(s) - det r)."""
+    assert THREE_IM_UPSILON[1, 2, 3] == 12 * I_EXACT * (det3(SB) - det3(R))
+    assert det3(SB) == conj_poly(det3(S))
+
+
+def test_theta_coframe_normalisation(rng):
+    """The coframe of frame.theta carries omega, the metric and Upsilon as substituted above."""
+    for frame in (FRAME, random_rational_frame(rng)):
+        u, cols = frame.x, frame.tangent_columns()
+        thetas = [frame.theta(j) for j in (1, 2, 3)]
+        wedges = [t.wedge(t.conj()) for t in thetas]
+        assert 2 * I_EXACT * (wedges[0] + wedges[1] + wedges[2]) == omega_at(u)
+        upsilon = upsilon_at(u, frame)
+        assert upsilon == 8 * thetas[0].wedge(thetas[1]).wedge(thetas[2])
+        assert upsilon.imag() == phi_tangential(u)
+        for v in cols:
+            for w in cols:
+                values = [(t.evaluate([v]), t.evaluate([w])) for t in thetas]
+                assert dot(v, w) == 2 * sum(
+                    (x * sconj(y) + sconj(x) * y for x, y in values), ComplexRational(0)
+                )
+
+
+def assert_formulas_hold_at(data):
+    """The code's matrices are the proved polynomials at the data's (r, s, conj r, conj s)."""
+    point = [x for m in (data.r, data.s) for row in m for x in row]
+    point += [sconj(x) for x in point]
+
+    def at(m):
+        return [[p.eval(point) for p in row] for row in m]
+
+    assert omega_type_components(data) == (at(M20), at(M11), at(M02))
+    assert data.gamma_matrix == at(GAMMA)
+    assert (data.p_matrix, data.q_matrix) == (at(P), at(Q))
+    assert upsilon_type_extremes(data) == (UPSILON[1, 2, 3].eval(point), UPSILON[4, 5, 6].eval(point))
+    assert 12 * I_EXACT * data.residual == THREE_IM_UPSILON[1, 2, 3].eval(point)
+
+
+def assert_defining_relation(data):
+    """theta_j(v_l) = r_jl + s_jl and theta_j(J v_l) = i (r_jl - s_jl), through frame.theta."""
+    frame, j = data.context["frame"], data.context["j"]
+    for l, v in enumerate(data.context["eta_basis"]):
+        jv = j.apply(v)
+        for row in range(3):
+            theta = frame.theta(row + 1)
+            r, s = data.r[row][l], data.s[row][l]
+            assert theta.evaluate([v]) == r + s
+            assert theta.evaluate([jv]) == I_EXACT * (r - s)
 
 
 def test_index_routes_agree():
@@ -293,6 +476,7 @@ def test_contradiction_error_guard():
         h_matrix = [[Fraction(1 if a == b else 0) for b in range(3)] for a in range(3)]
         residual = Fraction(0)
         residual_is_zero = True
+        mode = EXACT
 
     with pytest.raises(TheoremContradictionError):
         idx(Impossible())

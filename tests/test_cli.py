@@ -151,6 +151,21 @@ def test_chern_accepts_valid_j(tmp_path):
     assert report["residual_normalized_abs"] > 0.01
 
 
+@pytest.mark.parametrize("family", ["standard", "minus-standard", "flip23"])
+def test_chern_family_conflicting_with_input_j_exits_2(family, tmp_path, capsys):
+    """A --family cannot be honoured for a document that supplies its own J."""
+    from g2kit.chern import CandidateJ
+    from g2kit.sphere import basis_point
+
+    j = CandidateJ.standard(basis_point(1))
+    path = tmp_path / "j.json"
+    path.write_text(json.dumps({"J": [[str(Fraction(x)) for x in row] for row in j.matrix]}))
+    code, out, err = run_main(["chern", "--input", str(path), "--family", family], capsys)
+    assert (code, out) == (2, "") and "input error" in err
+    code, out, _ = run_main(["chern", "--input", str(path)], capsys)
+    assert code == 0 and json.loads(out)["family"] == "from-input"
+
+
 def test_chern_rejects_off_sphere_point(tmp_path):
     doc = {"mode": "float", "point": [2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}
     path = tmp_path / "off.json"
@@ -529,7 +544,9 @@ def _form(mode="exact", dim=6, degree=3, **term):
 # array, a float entry that is not a number, a frame that is not 7x7, a
 # --vol that is not a nonzero 6-form on R^6, a JSON boolean where a number
 # belongs, a dim, degree or index entry that is not a JSON integer, and a
-# chern document with a key outside mode, point, frame, frame_seed and J
+# chern document with a key outside mode, point, frame, frame_seed and J,
+# and a form document with a key outside mode, dim, degree and terms, or a
+# term with a key outside idx, re and im
 BAD_INPUTS = {
     "point-digit-string": ("chern", {"point": "1000000"}),
     "point-string": ("chern", {"point": "abc"}),
@@ -572,6 +589,12 @@ BAD_INPUTS = {
     "chern-unknown-key-family": ("chern", {"mode": "exact", "family": "bogus"}),
     "chern-misspelled-frame-seed": ("chern", {"frame_sed": 3}),
     "chern-lowercase-j": ("chern", {"j": [_SEVEN] * 7}),
+    "form-term-value-key": ("classify-3form", {
+        **jsonio.form_to_obj(elliptic_normal_form()),
+        "terms": [{"idx": t["idx"], "value": t["re"]}
+                  for t in jsonio.form_to_obj(elliptic_normal_form())["terms"]],
+    }),
+    "form-root-dims-key": ("classify-3form", {**_form(), "dims": 7}),
 }
 
 

@@ -12,6 +12,7 @@ from g2kit.polyforms import (
     ext_d,
     position_field,
 )
+from g2kit.scalars import ComplexRational, I_EXACT, MixedModeError
 
 
 def rand_poly(rng, nvars, max_deg=3, nterms=3):
@@ -38,6 +39,31 @@ def test_poly_arithmetic():
     assert (p * q).eval([1, 1, 0]) == (1 + 2) * (1 - Fraction(1, 2))
     assert p.diff(2) == Poly.const(3, 2)
     assert (p * p).total_degree() == 2
+
+
+@pytest.mark.parametrize("c", [0.1, 1.0, 0.0, 1j, -2.5 + 0j])
+def test_poly_rejects_float_coefficients(c):
+    """A float coefficient is an error, not a silently stored binary fraction."""
+    with pytest.raises(MixedModeError):
+        Poly(1, {(0,): c})
+    with pytest.raises(MixedModeError):
+        Poly.var(2, 1) * c
+    with pytest.raises(MixedModeError):
+        Poly.var(2, 1) + c
+
+
+def test_poly_gaussian_coefficients():
+    x, y = Poly.var(2, 1), Poly.var(2, 2)
+    p = x * I_EXACT + y * ComplexRational(1, -2)
+    assert p.terms == {(1, 0): I_EXACT, (0, 1): ComplexRational(1, -2)}
+    # (x + iy)(x - iy) = x^2 + y^2: imaginary parts cancel to Fraction coefficients
+    norm = (x + I_EXACT * y) * (x - I_EXACT * y)
+    assert norm == x * x + y * y
+    assert all(type(c) is Fraction for c in norm.terms.values())
+    # evaluation stays exact at Gaussian-rational points
+    value = p.eval([ComplexRational(Fraction(1, 3), 1), Fraction(2)])
+    assert value == ComplexRational(1, Fraction(-11, 3)) and type(value) is ComplexRational
+    assert p.eval([0.5, 1.0]) == 1.0 - 1.5j
 
 
 def test_poly_degree_cap():
