@@ -123,23 +123,23 @@ def _decompose(omega, domega, tol):
 
 
 def elliptic_definite_check(
-    omega: ExteriorForm, domega: ExteriorForm, orientation: ExteriorForm = None, tol=1e-12
+    omega: ExteriorForm, domega: ExteriorForm, tol=1e-12
 ) -> EllipticDefiniteReport:
     """Classify the primitive part of domega and the hermitian signature of omega.
 
-    orientation defaults to omega^3.  For an elliptic primitive part, J is the
-    structure recovered from it (inducing the given orientation) and the
-    signature is the :func:`~g2kit.compat.hermitian_index` of
-    g(v, w) = omega(v, Jw); the verdict is elliptic-definite iff that signature is (3, 0).
+    For an elliptic primitive part, J is the structure recovered from it
+    (inducing the orientation of omega^3) and the signature is the
+    :func:`~g2kit.compat.hermitian_index` of g(v, w) = omega(v, Jw); the
+    verdict is elliptic-definite iff that signature is (3, 0).
     """
     decomp, om2 = _decompose(omega, domega, 0.0 if omega.mode == EXACT else tol)
-    if orientation is None:  # omega^2 of the decomposition, unless it ran on a float copy
-        orientation = (om2 if om2.mode == omega.mode else omega.wedge(omega)).wedge(omega)
+    # omega^3 from the omega^2 of the decomposition, unless it ran on a float copy
+    orientation = (om2 if om2.mode == omega.mode else omega.wedge(omega)).wedge(omega)
     cls = classify_3form(decomp.pi, orientation, tol)
     if cls.tag != "elliptic":
         return EllipticDefiniteReport(cls.tag, None, None, False, decomp)
     j = cls.j_matrix
-    float_mode = isinstance(j[0][0], (float, complex)) or omega.mode == FLOAT
+    float_mode = cls.mode == FLOAT or omega.mode == FLOAT
     om = omega.as_float() if (float_mode and omega.mode == EXACT) else omega
     zero = 0.0 if float_mode else Fraction(0)
     omat = [[om.coeff((a, b)) if a != b else zero for b in range(1, 7)] for a in range(1, 7)]

@@ -79,7 +79,10 @@ class CandidateJ(Immutable):
     """An almost-complex structure on the tangent space at one sphere point.
 
     Stored as the ambient 7x7 matrix that kills u and squares to minus the
-    projection onto u-perp.
+    projection onto u-perp.  Point and matrix share one mode, or MixedModeError.
+    Float defects must be within ``tol * max(1, max|J_ij|)^2``, as the rounding
+    error of J^2 grows with |J|^2; pickles written before the immutable base
+    pass ``tol``, so it stays a parameter.
     """
 
     __slots__ = ("point", "matrix", "mode")
@@ -87,9 +90,7 @@ class CandidateJ(Immutable):
     def __init__(self, point, matrix, tol=1e-10):
         u = point_vector(point)
         rows = tuple(tuple(r) for r in matrix)
-        mode = FLOAT if (vector_mode(u) == FLOAT or any(
-            isinstance(x, (float, complex)) for row in rows for x in row
-        )) else EXACT
+        mode = FLOAT if join_modes(vector_mode(u), matrix_mode(rows)) == FLOAT else EXACT
         self._validate(u, rows, mode, tol)
         object.__setattr__(self, "point", u)
         object.__setattr__(self, "matrix", rows)
@@ -113,7 +114,8 @@ class CandidateJ(Immutable):
         if mode == EXACT:
             bad = any(x != 0 for x in defects)
         else:
-            bad = any(abs(to_float(x)) > tol for x in defects)
+            bound = tol * max(1.0, max(abs(x) for row in rows for x in row)) ** 2
+            bad = any(abs(to_float(x)) > bound for x in defects)
         if bad:
             raise NotComplexStructureError(
                 "matrix is not a complex structure on the tangent space at u"
@@ -310,18 +312,15 @@ def omega_type_components(data: ChernData):
     return m20, m11, m02
 
 
-def index_from_h(data: ChernData, tol=None):
-    """Signature (p, q) of H; raises if H is degenerate.
+def index_from_h(data: ChernData):
+    """Signature (p, q) of H, pivoting at 1e-10 for float data; raises if H is degenerate.
 
     When the residual vanishes a definite H contradicts the determinant
     monotonicity argument, so that combination raises
     :class:`TheoremContradictionError` (and is exercised by randomized search
     in the test suite, which confirms it is never constructible).
     """
-    h = data.h_matrix
-    if tol is None:
-        tol = 1e-10 if data.mode == FLOAT else 0.0
-    pos, neg = linalg.signature(h, tol)
+    pos, neg = linalg.signature(data.h_matrix, 1e-10 if data.mode == FLOAT else 0.0)
     if data.residual_is_zero and (neg == 0 or pos == 0):
         raise TheoremContradictionError(
             f"residual-zero datum with definite H (signature ({pos},{neg}))"
@@ -329,11 +328,10 @@ def index_from_h(data: ChernData, tol=None):
     return (pos, neg)
 
 
-def is_omega_compatible_data(data: ChernData, tol=0.0):
-    """omega^(2,0) = 0, i.e. t(r) conj(s) is symmetric."""
+def is_omega_compatible_data(data: ChernData):
+    """omega^(2,0) = 0, i.e. t(r) conj(s) is symmetric, exactly."""
     a = data._r_t_conj_s()
-    pairs = [(a[i][j], a[j][i]) for i in range(3) for j in range(i + 1, 3)]
-    return all(x == y if tol == 0.0 else sabs(x - y) <= tol for x, y in pairs)
+    return all(a[i][j] == a[j][i] for i in range(3) for j in range(i + 1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +367,16 @@ def canonical_eta_basis(frame: AdaptedFrame):
     ]
 
 
-def default_eta_basis(j: CandidateJ, tol=1e-8):
+def default_eta_basis(j: CandidateJ):
     """Greedy J-complex basis of u-perp from projected coordinate seeds.
 
     Seeds e_a - (u.e_a) u are taken in index order; a seed is kept when it
-    grows the real span together with its J-image (:func:`compat.complex_basis`).
+    grows the real span together with its J-image (:func:`compat.complex_basis`,
+    at pivot tolerance 1e-8 for a float J).
     """
     u = j.point
     seeds = (tuple((1 if i == a else 0) - u[a] * u[i] for i in range(7)) for a in range(7))
-    pairs = complex_basis(seeds, j.apply, 3, 0.0 if j.mode == EXACT else tol)
+    pairs = complex_basis(seeds, j.apply, 3, 0.0 if j.mode == EXACT else 1e-8)
     return [v for v, _ in pairs]
 
 

@@ -126,8 +126,7 @@ def cmd_classify_3form(args):
         "pass": True,
     }
     if cls.j_matrix is not None:
-        jmode = FLOAT if isinstance(cls.j_matrix[0][0], (float, complex)) else EXACT
-        result["J"] = jsonio.matrix_to_obj(cls.j_matrix, jmode)
+        result["J"] = jsonio.matrix_to_obj(cls.j_matrix, cls.mode)
         result["upsilon"] = jsonio.form_to_obj(cls.upsilon)
     return _emit(result, args)
 

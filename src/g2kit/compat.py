@@ -10,7 +10,8 @@ The package builds every J-complex basis here (:func:`complex_basis`) and
 halves every hermitian inertia here (:func:`hermitian_index`).
 
 Signatures are computed by exact congruence reduction over the rationals
-(see :mod:`g2kit.linalg`), never by eigenvalues.
+(see :mod:`g2kit.linalg`), never by eigenvalues.  Exact matrices are
+compared exactly and float ones within the fixed tolerance 1e-10.
 """
 
 from __future__ import annotations
@@ -36,21 +37,18 @@ def _is_zero_matrix(m, tol):
     return all(sabs(x) <= tol for row in m for x in row)
 
 
-def _tol_for(m, tol):
-    if tol is not None:
-        return tol
+def _tol_for(m):
     return 1e-10 if matrix_mode(m) == FLOAT else 0.0
 
 
-def check_complex_structure(j, tol=None):
+def check_complex_structure(j):
     j = [list(r) for r in j]
     n = len(j)
     if n % 2 or any(len(r) != n for r in j):
         raise NotComplexStructureError("complex structures need even square matrices")
-    t = _tol_for(j, tol)
     jj = linalg.mat_mul(j, j)
     defect = [[jj[a][b] + (1 if a == b else 0) for b in range(n)] for a in range(n)]
-    if not _is_zero_matrix(defect, t):
+    if not _is_zero_matrix(defect, _tol_for(j)):
         raise NotComplexStructureError("J^2 != -I")
     return j
 
@@ -75,24 +73,22 @@ def standard_symplectic_matrix(n):
     return o
 
 
-def induced_metric(omega, j, tol=None):
+def induced_metric(omega, j):
     """g(v, w) = omega(v, Jw) as a matrix; symmetric iff the pair is compatible."""
     omega = [list(r) for r in omega]
-    t = _tol_for(omega, tol)
     try:
-        linalg.inverse(omega, t)
+        linalg.inverse(omega, _tol_for(omega))
     except DegenerateFormError:
         raise DegenerateFormError("omega is degenerate") from None
     return linalg.mat_mul(omega, j)
 
 
-def is_compatible_omega(omega, j, tol=None):
+def is_compatible_omega(omega, j):
     """omega(Jv, Jw) = omega(v, w), i.e. t(J) omega J = omega."""
     omega = [list(r) for r in omega]
-    j = check_complex_structure(j, tol)
-    t = _tol_for(omega, tol)
+    j = check_complex_structure(j)
     lhs = linalg.mat_mul(linalg.transpose(j), linalg.mat_mul(omega, j))
-    return _is_zero_matrix(linalg.mat_sub(lhs, omega), t)
+    return _is_zero_matrix(linalg.mat_sub(lhs, omega), _tol_for(omega))
 
 
 def complex_basis(seeds, apply_j, n, tol):
@@ -121,12 +117,12 @@ def hermitian_index(g, tol):
     return (pos // 2, neg // 2)
 
 
-def omega_index(omega, j, tol=None):
+def omega_index(omega, j):
     """The (p, q) with p + q = n such that the induced metric has inertia (2p, 2q)."""
-    if not is_compatible_omega(omega, j, tol):
+    if not is_compatible_omega(omega, j):
         raise IncompatiblePairError("pair is not omega-compatible")
-    g = induced_metric(omega, j, tol)
-    return hermitian_index(g, _tol_for(g, tol))
+    g = induced_metric(omega, j)
+    return hermitian_index(g, _tol_for(g))
 
 
 # ---------------------------------------------------------------------------

@@ -118,8 +118,8 @@ def g2_defect(matrix) -> ExteriorForm:
     return phi.pullback(matrix) - phi
 
 
-def is_g2(matrix, tol=None) -> bool:
-    """Whether the 7x7 matrix preserves phi (exactly, or within tol for floats).
+def is_g2(matrix) -> bool:
+    """Whether the 7x7 matrix preserves phi (exactly, or within DEFAULT_TOL for floats).
 
     g preserves phi if and only if it is orthogonal and preserves the cross
     product, since phi fixes the metric and the orientation (Harvey-Lawson,
@@ -139,8 +139,7 @@ def is_g2(matrix, tol=None) -> bool:
     if cleared is not None:
         return _is_g2_cleared(cleared)
     if matrix_mode(rows) == FLOAT:
-        t = DEFAULT_TOL if tol is None else tol
-        close = lambda a, b: abs(a - b) < t
+        close = lambda a, b: abs(a - b) < DEFAULT_TOL
     else:
         close = lambda a, b: a == b
     for i in range(7):
@@ -196,12 +195,12 @@ class AdaptedFrame(Immutable):
 
     __slots__ = ("matrix", "mode")
 
-    def __init__(self, matrix, check=True, tol=None):
+    def __init__(self, matrix, check=True):
         rows = tuple(tuple(r) for r in matrix)
         if len(rows) != 7 or any(len(r) != 7 for r in rows):
             raise FrameConstructionError("a frame is a 7x7 matrix")
         mode = EXACT if matrix_mode(rows) != FLOAT else FLOAT
-        if check and not is_g2(rows, tol):
+        if check and not is_g2(rows):
             raise FrameConstructionError("matrix does not preserve phi")
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "mode", mode)
@@ -236,24 +235,24 @@ class AdaptedFrame(Immutable):
         return f"AdaptedFrame(x={self.x})"
 
 
-def adapted_frame(u, v, w, tol=None) -> AdaptedFrame:
+def adapted_frame(u, v, w) -> AdaptedFrame:
     """Complete an orthonormal triple with phi(u,v,w) = 0 to a group element.
 
     Columns: u, v, u x v, w, u x w, v x w, -(u x v) x w.  The standard triple
     (e1, e2, e4) completes to the identity.  The triple is checked to be
-    admissible, and the completed frame is verified once by ``AdaptedFrame``;
-    the construction fails hard if the completion does not preserve phi.
+    admissible (float triples within DEFAULT_TOL), and the completed frame is
+    verified once by ``AdaptedFrame``; the construction fails hard if the
+    completion does not preserve phi.
     """
     u, v, w = tuple(u), tuple(v), tuple(w)
     mode = join_modes(join_modes(vector_mode(u), vector_mode(v)), vector_mode(w))
     mode = FLOAT if mode == FLOAT else EXACT
-    t = DEFAULT_TOL if tol is None else tol
 
     def check(value, name):
         if mode == EXACT:
             if value != 0:
                 raise FrameConstructionError(f"triple not admissible: {name} = {value}")
-        elif abs(to_float(value)) > t:
+        elif abs(to_float(value)) > DEFAULT_TOL:
             raise FrameConstructionError(f"triple not admissible: {name} = {value}")
 
     check(dot(u, u) - 1, "|u|^2 - 1")
@@ -265,7 +264,7 @@ def adapted_frame(u, v, w, tol=None) -> AdaptedFrame:
     check(dot(cross(u, v), w), "phi(u,v,w)")
 
     try:
-        return AdaptedFrame(_completion_rows(u, v, w), check=True, tol=tol)
+        return AdaptedFrame(_completion_rows(u, v, w), check=True)
     except FrameConstructionError as exc:
         raise FrameConstructionError(
             "cross-product completion failed the membership check"

@@ -3,7 +3,8 @@
 numpy cannot do rational arithmetic, and the classification verdicts in this
 package (signatures, ranks, kernel dimensions) must be tolerance-free, so the
 handful of routines needed are written out over a generic scalar type.  They
-also run on floats (pass a pivot tolerance) for the sampling paths.
+also run on floats (pass a pivot tolerance) for the sampling paths;
+``det`` and ``kernel_dim`` always pivot exactly, at tolerance 0.
 
 Rational and Gaussian-rational inputs run fraction-free: ``mat_mul`` and
 ``mat_vec`` clear each row's and column's denominators once, form the sums
@@ -16,7 +17,7 @@ one check per call: ``_det_z`` on int rows (closed form up to 3x3, else
 Bareiss elimination; Bareiss, Sylvester's identity and multistep
 integer-preserving Gaussian elimination, Math. Comp. 22, 1968), and
 ``_det_elim``, the generic elimination for float, complex and mixed rows,
-unrolled for 2x2 and 3x3 rows at tol 0 (``_det_elim2``/``3``).
+unrolled for 2x2 and 3x3 rows (``_det_elim2``/``3``).
 Results equal the generic path's in value and in type, and float arithmetic
 order is unchanged.
 
@@ -225,8 +226,8 @@ def mat_scale(c, a):
     return [[c * x for x in row] for row in a]
 
 
-def identity(n, one=Fraction(1)):
-    return [[one if i == j else one * 0 for j in range(n)] for i in range(n)]
+def identity(n):
+    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
 def _pivot_row(rows, col, start, tol):
@@ -277,20 +278,20 @@ def _det_z(a):
     return _bareiss(a)
 
 
-def _det_elim(a, tol=0.0):
-    """Determinant by elimination, pivots as ``_pivot_row``; rows of ``a`` are replaced.
+def _det_elim(a):
+    """Determinant by elimination, the first nonzero entry as pivot; rows of ``a`` are replaced.
 
-    At ``tol == 0``, 2x2 and 3x3 input runs the same operations unrolled: the
-    same pivots, the same row updates (skipped below a zero entry), and the
-    pivots multiplied left to right.
+    2x2 and 3x3 input runs the same operations unrolled: the same pivots, the
+    same row updates (skipped below a zero entry), and the pivots multiplied
+    left to right.
     """
     n = len(a)
-    if tol == 0.0 and n in (2, 3):
+    if n in (2, 3):
         return _det_elim2(a) if n == 2 else _det_elim3(a)
     sign = 1
     result = None
     for c in range(n):
-        p = _pivot_row(a, c, c, tol)
+        p = _pivot_row(a, c, c, 0.0)
         if p is None:
             return a[0][0] * 0
         if p != c:
@@ -298,7 +299,7 @@ def _det_elim(a, tol=0.0):
             sign = -sign
         piv = a[c][c]
         for r in range(c + 1, n):
-            if _nz(a[r][c], tol):
+            if a[r][c]:
                 f = a[r][c] / piv
                 a[r] = [x - f * y for x, y in zip(a[r], a[c])]
         result = piv if result is None else result * piv
@@ -306,7 +307,7 @@ def _det_elim(a, tol=0.0):
 
 
 def _det_elim2(a):
-    """``_det_elim`` of a 2x2 matrix at tol 0, unrolled; ``a`` is only read."""
+    """``_det_elim`` of a 2x2 matrix, unrolled; ``a`` is only read."""
     (p, q), (r, t) = a
     if not p:  # swap the rows, unless r is zero too
         if not r:
@@ -318,7 +319,7 @@ def _det_elim2(a):
 
 
 def _det_elim3(a):
-    """``_det_elim`` of a 3x3 matrix at tol 0, unrolled; ``a`` is only read."""
+    """``_det_elim`` of a 3x3 matrix, unrolled; ``a`` is only read."""
     r0, r1, r2 = a
     neg = not r0[0]
     if neg:
@@ -346,13 +347,13 @@ def _det_elim3(a):
     return -(p * c1 * e2) if neg else p * c1 * e2
 
 
-def det(m, tol=0.0):
+def det(m):
     """Rational input runs ``_det_z`` on cleared rows, anything else ``_det_elim``."""
     n = len(m)
-    rows = _cleared_over_z(m) if n and tol == 0.0 else None
+    rows = _cleared_over_z(m) if n else None
     if rows is not None and all(len(nums) == n for nums, _ in rows):
         return Fraction(_det_z([nums for nums, _ in rows]), prod(d for _, d in rows))
-    return _det_elim(_fx_rows(m), tol)
+    return _det_elim(_fx_rows(m))
 
 
 def _gauss_jordan(a, n, tol, message):
@@ -410,8 +411,8 @@ def rank(m, tol=0.0):
     return r
 
 
-def kernel_dim(m, tol=0.0):
-    return len(m[0]) - rank(m, tol) if m else 0
+def kernel_dim(m):
+    return len(m[0]) - rank(m) if m else 0
 
 
 def _transvect(s, a, b, c):

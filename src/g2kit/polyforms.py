@@ -102,6 +102,9 @@ class Poly(Immutable):
     def __sub__(self, other):
         return self + (-self._lift(other))
 
+    def __rsub__(self, other):
+        return self._lift(other) + (-self)
+
     def __mul__(self, other):
         if isinstance(other, _EXACT_SCALARS):
             return Poly(self.nvars, {e: c * other for e, c in self.terms.items()})

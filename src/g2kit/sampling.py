@@ -38,12 +38,9 @@ def gaussian_unit_pair(rng):
     )
 
 
-def _su2_embed(i, j, c, s, size=3):
-    """Identity with the block [[c, -conj(s)], [s, conj(c)]] in rows/cols i, j."""
-    m = [
-        [ComplexRational(1 if a == b else 0) for b in range(size)]
-        for a in range(size)
-    ]
+def _su2_embed(i, j, c, s):
+    """The 3x3 identity with the block [[c, -conj(s)], [s, conj(c)]] in rows/cols i, j."""
+    m = [[ComplexRational(1 if a == b else 0) for b in range(3)] for a in range(3)]
     m[i][i] = c
     m[i][j] = -s.conjugate()
     m[j][i] = s
@@ -51,25 +48,20 @@ def _su2_embed(i, j, c, s, size=3):
     return m
 
 
-def random_su3(rng, factors=3):
+def random_su3(rng):
     """Random exact special-unitary 3x3 matrix over the Gaussian rationals."""
     out = [[ComplexRational(1 if a == b else 0) for b in range(3)] for a in range(3)]
-    pairs = [(0, 1), (1, 2), (0, 2)]
-    for k in range(factors):
+    for i, j in ((0, 1), (1, 2), (0, 2)):
         c, s = gaussian_unit_pair(rng)
-        i, j = pairs[k % 3]
         out = linalg.mat_mul(out, _su2_embed(i, j, c, s))
     return out
 
 
-def random_gl3_complex(rng, bound=3):
-    """Random invertible 3x3 matrix over the Gaussian rationals."""
+def random_gl3_complex(rng):
+    """Random invertible 3x3 matrix with Gaussian-integer entries in [-3, 3] + [-3, 3]i."""
     while True:
         m = [
-            [
-                ComplexRational(rng.randint(-bound, bound), rng.randint(-bound, bound))
-                for _ in range(3)
-            ]
+            [ComplexRational(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3)]
             for _ in range(3)
         ]
         if linalg.det(m):
@@ -85,15 +77,16 @@ def random_invertible_rational(rng, n, bound=4):
             return m
 
 
-def random_symmetric_rational(rng, n, bound=3):
+def random_symmetric_rational(rng, n):
+    """Random symmetric n x n matrix with integer entries in [-2, 2]."""
     m = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            m[i][j] = m[j][i] = Fraction(rng.randint(-bound, bound))
+            m[i][j] = m[j][i] = Fraction(rng.randint(-2, 2))
     return m
 
 
-def random_symplectic(rng, omega_matrix, bound=2):
+def random_symplectic(rng, omega_matrix):
     """Cayley transform (I - A)(I + A)^-1 of a random hamiltonian A.
 
     A = Omega^-1 S with S symmetric satisfies t(A) Omega + Omega A = 0, and
@@ -103,7 +96,7 @@ def random_symplectic(rng, omega_matrix, bound=2):
     om_inv = linalg.inverse([list(r) for r in omega_matrix])
     ident = linalg.identity(n)
     while True:
-        s = random_symmetric_rational(rng, n, bound)
+        s = random_symmetric_rational(rng, n)
         a = linalg.mat_mul(om_inv, s)
         try:
             cay = linalg.mat_mul(
@@ -124,18 +117,18 @@ def _frame_at_e4():
     return _completion_rows(e(4), e(5), e(2))
 
 
-def random_g2_matrix(rng, factors=2) -> list:
+def random_g2_matrix(rng) -> list:
     """Random exact matrix preserving the calibration form.
 
-    Product of special-unitary stabilizer rotations about e1 interleaved with
-    the fixed frame based at e4; two factors already move the base point over
-    a dense set of rational sphere points.  The product is not verified here;
-    :func:`random_rational_frame` verifies it.
+    Two factors rot . hop . rot, each rot a special-unitary stabilizer rotation
+    about e1 and hop the fixed frame based at e4, already move the base point
+    over a dense set of rational sphere points.  The product is not verified
+    here; :func:`random_rational_frame` verifies it.
     """
     std = standard_frame()
     hop = _frame_at_e4()
     total = None
-    for _ in range(factors):
+    for _ in range(2):
         rot1 = _rotation_rows(std, random_su3(rng))
         rot2 = _rotation_rows(std, random_su3(rng))
         piece = linalg.mat_mul(rot1, linalg.mat_mul(hop, rot2))
@@ -143,18 +136,18 @@ def random_g2_matrix(rng, factors=2) -> list:
     return total
 
 
-def random_rational_frame(rng, factors=2) -> AdaptedFrame:
+def random_rational_frame(rng) -> AdaptedFrame:
     """Random exact adapted frame (hence a random rational sphere point).
 
     This is where the assembled product is verified, once.
     """
-    return AdaptedFrame(random_g2_matrix(rng, factors))
+    return AdaptedFrame(random_g2_matrix(rng))
 
 
-def random_rational_tangent(rng, u, bound=5):
-    """Random rational tangent vector at a rational sphere point."""
+def random_rational_tangent(rng, u):
+    """Random rational tangent vector at u: an integer vector in [-5, 5]^7, projected."""
     while True:
-        z = [Fraction(rng.randint(-bound, bound)) for _ in range(7)]
+        z = [Fraction(rng.randint(-5, 5)) for _ in range(7)]
         p = sum(a * b for a, b in zip(z, u))
         v = tuple(a - p * b for a, b in zip(z, u))
         if any(v):

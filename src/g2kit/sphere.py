@@ -29,11 +29,11 @@ class NotTangentError(ValueError):
 
 
 class SpherePoint(Immutable):
-    """A unit vector in R^7 (exact rational or float)."""
+    """A unit vector in R^7 (exact rational, or float with |u|^2 within UNIT_TOL of 1)."""
 
     __slots__ = ("u", "mode")
 
-    def __init__(self, u, tol=UNIT_TOL):
+    def __init__(self, u):
         u = tuple(u)
         if len(u) != 7:
             raise ValueError("sphere points live in R^7")
@@ -42,8 +42,8 @@ class SpherePoint(Immutable):
         if mode == EXACT:
             if n != 1:
                 raise ValueError(f"|u|^2 = {n} != 1")
-        elif abs(n - 1.0) > tol:
-            raise ValueError(f"|u|^2 = {n} deviates from 1 beyond {tol}")
+        elif abs(n - 1.0) > UNIT_TOL:
+            raise ValueError(f"|u|^2 = {n} deviates from 1 beyond {UNIT_TOL}")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "mode", mode)
 
@@ -76,10 +76,10 @@ def check_tangent(u, v, tol=UNIT_TOL):
         raise NotTangentError(f"u.v = {p} != 0")
 
 
-def standard_j(u, v, tol=UNIT_TOL):
-    """The invariant almost-complex structure: v |-> u x v on tangent vectors."""
+def standard_j(u, v):
+    """The invariant almost-complex structure: v |-> u x v on tangent v (checked at UNIT_TOL)."""
     u = point_vector(u)
-    check_tangent(u, v, tol)
+    check_tangent(u, v)
     return cross(u, v)
 
 
@@ -124,11 +124,17 @@ def ambient_omega_extension() -> PolyCoefForm:
 
 
 @functools.cache
-def _ambient_identity_holds() -> bool:
-    """d(iota_E phi) == 3 phi, symbolically; a constant, so computed once per process."""
-    return ext_d(ambient_omega_extension()) == PolyCoefForm.from_constant_form(
+def _exact_identities(upsilon_scale):
+    """(d(iota_E phi) == 3 phi symbolically, Im(Upsilon) == phi|tan exactly at e1).
+
+    Constants for each ``upsilon_scale``, so computed once per process and scale.
+    """
+    symbolic = ext_d(ambient_omega_extension()) == PolyCoefForm.from_constant_form(
         associative_three_form()
     ).scale(3)
+    e1 = basis_point(1)
+    defect = upsilon_at(e1, standard_frame(), upsilon_scale).imag() - phi_tangential(e1)
+    return symbolic, defect.is_zero
 
 
 def nijenhuis_closed_form(u, X, Y):
@@ -209,11 +215,7 @@ def verify_domega_pointwise(samples, seed, tol=DEFAULT_TOL, upsilon_scale=8):
     """
     import random
 
-    symbolic_ok = _ambient_identity_holds()
-
-    e1 = basis_point(1)
-    exact_defect_form = upsilon_at(e1, standard_frame(), upsilon_scale).imag() - phi_tangential(e1)
-    exact_zero = exact_defect_form.is_zero
+    symbolic_ok, exact_zero = _exact_identities(upsilon_scale)
 
     max_defect = 0.0
     rng = random.Random(seed)

@@ -22,24 +22,30 @@ from itertools import combinations
 from . import linalg
 from .compat import check_complex_structure, complex_basis
 from .forms import ExteriorForm
-from .scalars import EXACT, FLOAT, I_EXACT, Immutable, normalize_scalar, sqrt_fraction, to_float
+from .scalars import (
+    EXACT, FLOAT, I_EXACT, Immutable, matrix_mode, normalize_scalar, sqrt_fraction, to_float
+)
 
 
 class ThreeFormClass(Immutable):
-    """Classification result: tag, discriminant, and elliptic extras.
+    """Classification result: tag, discriminant, mode, and elliptic extras.
 
-    ``upsilon`` is built by :func:`recover_upsilon` on first access, and cached.
+    ``mode`` is that of the result and of ``j_matrix``: EXACT for exact input,
+    unless -lambda of an elliptic form is not a rational square.  ``upsilon``
+    is built by :func:`recover_upsilon` on first access, and cached.
     """
 
-    __slots__ = ("tag", "discriminant", "j_matrix", "sqrt_is_exact", "_rho", "_upsilon")
+    # mode comes last, so that the slots of earlier pickles keep their order
+    __slots__ = ("tag", "discriminant", "j_matrix", "sqrt_is_exact", "_rho", "_upsilon", "mode")
 
-    def __init__(self, tag, discriminant, j_matrix=None, upsilon=None, sqrt_is_exact=True, rho=None):
+    def __init__(self, tag, discriminant, mode, j_matrix=None, sqrt_is_exact=True, rho=None):
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "discriminant", discriminant)
         object.__setattr__(self, "j_matrix", j_matrix)
         object.__setattr__(self, "sqrt_is_exact", sqrt_is_exact)
         object.__setattr__(self, "_rho", rho)
-        object.__setattr__(self, "_upsilon", upsilon)
+        object.__setattr__(self, "_upsilon", None)
+        object.__setattr__(self, "mode", mode)
 
     @property
     def upsilon(self):
@@ -68,8 +74,8 @@ def elliptic_normal_form() -> ExteriorForm:
     )
 
 
-def standard_volume_form(dim=6) -> ExteriorForm:
-    return ExteriorForm(dim, dim, {tuple(range(1, dim + 1)): Fraction(1)})
+def standard_volume_form() -> ExteriorForm:
+    return ExteriorForm(6, 6, {(1, 2, 3, 4, 5, 6): Fraction(1)})
 
 
 def _basis_vec(dim, a, float_mode):
@@ -178,7 +184,7 @@ def _discriminant_of(k):
 
 def _orientation_sign(j, vol, tol):
     """Sign of vol on the J-adapted basis (v1, Jv1, v2, Jv2, v3, Jv3) of coordinate seeds."""
-    float_mode = isinstance(j[0][0], (float, complex))
+    float_mode = matrix_mode(j) == FLOAT
     seeds = (_basis_vec(6, a, float_mode) for a in range(6))
     pairs = complex_basis(seeds, lambda v: tuple(linalg.mat_vec(j, list(v))), 3, tol)
     val = vol.evaluate([x for pair in pairs for x in pair])
@@ -194,7 +200,7 @@ def recover_upsilon(rho: ExteriorForm, j) -> ExteriorForm:
     structure is rejected outright.
     """
     check_complex_structure(j)
-    float_mode = rho.mode == FLOAT or isinstance(j[0][0], (float, complex))
+    float_mode = rho.mode == FLOAT or matrix_mode(j) == FLOAT
     if float_mode:
         rho = rho.as_float()
     third = (1.0 / 3.0) if float_mode else Fraction(1, 3)
@@ -230,9 +236,9 @@ def classify_3form(rho: ExteriorForm, vol: ExteriorForm = None, tol=1e-12) -> Th
     # lambda has degree 4 in rho and -2 in vol, and so has the float bound
     bound = 0 if exact else tol * rho.norm_inf() ** 4 / abs(vol.terms[(1, 2, 3, 4, 5, 6)]) ** 2
     if abs(lam) <= bound:
-        return ThreeFormClass("degenerate", lam)
+        return ThreeFormClass("degenerate", lam, rho.mode)
     if to_float(lam) > 0:
-        return ThreeFormClass("split", lam)
+        return ThreeFormClass("split", lam, rho.mode)
 
     sqrt_is_exact = True
     if exact:
@@ -250,4 +256,4 @@ def classify_3form(rho: ExteriorForm, vol: ExteriorForm = None, tol=1e-12) -> Th
     if _orientation_sign(j, vol, pivot_tol) < 0:
         j = [[-x for x in row] for row in j]
     check_complex_structure(j)
-    return ThreeFormClass("elliptic", lam, j_matrix=j, sqrt_is_exact=sqrt_is_exact, rho=rho)
+    return ThreeFormClass("elliptic", lam, rho.mode, j, sqrt_is_exact, rho)

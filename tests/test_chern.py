@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from g2kit import linalg
 from g2kit.chern import (
@@ -30,7 +30,7 @@ from g2kit.sampling import (
     random_symplectic,
 )
 from g2kit.polyforms import Poly
-from g2kit.scalars import EXACT, ComplexRational, I_EXACT, sconj, to_float
+from g2kit.scalars import EXACT, ComplexRational, I_EXACT, MixedModeError, sconj, to_float
 from g2kit.sphere import (
     basis_point,
     frame_at_float_point,
@@ -85,6 +85,13 @@ def test_candidate_validation():
     ident = [[Fraction(1 if i == j else 0) for j in range(7)] for i in range(7)]
     with pytest.raises(NotComplexStructureError):
         CandidateJ(E1, ident)
+
+
+def test_candidate_rejects_a_float_matrix_at_an_exact_point():
+    """The point and the matrix share one mode, as in every other value class."""
+    j = [[float(x) for x in row] for row in CandidateJ.standard(FRAME.x).matrix]
+    with pytest.raises(MixedModeError):
+        CandidateJ(FRAME.x, j)
 
 
 def test_standard_structure_matrices():
@@ -877,12 +884,16 @@ def _structure_case(source, exact, seed):
     return CandidateJ.from_tangent_matrix(frame, j6), j6
 
 
+# seed 199 gives a float symplectic conjugate with max|J| near 1.4e4, and seed
+# 13118 one with a J^2 defect of 4.66e-10; an absolute 1e-10 bound rejected both
 @settings(max_examples=40, deadline=None)
 @given(
     source=st.sampled_from(["compatible", "flipped", "elliptic"]),
     exact=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(source="compatible", exact=False, seed=199)
+@example(source="compatible", exact=False, seed=13118)
 def test_complex_basis_matches_the_replaced_loops(source, exact, seed):
     """``default_eta_basis`` and ``_orientation_sign`` give the old vectors and signs, bit for bit."""
     j, j6 = _structure_case(source, exact, seed)
@@ -892,3 +903,18 @@ def test_complex_basis_matches_the_replaced_loops(source, exact, seed):
     tol = 1e-12 if float_j6 else 0.0
     for m in (j6, minus(j6)):
         assert _orientation_sign(m, vol, tol) == orientation_sign_reference(m, vol, tol)[0]
+
+
+@pytest.mark.parametrize("seed", [199, 13118])
+def test_float_candidate_bound_scales_with_the_entries(seed):
+    """A float J with large entries is accepted; one entry moved by 1e-6 max|J| is not.
+
+    The rounding error of J^2 grows with |J|^2, and so does the defect bound.
+    """
+    j, _ = _structure_case("compatible", False, seed)
+    rows = [list(r) for r in j.matrix]
+    big = max(abs(x) for row in rows for x in row)
+    a, b = next((a, b) for a in range(7) for b in range(7) if abs(rows[a][b]) == big)
+    rows[a][b] += 1e-6 * big
+    with pytest.raises(NotComplexStructureError):
+        CandidateJ(j.point, rows)

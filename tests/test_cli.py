@@ -641,3 +641,71 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert len(list(src.glob("*.py"))) > 10 and found == []
+
+
+# CandidateJ.tol: pickles written before the immutable base call the
+# constructor with three arguments, so it stays a parameter
+_NEVER_SET_ALLOWED = {"chern.CandidateJ.tol"}
+
+
+def _nodes(node, cls=None):
+    """(node, parent, name of the nearest enclosing class) for every node below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        yield child, node, cls
+        yield from _nodes(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+
+def _defaults(fn, module, cls):
+    """(qualified name, callee name, parameter, position or None) of each default of ``fn``.
+
+    The callee of ``__init__`` is its class; positions skip ``self``/``cls``
+    and are None for keyword-only parameters.
+    """
+    a = fn.args
+    static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+    method = cls is not None and not static
+    callee = cls if fn.name == "__init__" else fn.name
+    qual = ".".join(x for x in (module, cls, fn.name) if x and x != "__init__")
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    for k, arg in enumerate(positional[first:], first):
+        yield f"{qual}.{arg.arg}", callee, arg.arg, k - method
+    for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+        if default is not None:
+            yield f"{qual}.{arg.arg}", callee, arg.arg, None
+
+
+def _sets(call, name, pos):
+    """Whether ``call`` passes the parameter ``name`` at position ``pos``."""
+    return (
+        any(isinstance(x, ast.Starred) for x in call.args)
+        or any(k.arg in (None, name) for k in call.keywords)
+        or (pos is not None and len(call.args) > pos)
+    )
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    """A default that no call in src, tests, bench or demos overrides is a constant.
+
+    A call counts when its callee's name matches (the class for ``__init__``,
+    the enclosing class for ``cls(...)``) and it passes the parameter by
+    keyword, by position, or through ``*``/``**`` arguments.
+    """
+    root = pathlib.Path(__file__).resolve().parents[1]
+    params, calls = [], {}
+    for folder in ("src", "tests", "bench", "demos"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for node, parent, cls in _nodes(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    calls.setdefault(cls if name == "cls" else name, []).append(node)
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if path.parent.name == "g2kit":
+                        method_of = cls if isinstance(parent, ast.ClassDef) else None
+                        params.extend(_defaults(node, path.stem, method_of))
+    never = {
+        qual
+        for qual, callee, name, pos in params
+        if not any(_sets(call, name, pos) for call in calls.get(callee, ()))
+    }
+    assert len(params) > 20 and never == _NEVER_SET_ALLOWED

@@ -251,9 +251,9 @@ def test_random_rational_frame_checks_once(monkeypatch):
     calls = []
     original = g2.is_g2
 
-    def counting(matrix, tol=None):
+    def counting(matrix):
         calls.append(1)
-        return original(matrix, tol)
+        return original(matrix)
 
     monkeypatch.setattr(g2, "is_g2", counting)
     random_rational_frame(random.Random(0))

@@ -41,6 +41,12 @@ def test_poly_arithmetic():
     assert (p * p).total_degree() == 2
 
 
+def test_scalar_minus_poly():
+    x = Poly.var(2, 1)
+    assert 1 - x == -(x - 1) == Poly(2, {(0, 0): 1, (1, 0): -1})
+    assert (Fraction(1, 2) - x).eval([3, 0]) == Fraction(-5, 2)
+
+
 @pytest.mark.parametrize("c", [0.1, 1.0, 0.0, 1j, -2.5 + 0j])
 def test_poly_rejects_float_coefficients(c):
     """A float coefficient is an error, not a silently stored binary fraction."""
