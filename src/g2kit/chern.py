@@ -100,17 +100,13 @@ class CandidateJ(Immutable):
     def _validate(u, rows, mode, tol):
         if len(rows) != 7 or any(len(r) != 7 for r in rows):
             raise NotComplexStructureError("ambient matrix must be 7x7")
-        au = linalg.mat_vec([list(r) for r in rows], list(u))
-        atu = linalg.mat_vec(linalg.transpose([list(r) for r in rows]), list(u))
-        sq = linalg.mat_mul([list(r) for r in rows], [list(r) for r in rows])
+        au = linalg.mat_vec(rows, u)
+        atu = linalg.mat_vec(linalg.transpose(rows), u)
+        sq = linalg.mat_mul(rows, rows)
         proj = [
             [(1 if a == b else 0) - u[a] * u[b] for b in range(7)] for a in range(7)
         ]
-        defects = (
-            [x for x in au]
-            + [x for x in atu]
-            + [sq[a][b] + proj[a][b] for a in range(7) for b in range(7)]
-        )
+        defects = au + atu + [sq[a][b] + proj[a][b] for a in range(7) for b in range(7)]
         if mode == EXACT:
             bad = any(x != 0 for x in defects)
         else:
@@ -122,7 +118,7 @@ class CandidateJ(Immutable):
             )
 
     def apply(self, v):
-        return tuple(linalg.mat_vec([list(r) for r in self.matrix], list(v)))
+        return tuple(linalg.mat_vec(self.matrix, v))
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -199,22 +195,19 @@ class ChernData(Immutable):
         mode = join_modes(matrix_mode(r), matrix_mode(s))
         object.__setattr__(self, "mode", FLOAT if mode == FLOAT else EXACT)
 
-    def _m(self, m):
-        return [list(row) for row in m]
-
     def _r_t_conj_s(self):
         """t(r) conj(s); its transpose is t(conj(s)) r."""
-        return linalg.mat_mul(linalg.transpose(self._m(self.r)), linalg.mat_conj(self._m(self.s)))
+        return linalg.mat_mul(linalg.transpose(self.r), linalg.mat_conj(self.s))
 
     @property
     def p_matrix(self):
         """t(r) conj(r): positive semi-definite hermitian."""
-        return linalg.mat_mul(linalg.transpose(self._m(self.r)), linalg.mat_conj(self._m(self.r)))
+        return linalg.mat_mul(linalg.transpose(self.r), linalg.mat_conj(self.r))
 
     @property
     def q_matrix(self):
         """t(conj(s)) s: positive semi-definite hermitian."""
-        return linalg.mat_mul(linalg.transpose(linalg.mat_conj(self._m(self.s))), self._m(self.s))
+        return linalg.mat_mul(linalg.transpose(linalg.mat_conj(self.s)), self.s)
 
     @property
     def gamma_matrix(self):
@@ -230,11 +223,11 @@ class ChernData(Immutable):
 
     @property
     def det_r(self):
-        return linalg.det(self._m(self.r))
+        return linalg.det(self.r)
 
     @property
     def det_s(self):
-        return linalg.det(self._m(self.s))
+        return linalg.det(self.s)
 
     @property
     def residual(self):
@@ -243,8 +236,8 @@ class ChernData(Immutable):
 
     @property
     def block_matrix(self):
-        r, s = self._m(self.r), self._m(self.s)
-        top = [r[i] + s[i] for i in range(3)]
+        r, s = self.r, self.s
+        top = [[*r[i], *s[i]] for i in range(3)]
         bot = [
             [sconj(x) for x in s[i]] + [sconj(x) for x in r[i]] for i in range(3)
         ]
@@ -345,7 +338,7 @@ def _theta_values(frame: AdaptedFrame, v):
     for j in (1, 2, 3):
         a, b = frame.col(2 * j), frame.col(2 * j + 1)
         da, db = dot(a, v), dot(b, v)
-        if exact and vector_mode(v) != FLOAT:
+        if exact:
             out.append(ComplexRational(Fraction(db) / 2, -Fraction(da) / 2))
         else:
             out.append((to_float(db) - 1j * to_float(da)) / 2.0)
@@ -406,7 +399,7 @@ def compute_rs(j: CandidateJ, frame: AdaptedFrame, eta_basis=None) -> ChernData:
         real_basis.append(tuple(v))
         real_basis.append(j.apply(v))
     if eta_basis is not None:  # default_eta_basis proved its basis independent
-        if linalg.rank([list(v) for v in real_basis], 0.0 if exact else 1e-8) != 6:
+        if linalg.rank(real_basis, 0.0 if exact else 1e-8) != 6:
             raise NotComplexStructureError("eta basis is not J-complexly independent")
 
     half = Fraction(1, 2) if exact else 0.5
@@ -448,13 +441,11 @@ def equivariance_check(j: CandidateJ, frame: AdaptedFrame, g_su3, h_gl3, eta_bas
         new_basis.append(tuple(vec))
     transformed = compute_rs(j, rot_frame, new_basis)
 
-    g_inv = linalg.inverse([list(row) for row in g_su3])
-    expect_r = linalg.mat_mul(g_inv, linalg.mat_mul([list(r) for r in base.r], [list(r) for r in h_gl3]))
-    expect_s = linalg.mat_mul(
-        g_inv, linalg.mat_mul([list(r) for r in base.s], linalg.mat_conj([list(r) for r in h_gl3]))
-    )
+    g_inv = linalg.inverse(g_su3)
+    expect_r = linalg.mat_mul(g_inv, linalg.mat_mul(base.r, h_gl3))
+    expect_s = linalg.mat_mul(g_inv, linalg.mat_mul(base.s, linalg.mat_conj(h_gl3)))
     exact = j.mode == EXACT and frame.mode == EXACT
-    det_h = linalg.det([list(r) for r in h_gl3])
+    det_h = linalg.det(h_gl3)
     res_expected = det_h * base.residual
     if not exact:
         # relative tolerances: r and s scale with h, and the residual with
@@ -473,8 +464,8 @@ def equivariance_check(j: CandidateJ, frame: AdaptedFrame, g_su3, h_gl3, eta_bas
         else sabs(transformed.residual - res_expected) < res_tol
     )
     report = {
-        "r_transforms": close([list(r) for r in transformed.r], expect_r),
-        "s_transforms": close([list(r) for r in transformed.s], expect_s),
+        "r_transforms": close(transformed.r, expect_r),
+        "s_transforms": close(transformed.s, expect_s),
         "residual_scales_by_det_h": res_ok,
         "residual_vanishing_invariant": base.residual_is_zero == transformed.residual_is_zero,
     }

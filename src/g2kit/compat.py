@@ -37,8 +37,9 @@ def _is_zero_matrix(m, tol):
     return all(sabs(x) <= tol for row in m for x in row)
 
 
-def _tol_for(m):
-    return 1e-10 if matrix_mode(m) == FLOAT else 0.0
+def _tol_for(*ms):
+    """The tolerance of the matrices' joint mode; exact and float together raise MixedModeError."""
+    return 1e-10 if matrix_mode([row for m in ms for row in m]) == FLOAT else 0.0
 
 
 def check_complex_structure(j):
@@ -77,7 +78,7 @@ def induced_metric(omega, j):
     """g(v, w) = omega(v, Jw) as a matrix; symmetric iff the pair is compatible."""
     omega = [list(r) for r in omega]
     try:
-        linalg.inverse(omega, _tol_for(omega))
+        linalg.inverse(omega, _tol_for(omega, j))
     except DegenerateFormError:
         raise DegenerateFormError("omega is degenerate") from None
     return linalg.mat_mul(omega, j)
@@ -87,8 +88,9 @@ def is_compatible_omega(omega, j):
     """omega(Jv, Jw) = omega(v, w), i.e. t(J) omega J = omega."""
     omega = [list(r) for r in omega]
     j = check_complex_structure(j)
+    tol = _tol_for(omega, j)
     lhs = linalg.mat_mul(linalg.transpose(j), linalg.mat_mul(omega, j))
-    return _is_zero_matrix(linalg.mat_sub(lhs, omega), _tol_for(omega))
+    return _is_zero_matrix(linalg.mat_sub(lhs, omega), tol)
 
 
 def complex_basis(seeds, apply_j, n, tol):
@@ -175,18 +177,18 @@ def compatibility_space_dims(n):
     m_omega = _linear_map_matrix(omega_lin, m)
     m_metric = _linear_map_matrix(metric_lin, m)
 
-    total = linalg.kernel_dim(m_anti)
-    omega_dim = linalg.kernel_dim(m_anti + m_omega)
-    metric_dim = linalg.kernel_dim(m_anti + m_metric)
+    # each rank is computed once; a kernel dimension is the m * m columns minus it
+    ranks = [linalg.rank(x) for x in (m_anti, m_anti + m_omega, m_anti + m_metric)]
+    total, omega_dim, metric_dim = (m * m - r for r in ranks)
     return {
         "n": n,
         "total": total,
         "omega_compatible": omega_dim,
         "g_compatible": metric_dim,
         "evidence": {
-            "rank_anticommutator": linalg.rank(m_anti),
-            "rank_with_omega_condition": linalg.rank(m_anti + m_omega),
-            "rank_with_metric_condition": linalg.rank(m_anti + m_metric),
+            "rank_anticommutator": ranks[0],
+            "rank_with_omega_condition": ranks[1],
+            "rank_with_metric_condition": ranks[2],
             "matrix_space_dim": m * m,
         },
     }

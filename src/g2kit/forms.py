@@ -24,6 +24,7 @@ from math import prod
 
 from . import linalg
 from .scalars import (
+    ANY,
     EXACT,
     FLOAT,
     ComplexRational,
@@ -95,19 +96,26 @@ def _mask(key):
 # Term dicts map strictly increasing index tuples to coefficients of any ring
 # whose zero is falsy (scalars, Poly, ComplexRational).  Zero coefficients are
 # never stored.  ExteriorForm, polyforms.PolyCoefForm and dga.DgaElement are
-# thin wrappers over these functions.
+# thin wrappers over these functions, and all three build their terms from
+# user input with ``canonical_terms``.
 # ---------------------------------------------------------------------------
 
 def canonical_terms(terms, coerce):
-    """Sort each key by sign, coerce its coefficient, sum repeated keys, drop zeros."""
+    """Sort each key by sign, coerce its coefficient, sum repeated keys, drop zeros.
+
+    An odd permutation negates its coefficient as ``-1 * c`` before ``coerce``
+    (so a float complex keeps a real part of +0.0), and the sum on a repeated
+    key is coerced again.
+    """
     out = {}
     for idx, c in terms.items():
         key, sign = sort_sign(idx)
         if sign == 0:
             continue
-        c = coerce(c) if sign == 1 else -coerce(c)
+        c = coerce(c if sign == 1 else -1 * c)
         acc = out.get(key)
-        c = c if acc is None else acc + c
+        if acc is not None:
+            c = coerce(acc + c)
         if c:
             out[key] = c
         else:
@@ -174,30 +182,24 @@ class ExteriorForm(Immutable):
         # degree > dim is allowed but forces the zero form (no valid tuples)
         if degree < 0:
             raise DegreeError(f"negative degree {degree}")
-        clean = {}
+        terms = terms or {}
         inferred = None
-        for idx, coeff in (terms or {}).items():
+        for idx, coeff in terms.items():
             idx = tuple(idx)
             if len(idx) != degree:
                 raise InvalidIndexError(f"tuple {idx} has length != degree {degree}")
             if any(not 1 <= i <= dim for i in idx):
                 raise InvalidIndexError(f"index in {idx} outside 1..{dim}")
-            key, sign = sort_sign(idx)
-            if sign == 0:
-                continue
-            coeff = normalize_scalar(coeff) if sign == 1 else normalize_scalar(-1 * coeff)
-            m = mode_of(coeff)
-            inferred = m if inferred is None else join_modes(inferred, m)
-            acc = clean.get(key)
-            coeff = coeff if acc is None else acc + coeff
-            if coeff:
-                clean[key] = normalize_scalar(coeff)
-            elif key in clean:
-                del clean[key]
+            if len(set(idx)) == len(idx):
+                # cancelled terms set the mode too; an int reads as exact
+                m = mode_of(coeff)
+                m = EXACT if m == ANY else m
+                inferred = m if inferred is None else join_modes(inferred, m)
         if mode is None:
             mode = inferred or EXACT
         elif inferred is not None and mode != inferred:
             raise MixedModeError(f"coefficients are {inferred} but mode={mode} requested")
+        clean = canonical_terms(terms, normalize_scalar)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)

@@ -4,7 +4,7 @@ numpy cannot do rational arithmetic, and the classification verdicts in this
 package (signatures, ranks, kernel dimensions) must be tolerance-free, so the
 handful of routines needed are written out over a generic scalar type.  They
 also run on floats (pass a pivot tolerance) for the sampling paths;
-``det`` and ``kernel_dim`` always pivot exactly, at tolerance 0.
+``det`` always pivots exactly, at tolerance 0.
 
 Rational and Gaussian-rational inputs run fraction-free: ``mat_mul`` and
 ``mat_vec`` clear each row's and column's denominators once, form the sums
@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import lcm, prod
 from operator import mul
 
-from .scalars import I_EXACT, ComplexRational, sabs, sconj, sre
+from .scalars import FLOAT, I_EXACT, ComplexRational, matrix_mode, sabs, sconj, sre
 
 
 class DegenerateFormError(ValueError):
@@ -380,8 +380,9 @@ def solve(m, rhs, tol=0.0):
 
 
 def inverse(m, tol=0.0):
+    """m^-1 by Gauss-Jordan; exact and float entries together raise MixedModeError."""
     n = len(m)
-    one = 1.0 if isinstance(m[0][0], (float, complex)) else _fx(m[0][0]) * 0 + 1
+    one = 1.0 if matrix_mode(m) == FLOAT else _fx(m[0][0]) * 0 + 1
     a = [
         [_fx(x) for x in row] + [one if i == j else one * 0 for j in range(n)]
         for i, row in enumerate(m)
@@ -409,10 +410,6 @@ def rank(m, tol=0.0):
         if r == len(a):
             break
     return r
-
-
-def kernel_dim(m):
-    return len(m[0]) - rank(m) if m else 0
 
 
 def _transvect(s, a, b, c):

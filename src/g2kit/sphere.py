@@ -124,10 +124,12 @@ def ambient_omega_extension() -> PolyCoefForm:
 
 
 @functools.cache
-def _exact_identities(upsilon_scale):
+def exact_identities(upsilon_scale):
     """(d(iota_E phi) == 3 phi symbolically, Im(Upsilon) == phi|tan exactly at e1).
 
-    Constants for each ``upsilon_scale``, so computed once per process and scale.
+    The exact half of the d(omega) = 3 Im(Upsilon) check, read by
+    :func:`verify_domega_pointwise` and by the sphere-suite command.  Constants
+    for each ``upsilon_scale``, so computed once per process and scale.
     """
     symbolic = ext_d(ambient_omega_extension()) == PolyCoefForm.from_constant_form(
         associative_three_form()
@@ -215,7 +217,7 @@ def verify_domega_pointwise(samples, seed, tol=DEFAULT_TOL, upsilon_scale=8):
     """
     import random
 
-    symbolic_ok, exact_zero = _exact_identities(upsilon_scale)
+    symbolic_ok, exact_zero = exact_identities(upsilon_scale)
 
     max_defect = 0.0
     rng = random.Random(seed)

@@ -546,7 +546,8 @@ def _form(mode="exact", dim=6, degree=3, **term):
 # belongs, a dim, degree or index entry that is not a JSON integer, and a
 # chern document with a key outside mode, point, frame, frame_seed and J,
 # and a form document with a key outside mode, dim, degree and terms, or a
-# term with a key outside idx, re and im
+# term with a key outside idx, re and im, and a classify-3form --input or
+# --vol with a nonzero imaginary part
 BAD_INPUTS = {
     "point-digit-string": ("chern", {"point": "1000000"}),
     "point-string": ("chern", {"point": "abc"}),
@@ -595,6 +596,17 @@ BAD_INPUTS = {
                   for t in jsonio.form_to_obj(elliptic_normal_form())["terms"]],
     }),
     "form-root-dims-key": ("classify-3form", {**_form(), "dims": 7}),
+    "form-imaginary-coefficient": ("classify-3form", {
+        "dim": 6, "degree": 3, "terms": [{"idx": [1, 2, 3], "re": "0", "im": "1"},
+                                         {"idx": [4, 5, 6], "re": "1"}],
+    }),
+    "float-form-imaginary-coefficient": ("classify-3form", {
+        "mode": "float", "dim": 6, "degree": 3, "terms": [{"idx": [1, 2, 3], "re": 0, "im": 1},
+                                                          {"idx": [4, 5, 6], "re": 1}],
+    }),
+    "vol-imaginary-6-form": (
+        "vol", {"dim": 6, "degree": 6, "terms": [{"idx": [1, 2, 3, 4, 5, 6], "re": "1", "im": "1"}]}
+    ),
 }
 
 

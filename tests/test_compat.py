@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,8 @@ from g2kit.compat import (
     standard_symplectic_matrix,
 )
 from g2kit.linalg import DegenerateFormError
-from g2kit.sampling import random_invertible_rational
+from g2kit.sampling import random_invertible_rational, random_symplectic
+from g2kit.scalars import MixedModeError
 
 J0 = standard_complex_structure(3)
 OM0 = standard_symplectic_matrix(3)
@@ -160,9 +162,46 @@ def test_compatibility_equivalence(rng):
     assert (g_bad == linalg.transpose(g_bad)) == is_compatible_omega(OM0, j_bad)
 
 
+def _floats(m):
+    return [[float(x) for x in row] for row in m]
+
+
+def _symplectic_conjugate():
+    """omega = standard_symplectic_matrix(3) and J = C^-1 J0 C for a symplectic C."""
+    c = random_symplectic(random.Random(0), OM0)
+    return OM0, conj_by(c, J0)
+
+
+def test_is_compatible_omega_takes_its_mode_from_omega_and_j():
+    omega, j = _symplectic_conjugate()
+    assert is_compatible_omega(omega, j)
+    assert is_compatible_omega(_floats(omega), _floats(j))
+    with pytest.raises(MixedModeError):
+        is_compatible_omega(omega, _floats(j))
+    with pytest.raises(MixedModeError):
+        is_compatible_omega(_floats(omega), j)
+
+
+def test_induced_metric_takes_its_mode_from_omega_and_j():
+    omega, j = _symplectic_conjugate()
+    g = induced_metric(omega, j)
+    assert g == linalg.transpose(g)
+    assert induced_metric(_floats(omega), _floats(j)) == linalg.mat_mul(_floats(omega), _floats(j))
+    with pytest.raises(MixedModeError):
+        induced_metric(omega, _floats(j))
+    with pytest.raises(MixedModeError):
+        induced_metric(_floats(omega), j)
+
+
 def test_dimension_counts_frozen():
     d3 = compatibility_space_dims(3)
     assert (d3["total"], d3["omega_compatible"], d3["g_compatible"]) == (18, 12, 6)
+    assert d3["evidence"] == {
+        "rank_anticommutator": 18,
+        "rank_with_omega_condition": 24,
+        "rank_with_metric_condition": 30,
+        "matrix_space_dim": 36,
+    }
     d1 = compatibility_space_dims(1)
     assert (d1["total"], d1["omega_compatible"], d1["g_compatible"]) == (2, 2, 0)
     d2 = compatibility_space_dims(2)

@@ -16,9 +16,10 @@ from g2kit.forms import (
     form_defect,
     interior,
     pullback,
+    sort_sign,
 )
 from g2kit.polyforms import Poly, PolyCoefForm
-from g2kit.scalars import ComplexRational, MixedModeError, normalize_scalar
+from g2kit.scalars import EXACT, ComplexRational, MixedModeError, join_modes, mode_of, normalize_scalar
 
 from conftest import e_vec, rand_form, rand_vector
 
@@ -542,6 +543,115 @@ def test_wrapper_constructors_keep_their_index_checks():
         with pytest.raises(ValueError) as exc:
             cls(5, -1, {})
         assert exc.type is (DegreeError if cls is ExteriorForm else ValueError)
+
+
+def reference_exterior_form(dim, degree, terms):
+    """``(terms, mode)`` by the ExteriorForm constructor's own loop, before it called canonical_terms."""
+    clean, inferred = {}, None
+    for idx, coeff in terms.items():
+        idx = tuple(idx)
+        if len(idx) != degree:
+            raise InvalidIndexError(f"tuple {idx} has length != degree {degree}")
+        if any(not 1 <= i <= dim for i in idx):
+            raise InvalidIndexError(f"index in {idx} outside 1..{dim}")
+        key, sign = sort_sign(idx)
+        if sign == 0:
+            continue
+        coeff = normalize_scalar(coeff) if sign == 1 else normalize_scalar(-1 * coeff)
+        m = mode_of(coeff)
+        inferred = m if inferred is None else join_modes(inferred, m)
+        acc = clean.get(key)
+        coeff = coeff if acc is None else acc + coeff
+        if coeff:
+            clean[key] = normalize_scalar(coeff)
+        elif key in clean:
+            del clean[key]
+    return clean, inferred or EXACT
+
+
+def _typed_terms(terms):
+    """Keys in order, with the type and repr of each coefficient (repr pins float zero signs)."""
+    return [(key, type(c), repr(c)) for key, c in terms.items()]
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (InvalidIndexError, MixedModeError) as exc:
+        return type(exc)
+
+
+# few values, so that sums cancel, in whole or in their imaginary part only;
+# complex(0.0, -1.0) is where -1 * c and -c differ in the sign of a zero
+_CTOR_FLOATS = (0.0, -0.0, 1.0, -1.0, 0.5)
+_CTOR_FRACTIONS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2))
+_CTOR_COEFFS = {
+    "exact": lambda rng: rng.choice((
+        rng.randint(-1, 1),
+        rng.choice(_CTOR_FRACTIONS),
+        ComplexRational(rng.choice(_CTOR_FRACTIONS), rng.choice((1, -1))),
+        ComplexRational(rng.choice(_CTOR_FRACTIONS), rng.choice((1, -1))),
+    )),
+    "float": lambda rng: rng.choice((
+        rng.choice(_CTOR_FLOATS),
+        complex(rng.choice(_CTOR_FLOATS), rng.choice(_CTOR_FLOATS)),
+        complex(rng.choice(_CTOR_FLOATS), rng.choice((1.0, -1.0))),
+        complex(0.0, -1.0),
+    )),
+}
+_CTOR_COEFFS["mixed"] = lambda rng: _CTOR_COEFFS[rng.choice(("exact", "float"))](rng)
+
+
+def _constructor_case(rng):
+    """Mostly permutations of one index set, so that keys collide, flip signs and cancel.
+
+    A quarter of the keys are drawn freely instead: repeated indices, and an
+    index of dim + 1 that the constructor must reject.
+    """
+    dim = rng.randint(1, 4)
+    degree = min(dim, rng.choice((0, 1, 2, 2, 3, 3, 3)))
+    coeff = _CTOR_COEFFS[rng.choice(sorted(_CTOR_COEFFS))]
+    pool = [coeff(rng) for _ in range(rng.randint(1, 3))]
+    base = rng.sample(range(1, dim + 1), degree)
+    top = dim + (rng.random() < 0.25)
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        if rng.random() < 0.25:
+            key = tuple(rng.randint(1, top) for _ in range(degree))
+        else:
+            key = tuple(rng.sample(base, degree))
+        terms[key] = rng.choice(pool)
+    return dim, degree, terms
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32))
+def test_exterior_form_constructor_matches_its_old_loop(seed):
+    """Terms, key order, coefficient types and float bits, mode, and the error raised."""
+    dim, degree, terms = _constructor_case(random.Random(seed))
+    want = _outcome(lambda: reference_exterior_form(dim, degree, terms))
+    got = _outcome(lambda: ExteriorForm(dim, degree, terms))
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert (_typed_terms(got.terms), got.mode) == (_typed_terms(want[0]), want[1])
+
+
+def test_exterior_form_constructor_edge_cases():
+    """-1 * c keeps +0.0 where -c would store -0.0, and cancelled float terms keep float mode."""
+    form = ExteriorForm(6, 3, {(2, 1, 3): complex(0.0, -1.0)})
+    assert _typed_terms(form.terms) == [((1, 2, 3), complex, "1j")]  # -c gives "(-0+1j)"
+    # a sum whose imaginary part cancels is stored real, as normalize_scalar leaves it
+    i = ComplexRational(0, 1)
+    summed = ExteriorForm(3, 2, {(1, 2): 1 + i, (2, 1): i})
+    assert _typed_terms(summed.terms) == [((1, 2), Fraction, "Fraction(1, 1)")]
+    summed = ExteriorForm(3, 2, {(1, 3): 1j, (3, 1): 0.5 + 1j})
+    assert _typed_terms(summed.terms) == [((1, 3), float, "-0.5")]
+    cancelled = ExteriorForm(3, 2, {(1, 2): 1.5, (2, 1): 1.5, (1, 3): 0.0})
+    assert cancelled.is_zero and cancelled.mode == "float"
+    assert ExteriorForm(3, 2, {(1, 2): Fraction(1, 2), (2, 1): Fraction(1, 2)}).mode == "exact"
+    with pytest.raises(MixedModeError):
+        ExteriorForm(3, 2, {(1, 2): 1.5, (2, 1): 1.5}, mode="exact")
 
 
 # ---------------------------------------------------------------------------

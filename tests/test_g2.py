@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from g2kit import linalg
 from g2kit.forms import ExteriorForm
-from g2kit.scalars import ComplexRational
+from g2kit.scalars import ComplexRational, MixedModeError
 from g2kit.g2 import (
     _CROSS_TABLE,
     AdaptedFrame,
@@ -124,6 +124,37 @@ def test_adapted_frame_rejects_nonadmissible():
         adapted_frame(e7(1), e7(2), e7(3))  # phi(e1,e2,e3) = 1 != 0
     with pytest.raises(FrameConstructionError):
         adapted_frame(e7(1), e7(1), e7(4))  # not orthonormal
+
+
+_SEVEN_CASES = {
+    "|u|^2 != 1": ({1: 2}, {2: 1}, {4: 1}),
+    "|v|^2 != 1": ({1: 1}, {2: 2}, {4: 1}),
+    "|w|^2 != 1": ({1: 1}, {2: 1}, {4: 2}),
+    "u.v != 0": ({1: 1}, {1: Fraction(3, 5), 2: Fraction(4, 5)}, {4: 1}),
+    "u.w != 0": ({1: 1}, {2: 1}, {1: Fraction(3, 5), 4: Fraction(4, 5)}),
+    "v.w != 0": ({1: 1}, {2: 1}, {2: Fraction(3, 5), 4: Fraction(4, 5)}),
+    "phi(u,v,w) != 0": ({1: 1}, {2: 1}, {3: 1}),
+}
+
+
+@pytest.mark.parametrize("float_mode", [False, True], ids=["exact", "float"])
+@pytest.mark.parametrize("case", _SEVEN_CASES)
+def test_adapted_frame_rejects_each_inadmissible_triple(case, float_mode):
+    """Each triple breaks one of the seven conditions, which is_g2 tests on the completion."""
+    scalar = float if float_mode else Fraction
+    u, v, w = (
+        tuple(scalar(entries.get(i, 0)) for i in range(1, 8)) for entries in _SEVEN_CASES[case]
+    )
+    with pytest.raises(FrameConstructionError):
+        adapted_frame(u, v, w)
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_adapted_frame_rejects_a_triple_of_mixed_modes(position):
+    triple = [e7(1), e7(2), e7(4)]
+    triple[position] = tuple(float(x) for x in triple[position])
+    with pytest.raises(MixedModeError):
+        adapted_frame(*triple)
 
 
 def test_adapted_frame_swapped_triple():
@@ -353,3 +384,29 @@ def test_cross_matches_the_structure_constant_loop(uv):
     u, v = uv
     got, want = cross(u, v), reference_cross(u, v)
     assert [(type(x), repr(x)) for x in got] == [(type(x), repr(x)) for x in want]
+
+
+def reference_dot(u, v):
+    """The dot product as a generic sum of products, left to right."""
+    return sum((a * b for a, b in zip(u, v)), start=u[0] * 0)
+
+
+_dot_fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+_DOT_KINDS = {
+    "int": st.integers(-5, 5),
+    "fraction": _dot_fractions,
+    "int+fraction": st.one_of(st.integers(-5, 5), _dot_fractions),
+    "gaussian": st.builds(ComplexRational, _dot_fractions, _dot_fractions),
+    "float": _cross_floats,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_DOT_KINDS)).flatmap(
+    lambda kind: st.integers(1, 7).flatmap(
+        lambda n: st.tuples(*[st.lists(_DOT_KINDS[kind], min_size=n, max_size=n)] * 2))))
+def test_dot_matches_the_generic_sum(uv):
+    """Equal in type and repr to the old sum: signs of float zeros, Fraction against int."""
+    u, v = uv
+    got, want = dot(u, v), reference_dot(u, v)
+    assert (type(got), repr(got)) == (type(want), repr(want))

@@ -3,11 +3,12 @@ elimination, entry by entry, in value and in type."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2kit import linalg
 from g2kit.linalg import _bareiss
-from g2kit.scalars import ComplexRational
+from g2kit.scalars import ComplexRational, MixedModeError
 
 
 def reference_mat_mul(a, b):
@@ -133,6 +134,20 @@ def test_product_types_per_entry():
     assert [[type(x) for x in row] for row in out] == [[int, Fraction], [Fraction, Fraction]]
     assert out == [[1, 4], [Fraction(1, 2), 4]]
     assert [type(x) for x in linalg.mat_vec(a, [1, 1])] == [int, Fraction]
+
+
+def test_inverse_takes_its_mode_from_every_entry():
+    """An exact leading entry does not hide a float elsewhere; each mode keeps its types."""
+    with pytest.raises(MixedModeError):
+        linalg.inverse([[Fraction(1), 0.5], [0.0, 1.0]])
+    with pytest.raises(MixedModeError):
+        linalg.inverse([[1, 0.5], [Fraction(0), 1]])
+    assert same(linalg.inverse([[2.0, 1.0], [1.0, 1.0]]), [[1.0, -1.0], [-1.0, 2.0]])
+    assert same(linalg.inverse([[1, 0.5], [0.0, 1.0]]), [[1.0, -0.5], [0.0, 1.0]])
+    q = [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
+    assert same(linalg.inverse([[2, 1], [1, 1]]), q)
+    i, zero, one = ComplexRational(0, 1), ComplexRational(0), ComplexRational(1)
+    assert same(linalg.inverse([[i, 0], [0, 1]]), [[-i, zero], [zero, one]])
 
 
 _zi = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
