@@ -127,15 +127,16 @@ def elliptic_definite_check(
 ) -> EllipticDefiniteReport:
     """Classify the primitive part of domega and the hermitian signature of omega.
 
-    For an elliptic primitive part, J is the structure recovered from it
-    (inducing the orientation of omega^3) and the signature is the
+    Both forms are taken in their joint mode, float when either is.  For an
+    elliptic primitive part, J is the structure recovered from it (inducing
+    the orientation of omega^3) and the signature is the
     :func:`~g2kit.compat.hermitian_index` of g(v, w) = omega(v, Jw); the
     verdict is elliptic-definite iff that signature is (3, 0).
     """
+    if FLOAT in (omega.mode, domega.mode):
+        omega, domega = omega.as_float(), domega.as_float()
     decomp, om2 = _decompose(omega, domega, 0.0 if omega.mode == EXACT else tol)
-    # omega^3 from the omega^2 of the decomposition, unless it ran on a float copy
-    orientation = (om2 if om2.mode == omega.mode else omega.wedge(omega)).wedge(omega)
-    cls = classify_3form(decomp.pi, orientation, tol)
+    cls = classify_3form(decomp.pi, om2.wedge(omega), tol)
     if cls.tag != "elliptic":
         return EllipticDefiniteReport(cls.tag, None, None, False, decomp)
     j = cls.j_matrix

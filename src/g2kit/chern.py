@@ -42,7 +42,7 @@ from fractions import Fraction
 
 from . import linalg
 from .compat import NotComplexStructureError, complex_basis
-from .g2 import AdaptedFrame, cross, dot, frame_rotate
+from .g2 import AdaptedFrame, cross, frame_rotate, theta_value
 from .scalars import (
     EXACT,
     FLOAT,
@@ -156,26 +156,20 @@ class CandidateJ(Immutable):
 
     @classmethod
     def from_tangent_matrix(cls, frame: AdaptedFrame, m6):
-        """Lift a 6x6 matrix in the orthonormal frame basis (g2..g7) ambiently."""
-        cols = frame.tangent_columns()
-        n = 7
-        rows = [[Fraction(0) if frame.mode == EXACT else 0.0] * n for _ in range(n)]
-        for t in range(6):
-            image = [
-                sum(m6[p][t] * cols[p][i] for p in range(6)) for i in range(n)
-            ]
-            for i in range(n):
-                for j in range(n):
-                    rows[i][j] += image[i] * cols[t][j]
-        return cls(frame.x, rows)
+        """Lift a 6x6 matrix M in the orthonormal frame basis ambiently, as T M t(T), T = (g2..g7)."""
+        t = [row[1:] for row in frame.matrix]
+        return cls(frame.x, linalg.mat_mul(t, linalg.mat_mul(m6, linalg.transpose(t))))
 
     def tangent_matrix(self, frame: AdaptedFrame):
-        """The 6x6 action in the orthonormal frame basis (g2..g7)."""
-        cols = frame.tangent_columns()
-        return [
-            [dot(cols[p], self.apply(cols[t])) for t in range(6)]
-            for p in range(6)
-        ]
+        """The 6x6 action t(T) J T in the orthonormal frame basis, T = (g2..g7).
+
+        A frame at another point raises ValueError, and one of the other mode MixedModeError.
+        """
+        if self.point != frame.x:
+            raise ValueError("J and frame are based at different points")
+        join_modes(self.mode, frame.mode)
+        t = [row[1:] for row in frame.matrix]
+        return linalg.mat_mul(linalg.transpose(t), linalg.mat_mul(self.matrix, t))
 
 
 class ChernData(Immutable):
@@ -331,20 +325,6 @@ def is_omega_compatible_data(data: ChernData):
 # computing (r, s) from an actual J at a frame
 # ---------------------------------------------------------------------------
 
-def _theta_values(frame: AdaptedFrame, v):
-    """(theta_1(v), theta_2(v), theta_3(v)) for a real ambient vector v."""
-    exact = frame.mode == EXACT
-    out = []
-    for j in (1, 2, 3):
-        a, b = frame.col(2 * j), frame.col(2 * j + 1)
-        da, db = dot(a, v), dot(b, v)
-        if exact:
-            out.append(ComplexRational(Fraction(db) / 2, -Fraction(da) / 2))
-        else:
-            out.append((to_float(db) - 1j * to_float(da)) / 2.0)
-    return out
-
-
 def canonical_eta_basis(frame: AdaptedFrame):
     """(2 g3, 2 g5, 2 g7): the basis whose coframe is the reference coframe.
 
@@ -380,12 +360,15 @@ def compute_rs(j: CandidateJ, frame: AdaptedFrame, eta_basis=None) -> ChernData:
     basis (the coframe eta is its complex dual), and is checked to be one;
     otherwise :func:`default_eta_basis` builds one.  The defining relation
     theta = r eta + s conj(eta) is solved exactly on the real basis
-    (v_l, J v_l).
+    w = (v_1, J v_1, v_2, J v_2, v_3, J v_3): one ``linalg.mat_mul`` pairs the
+    tangent columns g2..g7 with w, :func:`g2.theta_value` turns the pairings
+    into theta_j(w_m), and then r = (theta(v_l) - i theta(J v_l))/2 and
+    s = (theta(v_l) + i theta(J v_l))/2.  J and frame share point and mode.
     """
     u = frame.x
     if j.point != u:
         raise ValueError("J and frame are based at different points")
-    exact = j.mode == EXACT and frame.mode == EXACT
+    exact = join_modes(j.mode, frame.mode) == EXACT
     if eta_basis is None:
         basis = default_eta_basis(j)
     else:
@@ -394,24 +377,18 @@ def compute_rs(j: CandidateJ, frame: AdaptedFrame, eta_basis=None) -> ChernData:
             raise ValueError("eta basis must consist of three tangent vectors")
         for v in basis:
             check_tangent(u, v, 1e-8)
-    real_basis = []
-    for v in basis:
-        real_basis.append(tuple(v))
-        real_basis.append(j.apply(v))
+    real_basis = [w for v in basis for w in (tuple(v), j.apply(v))]
     if eta_basis is not None:  # default_eta_basis proved its basis independent
         if linalg.rank(real_basis, 0.0 if exact else 1e-8) != 6:
             raise NotComplexStructureError("eta basis is not J-complexly independent")
 
+    pairings = linalg.mat_mul(frame.tangent_columns(), linalg.transpose(real_basis))
+    rows = zip(pairings[0::2], pairings[1::2])  # (g_2j . w, g_2j+1 . w) for j = 1, 2, 3
+    theta = [[theta_value(x, y, frame.mode == EXACT) for x, y in zip(a, b)] for a, b in rows]
     half = Fraction(1, 2) if exact else 0.5
     i_unit = I_EXACT if exact else 1j
-    r = [[None] * 3 for _ in range(3)]
-    s = [[None] * 3 for _ in range(3)]
-    for l in range(3):
-        tv = _theta_values(frame, real_basis[2 * l])
-        tjv = _theta_values(frame, real_basis[2 * l + 1])
-        for jrow in range(3):
-            r[jrow][l] = half * (tv[jrow] - i_unit * tjv[jrow])
-            s[jrow][l] = half * (tv[jrow] + i_unit * tjv[jrow])
+    r = [[half * (t[2 * l] - i_unit * t[2 * l + 1]) for l in range(3)] for t in theta]
+    s = [[half * (t[2 * l] + i_unit * t[2 * l + 1]) for l in range(3)] for t in theta]
     return ChernData(r, s, context={"frame": frame, "j": j, "eta_basis": [tuple(v) for v in basis]})
 
 
@@ -427,18 +404,11 @@ def equivariance_check(j: CandidateJ, frame: AdaptedFrame, g_su3, h_gl3, eta_bas
     report also confirms that vanishing of the residual is gauge-invariant.
     """
     base = compute_rs(j, frame, eta_basis)
-    basis = base.context["eta_basis"]
-    j_basis = [j.apply(v) for v in basis]
     rot_frame = frame_rotate(frame, g_su3)
-    new_basis = []
-    for k in range(3):
-        vec = None
-        for jj in range(3):
-            c = h_gl3[jj][k]
-            a, b = sre(c), sim(c)
-            term = [a * basis[jj][i] + b * j_basis[jj][i] for i in range(7)]
-            vec = term if vec is None else [x + y for x, y in zip(vec, term)]
-        new_basis.append(tuple(vec))
+    real_basis = [w for v in base.context["eta_basis"] for w in (v, j.apply(v))]
+    # new basis vector k is sum_l Re(h_lk) v_l + Im(h_lk) J v_l
+    mixing = [[x for c in col for x in (sre(c), sim(c))] for col in zip(*h_gl3)]
+    new_basis = linalg.mat_mul(mixing, real_basis)
     transformed = compute_rs(j, rot_frame, new_basis)
 
     g_inv = linalg.inverse(g_su3)

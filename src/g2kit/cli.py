@@ -11,6 +11,7 @@ Subcommands run the verification suites and emit deterministic JSON reports:
 
 There is no mode flag: an input document states its mode in its "mode" key
 (exact when absent), and sphere-suite samples float points when --samples > 0.
+--tol takes a finite number >= 0; any other value is a usage error.
 Exit code 0 means every check in the report passed; 1 means some check
 failed; 2 is a usage or input error.  Reports are byte-reproducible given
 (command, inputs, seed): keys are sorted and floats use fixed
@@ -334,6 +335,13 @@ def _family_structure(name, frame):
 
 # ---------------------------------------------------------------------------
 
+def _tolerance(text):
+    """The type of ``--tol``: a finite float >= 0; argparse exits 2 on anything else."""
+    if 0.0 <= float(text) < float("inf"):
+        return float(text)
+    raise argparse.ArgumentTypeError(f"must be a finite number >= 0, not {text!r}")
+
+
 @functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -347,12 +355,12 @@ def build_parser():
     p2 = subs.add_parser("classify-3form", help="split/elliptic/degenerate tag")
     p2.add_argument("--input", required=True, help="3-form JSON document")
     p2.add_argument("--vol", default=None, help="volume form JSON (default standard)")
-    p2.add_argument("--tol", type=float, default=1e-12)
+    p2.add_argument("--tol", type=_tolerance, default=1e-12, help="float pivot tolerance, >= 0")
 
     p3 = subs.add_parser("sphere-suite", help="pointwise sphere checks")
     p3.add_argument("--samples", type=int, default=0)
     p3.add_argument("--seed", type=int, default=None)
-    p3.add_argument("--tol", type=float, default=1e-10)
+    p3.add_argument("--tol", type=_tolerance, default=1e-10, help="float defect bound, >= 0")
     p3.add_argument("--threads", type=int, default=1, help="samples run serially")
     p3.add_argument("--mutate", choices=("upsilon-scale",), default=None)
 

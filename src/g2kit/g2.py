@@ -30,6 +30,7 @@ from .scalars import (
     Immutable,
     join_modes,
     matrix_mode,
+    to_float,
     vector_mode,
 )
 
@@ -85,6 +86,9 @@ def cross(u, v):
     if len(u) != 7 or len(v) != 7:
         raise ValueError("cross product needs 7-vectors")
     join_modes(vector_mode(u), vector_mode(v))
+    if all(type(x) is Fraction for x in u + v):  # integer products, one division per entry
+        (nu, du), (nv, dv) = _cleared_over_z((u, v))
+        return tuple(Fraction(x, du * dv) for x in _cross(nu, nv))
     return _cross(u, v)
 
 
@@ -179,6 +183,13 @@ def _is_g2_cleared(cols):
     return True
 
 
+def theta_value(x, y, exact):
+    """theta_j(v) = (y - i x)/2 with x = g_2j . v, y = g_2j+1 . v: ComplexRational or complex."""
+    if exact:
+        return ComplexRational(Fraction(y) / 2, -Fraction(x) / 2)
+    return (to_float(y) - 1j * to_float(x)) / 2.0
+
+
 class AdaptedFrame(Immutable):
     """A group element as a moving frame: base point x = g1, complex frame f_j.
 
@@ -214,14 +225,8 @@ class AdaptedFrame(Immutable):
 
     def theta(self, j) -> ExteriorForm:
         """Coframe 1-form theta_j = (g_2j+1 - i g_2j)/2 as covector (ambient)."""
-        a, b = self.col(2 * j), self.col(2 * j + 1)
-        if self.mode == EXACT:
-            comps = [
-                ComplexRational(Fraction(y) / 2, -Fraction(x) / 2) for x, y in zip(a, b)
-            ]
-        else:
-            comps = [(y - 1j * x) / 2.0 for x, y in zip(a, b)]
-        return ExteriorForm.from_covector(comps)
+        pairs = zip(self.col(2 * j), self.col(2 * j + 1))
+        return ExteriorForm.from_covector([theta_value(x, y, self.mode == EXACT) for x, y in pairs])
 
     def tangent_columns(self):
         return [self.col(j) for j in range(2, 8)]

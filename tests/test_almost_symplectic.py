@@ -201,3 +201,34 @@ def test_om2_matrix_matches_the_wedge_construction(omega):
     om2 = omega.wedge(omega)
     got, want = _om2_matrix(om2), _om2_matrix_by_wedges(om2)
     assert [[_bits(x) for x in row] for row in got] == [[_bits(x) for x in row] for row in want]
+
+
+def _report_bits(omega, domega):
+    """lambda and pi bits, tag, J and signature of the check, or the name of what it raised."""
+    try:
+        rep = elliptic_definite_check(omega, domega)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__
+    lam, pi = rep.decomposition
+    form_bits = [sorted((k, _bits(c)) for k, c in f.terms.items()) for f in (lam, pi)]
+    j = rep.j_matrix and [[_bits(x) for x in row] for row in rep.j_matrix]
+    return form_bits, rep.tag, j, rep.signature
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_exact_omega_with_float_domega_runs_in_float_mode(seed):
+    """An exact omega with a float domega gives the bits of its float copy.
+
+    Both forms are solved in their joint mode, float here, at the float pivot
+    tolerance; an exact omega once sent float rows to a pivot tolerance of 0.
+    """
+    import random
+
+    rng = random.Random(seed)
+    omega = ExteriorForm(6, 2, {
+        idx: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        for idx in combinations(range(1, 7), 2) if rng.random() < 0.6
+    })
+    domega = ExteriorForm(6, 3, {idx: rng.uniform(-2, 2) for idx in combinations(range(1, 7), 3)})
+    assert _report_bits(omega, domega) == _report_bits(omega.as_float(), domega)

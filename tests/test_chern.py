@@ -851,7 +851,7 @@ def _float_frame(frame):
 
 
 def _structure_case(source, exact, seed):
-    """A structure J at a frame, as (CandidateJ, its 6x6 matrix in the frame basis).
+    """A structure J at a frame, as (CandidateJ, its 6x6 matrix in the frame basis, frame).
 
     ``compatible``: a symplectic conjugate of the standard structure;
     ``flipped``: the plane-flip family over a random subset of planes;
@@ -863,14 +863,15 @@ def _structure_case(source, exact, seed):
     if source == "compatible":
         j = random_compatible_j(rng, FRAME)
         if exact:
-            return j, j.tangent_matrix(FRAME)
+            return j, j.tangent_matrix(FRAME), FRAME
         j6 = [[float(x) for x in row] for row in j.tangent_matrix(FRAME)]
-        return CandidateJ.from_tangent_matrix(_float_frame(FRAME), j6), j6
+        frame = _float_frame(FRAME)
+        return CandidateJ.from_tangent_matrix(frame, j6), j6, frame
     frame = random_rational_frame(rng) if exact else frame_at_float_point(rng, None)
     if source == "flipped":
         planes = tuple(k for k in (1, 2, 3) if rng.random() < 0.5)
         j = CandidateJ.flipped(frame, planes)
-        return j, j.tangent_matrix(frame)
+        return j, j.tangent_matrix(frame), frame
     cls = None
     if rng.random() < 0.5:
         rho = elliptic_normal_form().pullback(random_invertible_rational(rng, 6))
@@ -881,7 +882,7 @@ def _structure_case(source, exact, seed):
     j6 = cls.j_matrix
     if isinstance(j6[0][0], float) and frame.mode == EXACT:
         frame = _float_frame(frame)
-    return CandidateJ.from_tangent_matrix(frame, j6), j6
+    return CandidateJ.from_tangent_matrix(frame, j6), j6, frame
 
 
 # seed 199 gives a float symplectic conjugate with max|J| near 1.4e4, and seed
@@ -896,7 +897,7 @@ def _structure_case(source, exact, seed):
 @example(source="compatible", exact=False, seed=13118)
 def test_complex_basis_matches_the_replaced_loops(source, exact, seed):
     """``default_eta_basis`` and ``_orientation_sign`` give the old vectors and signs, bit for bit."""
-    j, j6 = _structure_case(source, exact, seed)
+    j, j6, _ = _structure_case(source, exact, seed)
     assert _typed_bits(default_eta_basis(j)) == _typed_bits(default_eta_basis_reference(j))
     float_j6 = isinstance(j6[0][0], float)
     vol = standard_volume_form().as_float() if float_j6 else standard_volume_form()
@@ -911,10 +912,136 @@ def test_float_candidate_bound_scales_with_the_entries(seed):
 
     The rounding error of J^2 grows with |J|^2, and so does the defect bound.
     """
-    j, _ = _structure_case("compatible", False, seed)
+    j, _, _ = _structure_case("compatible", False, seed)
     rows = [list(r) for r in j.matrix]
     big = max(abs(x) for row in rows for x in row)
     a, b = next((a, b) for a in range(7) for b in range(7) if abs(rows[a][b]) == big)
     rows[a][b] += 1e-6 * big
     with pytest.raises(NotComplexStructureError):
         CandidateJ(j.point, rows)
+
+
+# ---------------------------------------------------------------------------
+# the frame products against the loops that linalg.mat_mul replaced
+# ---------------------------------------------------------------------------
+
+def theta_values_reference(frame, v):
+    """(theta_1(v), theta_2(v), theta_3(v)), one pair of dot products per theta_j."""
+    exact = frame.mode == EXACT
+    out = []
+    for j in (1, 2, 3):
+        a, b = frame.col(2 * j), frame.col(2 * j + 1)
+        da, db = dot(a, v), dot(b, v)
+        if exact:
+            out.append(ComplexRational(Fraction(db) / 2, -Fraction(da) / 2))
+        else:
+            out.append((to_float(db) - 1j * to_float(da)) / 2.0)
+    return out
+
+
+def rs_reference(j, frame, basis):
+    """(r, s) from the theta values of each v_l and J v_l, the loop ``compute_rs`` ran."""
+    exact = j.mode == EXACT and frame.mode == EXACT
+    half = Fraction(1, 2) if exact else 0.5
+    i_unit = I_EXACT if exact else 1j
+    r = [[None] * 3 for _ in range(3)]
+    s = [[None] * 3 for _ in range(3)]
+    for l, v in enumerate(basis):
+        tv = theta_values_reference(frame, v)
+        tjv = theta_values_reference(frame, j.apply(v))
+        for jrow in range(3):
+            r[jrow][l] = half * (tv[jrow] - i_unit * tjv[jrow])
+            s[jrow][l] = half * (tv[jrow] + i_unit * tjv[jrow])
+    return r, s
+
+
+def tangent_matrix_reference(j, frame):
+    """g_p . J g_t for the tangent columns, one dot product per entry."""
+    cols = frame.tangent_columns()
+    return [[dot(cols[p], j.apply(cols[t])) for t in range(6)] for p in range(6)]
+
+
+def from_tangent_matrix_reference(frame, m6):
+    """The ambient rows sum_t (sum_p m6[p][t] g_p) outer g_t, entry by entry."""
+    cols = frame.tangent_columns()
+    rows = [[Fraction(0) if frame.mode == EXACT else 0.0] * 7 for _ in range(7)]
+    for t in range(6):
+        image = [sum(m6[p][t] * cols[p][i] for p in range(6)) for i in range(7)]
+        for i in range(7):
+            for k in range(7):
+                rows[i][k] += image[i] * cols[t][k]
+    return rows
+
+
+def mixed_basis_reference(j, basis, h):
+    """sum_l Re(h_lk) v_l + Im(h_lk) J v_l for k = 1, 2, 3, vector by vector."""
+    from g2kit.scalars import sim, sre
+
+    out = []
+    for k in range(3):
+        vec = None
+        for l in range(3):
+            a, b = sre(h[l][k]), sim(h[l][k])
+            jv = j.apply(basis[l])
+            term = [a * basis[l][i] + b * jv[i] for i in range(7)]
+            vec = term if vec is None else [x + y for x, y in zip(vec, term)]
+        out.append(tuple(vec))
+    return out
+
+
+def _typed_reprs(m):
+    return [[(type(x), repr(x)) for x in row] for row in m]
+
+
+def _assert_close(got, want):
+    """Exact entries equal in value; float entries within 1e-12 of the largest entry."""
+    scale = max([1.0] + [abs(to_float(x)) for row in want for x in row])
+    for g_row, w_row in zip(got, want, strict=True):
+        for g, w in zip(g_row, w_row, strict=True):
+            if isinstance(w, float) or isinstance(g, float):
+                assert abs(g - w) <= 1e-12 * scale, (g, w)
+            else:
+                assert g == w
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    source=st.sampled_from(["compatible", "flipped", "elliptic"]),
+    exact=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frame_products_match_the_replaced_loops(source, exact, seed):
+    """(r, s) and the tangent matrix keep their types and reprs; the lift and the gauge basis their values."""
+    from g2kit import chern
+
+    j, j6, frame = _structure_case(source, exact, seed)
+    assert _typed_reprs(j.tangent_matrix(frame)) == _typed_reprs(tangent_matrix_reference(j, frame))
+    bases = [default_eta_basis(j)] + ([canonical_eta_basis(frame)] if source == "flipped" else [])
+    for basis in bases:
+        data = compute_rs(j, frame, basis)
+        r, s = rs_reference(j, frame, basis)
+        assert _typed_reprs(data.r + data.s) == _typed_reprs(r + s)
+    lifted = CandidateJ.from_tangent_matrix(frame, j6)
+    _assert_close(lifted.matrix, from_tangent_matrix_reference(frame, j6))
+
+    h = random_gl3_complex(random.Random(seed))
+    if frame.mode != EXACT:
+        h = [[complex(x) for x in row] for row in h]
+    identity = [[1 if a == b else 0 for b in range(3)] for a in range(3)]
+    seen = []
+    compute = chern.compute_rs
+    with pytest.MonkeyPatch.context() as mp:  # records each eta basis that compute_rs gets
+        mp.setattr(chern, "compute_rs", lambda *args: seen.append(args[2]) or compute(*args))
+        equivariance_check(j, frame, identity, h, bases[0])
+    _assert_close(seen[1], mixed_basis_reference(j, bases[0], h))
+
+
+def test_tangent_matrix_checks_the_base_point_and_the_mode():
+    """A frame at another point raises ValueError, and one of the other mode MixedModeError."""
+    j = CandidateJ.standard(E1)
+    frame = random_rational_frame(random.Random(0))
+    for call in (j.tangent_matrix, lambda f: compute_rs(j, f)):
+        with pytest.raises(ValueError, match="different points"):
+            call(frame)
+        with pytest.raises(MixedModeError):
+            call(_float_frame(FRAME))

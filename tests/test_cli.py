@@ -607,12 +607,22 @@ BAD_INPUTS = {
     "vol-imaginary-6-form": (
         "vol", {"dim": 6, "degree": 6, "terms": [{"idx": [1, 2, 3, 4, 5, 6], "re": "1", "im": "1"}]}
     ),
+    # a --tol that is not a finite number >= 0 is a usage error, not a failed check
+    "sphere-suite-tol-nan": ("sphere-suite --tol", "nan"),
+    "sphere-suite-tol-negative": ("sphere-suite --tol", "-1"),
+    "classify-3form-tol-nan": ("classify-3form --tol", "nan"),
+    "classify-3form-tol-negative": ("classify-3form --tol", "-1"),
 }
 
 
 def bad_input_argv(case, tmp_path):
     command, doc = BAD_INPUTS[case]
+    if command == "sphere-suite --tol":
+        return ["sphere-suite", "--samples", "2", "--seed", "1", "--tol", doc]
     path = tmp_path / f"{case}.json"
+    if command == "classify-3form --tol":  # on the float form e^123
+        path.write_text(json.dumps(_form("float", re=1.0)))
+        return ["classify-3form", "--input", str(path), "--tol", doc]
     path.write_text(json.dumps(doc))
     if command == "vol":
         return ["classify-3form", "--input", exact_elliptic_doc(tmp_path), "--vol", str(path)]
@@ -622,7 +632,8 @@ def bad_input_argv(case, tmp_path):
 @pytest.mark.parametrize("case", BAD_INPUTS)
 def test_malformed_vectors_frames_and_volumes_exit_2(case, tmp_path, capsys):
     code, out, err = run_main(bad_input_argv(case, tmp_path), capsys)
-    assert (code, out) == (2, "") and "input error" in err
+    usage = BAD_INPUTS[case][0].endswith("--tol")  # argparse rejects the flag's value
+    assert (code, out) == (2, "") and ("argument --tol" if usage else "input error") in err
 
 
 def test_malformed_inputs_exit_2_under_optimize(tmp_path):
@@ -633,7 +644,10 @@ def test_malformed_inputs_exit_2_under_optimize(tmp_path):
         "if not sys.flags.optimize:\n"
         "    sys.exit(3)\n"
         "for argv in map(json.loads, sys.stdin):\n"
-        "    print(main(argv))\n"
+        "    try:\n"
+        "        print(main(argv))\n"
+        "    except SystemExit as exc:\n"
+        "        print(exc.code)\n"
     )
     argvs = "".join(json.dumps(bad_input_argv(case, tmp_path)) + "\n" for case in BAD_INPUTS)
     proc = subprocess.run(
