@@ -112,15 +112,13 @@ class DgaElement(Immutable):
             return NotImplemented
         return DgaElement._trusted(wedge_terms(self.terms, other.terms))
 
-    def conj(self, conj_table):
-        """Conjugation: antilinear, generator-wise via conj_table."""
-        out = DgaElement()
+    def conj(self):
+        """Antilinear; each word is conjugated by ``_conj_word``, the rule that also gives d(t_ib)."""
+        out = {}
         for word, c in self.terms.items():
-            piece = DgaElement.scalar(c.conjugate())
-            for g in word:
-                piece = piece * conj_table[g]
-            out = out + piece
-        return out
+            key, sign = _conj_word(word)
+            out[key] = c.conjugate() if sign > 0 else -c.conjugate()
+        return DgaElement._trusted(out)
 
     def drop_generators(self, kill):
         """Set the given generators to zero (ideal-membership remainder)."""
@@ -157,6 +155,12 @@ _CONJ = {
 }
 
 
+def _conj_word(word):
+    """The conjugate of a word as (canonical word, sign): each generator by ``_CONJ``, then sorted."""
+    key, sign = sort_sign(_CONJ[g][0] for g in word)
+    return key, sign * prod(_CONJ[g][1] for g in word)
+
+
 def _gen_sum(name):
     """A generator as (index, sign) pairs; k33 is the trace substitution -k11 - k22."""
     return ((_INDEX["k11"], -1), (_INDEX["k22"], -1)) if name == "k33" else ((_INDEX[name], 1),)
@@ -177,9 +181,6 @@ class CoframeDGA:
         if mutation is not None and mutation not in self.MUTATIONS:
             raise ValueError(f"unknown mutation {mutation!r}; known: {self.MUTATIONS}")
         self.mutation = mutation
-        self._conj_table = {
-            g: DgaElement._trusted({(h,): ComplexRational(s)}) for g, (h, s) in _CONJ.items()
-        }
         self._d_words = self._structure_constants()
         self._d_table = {
             g: DgaElement._trusted(
@@ -203,9 +204,6 @@ class CoframeDGA:
         if i == j == 3:
             return -DgaElement.generator("k11") - DgaElement.generator("k22")
         return DgaElement.generator(f"k{i}{j}")
-
-    def conj(self, e: DgaElement) -> DgaElement:
-        return e.conj(self._conj_table)
 
     # -- differential ---------------------------------------------------------
     def _structure_constants(self):
@@ -239,8 +237,7 @@ class CoframeDGA:
         for i in (1, 2, 3):  # conj of d(t_i), word by word
             conj = table[_INDEX[f"t{i}b"]] = {}
             for word, (re, im) in table[_INDEX[f"t{i}"]].items():
-                key, sign = sort_sign(_CONJ[g][0] for g in word)
-                sign *= prod(_CONJ[g][1] for g in word)
+                key, sign = _conj_word(word)
                 conj[key] = (sign * re, -sign * im)
         return table
 
@@ -297,7 +294,7 @@ class CoframeDGA:
         """Residuals of d(omega) - 3 Im(Upsilon), d(Upsilon) - 2 omega^2, omega^Upsilon."""
         omega = self.invariant_two_form()
         ups = self.complex_volume()
-        ups_bar = self.conj(ups)
+        ups_bar = ups.conj()
         two_i = I_EXACT + I_EXACT
         im_ups = (ups - ups_bar).smul(_ONE / two_i)
         checks = [

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .forms import ExteriorForm
+from .forms import ExteriorForm, sort_sign
 from .linalg import _cleared_over_z, mat_vec
 from .scalars import (
     EXACT,
@@ -56,28 +56,16 @@ def associative_three_form() -> ExteriorForm:
     return ExteriorForm(7, 3, {idx: Fraction(s) for idx, s in PHI_TERMS})
 
 
-def _structure_constants():
-    # c[i][j] = list of (k, sign): (e_i x e_j) has component sign on e_k
-    table = [[[] for _ in range(8)] for _ in range(8)]
-    for (a, b, c), s in PHI_TERMS:
-        for (i, j, k), sign in (
-            ((a, b, c), s),
-            ((b, c, a), s),
-            ((c, a, b), s),
-            ((b, a, c), -s),
-            ((a, c, b), -s),
-            ((c, b, a), -s),
-        ):
-            table[i][j].append((k, sign))
-    return table
-
-_CROSS_TABLE = _structure_constants()
-
-# row i - 1: (j - 1, k - 1, sign < 0) for each j with e_i x e_j = sign e_k, j increasing
+_PHI = dict(PHI_TERMS)
+# row i - 1: (j - 1, k - 1, s < 0) for each j with e_i x e_j = s e_k, j increasing, where
+# s = phi(e_i, e_j, e_k) is the sign of sorting (i, j, k) into a term w of PHI_TERMS
 _CROSS_ROWS = tuple(
-    tuple((j - 1, k - 1, sign < 0) for j in range(1, 8) for k, sign in _CROSS_TABLE[i][j])
+    tuple((j - 1, k - 1, s * _PHI[w] < 0) for j in range(1, 8) for k in range(1, 8)
+          for w, s in [sort_sign((i, j, k))] if w in _PHI)
     for i in range(1, 8)
 )
+# the 21 pairs i < j of is_g2's test, as 0-based (i, j, k, sign < 0), in row order
+_CROSS_PAIRS = tuple((i, j, k, neg) for i, row in enumerate(_CROSS_ROWS) for j, k, neg in row if j > i)
 
 
 def cross(u, v):
@@ -151,12 +139,10 @@ def is_g2(matrix) -> bool:
             d = sum((a * b for a, b in zip(cols[i], cols[j])), start=cols[i][0] * 0)
             if not close(d, 1 if i == j else 0):
                 return False
-    for i in range(1, 8):
-        for j in range(i + 1, 8):
-            ((k, sign),) = _CROSS_TABLE[i][j]
-            for a, b in zip(_cross(cols[i - 1], cols[j - 1]), cols[k - 1]):
-                if not close(a, b if sign == 1 else -b):
-                    return False
+    for i, j, k, negative in _CROSS_PAIRS:
+        for a, b in zip(_cross(cols[i], cols[j]), cols[k]):
+            if not close(a, -b if negative else b):
+                return False
     return True
 
 
@@ -173,13 +159,11 @@ def _is_g2_cleared(cols):
             nj, dj = cols[j]
             if sum(map(mul, ni, nj)) != (di * dj if i == j else 0):
                 return False
-    for i in range(1, 8):
-        for j in range(i + 1, 8):
-            ((k, sign),) = _CROSS_TABLE[i][j]
-            (ni, di), (nj, dj), (nk, dk) = cols[i - 1], cols[j - 1], cols[k - 1]
-            scale = sign * di * dj
-            if any(dk * a != scale * b for a, b in zip(_cross(ni, nj), nk)):
-                return False
+    for i, j, k, negative in _CROSS_PAIRS:
+        (ni, di), (nj, dj), (nk, dk) = cols[i], cols[j], cols[k]
+        scale = -di * dj if negative else di * dj
+        if any(dk * a != scale * b for a, b in zip(_cross(ni, nj), nk)):
+            return False
     return True
 
 

@@ -11,6 +11,8 @@ fixed 17-significant-digit form, so a report is byte-reproducible from
 from __future__ import annotations
 
 import json
+import math
+import re
 from fractions import Fraction
 
 from .forms import ExteriorForm
@@ -46,16 +48,28 @@ def number_to_obj(x, mode):
     return str(Fraction(x))
 
 
+_EXACT_NUMBER = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def number_from_obj(obj, mode):
-    """A real scalar; JSON types are checked exactly, so ``true`` is not the number 1."""
+    """A real scalar; JSON types are checked exactly, so ``true`` is not the number 1.
+
+    Floats must be finite; exact strings must read ``[+-]p`` or ``[+-]p/q`` in decimal digits.
+    """
     if mode == FLOAT:
         if type(obj) not in (int, float):
             raise JsonFormatError(f"float documents must use JSON numbers, got {obj!r}")
-        return float(obj)
-    if type(obj) in (int, str):
+        try:
+            x = float(obj)
+        except OverflowError:  # a JSON integer beyond the float range
+            x = math.inf
+        if not math.isfinite(x):
+            raise JsonFormatError(f"float documents need finite numbers, got {obj!r}")
+        return x
+    if type(obj) is int or type(obj) is str and _EXACT_NUMBER.fullmatch(obj):
         try:
             return Fraction(obj)
-        except ValueError as exc:
+        except ValueError as exc:  # more digits than int() converts
             raise JsonFormatError(f"not an exact number: {obj!r}") from exc
     raise JsonFormatError(f"exact documents need 'p/q' strings, got {obj!r}")
 

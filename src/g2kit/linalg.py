@@ -3,8 +3,9 @@
 numpy cannot do rational arithmetic, and the classification verdicts in this
 package (signatures, ranks, kernel dimensions) must be tolerance-free, so the
 handful of routines needed are written out over a generic scalar type.  They
-also run on floats (pass a pivot tolerance) for the sampling paths;
-``det`` always pivots exactly, at tolerance 0.
+also run on floats with a pivot tolerance, relative to the largest |entry| in
+``rank`` and ``signature`` and absolute in ``solve`` and ``inverse``; ``det``
+always pivots exactly, at tolerance 0.
 
 Rational and Gaussian-rational inputs run fraction-free: ``mat_mul`` and
 ``mat_vec`` clear each row's and column's denominators once, form the sums
@@ -390,9 +391,16 @@ def inverse(m, tol=0.0):
     return [row[n:] for row in _gauss_jordan(a, n, tol, "matrix is singular")]
 
 
+def _relative(m, tol):
+    """``tol`` times the largest |entry| of m, so that a verdict does not change with scale."""
+    return tol and tol * max((sabs(x) for row in m for x in row), default=0.0)
+
+
 def rank(m, tol=0.0):
+    """Rank by elimination; a nonzero ``tol`` is relative to the largest |entry| of m."""
     if not m:
         return 0
+    tol = _relative(m, tol)
     a = _fx_rows(m)
     ncols = len(a[0])
     r = 0
@@ -432,8 +440,9 @@ def signature(m, tol=0.0):
     No eigenvalues are computed: the matrix is diagonalized by congruence
     (symmetric Gaussian reduction, with a transvection step when the whole
     remaining diagonal vanishes).  A rank-deficient input raises
-    :class:`DegenerateFormError`.
+    :class:`DegenerateFormError`.  A nonzero ``tol`` is relative, as in :func:`rank`.
     """
+    tol = _relative(m, tol)
     s = _fx_rows(m)
     alive = list(range(len(m)))
     pos = neg = 0

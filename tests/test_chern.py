@@ -543,6 +543,79 @@ def test_sweep_of_zero_trials_is_an_empty_pass():
     assert rep["skipped_degenerate"] == 0
 
 
+def jacobi_signature_reference(h):
+    """The replaced sweep rule: sign changes of the leading minors (Jacobi), congruence when one is 0."""
+    a, b = linalg._zi_mul(h[0][0], h[1][1]), linalg._zi_mul(h[0][1], h[1][0])
+    minors = (h[0][0][0], a[0] - b[0], linalg._zi_det3(h)[0])
+    if minors[0] == 0 or minors[1] == 0:
+        return linalg.signature([[ComplexRational(*x) for x in row] for row in h])
+    seq = [1, *minors]
+    changes = sum(1 for x, y in zip(seq, seq[1:]) if (x > 0) != (y > 0))
+    return (3 - changes, changes)
+
+
+def charpoly_coefficients(h):
+    """(trace, sum of the principal 2x2 minors, det) of a hermitian pair matrix, as ints."""
+    c2 = 0
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        c2 += h[i][i][0] * h[j][j][0] - h[i][j][0] ** 2 - h[i][j][1] ** 2
+    return sum(h[i][i][0] for i in range(3)), c2, linalg._zi_det3(h)[0]
+
+
+_small = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -3])
+
+
+@st.composite
+def hermitian_pairs(draw):
+    """3x3 hermitian Gaussian-integer matrices, often with zero diagonal entries and minors."""
+    h = [[(0, 0)] * 3 for _ in range(3)]
+    for i in range(3):
+        h[i][i] = (draw(_small), 0)
+        for j in range(i + 1, 3):
+            h[i][j] = (draw(_small), draw(_small))
+            h[j][i] = (h[i][j][0], -h[i][j][1])
+    return h
+
+
+@settings(max_examples=300, deadline=None)
+@example([[(0, 0), (1, 0), (0, 0)], [(1, 0), (0, 0), (0, 0)], [(0, 0), (0, 0), (1, 0)]])
+@example([[(1, 0), (1, 0), (0, 0)], [(1, 0), (1, 0), (1, 0)], [(0, 0), (1, 0), (0, 0)]])
+@example([[(0, 0), (0, 1), (0, 0)], [(0, -1), (0, 0), (0, 0)], [(0, 0), (0, 0), (-2, 0)]])
+@example([[(-1, 0), (1, 0), (0, 0)], [(1, 0), (-2, 0), (0, 0)], [(0, 0), (0, 0), (-1, 0)]])
+@given(hermitian_pairs())
+def test_charpoly_inertia_matches_the_congruence(h):
+    """Descartes on det(x - H) against linalg.signature and the replaced Jacobi rule.
+
+    The examples have a zero leading entry or a zero leading 2x2 minor, the
+    case the Jacobi rule handed to the congruence.
+    """
+    from g2kit.chern import _inertia3
+
+    c1, c2, c3 = charpoly_coefficients(h)
+    if c3 == 0:
+        return
+    want = linalg.signature([[ComplexRational(*x) for x in row] for row in h])
+    assert _inertia3(c1, c2, c3) == want == jacobi_signature_reference(h)
+
+
+def test_sweep_runs_the_congruence_only_on_crosscheck_trials(monkeypatch):
+    calls = []
+    orig = linalg.signature
+    monkeypatch.setattr(linalg, "signature", lambda *a: calls.append(None) or orig(*a))
+    signature_dichotomy_sweep(401, seed=3)
+    assert len(calls) == 3  # trials 0, 200 and 400
+
+
+def test_sweep_raises_on_a_definite_h(monkeypatch):
+    """The sweep and index_from_h share one guard; a definite verdict reaches it."""
+    from g2kit import chern
+
+    monkeypatch.setattr(chern, "_inertia3", lambda c1, c2, c3: (3, 0))
+    monkeypatch.setattr(chern, "index_from_h", lambda data: (3, 0))
+    with pytest.raises(chern.TheoremContradictionError, match=r"signature \(3, 0\)"):
+        signature_dichotomy_sweep(5, seed=1)
+
+
 def test_volume_projection_identity(rng):
     """The (3,0)-projection of d(omega) equals 12i (det conj(s) - det r).
 
@@ -681,6 +754,23 @@ def test_float_residual_verdict_is_gauge_invariant(k):
         rep = equivariance_check(j, frame, identity, h, canonical_eta_basis(frame))
         assert rep["residual_vanishing_invariant"]
         assert rep["pass"], rep
+
+
+def test_float_index_does_not_change_with_the_scale_of_the_eta_basis():
+    """rank and signature read their float tolerance relative to the input's largest entry.
+
+    With an absolute pivot bound, the basis times 10^k raised DegenerateFormError
+    for k = -6..-8 and NotComplexStructureError for k <= -9.
+    """
+    import random
+
+    from g2kit.sphere import frame_at_float_point
+
+    frame = frame_at_float_point(random.Random(1), None)
+    j = CandidateJ.flipped(frame, (2, 3))
+    for k in range(-12, 13):
+        basis = [tuple(10.0**k * x for x in v) for v in canonical_eta_basis(frame)]
+        assert index_from_h(compute_rs(j, frame, basis)) == (1, 2), k
 
 
 @pytest.mark.parametrize("k", [3, -3, -5])

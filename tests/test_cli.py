@@ -540,14 +540,20 @@ def _form(mode="exact", dim=6, degree=3, **term):
     return {"mode": mode, "dim": dim, "degree": degree, "terms": [term]}
 
 
+def _float_vol(re):
+    """The float 6-form re * e^123456 on R^6."""
+    return {"mode": "float", "dim": 6, "degree": 6, "terms": [{"idx": [1, 2, 3, 4, 5, 6], "re": re}]}
+
+
 # malformed documents that must exit 2: a vector or matrix that is not a JSON
 # array, a float entry that is not a number, a frame that is not 7x7, a
 # --vol that is not a nonzero 6-form on R^6, a JSON boolean where a number
 # belongs, a dim, degree or index entry that is not a JSON integer, and a
 # chern document with a key outside mode, point, frame, frame_seed and J,
 # and a form document with a key outside mode, dim, degree and terms, or a
-# term with a key outside idx, re and im, and a classify-3form --input or
-# --vol with a nonzero imaginary part
+# term with a key outside idx, re and im, a classify-3form --input or --vol
+# with a nonzero imaginary part, a float part that is not finite, and an
+# exact string outside the grammar [+-]p or [+-]p/q
 BAD_INPUTS = {
     "point-digit-string": ("chern", {"point": "1000000"}),
     "point-string": ("chern", {"point": "abc"}),
@@ -607,6 +613,18 @@ BAD_INPUTS = {
     "vol-imaginary-6-form": (
         "vol", {"dim": 6, "degree": 6, "terms": [{"idx": [1, 2, 3, 4, 5, 6], "re": "1", "im": "1"}]}
     ),
+    # float parts that are not finite numbers, in a form or a --vol
+    "float-form-nan": ("classify-3form", _form("float", re=float("nan"))),
+    "float-form-infinity": ("classify-3form", _form("float", re=float("inf"))),
+    "float-form-minus-infinity": ("classify-3form", _form("float", re=float("-inf"))),
+    "float-form-int-beyond-float-range": ("classify-3form", _form("float", re=10**400)),
+    "float-vol-nan": ("float vol", _float_vol(float("nan"))),
+    "float-vol-infinity": ("float vol", _float_vol(float("inf"))),
+    # exact strings outside [+-]p(/q): what Fraction() parses besides the documented grammar
+    "form-re-exponent": ("classify-3form", _form(re="1e5")),
+    "form-re-decimal": ("classify-3form", _form(re="0.5")),
+    "form-re-leading-blank": ("classify-3form", _form(re=" 1")),
+    "form-re-underscore": ("classify-3form", _form(re="1_000")),
     # a --tol that is not a finite number >= 0 is a usage error, not a failed check
     "sphere-suite-tol-nan": ("sphere-suite --tol", "nan"),
     "sphere-suite-tol-negative": ("sphere-suite --tol", "-1"),
@@ -620,9 +638,13 @@ def bad_input_argv(case, tmp_path):
     if command == "sphere-suite --tol":
         return ["sphere-suite", "--samples", "2", "--seed", "1", "--tol", doc]
     path = tmp_path / f"{case}.json"
-    if command == "classify-3form --tol":  # on the float form e^123
+    if command in ("classify-3form --tol", "float vol"):  # on the float form e^123
         path.write_text(json.dumps(_form("float", re=1.0)))
-        return ["classify-3form", "--input", str(path), "--tol", doc]
+        if command == "classify-3form --tol":
+            return ["classify-3form", "--input", str(path), "--tol", doc]
+        vol = tmp_path / f"{case}-vol.json"
+        vol.write_text(json.dumps(doc))
+        return ["classify-3form", "--input", str(path), "--vol", str(vol)]
     path.write_text(json.dumps(doc))
     if command == "vol":
         return ["classify-3form", "--input", exact_elliptic_doc(tmp_path), "--vol", str(path)]
@@ -655,6 +677,28 @@ def test_malformed_inputs_exit_2_under_optimize(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["2"] * len(BAD_INPUTS)
+
+
+def test_huge_exponent_string_exits_2_within_a_second(tmp_path):
+    """Fraction("1e999999999") would build 10**999999999; the grammar turns it away first.
+
+    It runs in a child process, so that a regression fails at the timeout instead of hanging.
+    """
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_form(re="1e999999999")))
+    script = (
+        "import sys, time\n"
+        "from g2kit.cli import main\n"
+        "start = time.perf_counter()\n"
+        "code = main(['classify-3form', '--input', sys.argv[1]])\n"
+        "print(code, time.perf_counter() - start)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path)], capture_output=True, text=True, timeout=60
+    )
+    code, seconds = proc.stdout.split()
+    assert code == "2" and "input error" in proc.stderr, proc.stderr
+    assert float(seconds) < 1.0
 
 
 def test_package_has_no_assert_statements():

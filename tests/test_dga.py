@@ -65,8 +65,8 @@ def test_conj_involution_commutes_with_d(seed):
     rng = random.Random(seed)
     dga = CoframeDGA()
     e = rand_element(rng)
-    assert dga.conj(dga.conj(e)) == e
-    assert dga.d(dga.conj(e)) == dga.conj(dga.d(e))
+    assert e.conj().conj() == e
+    assert dga.d(e.conj()) == dga.d(e).conj()
 
 
 def test_d_theta1_frozen():
@@ -189,15 +189,34 @@ def test_d_table_and_d_squared_are_pinned(mutation, digest):
     assert hashlib.sha256("\n".join(table + squares).encode()).hexdigest() == digest
 
 
-def _reference_d_table(dga):
-    """The structure equations built from DgaElement products, d(t_ib) by conjugating d(t_i)."""
-    conj_table = {}
+def _reference_conj_table():
+    """conj(g) as a DgaElement for each generator: t_i <-> t_ib, k_ij -> -k_ji."""
+    table = {}
     for i in (1, 2, 3):
-        conj_table[GENERATORS.index(f"t{i}")] = dga.theta_bar(i)
-        conj_table[GENERATORS.index(f"t{i}b")] = dga.theta(i)
+        table[GENERATORS.index(f"t{i}")] = CoframeDGA.theta_bar(i)
+        table[GENERATORS.index(f"t{i}b")] = CoframeDGA.theta(i)
         for j in (1, 2, 3):
             if (i, j) != (3, 3):
-                conj_table[GENERATORS.index(f"k{i}{j}")] = -dga.kappa(j, i)
+                table[GENERATORS.index(f"k{i}{j}")] = -CoframeDGA.kappa(j, i)
+    return table
+
+
+_CONJ_TABLE = _reference_conj_table()
+
+
+def _reference_conj(e):
+    """Conjugation product by product: conj(c) times the conjugates of the word's generators."""
+    out = DgaElement()
+    for word, c in e.terms.items():
+        piece = DgaElement.scalar(c.conjugate())
+        for g in word:
+            piece = piece * _CONJ_TABLE[g]
+        out = out + piece
+    return out
+
+
+def _reference_d_table(dga):
+    """The structure equations built from DgaElement products, d(t_ib) by conjugating d(t_i)."""
     two = Fraction(3 if dga.mutation == "dtheta-coeff" else 2)
     three = Fraction(4 if dga.mutation == "dkappa-coeff" else 3)
     eps = {(1, 2, 3): 1, (2, 1, 3): -1, (3, 1, 2): 1}
@@ -209,7 +228,7 @@ def _reference_d_table(dga):
         j, k = (l for l in (1, 2, 3) if l != i)
         dt = dt + (dga.theta_bar(j) * dga.theta_bar(k)).smul(eps[i, j, k] * two)
         table[GENERATORS.index(f"t{i}")] = dt
-        table[GENERATORS.index(f"t{i}b")] = dt.conj(conj_table)
+        table[GENERATORS.index(f"t{i}b")] = _reference_conj(dt)
         for j in (1, 2, 3):
             if (i, j) == (3, 3):
                 continue
@@ -258,6 +277,16 @@ def test_integer_leibniz_kernel_matches_three_products(mutation, terms):
     dga = _DGAS[mutation]
     e = DgaElement(terms)
     got, expected = dga.d(e), _reference_d(dga, e)
+    assert got.terms == expected.terms
+    assert all(type(c) is ComplexRational for c in got.terms.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(_WORDS, _COEFFS, max_size=5))
+def test_word_conjugation_matches_the_product_route(terms):
+    """Words of length 0-4 with mixed denominators, by exact value and coefficient type."""
+    e = DgaElement(terms)
+    got, expected = e.conj(), _reference_conj(e)
     assert got.terms == expected.terms
     assert all(type(c) is ComplexRational for c in got.terms.values())
 

@@ -8,7 +8,7 @@ from g2kit import linalg
 from g2kit.forms import ExteriorForm
 from g2kit.scalars import ComplexRational, MixedModeError
 from g2kit.g2 import (
-    _CROSS_TABLE,
+    PHI_TERMS,
     AdaptedFrame,
     FrameConstructionError,
     adapted_frame,
@@ -352,6 +352,25 @@ def test_membership_check_survives_optimize_flag(tmp_path):
     assert "input error" in chern.stderr
 
 
+def _reference_cross_table():
+    """c[i][j] = [(k, sign)] with e_i x e_j = sign e_k, from the six permutations of each phi term."""
+    table = [[[] for _ in range(8)] for _ in range(8)]
+    for (a, b, c), s in PHI_TERMS:
+        for (i, j, k), sign in (
+            ((a, b, c), s),
+            ((b, c, a), s),
+            ((c, a, b), s),
+            ((b, a, c), -s),
+            ((a, c, b), -s),
+            ((c, b, a), -s),
+        ):
+            table[i][j].append((k, sign))
+    return table
+
+
+CROSS_TABLE = _reference_cross_table()
+
+
 def reference_cross(u, v):
     """The cross product as a loop over the structure constants, one term at a time."""
     out = [u[0] * 0] * 7
@@ -361,7 +380,7 @@ def reference_cross(u, v):
         for j in range(1, 8):
             if not v[j - 1]:
                 continue
-            for k, sign in _CROSS_TABLE[i][j]:
+            for k, sign in CROSS_TABLE[i][j]:
                 term = u[i - 1] * v[j - 1]
                 out[k - 1] = out[k - 1] + (term if sign == 1 else -term)
     return tuple(out)

@@ -170,6 +170,35 @@ def test_scalars_read_as_before():
         assert type(got) is type(want) and repr(got) == repr(want), obj
 
 
+@pytest.mark.parametrize(
+    "text", ["1e5", "0.5", " 1", "1 ", "1_000", "1/-2", "--1", "1/2/3", "0x10", "\u0663", "1\n", "", "/2"]
+)
+def test_exact_strings_follow_the_documented_grammar(text):
+    """Only [+-]p and [+-]p/q in decimal digits, not everything Fraction() parses."""
+    with pytest.raises(JsonFormatError):
+        jsonio.number_from_obj(text, "exact")
+
+
+def test_exact_numbers_in_the_grammar_read_as_fractions():
+    cases = {"+1/2": Fraction(1, 2), "-3": Fraction(-3), "007/010": Fraction(7, 10), 12: Fraction(12)}
+    for obj, want in cases.items():
+        got = jsonio.number_from_obj(obj, "exact")
+        assert type(got) is Fraction and got == want, obj
+    with pytest.raises(ZeroDivisionError):  # a known defect, pinned by the bench until it is fixed
+        jsonio.number_from_obj("1/0", "exact")
+
+
+@pytest.mark.parametrize(
+    "obj", [float("nan"), float("inf"), float("-inf"), 10**400, -(10**400)],
+    ids=["nan", "inf", "-inf", "int-1e400", "int--1e400"],
+)
+def test_float_numbers_must_be_finite(obj):
+    with pytest.raises(JsonFormatError):
+        jsonio.number_from_obj(obj, "float")
+    with pytest.raises(JsonFormatError):
+        jsonio.scalar_from_obj({"re": 1.0, "im": obj}, "float")
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_repeated_indices_are_summed_however_spelled(mode):
     """An exact repeat and a permuted repeat of an index both add their coefficients."""

@@ -288,3 +288,15 @@ def test_unrolled_det_elim_edge_cases():
     ]
     for m in cases:
         assert same(linalg._det_elim([list(row) for row in m]), reference_det(m)), m
+
+
+@pytest.mark.parametrize("k", range(-12, 13, 3))
+def test_float_rank_and_signature_tolerances_are_relative(k):
+    """Scaling a float matrix by 10^k changes neither verdict; tol 0 stays exact pivoting."""
+    sym = [[1.0, 2.0, 0.5], [2.0, -1.0, 0.25], [0.5, 0.25, 3.0]]
+    low = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0 + 1e-13], [0.0, 1.0, 1.0]]
+    scaled = lambda m: [[10.0**k * x for x in row] for row in m]
+    assert linalg.signature(scaled(sym), 1e-10) == linalg.signature(sym, 1e-10) == (2, 1)
+    assert linalg.rank(scaled(low), 1e-10) == linalg.rank(low, 1e-10) == 2
+    assert linalg.rank(scaled(low)) == 3
+    assert linalg.rank([[0.0, 0.0]], 1e-10) == 0
