@@ -79,6 +79,7 @@ from .compat import (
     standard_symplectic_matrix,
 )
 from .threeforms import (
+    FloatRangeError,
     ThreeFormClass,
     classify_3form,
     elliptic_normal_form,

@@ -41,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .compat import NotComplexStructureError, complex_basis
+from .compat import NotComplexStructureError, complex_basis, square_defect_bound
 from .g2 import AdaptedFrame, cross, frame_rotate, theta_value
 from .scalars import (
     EXACT,
@@ -80,24 +80,25 @@ class CandidateJ(Immutable):
 
     Stored as the ambient 7x7 matrix that kills u and squares to minus the
     projection onto u-perp.  Point and matrix share one mode, or MixedModeError.
-    Float defects must be within ``tol * max(1, max|J_ij|)^2``, as the rounding
-    error of J^2 grows with |J|^2; pickles written before the immutable base
-    pass ``tol``, so it stays a parameter.
+    Float defects must be within ``compat.square_defect_bound`` of J, the one
+    bound on a defect of J^2.  Pickles written before the immutable base call
+    the constructor with their own bound as a third value, ``pickled_tol``,
+    so that they still load; it is ignored.
     """
 
     __slots__ = ("point", "matrix", "mode")
 
-    def __init__(self, point, matrix, tol=1e-10):
+    def __init__(self, point, matrix, *pickled_tol):
         u = point_vector(point)
         rows = tuple(tuple(r) for r in matrix)
         mode = FLOAT if join_modes(vector_mode(u), matrix_mode(rows)) == FLOAT else EXACT
-        self._validate(u, rows, mode, tol)
+        self._validate(u, rows, mode)
         object.__setattr__(self, "point", u)
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "mode", mode)
 
     @staticmethod
-    def _validate(u, rows, mode, tol):
+    def _validate(u, rows, mode):
         if len(rows) != 7 or any(len(r) != 7 for r in rows):
             raise NotComplexStructureError("ambient matrix must be 7x7")
         au = linalg.mat_vec(rows, u)
@@ -110,7 +111,7 @@ class CandidateJ(Immutable):
         if mode == EXACT:
             bad = any(x != 0 for x in defects)
         else:
-            bound = tol * max(1.0, max(abs(x) for row in rows for x in row)) ** 2
+            bound = square_defect_bound(rows)
             bad = any(abs(to_float(x)) > bound for x in defects)
         if bad:
             raise NotComplexStructureError(
@@ -126,8 +127,7 @@ class CandidateJ(Immutable):
         """The reference structure v |-> u x v."""
         u = point_vector(point)
         cols = [cross(u, tuple(1 if i == a else 0 for i in range(7))) for a in range(7)]
-        rows = [[cols[b][a] for b in range(7)] for a in range(7)]
-        return cls(u, rows)
+        return cls(u, linalg.transpose(cols))
 
     @classmethod
     def minus_standard(cls, point):

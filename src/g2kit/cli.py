@@ -46,6 +46,7 @@ from .sphere import (
     phi_tangential,
     upsilon_at,
 )
+from .threeforms import FloatRangeError, classify_3form, standard_volume_form
 
 USAGE_ERROR = 2
 
@@ -120,8 +121,6 @@ def _real_form(path):
 
 
 def cmd_classify_3form(args):
-    from .threeforms import classify_3form, standard_volume_form
-
     rho = _real_form(args.input)
     vol = standard_volume_form()
     if args.vol:
@@ -389,7 +388,7 @@ def main(argv=None):
             return cmd_sphere_suite(args, parser)
         if args.command == "chern":
             return cmd_chern(args)
-    except (InputError, JsonFormatError, FrameConstructionError) as exc:
+    except (InputError, JsonFormatError, FrameConstructionError, FloatRangeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     parser.error(f"unknown command {args.command}")

@@ -11,7 +11,8 @@ halves every hermitian inertia here (:func:`hermitian_index`).
 
 Signatures are computed by exact congruence reduction over the rationals
 (see :mod:`g2kit.linalg`), never by eigenvalues.  Exact matrices are
-compared exactly and float ones within the fixed tolerance 1e-10.
+compared exactly.  Float ones are compared within 1e-10, except J^2 + I,
+whose bound :func:`square_defect_bound` scales with max|J|^2.
 """
 
 from __future__ import annotations
@@ -42,14 +43,27 @@ def _tol_for(*ms):
     return 1e-10 if matrix_mode([row for m in ms for row in m]) == FLOAT else 0.0
 
 
+def square_defect_bound(j):
+    """The float bound on each entry of J^2 + I: 1e-10 * max(1, max|J_ij|)^2.
+
+    The rounding error of J^2 grows with |J|^2, so an absolute bound rejects
+    a valid J with large entries.  The square is a product, so a huge entry
+    gives an infinite bound, not OverflowError.
+    """
+    m = max(1.0, max(sabs(x) for row in j for x in row))
+    return 1e-10 * (m * m)
+
+
 def check_complex_structure(j):
+    """J as a list of rows if J^2 = -I, exactly or within :func:`square_defect_bound`."""
     j = [list(r) for r in j]
     n = len(j)
     if n % 2 or any(len(r) != n for r in j):
         raise NotComplexStructureError("complex structures need even square matrices")
     jj = linalg.mat_mul(j, j)
     defect = [[jj[a][b] + (1 if a == b else 0) for b in range(n)] for a in range(n)]
-    if not _is_zero_matrix(defect, _tol_for(j)):
+    tol = square_defect_bound(j) if matrix_mode(j) == FLOAT else 0.0
+    if not _is_zero_matrix(defect, tol):
         raise NotComplexStructureError("J^2 != -I")
     return j
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import mul
 
 from .forms import ExteriorForm, sort_sign
-from .linalg import _cleared_over_z, mat_vec
+from .linalg import _cleared_over_z, mat_mul, mat_vec, transpose
 from .scalars import (
     EXACT,
     FLOAT,
@@ -126,7 +126,7 @@ def is_g2(matrix) -> bool:
     rows = [list(r) for r in matrix]
     if len(rows) != 7 or any(len(r) != 7 for r in rows):
         raise ValueError("group membership test needs a 7x7 matrix")
-    cols = [[rows[i][j] for i in range(7)] for j in range(7)]
+    cols = transpose(rows)
     cleared = _cleared_over_z(cols)
     if cleared is not None:
         return _is_g2_cleared(cleared)
@@ -247,8 +247,7 @@ def adapted_frame(u, v, w) -> AdaptedFrame:
 def _completion_rows(u, v, w):
     """Rows of the cross-product completion of (u, v, w); nothing is checked."""
     uv = cross(u, v)
-    cols = [u, v, uv, w, cross(u, w), cross(v, w), tuple(-x for x in cross(uv, w))]
-    return [[cols[j][i] for j in range(7)] for i in range(7)]
+    return transpose([u, v, uv, w, cross(u, w), cross(v, w), tuple(-x for x in cross(uv, w))])
 
 
 def standard_frame() -> AdaptedFrame:
@@ -272,24 +271,22 @@ def frame_rotate(frame: AdaptedFrame, unitary) -> AdaptedFrame:
     return AdaptedFrame(_rotation_rows(frame, unitary), check=True)
 
 
+def _unitary_block(unitary):
+    """The real 7x7 matrix of a complex 3x3 U acting on the f-planes, with g1 fixed.
+
+    Entry U_jk = a + ib fills rows 2j, 2j+1 and columns 2k, 2k+1 (1-based)
+    with [[a, -b], [b, a]], so that frame.matrix times it has the complex
+    columns f'_k = sum_j U_jk f_j.
+    """
+    out = [[1 if a == b == 0 else 0 for b in range(7)] for a in range(7)]
+    for j, row in enumerate(unitary):
+        for k, c in enumerate(row):
+            a, b = (c.re, c.im) if isinstance(c, ComplexRational) else (c.real, c.imag)
+            out[2 * j + 1][2 * k + 1 : 2 * k + 3] = a, -b
+            out[2 * j + 2][2 * k + 1 : 2 * k + 3] = b, a
+    return out
+
+
 def _rotation_rows(frame: AdaptedFrame, unitary):
     """Rows of ``frame`` rotated by ``unitary`` as in frame_rotate, unchecked."""
-    u = [list(r) for r in unitary]
-    cols = [frame.col(1)]
-    new_cols = {}
-    for k in range(1, 4):
-        re_col = [0] * 7
-        im_col = [0] * 7
-        for j in range(1, 4):
-            c = u[j - 1][k - 1]
-            a = c.re if isinstance(c, ComplexRational) else c.real
-            b = c.im if isinstance(c, ComplexRational) else c.imag
-            gj, gj1 = frame.col(2 * j), frame.col(2 * j + 1)
-            for i in range(7):
-                re_col[i] = re_col[i] + a * gj[i] + b * gj1[i]
-                im_col[i] = im_col[i] + a * gj1[i] - b * gj[i]
-        new_cols[2 * k] = tuple(re_col)
-        new_cols[2 * k + 1] = tuple(im_col)
-    for j in range(2, 8):
-        cols.append(new_cols[j])
-    return [[cols[j][i] for j in range(7)] for i in range(7)]
+    return mat_mul(frame.matrix, _unitary_block(unitary))

@@ -26,10 +26,10 @@ This is the one module with Gaussian-integer matrix kernels.  The private
 ``_zi_*`` helpers on plain ``(re, im)`` int pairs serve chern's signature sweep,
 whose many small products Fraction normalization would dominate.  The sweep
 only uses 3x3 shapes, and those run as straight-line code on the unpacked
-ints: ``_zi_dot3`` (a 3-term dot product), the 3x3 path of ``_zi_mat_mul``,
-``_zi_cross`` entry by entry, and ``_zi_cofactors``/``_zi_det3`` built on
-those two.  ``_zi_dot`` is the general Z[i] dot product, under ``mat_mul``
-and the other shapes of ``_zi_mat_mul``.
+ints: ``_zi_dot3`` (a 3-term dot product), ``_zi_mat_mul`` on it (inner
+dimension 3 only), ``_zi_cross`` entry by entry, and
+``_zi_cofactors``/``_zi_det3`` built on those.  ``_zi_dot`` is the general
+Z[i] dot product, under ``mat_mul``.
 
 Matrices are lists of row lists; vectors are flat lists/tuples.
 """
@@ -147,12 +147,9 @@ def _zi_dot3(x, y):
 
 
 def _zi_mat_mul(a, b):
-    if len(b) == 3:  # the sweep's shape: a 3-term dot product per entry
-        cols = list(zip(*b))
-        return [[_zi_dot3(x, y) for y in cols] for x in a]
-    rows = [tuple(zip(*row)) for row in a]
-    cols = [tuple(zip(*col)) for col in zip(*b)]
-    return [[_zi_dot(*x, *y) for y in cols] for x in rows]
+    """a b for pair matrices with 3 rows in b, the sweep's only shape: one ``_zi_dot3`` per entry."""
+    cols = list(zip(*b))
+    return [[_zi_dot3(x, y) for y in cols] for x in a]
 
 
 def _zi_cross(a, b):

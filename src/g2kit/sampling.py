@@ -8,8 +8,8 @@ hamiltonian ones, and group elements for the calibration 3-form as products
 of stabilizer rotations about two different axes.
 
 Group elements are assembled without membership checks: each factor is a
-known group element (an SU(3) rotation of the identity frame, or the fixed
-frame at e4), so their product is one too.  The finished frame is verified
+known group element (the real matrix of an SU(3) rotation about e1, or the
+fixed frame at e4), so their product is one too.  The finished frame is verified
 once, by ``AdaptedFrame`` in :func:`random_rational_frame`.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .g2 import AdaptedFrame, _completion_rows, _rotation_rows, standard_frame
+from .g2 import AdaptedFrame, _completion_rows, _unitary_block, dot
 from .scalars import ComplexRational
 
 
@@ -111,27 +111,24 @@ def random_symplectic(rng, omega_matrix):
 # exact group elements and rational sphere data
 # ---------------------------------------------------------------------------
 
-def _frame_at_e4():
-    """Rows of the completion of (e4, e5, e2): a signed permutation in the group."""
-    e = lambda k: tuple(Fraction(1 if i == k - 1 else 0) for i in range(7))
-    return _completion_rows(e(4), e(5), e(2))
+# the fixed frame at e4: rows of the completion of (e4, e5, e2), a signed permutation in the group
+_HOP = _completion_rows(*(tuple(Fraction(int(i == k)) for i in range(7)) for k in (3, 4, 1)))
 
 
 def random_g2_matrix(rng) -> list:
     """Random exact matrix preserving the calibration form.
 
-    Two factors rot . hop . rot, each rot a special-unitary stabilizer rotation
-    about e1 and hop the fixed frame based at e4, already move the base point
-    over a dense set of rational sphere points.  The product is not verified
-    here; :func:`random_rational_frame` verifies it.
+    Two factors rot . hop . rot, each rot the real matrix of a special-unitary
+    rotation about e1 (``_unitary_block``) and hop the fixed frame based at
+    e4, already move the base point over a dense set of rational sphere
+    points.  The product is not verified here; :func:`random_rational_frame`
+    verifies it.
     """
-    std = standard_frame()
-    hop = _frame_at_e4()
     total = None
     for _ in range(2):
-        rot1 = _rotation_rows(std, random_su3(rng))
-        rot2 = _rotation_rows(std, random_su3(rng))
-        piece = linalg.mat_mul(rot1, linalg.mat_mul(hop, rot2))
+        rot1 = _unitary_block(random_su3(rng))
+        rot2 = _unitary_block(random_su3(rng))
+        piece = linalg.mat_mul(rot1, linalg.mat_mul(_HOP, rot2))
         total = piece if total is None else linalg.mat_mul(total, piece)
     return total
 
@@ -148,7 +145,7 @@ def random_rational_tangent(rng, u):
     """Random rational tangent vector at u: an integer vector in [-5, 5]^7, projected."""
     while True:
         z = [Fraction(rng.randint(-5, 5)) for _ in range(7)]
-        p = sum(a * b for a, b in zip(z, u))
+        p = dot(z, u)
         v = tuple(a - p * b for a, b in zip(z, u))
         if any(v):
             return v

@@ -16,6 +16,7 @@ depends on the chosen volume form, but its sign (the tag) does not.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,6 +26,10 @@ from .forms import ExteriorForm
 from .scalars import (
     EXACT, FLOAT, I_EXACT, Immutable, matrix_mode, normalize_scalar, sqrt_fraction, to_float
 )
+
+
+class FloatRangeError(ValueError):
+    """A float form whose K or lambda is not a finite float, so it has no float classification."""
 
 
 class ThreeFormClass(Immutable):
@@ -223,7 +228,9 @@ def classify_3form(rho: ExteriorForm, vol: ExteriorForm = None, tol=1e-12) -> Th
     standard volume form).  In exact mode J is exact whenever -lambda is a
     rational square; otherwise J is produced in float mode.  In float mode
     the tag is degenerate when |lambda| <= tol |rho|^4 / |vol|^2 (max-norm of
-    rho, coefficient of vol), a test unchanged by rescaling rho or vol.
+    rho, coefficient of vol), a test unchanged by rescaling rho or vol.  A
+    float form whose K or lambda overflows to inf or NaN raises
+    :class:`FloatRangeError`.
     """
     if vol is None:
         vol = standard_volume_form()
@@ -233,8 +240,15 @@ def classify_3form(rho: ExteriorForm, vol: ExteriorForm = None, tol=1e-12) -> Th
     pivot_tol = 0.0 if exact else tol
     k = k_operator(rho, vol)
     lam = _discriminant_of(k)
-    # lambda has degree 4 in rho and -2 in vol, and so has the float bound
-    bound = 0 if exact else tol * rho.norm_inf() ** 4 / abs(vol.terms[(1, 2, 3, 4, 5, 6)]) ** 2
+    bound = 0
+    if not exact:
+        if not all(map(cmath.isfinite, [lam, *(x for row in k for x in row)])):
+            raise FloatRangeError("K or lambda of the float form is not finite")
+        # lambda has degree 4 in rho and -2 in vol, and so has the float bound; it is
+        # formed by products, so that no power overflows and no square of vol underflows
+        n = rho.norm_inf()
+        q = n * n / abs(vol.terms[(1, 2, 3, 4, 5, 6)])
+        bound = tol * q * q
     if abs(lam) <= bound:
         return ThreeFormClass("degenerate", lam, rho.mode)
     if to_float(lam) > 0:

@@ -976,7 +976,10 @@ def _structure_case(source, exact, seed):
 
 
 # seed 199 gives a float symplectic conjugate with max|J| near 1.4e4, and seed
-# 13118 one with a J^2 defect of 4.66e-10; an absolute 1e-10 bound rejected both
+# 13118 one with a J^2 defect of 4.66e-10; an absolute 1e-10 bound rejected both.
+# Elliptic seeds 870 and 13259540 pull back a normal form whose float J has
+# large entries (max|J| 3835 at 870, where max|J^2 + I| is 1.75e-10), which
+# compat.check_complex_structure rejected under the same absolute bound
 @settings(max_examples=40, deadline=None)
 @given(
     source=st.sampled_from(["compatible", "flipped", "elliptic"]),
@@ -985,6 +988,8 @@ def _structure_case(source, exact, seed):
 )
 @example(source="compatible", exact=False, seed=199)
 @example(source="compatible", exact=False, seed=13118)
+@example(source="elliptic", exact=False, seed=870)
+@example(source="elliptic", exact=False, seed=13259540)
 def test_complex_basis_matches_the_replaced_loops(source, exact, seed):
     """``default_eta_basis`` and ``_orientation_sign`` give the old vectors and signs, bit for bit."""
     j, j6, _ = _structure_case(source, exact, seed)
@@ -1100,6 +1105,8 @@ def _assert_close(got, want):
     exact=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(source="elliptic", exact=False, seed=870)
+@example(source="elliptic", exact=False, seed=13259540)
 def test_frame_products_match_the_replaced_loops(source, exact, seed):
     """(r, s) and the tangent matrix keep their types and reprs; the lift and the gauge basis their values."""
     from g2kit import chern

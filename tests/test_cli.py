@@ -503,6 +503,29 @@ def test_classify_tol_leaves_exact_report_unchanged(tmp_path, capsys):
     assert run_main(["classify-3form", "--input", doc, "--tol", "1e-9"], capsys) == plain
 
 
+# the pullback of the elliptic normal form drawn at elliptic seed 870 of
+# tests/test_chern.py; as a float form its J has max|J| = 3835 and
+# max|J^2 + I| = 1.75e-10, which an absolute bound of 1e-10 rejected
+_G870 = [
+    [-3, 3, 4, 3, 2, 2],
+    [0, -3, -2, 2, 3, -1],
+    [-3, 3, 4, 0, 2, -1],
+    [-2, 1, -1, -4, 2, 3],
+    [2, -3, 0, -4, -2, 3],
+    [0, -3, -1, 2, 3, -3],
+]
+
+
+def test_float_elliptic_form_with_large_j_is_classified(tmp_path, capsys):
+    """The J^2 bound scales with max|J|^2, so this float form is elliptic, not a traceback."""
+    rho = elliptic_normal_form().pullback([[Fraction(x) for x in row] for row in _G870])
+    path = tmp_path / "elliptic870.json"
+    path.write_text(json.dumps(jsonio.form_to_obj(rho.as_float())))
+    code, out, _ = run_main(["classify-3form", "--input", str(path)], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["tag"] == "elliptic" and report["discriminant"] == -144.0
+
+
 @pytest.mark.parametrize("payload", ["[1, 2]", '"x"'], ids=["list", "string"])
 @pytest.mark.parametrize(
     "argv",
@@ -545,6 +568,12 @@ def _float_vol(re):
     return {"mode": "float", "dim": 6, "degree": 6, "terms": [{"idx": [1, 2, 3, 4, 5, 6], "re": re}]}
 
 
+def _float_split(re):
+    """The float 3-form re * (e^123 + e^456) on R^6."""
+    terms = [{"idx": [1, 2, 3], "re": re}, {"idx": [4, 5, 6], "re": re}]
+    return {"mode": "float", "dim": 6, "degree": 3, "terms": terms}
+
+
 # malformed documents that must exit 2: a vector or matrix that is not a JSON
 # array, a float entry that is not a number, a frame that is not 7x7, a
 # --vol that is not a nonzero 6-form on R^6, a JSON boolean where a number
@@ -552,8 +581,9 @@ def _float_vol(re):
 # chern document with a key outside mode, point, frame, frame_seed and J,
 # and a form document with a key outside mode, dim, degree and terms, or a
 # term with a key outside idx, re and im, a classify-3form --input or --vol
-# with a nonzero imaginary part, a float part that is not finite, and an
-# exact string outside the grammar [+-]p or [+-]p/q
+# with a nonzero imaginary part, a float part that is not finite, a float form
+# whose K or lambda is not finite, and an exact string outside the grammar
+# [+-]p or [+-]p/q
 BAD_INPUTS = {
     "point-digit-string": ("chern", {"point": "1000000"}),
     "point-string": ("chern", {"point": "abc"}),
@@ -620,6 +650,15 @@ BAD_INPUTS = {
     "float-form-int-beyond-float-range": ("classify-3form", _form("float", re=10**400)),
     "float-vol-nan": ("float vol", _float_vol(float("nan"))),
     "float-vol-infinity": ("float vol", _float_vol(float("inf"))),
+    # split forms whose K or lambda overflows: inf was printed, or OverflowError,
+    # NotComplexStructureError or ZeroDivisionError escaped
+    "float-split-1e77": ("classify-3form", _float_split(1e77)),
+    "float-split-1e78": ("classify-3form", _float_split(1e78)),
+    "float-split-1e100": ("classify-3form", _float_split(1e100)),
+    "float-split-1e200": ("classify-3form", _float_split(1e200)),
+    "float-split-vol-1e-160": ("float split vol", _float_vol(1e-160)),
+    "float-split-vol-1e-200": ("float split vol", _float_vol(1e-200)),
+    "float-split-vol-1e-320": ("float split vol", _float_vol(1e-320)),
     # exact strings outside [+-]p(/q): what Fraction() parses besides the documented grammar
     "form-re-exponent": ("classify-3form", _form(re="1e5")),
     "form-re-decimal": ("classify-3form", _form(re="0.5")),
@@ -638,8 +677,9 @@ def bad_input_argv(case, tmp_path):
     if command == "sphere-suite --tol":
         return ["sphere-suite", "--samples", "2", "--seed", "1", "--tol", doc]
     path = tmp_path / f"{case}.json"
-    if command in ("classify-3form --tol", "float vol"):  # on the float form e^123
-        path.write_text(json.dumps(_form("float", re=1.0)))
+    if command in ("classify-3form --tol", "float vol", "float split vol"):
+        split = command == "float split vol"  # on e^123 + e^456, else on e^123
+        path.write_text(json.dumps(_float_split(1.0) if split else _form("float", re=1.0)))
         if command == "classify-3form --tol":
             return ["classify-3form", "--input", str(path), "--tol", doc]
         vol = tmp_path / f"{case}-vol.json"
@@ -713,9 +753,7 @@ def test_package_has_no_assert_statements():
     assert len(list(src.glob("*.py"))) > 10 and found == []
 
 
-# CandidateJ.tol: pickles written before the immutable base call the
-# constructor with three arguments, so it stays a parameter
-_NEVER_SET_ALLOWED = {"chern.CandidateJ.tol"}
+_NEVER_SET_ALLOWED = set()
 
 
 def _nodes(node, cls=None):

@@ -20,7 +20,7 @@ from g2kit.g2 import (
     is_g2,
     standard_frame,
 )
-from g2kit.sampling import random_g2_matrix, random_rational_frame, random_su3
+from g2kit.sampling import random_g2_matrix, random_gl3_complex, random_rational_frame, random_su3
 
 from conftest import complex_frame_vector, e7, rand_vector
 
@@ -429,3 +429,89 @@ def test_dot_matches_the_generic_sum(uv):
     u, v = uv
     got, want = dot(u, v), reference_dot(u, v)
     assert (type(got), repr(got)) == (type(want), repr(want))
+
+
+# ---------------------------------------------------------------------------
+# frame rotation against the loop that linalg.mat_mul replaced
+# ---------------------------------------------------------------------------
+
+def rotation_rows_reference(frame, unitary):
+    """Rows of ``frame`` rotated by ``unitary``, column by column and entry by entry."""
+    u = [list(r) for r in unitary]
+    cols = [frame.col(1)]
+    new_cols = {}
+    for k in range(1, 4):
+        re_col = [0] * 7
+        im_col = [0] * 7
+        for j in range(1, 4):
+            c = u[j - 1][k - 1]
+            a = c.re if isinstance(c, ComplexRational) else c.real
+            b = c.im if isinstance(c, ComplexRational) else c.imag
+            gj, gj1 = frame.col(2 * j), frame.col(2 * j + 1)
+            for i in range(7):
+                re_col[i] = re_col[i] + a * gj[i] + b * gj1[i]
+                im_col[i] = im_col[i] + a * gj1[i] - b * gj[i]
+        new_cols[2 * k] = tuple(re_col)
+        new_cols[2 * k + 1] = tuple(im_col)
+    for j in range(2, 8):
+        cols.append(new_cols[j])
+    return [[cols[j][i] for j in range(7)] for i in range(7)]
+
+
+def _phase(rng):
+    """z^2 / |z|^2 for a nonzero Gaussian integer z: a Gaussian rational of modulus 1."""
+    while True:
+        a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+        if a or b:
+            n = a * a + b * b
+            return ComplexRational(Fraction(a * a - b * b, n), Fraction(2 * a * b, n))
+
+
+def _unitaries(rng):
+    """An SU(3) matrix, a U(3) matrix (SU(3) times a diagonal of phases) and a Gaussian-integer one."""
+    su3 = random_su3(rng)
+    phases = [[_phase(rng) if a == b else ComplexRational(0) for b in range(3)] for a in range(3)]
+    return {"su3": su3, "u3": linalg.mat_mul(su3, phases), "gl3": random_gl3_complex(rng)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_rotation_rows_match_the_replaced_loop(seed):
+    """Exact frames: the same values and entry types; float frames within 1e-12."""
+    from g2kit.g2 import _rotation_rows
+    from g2kit.sphere import frame_at_float_point
+
+    rng = random.Random(seed)
+    frame = random_rational_frame(rng)
+    float_frame = frame_at_float_point(rng, None)
+    for name, u in _unitaries(rng).items():
+        got, want = _rotation_rows(frame, u), rotation_rows_reference(frame, u)
+        assert [[(type(x), x) for x in row] for row in got] == [
+            [(type(x), x) for x in row] for row in want
+        ], name
+        uc = [[complex(float(x.re), float(x.im)) for x in row] for row in u]
+        got, want = _rotation_rows(float_frame, uc), rotation_rows_reference(float_frame, uc)
+        assert all(
+            type(x) is float and abs(x - y) <= 1e-12 for gr, wr in zip(got, want) for x, y in zip(gr, wr)
+        ), name
+
+
+def test_random_g2_matrices_byte_stable():
+    """repr of random_g2_matrix for seeds 0-9, as the rotation loop built it."""
+    import hashlib
+
+    expected = [
+        "887e799b5ee0979c8d9c1aabc8589277a8c08bb5b25623080a03294ccab780f4",
+        "9207af8301aa5dc73a37f694ed8bcbd94479f84518bd03fee108e73a8601196c",
+        "f6ed083110dd996327a96a3eba4dfe66d362e1862ddd8a2a34ea1e961b66991d",
+        "4bdee4baaf57db9f46e1bebea7282fa2efef899053fce98384f491a82e8c8cb0",
+        "bab85ec3e6942af01cbec61a71a1db177ce8140d916c3ad098e656878403caff",
+        "9b97cb7f989de399a9a0ed681abe42646d83ee9dcc38b79dc5f4dfd7fb0c251d",
+        "307365bbebf6aab626bf768bc7f24ec7e9b748b3335fdb292230ae652628d1f7",
+        "679968200c59ce7a17957991a3e8710d77f5e818c514782c8cdd28004f9e7619",
+        "6baafb99a127ce92becadfd1156c433593100dbd1e3a82661ed3bce9bcda9837",
+        "98b67399230c07904f5642c9eb9f0ce600074e9e46f3c6af893eca80407d930c",
+    ]
+    for seed, digest in enumerate(expected):
+        m = random_g2_matrix(random.Random(seed))
+        assert hashlib.sha256(repr(m).encode()).hexdigest() == digest

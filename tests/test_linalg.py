@@ -163,7 +163,8 @@ def _as_pairs(m):
 
 @st.composite
 def zi_products(draw):
-    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    """An n x 3 and a 3 x m pair matrix: ``_zi_mat_mul`` serves inner dimension 3 only."""
+    n, k, m = draw(st.integers(1, 4)), 3, draw(st.integers(1, 4))
     rows = lambda r, c: st.lists(st.lists(_zi, min_size=c, max_size=c), min_size=r, max_size=r)
     return draw(rows(n, k)), draw(rows(k, m))
 
