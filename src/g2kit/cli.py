@@ -269,9 +269,12 @@ def _frame_from_input(doc, mode):
 
 _CHERN_KEYS = {"mode", "point", "frame", "frame_seed", "J"}
 
+# the built-in structure families, as the planes that CandidateJ.flipped flips
+_FAMILIES = {"standard": (), "minus-standard": (1, 2, 3), "flip23": (2, 3)}
+
 
 def cmd_chern(args):
-    family = args.family
+    family, j = args.family, None
     if args.input:
         doc = _load_json(args.input)
         jsonio._check_keys(doc, _CHERN_KEYS, "a chern document")
@@ -287,13 +290,11 @@ def cmd_chern(args):
                 j = CandidateJ(frame.x, jsonio.matrix_from_obj(doc["J"], mode))
             except Exception as exc:
                 raise InputError(f"input J rejected: {exc}") from exc
-        else:
-            family = family or "standard"
-            j = _family_structure(family, frame)
     else:
         frame = standard_frame()
+    if j is None:
         family = family or "standard"
-        j = _family_structure(family, frame)
+        j = CandidateJ.flipped(frame, _FAMILIES[family])
 
     from .chern import canonical_eta_basis
 
@@ -322,16 +323,6 @@ def cmd_chern(args):
     return _emit(report, args)
 
 
-def _family_structure(name, frame):
-    if name == "standard":
-        return CandidateJ.flipped(frame, ())
-    if name == "minus-standard":
-        return CandidateJ.flipped(frame, (1, 2, 3))
-    if name == "flip23":
-        return CandidateJ.flipped(frame, (2, 3))
-    raise InputError(f"unknown family {name!r}")
-
-
 # ---------------------------------------------------------------------------
 
 def _tolerance(text):
@@ -354,7 +345,9 @@ def build_parser():
     p2 = subs.add_parser("classify-3form", help="split/elliptic/degenerate tag")
     p2.add_argument("--input", required=True, help="3-form JSON document")
     p2.add_argument("--vol", default=None, help="volume form JSON (default standard)")
-    p2.add_argument("--tol", type=_tolerance, default=1e-12, help="float pivot tolerance, >= 0")
+    p2.add_argument(
+        "--tol", type=_tolerance, default=1e-12, help="degeneracy tolerance of float forms, >= 0"
+    )
 
     p3 = subs.add_parser("sphere-suite", help="pointwise sphere checks")
     p3.add_argument("--samples", type=int, default=0)
@@ -367,7 +360,7 @@ def build_parser():
     p4.add_argument("--input", default=None, help="point/frame/J JSON document")
     p4.add_argument(
         "--family",
-        choices=("standard", "minus-standard", "flip23"),
+        choices=tuple(_FAMILIES),
         default=None,
         help="built-in structure family (default standard)",
     )
@@ -386,12 +379,10 @@ def main(argv=None):
             return cmd_classify_3form(args)
         if args.command == "sphere-suite":
             return cmd_sphere_suite(args, parser)
-        if args.command == "chern":
-            return cmd_chern(args)
+        return cmd_chern(args)
     except (InputError, JsonFormatError, FrameConstructionError, FloatRangeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    parser.error(f"unknown command {args.command}")
 
 
 if __name__ == "__main__":

@@ -210,7 +210,8 @@ class AdaptedFrame(Immutable):
     def theta(self, j) -> ExteriorForm:
         """Coframe 1-form theta_j = (g_2j+1 - i g_2j)/2 as covector (ambient)."""
         pairs = zip(self.col(2 * j), self.col(2 * j + 1))
-        return ExteriorForm.from_covector([theta_value(x, y, self.mode == EXACT) for x, y in pairs])
+        terms = {(i,): theta_value(x, y, self.mode == EXACT) for i, (x, y) in enumerate(pairs, 1)}
+        return ExteriorForm._trusted(7, 1, terms, self.mode)
 
     def tangent_columns(self):
         return [self.col(j) for j in range(2, 8)]

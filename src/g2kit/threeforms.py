@@ -6,12 +6,25 @@ e^123 + e^456) and the *elliptic* type (normal form Im((e^1+ie^2)^(e^3+ie^4)
 computed from the operator K_rho(v) = (iota_v rho) ^ rho read as an
 endomorphism through a fixed volume form: K^2 is a multiple lambda * Id of
 the identity on the open orbits, with lambda > 0 split and lambda < 0
-elliptic.  In the elliptic case J = K / sqrt(-lambda) is a complex structure
+elliptic.  In the elliptic case J = -K / sqrt(-lambda) is a complex structure
 and rho = 3 Im(Upsilon) for a decomposable (3,0)-form Upsilon, both of which
 are recovered here.
 
 lambda naturally carries the square of a volume weight; the reported scalar
 depends on the chosen volume form, but its sign (the tag) does not.
+
+Lemma: for elliptic rho, J = -K / sqrt(-lambda) induces the orientation of
+vol, i.e. vol(v1, Jv1, v2, Jv2, v3, Jv3) > 0 on any J-complex basis (GL(3, C)
+is connected).  Proof: iota_{Kv} vol = (iota_v rho) ^ rho defines K.  (a)
+rho -> t rho scales K by t^2 and lambda by t^4, so J is unchanged.  (b) vol
+-> c vol sends K to K / c and lambda to lambda / c^2, so J to sign(c) J, and
+-J negates the three Jv_i: the induced orientation flips with vol's.  (c) For
+g in GL(6), (g*rho, g*vol) has K' = g^-1 K g and the same lambda, so J' =
+g^-1 J g, and g*vol on the J'-complex basis g^-1 v_i is vol on the v_i.  (d)
+The elliptic forms are one GL(6)-orbit (Hitchin, J. Differential Geom. 55,
+2000), so by (a)-(c) the normal form rho0 below with vol0 = e^123456 decides:
+there K e1 = -2 e2, K e3 = -2 e4, K e5 = -2 e6 and lambda = -4, so J e1 = e2,
+J e3 = e4, J e5 = e6, and vol0(e1, ..., e6) = 1 > 0.
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .compat import check_complex_structure, complex_basis
+from .compat import check_complex_structure
 from .forms import ExteriorForm
 from .scalars import (
     EXACT, FLOAT, I_EXACT, Immutable, matrix_mode, normalize_scalar, sqrt_fraction, to_float
@@ -29,7 +42,7 @@ from .scalars import (
 
 
 class FloatRangeError(ValueError):
-    """A float form whose K or lambda is not a finite float, so it has no float classification."""
+    """A float form whose K or lambda is not finite, or whose lambda underflows to 0 while K does not."""
 
 
 class ThreeFormClass(Immutable):
@@ -187,15 +200,6 @@ def _discriminant_of(k):
     return sum((k2[i][i] for i in range(6)), start=k2[0][0] * 0) / 6
 
 
-def _orientation_sign(j, vol, tol):
-    """Sign of vol on the J-adapted basis (v1, Jv1, v2, Jv2, v3, Jv3) of coordinate seeds."""
-    float_mode = matrix_mode(j) == FLOAT
-    seeds = (_basis_vec(6, a, float_mode) for a in range(6))
-    pairs = complex_basis(seeds, lambda v: tuple(linalg.mat_vec(j, list(v))), 3, tol)
-    val = vol.evaluate([x for pair in pairs for x in pair])
-    return 1 if to_float(val) > 0 else -1
-
-
 def recover_upsilon(rho: ExteriorForm, j) -> ExteriorForm:
     """The (3,0)-form Upsilon with 3 Im(Upsilon) = rho, given its J.
 
@@ -224,20 +228,20 @@ def recover_upsilon(rho: ExteriorForm, j) -> ExteriorForm:
 def classify_3form(rho: ExteriorForm, vol: ExteriorForm = None, tol=1e-12) -> ThreeFormClass:
     """Split / elliptic / degenerate tag, with (J, Upsilon) in the elliptic case.
 
-    J is normalized to induce the same orientation as ``vol`` (default: the
-    standard volume form).  In exact mode J is exact whenever -lambda is a
-    rational square; otherwise J is produced in float mode.  In float mode
-    the tag is degenerate when |lambda| <= tol |rho|^4 / |vol|^2 (max-norm of
-    rho, coefficient of vol), a test unchanged by rescaling rho or vol.  A
-    float form whose K or lambda overflows to inf or NaN raises
-    :class:`FloatRangeError`.
+    J = -K / sqrt(-lambda) induces the orientation of ``vol`` (default: the
+    standard volume form) by the lemma of the module docstring.  In exact
+    mode J is exact whenever -lambda is a rational square; otherwise J is
+    produced in float mode.  ``tol`` is read only on float forms: the tag is
+    degenerate when |lambda| <= tol |rho|^4 / |vol|^2 (max-norm of rho,
+    coefficient of vol), a test unchanged by rescaling rho or vol.  A float
+    form whose K or lambda overflows to inf or NaN, or whose lambda
+    underflows to 0 while K does not, raises :class:`FloatRangeError`.
     """
     if vol is None:
         vol = standard_volume_form()
     exact = rho.mode == EXACT and vol.mode == EXACT
     if not exact:
         rho, vol = rho.as_float(), vol.as_float()
-    pivot_tol = 0.0 if exact else tol
     k = k_operator(rho, vol)
     lam = _discriminant_of(k)
     bound = 0
@@ -249,25 +253,19 @@ def classify_3form(rho: ExteriorForm, vol: ExteriorForm = None, tol=1e-12) -> Th
         n = rho.norm_inf()
         q = n * n / abs(vol.terms[(1, 2, 3, 4, 5, 6)])
         bound = tol * q * q
+        if tol and not bound and not lam and any(x for row in k for x in row):
+            raise FloatRangeError("lambda of the float form underflows to 0")
     if abs(lam) <= bound:
         return ThreeFormClass("degenerate", lam, rho.mode)
     if to_float(lam) > 0:
         return ThreeFormClass("split", lam, rho.mode)
 
-    sqrt_is_exact = True
-    if exact:
-        root = sqrt_fraction(-lam)
-        if root is None:
-            sqrt_is_exact = False
-            root = (-to_float(lam)) ** 0.5
-            k = [[to_float(x) for x in row] for row in k]
-            rho = rho.as_float()
-            vol = vol.as_float()
-            pivot_tol = tol
-    else:
+    root = sqrt_fraction(-lam) if exact else (-lam) ** 0.5
+    sqrt_is_exact = root is not None
+    if root is None:
         root = (-to_float(lam)) ** 0.5
-    j = [[x / root for x in row] for row in k]
-    if _orientation_sign(j, vol, pivot_tol) < 0:
-        j = [[-x for x in row] for row in j]
+        k = [[to_float(x) for x in row] for row in k]
+        rho = rho.as_float()
+    j = [[-x / root for x in row] for row in k]
     check_complex_structure(j)
     return ThreeFormClass("elliptic", lam, rho.mode, j, sqrt_is_exact, rho)

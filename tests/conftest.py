@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from g2kit import linalg
+from g2kit.compat import NotComplexStructureError
 from g2kit.forms import ExteriorForm
-from g2kit.scalars import ComplexRational
+from g2kit.scalars import ComplexRational, to_float
 
 
 def e_vec(dim, k, float_mode=False):
@@ -16,6 +18,49 @@ def e_vec(dim, k, float_mode=False):
 
 def e7(k):
     return e_vec(7, k)
+
+
+def orientation_sign_reference(j, vol, tol):
+    """Sign of vol on a J-adapted basis (v1, Jv1, v2, Jv2, v3, Jv3), with the basis.
+
+    The v_i are the first coordinate vectors that grow the span, by rank tests at
+    pivot tolerance ``tol``.  This is the loop with which ``classify_3form`` chose
+    the sign of J before J was taken as -K / sqrt(-lambda).
+    """
+    n = 6
+    float_mode = isinstance(j[0][0], (float, complex))
+    chosen = []
+    span_rows = []
+    for a in range(n):
+        v = e_vec(n, a + 1, float_mode)
+        jv = tuple(linalg.mat_vec(j, list(v)))
+        candidate = span_rows + [list(v), list(jv)]
+        if linalg.rank(candidate, tol) == len(candidate):
+            span_rows = candidate
+            chosen.extend([v, jv])
+        if len(chosen) == 6:
+            break
+    if len(chosen) != 6:
+        raise NotComplexStructureError("could not build a J-adapted basis")
+    val = vol.evaluate(chosen)
+    return (1 if to_float(val) > 0 else -1), chosen
+
+
+def tiny_pivot_elliptic_form():
+    """An exact elliptic (rho, vol) with lambda = -2989/648, a non-square mu = -lambda.
+
+    Its float J sent the float 6x6 elimination of the orientation search that
+    ``classify_3form`` once ran onto a rounding residue of 6.9e-18 as pivot, and
+    that search chose the J of the wrong orientation.
+    """
+    f = Fraction
+    rho = ExteriorForm(6, 3, {
+        (1, 2, 3): f(-1, 3), (1, 2, 4): f(-3, 2), (1, 3, 4): f(-2, 3), (1, 3, 5): f(-1),
+        (1, 3, 6): f(1, 2), (1, 5, 6): f(1, 2), (2, 3, 4): f(-2), (2, 3, 5): f(-3, 2),
+        (2, 3, 6): f(-1), (2, 4, 5): f(1), (2, 4, 6): f(-2), (2, 5, 6): f(1, 3),
+        (3, 4, 5): f(-2, 3), (3, 5, 6): f(-1), (4, 5, 6): f(3, 2),
+    })
+    return rho, ExteriorForm(6, 6, {(1, 2, 3, 4, 5, 6): f(2)})
 
 
 def complex_frame_vector(frame, j):

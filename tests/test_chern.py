@@ -40,13 +40,11 @@ from g2kit.sphere import (
     upsilon_at,
 )
 from g2kit.threeforms import (
-    _orientation_sign,
     classify_3form,
     elliptic_normal_form,
-    standard_volume_form,
 )
 
-from conftest import e_vec, rand_form
+from conftest import rand_form
 
 E1 = basis_point(1)
 FRAME = standard_frame()
@@ -64,10 +62,6 @@ def omega_matrix(frame):
     cols = frame.tangent_columns()
     om = omega_at(frame.x)
     return [[om.evaluate([a, b]) for b in cols] for a in cols]
-
-
-def minus(m):
-    return [[-x for x in row] for row in m]
 
 
 def random_compatible_j(rng, frame):
@@ -884,7 +878,7 @@ def test_sweep_reports_skipped_degenerate_trials(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the shared greedy J-basis against the two loops it replaced
+# the shared greedy J-basis against the loop it replaced
 # ---------------------------------------------------------------------------
 
 def default_eta_basis_reference(j, tol=1e-8):
@@ -906,27 +900,6 @@ def default_eta_basis_reference(j, tol=1e-8):
         if len(chosen) == 3:
             return chosen
     raise NotComplexStructureError("could not find a J-complex basis of u-perp")
-
-
-def orientation_sign_reference(j, vol, tol):
-    """The greedy loop that ``threeforms._orientation_sign`` ran before ``compat.complex_basis``."""
-    n = 6
-    float_mode = isinstance(j[0][0], (float, complex))
-    chosen = []
-    span_rows = []
-    for a in range(n):
-        v = e_vec(n, a + 1, float_mode)
-        jv = tuple(linalg.mat_vec(j, list(v)))
-        candidate = span_rows + [list(v), list(jv)]
-        if linalg.rank(candidate, tol) == len(candidate):
-            span_rows = candidate
-            chosen.extend([v, jv])
-        if len(chosen) == 6:
-            break
-    if len(chosen) != 6:
-        raise NotComplexStructureError("could not build a J-adapted basis")
-    val = vol.evaluate(chosen)
-    return (1 if to_float(val) > 0 else -1), chosen
 
 
 def _typed_bits(vectors):
@@ -991,14 +964,9 @@ def _structure_case(source, exact, seed):
 @example(source="elliptic", exact=False, seed=870)
 @example(source="elliptic", exact=False, seed=13259540)
 def test_complex_basis_matches_the_replaced_loops(source, exact, seed):
-    """``default_eta_basis`` and ``_orientation_sign`` give the old vectors and signs, bit for bit."""
-    j, j6, _ = _structure_case(source, exact, seed)
+    """``default_eta_basis`` gives the old vectors, bit for bit."""
+    j = _structure_case(source, exact, seed)[0]
     assert _typed_bits(default_eta_basis(j)) == _typed_bits(default_eta_basis_reference(j))
-    float_j6 = isinstance(j6[0][0], float)
-    vol = standard_volume_form().as_float() if float_j6 else standard_volume_form()
-    tol = 1e-12 if float_j6 else 0.0
-    for m in (j6, minus(j6)):
-        assert _orientation_sign(m, vol, tol) == orientation_sign_reference(m, vol, tol)[0]
 
 
 @pytest.mark.parametrize("seed", [199, 13118])

@@ -13,6 +13,8 @@ from g2kit.cli import main
 from g2kit.forms import ExteriorForm
 from g2kit.threeforms import elliptic_normal_form, split_normal_form
 
+from conftest import tiny_pivot_elliptic_form
+
 
 def run_cli(args):
     proc = subprocess.run(
@@ -497,10 +499,18 @@ def test_removed_flags_exit_2(argv, tmp_path, capsys):
 
 
 def test_classify_tol_leaves_exact_report_unchanged(tmp_path, capsys):
-    doc = exact_elliptic_doc(tmp_path)
-    plain = run_main(["classify-3form", "--input", doc], capsys)
-    assert plain[0] == 0
-    assert run_main(["classify-3form", "--input", doc, "--tol", "1e-9"], capsys) == plain
+    """--tol is not read on exact input, not even where J is float (mu = 2989/648 is no square)."""
+    paths = [tmp_path / "rho.json", tmp_path / "vol.json"]
+    for path, form in zip(paths, tiny_pivot_elliptic_form()):
+        path.write_text(json.dumps(jsonio.form_to_obj(form)))
+    for argv, sqrt_is_exact in (
+        (["classify-3form", "--input", exact_elliptic_doc(tmp_path)], True),
+        (["classify-3form", "--input", str(paths[0]), "--vol", str(paths[1])], False),
+    ):
+        plain = run_main(argv, capsys)
+        assert plain[0] == 0 and json.loads(plain[1])["sqrt_is_exact"] is sqrt_is_exact
+        for tol in ("0", "1e-9", "1"):
+            assert run_main(argv + ["--tol", tol], capsys) == plain
 
 
 # the pullback of the elliptic normal form drawn at elliptic seed 870 of
@@ -574,6 +584,19 @@ def _float_split(re):
     return {"mode": "float", "dim": 6, "degree": 3, "terms": terms}
 
 
+@pytest.mark.parametrize(
+    "doc, tag",
+    [(_float_split(1e-80), "split"), (_form("float", re=1e-100), "degenerate")],
+    ids=["split-1e-80", "e123-1e-100"],
+)
+def test_small_float_forms_keep_their_tags(doc, tag, tmp_path, capsys):
+    """lambda = 1e-320 is still nonzero, and the K of e^123 is exactly 0: neither exits 2."""
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_main(["classify-3form", "--input", str(path)], capsys)
+    assert code == 0 and json.loads(out)["tag"] == tag
+
+
 # malformed documents that must exit 2: a vector or matrix that is not a JSON
 # array, a float entry that is not a number, a frame that is not 7x7, a
 # --vol that is not a nonzero 6-form on R^6, a JSON boolean where a number
@@ -582,7 +605,8 @@ def _float_split(re):
 # and a form document with a key outside mode, dim, degree and terms, or a
 # term with a key outside idx, re and im, a classify-3form --input or --vol
 # with a nonzero imaginary part, a float part that is not finite, a float form
-# whose K or lambda is not finite, and an exact string outside the grammar
+# whose K or lambda is not finite, or whose lambda underflows to 0 while K does
+# not, and an exact string outside the grammar
 # [+-]p or [+-]p/q
 BAD_INPUTS = {
     "point-digit-string": ("chern", {"point": "1000000"}),
@@ -659,6 +683,12 @@ BAD_INPUTS = {
     "float-split-vol-1e-160": ("float split vol", _float_vol(1e-160)),
     "float-split-vol-1e-200": ("float split vol", _float_vol(1e-200)),
     "float-split-vol-1e-320": ("float split vol", _float_vol(1e-320)),
+    # open-orbit forms whose lambda underflows to 0 while K does not: tagged degenerate
+    "float-split-1e-100": ("classify-3form", _float_split(1e-100)),
+    "float-split-vol-1e300": ("float split vol", _float_vol(1e300)),
+    "float-elliptic-2^-300": (
+        "classify-3form", jsonio.form_to_obj((Fraction(1, 2**300) * elliptic_normal_form()).as_float())
+    ),
     # exact strings outside [+-]p(/q): what Fraction() parses besides the documented grammar
     "form-re-exponent": ("classify-3form", _form(re="1e5")),
     "form-re-decimal": ("classify-3form", _form(re="0.5")),

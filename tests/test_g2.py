@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from g2kit import linalg
 from g2kit.forms import ExteriorForm
-from g2kit.scalars import ComplexRational, MixedModeError
+from g2kit.scalars import EXACT, ComplexRational, MixedModeError
 from g2kit.g2 import (
     PHI_TERMS,
     AdaptedFrame,
@@ -212,6 +212,27 @@ def test_theta_coframe_properties():
             )
             expected = ComplexRational(0, Fraction(-1, 2)) if j == k else ComplexRational(0)
             assert val == expected  # theta_j(f_k) = -(i/2) delta_jk
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_theta_matches_the_validating_constructor(seed):
+    """theta_j has the terms, key order, coefficient types and mode of ``from_covector``."""
+    from g2kit.g2 import theta_value
+    from g2kit.sphere import frame_at_float_point
+
+    rng = random.Random(seed)
+    for frame in (random_rational_frame(rng), frame_at_float_point(rng, None)):
+        for j in (1, 2, 3):
+            pairs = zip(frame.col(2 * j), frame.col(2 * j + 1))
+            want = ExteriorForm.from_covector(
+                [theta_value(x, y, frame.mode == EXACT) for x, y in pairs]
+            )
+            got = frame.theta(j)
+            assert [(k, type(c), c) for k, c in got.terms.items()] == [
+                (k, type(c), c) for k, c in want.terms.items()
+            ]
+            assert (got.dim, got.degree, got.mode) == (want.dim, want.degree, want.mode)
 
 
 def test_invariant_two_form_from_coframe(rng):

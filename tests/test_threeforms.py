@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from g2kit import linalg
 from g2kit.forms import ExteriorForm, pullback
 from g2kit.sampling import random_invertible_rational
-from g2kit.scalars import FLOAT, I_EXACT, ComplexRational
+from g2kit.scalars import FLOAT, I_EXACT, ComplexRational, sqrt_fraction
 from g2kit.threeforms import (
     classify_3form,
     elliptic_normal_form,
@@ -19,7 +19,7 @@ from g2kit.threeforms import (
     standard_volume_form,
 )
 
-from conftest import e_vec
+from conftest import e_vec, orientation_sign_reference, rand_form, tiny_pivot_elliptic_form
 
 
 def complex_line(a, b):
@@ -86,6 +86,60 @@ def test_orientation_normalization():
     plus = classify_3form(rho, standard_volume_form())
     minus = classify_3form(rho, (-1) * standard_volume_form())
     assert plus.j_matrix == [[-x for x in row] for row in minus.j_matrix]
+
+
+def _exact_elliptic_cases(count):
+    """``count`` exact elliptic (rho, vol, class) with a square mu = -lambda, and ``count`` without.
+
+    GL(6) pullbacks of the normal form (either sign) have a square mu, and
+    random sparse forms mostly do not; the coefficient of vol takes both signs.
+    """
+    cases = {True: [], False: []}
+    rng = random.Random(23)
+    while min(map(len, cases.values())) < count:
+        if rng.random() < 0.3:
+            rho = rng.choice((1, -1)) * elliptic_normal_form().pullback(
+                random_invertible_rational(rng, 6)
+            )
+        else:
+            rho = rand_form(rng, 6, 3, nterms=rng.randint(6, 20))
+        c = Fraction(rng.choice((1, -1)) * rng.randint(1, 5), rng.randint(1, 3))
+        vol = ExteriorForm(6, 6, {(1, 2, 3, 4, 5, 6): c})
+        cls = classify_3form(rho, vol)
+        if cls.tag == "elliptic" and len(cases[cls.sqrt_is_exact]) < count:
+            cases[cls.sqrt_is_exact].append((rho, vol, cls))
+    return cases[True] + cases[False]
+
+
+def test_elliptic_j_is_minus_k_over_the_root_of_mu():
+    """The lemma of ``threeforms``: J = -K / sqrt(mu), and K reverses the orientation of vol.
+
+    J is compared exactly for a square mu and as the same floats otherwise; the
+    orientation of K is evaluated exactly.
+    """
+    signs = set()
+    for rho, vol, cls in _exact_elliptic_cases(100):
+        k = k_operator(rho, vol)
+        mu = -cls.discriminant
+        if cls.sqrt_is_exact:
+            root = sqrt_fraction(mu)
+            assert cls.j_matrix == [[-x / root for x in row] for row in k]
+        else:
+            root = float(mu) ** 0.5
+            want = [[(-float(x) / root).hex() for x in row] for row in k]
+            assert [[x.hex() for x in row] for row in cls.j_matrix] == want
+        assert orientation_sign_reference(k, vol, 0)[0] == -1
+        signs.add((cls.sqrt_is_exact, vol.terms[(1, 2, 3, 4, 5, 6)] > 0))
+    assert len(signs) == 4
+
+
+def test_j_of_a_form_with_a_tiny_float_pivot_induces_the_orientation_of_vol():
+    """The J of this non-square-mu form induces vol's orientation, evaluated exactly."""
+    rho, vol = tiny_pivot_elliptic_form()
+    cls = classify_3form(rho, vol)
+    assert (cls.tag, cls.discriminant, cls.sqrt_is_exact) == ("elliptic", Fraction(-2989, 648), False)
+    j = [[Fraction(x) for x in row] for row in cls.j_matrix]
+    assert orientation_sign_reference(j, vol, 0)[0] == 1
 
 
 def test_tag_invariant_under_pullback(rng):
