@@ -88,13 +88,14 @@ def primitive_decompose(omega: ExteriorForm, domega: ExteriorForm, tol=0.0) -> P
     Solved from domega ^ omega = lambda ^ omega^2 (a 6x6 linear system); the
     remainder pi = domega - lambda ^ omega is then primitive by construction,
     which is re-verified (:class:`PrimitivityError` if not).  Degenerate
-    omega raises.
+    omega raises.  ``tol`` is read only on float forms: the solve pivots at it
+    relative to |omega^2|, and |omega ^ pi| <= max(tol, 1e-9) |omega| |domega|.
     """
     return _decompose(omega, domega, tol)[0]
 
 
 def _decompose(omega, domega, tol):
-    """``primitive_decompose`` and the omega ^ omega it formed."""
+    """``primitive_decompose`` and the omega^3 it formed, both in the forms' joint mode."""
     if omega.dim != 6 or omega.degree != 2:
         raise ValueError("omega must be a 2-form on R^6")
     if domega.dim != 6 or domega.degree != 3:
@@ -103,7 +104,8 @@ def _decompose(omega, domega, tol):
     if float_mode:
         omega, domega = omega.as_float(), domega.as_float()
     om2 = omega.wedge(omega)
-    if omega.wedge(om2).is_zero:
+    om3 = omega.wedge(om2)
+    if om3.is_zero:
         raise DegenerateFormError("omega is degenerate (omega^3 = 0)")
     rhs = _five_form_coords(domega.wedge(omega))
     coeffs = linalg.solve(_om2_matrix(om2), rhs, tol)
@@ -113,13 +115,12 @@ def _decompose(omega, domega, tol):
     pi = domega - lam.wedge(omega)
     check = omega.wedge(pi)
     if float_mode:
-        scale = max(domega.norm_inf(), 1.0)
-        primitive = check.norm_inf() <= max(tol, 1e-9) * scale
+        primitive = check.norm_inf() <= max(tol, 1e-9) * (omega.norm_inf() * domega.norm_inf())
     else:
         primitive = check.is_zero
     if not primitive:
         raise PrimitivityError(f"omega ^ pi = {check} is not zero")
-    return PrimitiveDecomposition(lam, pi), om2
+    return PrimitiveDecomposition(lam, pi), om3
 
 
 def elliptic_definite_check(
@@ -131,21 +132,19 @@ def elliptic_definite_check(
     elliptic primitive part, J is the structure recovered from it (inducing
     the orientation of omega^3) and the signature is the
     :func:`~g2kit.compat.hermitian_index` of g(v, w) = omega(v, Jw); the
-    verdict is elliptic-definite iff that signature is (3, 0).
+    verdict is elliptic-definite iff that signature is (3, 0).  ``tol`` is
+    read only on float forms, each bound relative to the scale it bounds.
     """
-    if FLOAT in (omega.mode, domega.mode):
-        omega, domega = omega.as_float(), domega.as_float()
-    decomp, om2 = _decompose(omega, domega, 0.0 if omega.mode == EXACT else tol)
-    cls = classify_3form(decomp.pi, om2.wedge(omega), tol)
+    decomp, om3 = _decompose(omega, domega, tol)
+    cls = classify_3form(decomp.pi, om3, tol)
     if cls.tag != "elliptic":
         return EllipticDefiniteReport(cls.tag, None, None, False, decomp)
     j = cls.j_matrix
-    float_mode = cls.mode == FLOAT or omega.mode == FLOAT
-    om = omega.as_float() if (float_mode and omega.mode == EXACT) else omega
-    zero = 0.0 if float_mode else Fraction(0)
+    # a float J comes from float forms or from an irrational sqrt(-lambda) of exact ones
+    om, zero = (omega.as_float(), 0.0) if cls.mode == FLOAT else (omega, Fraction(0))
     omat = [[om.coeff((a, b)) if a != b else zero for b in range(1, 7)] for a in range(1, 7)]
     g = linalg.mat_mul(omat, j)
-    signature = hermitian_index(g, tol * 100 if float_mode else 0.0)
+    signature = hermitian_index(g, tol * 100)
     return EllipticDefiniteReport(
         "elliptic", j, signature, signature == (3, 0), decomp
     )

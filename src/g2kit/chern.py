@@ -41,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .compat import NotComplexStructureError, complex_basis, square_defect_bound
+from .compat import NotComplexStructureError, complex_basis, defect_vanishes
 from .g2 import AdaptedFrame, cross, frame_rotate, theta_value
 from .scalars import (
     EXACT,
@@ -80,8 +80,8 @@ class CandidateJ(Immutable):
 
     Stored as the ambient 7x7 matrix that kills u and squares to minus the
     projection onto u-perp.  Point and matrix share one mode, or MixedModeError.
-    Float defects must be within ``compat.square_defect_bound`` of J, the one
-    bound on a defect of J^2.  Pickles written before the immutable base call
+    Its defects are judged by ``compat.defect_vanishes``, the one zero test
+    of a complex structure.  Pickles written before the immutable base call
     the constructor with their own bound as a third value, ``pickled_tol``,
     so that they still load; it is ignored.
     """
@@ -92,28 +92,21 @@ class CandidateJ(Immutable):
         u = point_vector(point)
         rows = tuple(tuple(r) for r in matrix)
         mode = FLOAT if join_modes(vector_mode(u), matrix_mode(rows)) == FLOAT else EXACT
-        self._validate(u, rows, mode)
+        self._validate(u, rows)
         object.__setattr__(self, "point", u)
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "mode", mode)
 
     @staticmethod
-    def _validate(u, rows, mode):
+    def _validate(u, rows):
         if len(rows) != 7 or any(len(r) != 7 for r in rows):
             raise NotComplexStructureError("ambient matrix must be 7x7")
         au = linalg.mat_vec(rows, u)
         atu = linalg.mat_vec(linalg.transpose(rows), u)
         sq = linalg.mat_mul(rows, rows)
-        proj = [
-            [(1 if a == b else 0) - u[a] * u[b] for b in range(7)] for a in range(7)
-        ]
-        defects = au + atu + [sq[a][b] + proj[a][b] for a in range(7) for b in range(7)]
-        if mode == EXACT:
-            bad = any(x != 0 for x in defects)
-        else:
-            bound = square_defect_bound(rows)
-            bad = any(abs(to_float(x)) > bound for x in defects)
-        if bad:
+        proj = [[(1 if a == b else 0) - u[a] * u[b] for b in range(7)] for a in range(7)]
+        defects = [au, atu, *linalg.mat_add(sq, proj)]
+        if not defect_vanishes(defects, rows):
             raise NotComplexStructureError(
                 "matrix is not a complex structure on the tangent space at u"
             )
@@ -300,14 +293,14 @@ def omega_type_components(data: ChernData):
 
 
 def index_from_h(data: ChernData):
-    """Signature (p, q) of H, pivoting at 1e-10 for float data; raises if H is degenerate.
+    """Signature (p, q) of H, at relative tolerance 1e-10 on float data; raises if H is degenerate.
 
     When the residual vanishes a definite H contradicts the determinant
     monotonicity argument, so that combination raises
     :class:`TheoremContradictionError` (and is exercised by randomized search
     in the test suite, which confirms it is never constructible).
     """
-    sig = linalg.signature(data.h_matrix, 1e-10 if data.mode == FLOAT else 0.0)
+    sig = linalg.signature(data.h_matrix, 1e-10)
     return _indefinite(sig) if data.residual_is_zero else sig
 
 
@@ -352,7 +345,7 @@ def default_eta_basis(j: CandidateJ):
     """
     u = j.point
     seeds = (tuple((1 if i == a else 0) - u[a] * u[i] for i in range(7)) for a in range(7))
-    pairs = complex_basis(seeds, j.apply, 3, 0.0 if j.mode == EXACT else 1e-8)
+    pairs = complex_basis(seeds, j.apply, 3)
     return [v for v, _ in pairs]
 
 
@@ -382,7 +375,7 @@ def compute_rs(j: CandidateJ, frame: AdaptedFrame, eta_basis=None) -> ChernData:
             check_tangent(u, v, 1e-8)
     real_basis = [w for v in basis for w in (tuple(v), j.apply(v))]
     if eta_basis is not None:  # default_eta_basis proved its basis independent
-        if linalg.rank(real_basis, 0.0 if exact else 1e-8) != 6:
+        if linalg.rank(real_basis, 1e-8) != 6:
             raise NotComplexStructureError("eta basis is not J-complexly independent")
 
     pairings = linalg.mat_mul(frame.tangent_columns(), linalg.transpose(real_basis))
@@ -423,7 +416,7 @@ def equivariance_check(j: CandidateJ, frame: AdaptedFrame, g_su3, h_gl3, eta_bas
     if not exact:
         # relative tolerances: r and s scale with h, and the residual with
         # det(h), as sqrt|block det| does (see residual_normalized_abs)
-        rs_tol = 1e-8 * max(sabs(x) for m in (expect_r, expect_s) for row in m for x in row)
+        rs_tol = 1e-8 * linalg.max_abs(expect_r + expect_s)
         res_tol = 1e-8 * sabs(det_h) * abs(to_float(base.block_det)) ** 0.5
 
     def close(m1, m2):

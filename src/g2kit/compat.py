@@ -10,14 +10,15 @@ The package builds every J-complex basis here (:func:`complex_basis`) and
 halves every hermitian inertia here (:func:`hermitian_index`).
 
 Signatures are computed by exact congruence reduction over the rationals
-(see :mod:`g2kit.linalg`), never by eigenvalues.  Exact matrices are
-compared exactly.  Float ones are compared within 1e-10, except J^2 + I,
-whose bound :func:`square_defect_bound` scales with max|J|^2.
+(see :mod:`g2kit.linalg`), never by eigenvalues.  Every zero test here is
+:func:`defect_vanishes`: exact input gives exactly zero, float input zero
+within 1e-10 times the input's scale.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from . import linalg
 from .linalg import DegenerateFormError
@@ -32,38 +33,30 @@ class IncompatiblePairError(ValueError):
     """omega-index requested for a non-compatible pair."""
 
 
-def _is_zero_matrix(m, tol):
-    if tol == 0.0:
-        return all(not x for row in m for x in row)
-    return all(sabs(x) <= tol for row in m for x in row)
+def defect_vanishes(defect, j, *factors):
+    """Whether ``defect``, a sum of products of J, J and ``factors``, is zero: the one zero test.
 
-
-def _tol_for(*ms):
-    """The tolerance of the matrices' joint mode; exact and float together raise MixedModeError."""
-    return 1e-10 if matrix_mode([row for m in ms for row in m]) == FLOAT else 0.0
-
-
-def square_defect_bound(j):
-    """The float bound on each entry of J^2 + I: 1e-10 * max(1, max|J_ij|)^2.
-
-    The rounding error of J^2 grows with |J|^2, so an absolute bound rejects
-    a valid J with large entries.  The square is a product, so a huge entry
-    gives an infinite bound, not OverflowError.
+    Exact input must give exactly zero, float input entries within 1e-10 times the scale
+    of the products summed, max(1, max|J|)^2 times each factor's max|entry|; an absolute
+    bound rejects a valid J with large entries and accepts any small omega.  The mode is
+    read from every matrix given, and exact and float together raise MixedModeError.
     """
-    m = max(1.0, max(sabs(x) for row in j for x in row))
-    return 1e-10 * (m * m)
+    if matrix_mode([*defect, *j, *(row for m in factors for row in m)]) != FLOAT:
+        return not any(x for row in defect for x in row)
+    m = max(1.0, linalg.max_abs(j))  # m * m overflows to inf, where m ** 2 would raise
+    bound = 1e-10 * (m * m) * prod(map(linalg.max_abs, factors))
+    return all(sabs(x) <= bound for row in defect for x in row)
 
 
 def check_complex_structure(j):
-    """J as a list of rows if J^2 = -I, exactly or within :func:`square_defect_bound`."""
+    """J as a list of rows if J^2 = -I, by :func:`defect_vanishes`."""
     j = [list(r) for r in j]
     n = len(j)
     if n % 2 or any(len(r) != n for r in j):
         raise NotComplexStructureError("complex structures need even square matrices")
     jj = linalg.mat_mul(j, j)
     defect = [[jj[a][b] + (1 if a == b else 0) for b in range(n)] for a in range(n)]
-    tol = square_defect_bound(j) if matrix_mode(j) == FLOAT else 0.0
-    if not _is_zero_matrix(defect, tol):
+    if not defect_vanishes(defect, j):
         raise NotComplexStructureError("J^2 != -I")
     return j
 
@@ -91,33 +84,33 @@ def standard_symplectic_matrix(n):
 def induced_metric(omega, j):
     """g(v, w) = omega(v, Jw) as a matrix; symmetric iff the pair is compatible."""
     omega = [list(r) for r in omega]
+    matrix_mode([*omega, *j])  # omega and J share one mode, or MixedModeError
     try:
-        linalg.inverse(omega, _tol_for(omega, j))
+        linalg.inverse(omega, 1e-10)
     except DegenerateFormError:
         raise DegenerateFormError("omega is degenerate") from None
     return linalg.mat_mul(omega, j)
 
 
 def is_compatible_omega(omega, j):
-    """omega(Jv, Jw) = omega(v, w), i.e. t(J) omega J = omega."""
+    """omega(Jv, Jw) = omega(v, w), i.e. t(J) omega J = omega, by :func:`defect_vanishes`."""
     omega = [list(r) for r in omega]
     j = check_complex_structure(j)
-    tol = _tol_for(omega, j)
     lhs = linalg.mat_mul(linalg.transpose(j), linalg.mat_mul(omega, j))
-    return _is_zero_matrix(linalg.mat_sub(lhs, omega), tol)
+    return defect_vanishes(linalg.mat_sub(lhs, omega), j, omega)
 
 
-def complex_basis(seeds, apply_j, n, tol):
+def complex_basis(seeds, apply_j, n):
     """The pairs (v, Jv) of the first n seeds, in order, that grow the real span.
 
-    Jv is ``apply_j(v)``; independence is a rank test at pivot tolerance ``tol``.
+    Jv is ``apply_j(v)``; independence is a rank test, at tolerance 1e-8 on float seeds.
     """
     pairs = []
     rows = []
     for v in seeds:
         jv = apply_j(v)
         candidate = rows + [list(v), list(jv)]
-        if linalg.rank(candidate, tol) == len(candidate):
+        if linalg.rank(candidate, 1e-8) == len(candidate):
             rows = candidate
             pairs.append((v, jv))
             if len(pairs) == n:
@@ -126,7 +119,8 @@ def complex_basis(seeds, apply_j, n, tol):
 
 
 def hermitian_index(g, tol):
-    """The (p, q) of a J-hermitian g(v, w) = omega(v, Jw) with inertia (2p, 2q); odd raises."""
+    """The (p, q) of a J-hermitian g(v, w) = omega(v, Jw) with inertia (2p, 2q); odd raises.
+    ``tol`` is read only on float g, relative to its largest |entry|."""
     pos, neg = linalg.signature(g, tol)
     if pos % 2 or neg % 2:
         raise IncompatiblePairError(f"hermitian inertia ({pos},{neg}) is not even")
@@ -138,7 +132,7 @@ def omega_index(omega, j):
     if not is_compatible_omega(omega, j):
         raise IncompatiblePairError("pair is not omega-compatible")
     g = induced_metric(omega, j)
-    return hermitian_index(g, _tol_for(g))
+    return hermitian_index(g, 1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -415,7 +415,8 @@ class ExteriorForm(Immutable):
         return ExteriorForm._trusted(m, self.degree, terms, self.mode)
 
     def restrict(self, basis, tol=0.0):
-        """Restriction to the span of ``basis`` (coefficients = evaluations)."""
+        """Restriction to the span of ``basis`` (coefficients = evaluations); ``tol`` is
+        read only on a float basis, relative to its largest |entry|."""
         basis = [list(b) for b in basis]
         if linalg.rank(basis, tol) != len(basis):
             raise DependentBasisError("restriction basis is linearly dependent")

@@ -3,9 +3,10 @@
 numpy cannot do rational arithmetic, and the classification verdicts in this
 package (signatures, ranks, kernel dimensions) must be tolerance-free, so the
 handful of routines needed are written out over a generic scalar type.  They
-also run on floats with a pivot tolerance, relative to the largest |entry| in
-``rank`` and ``signature`` and absolute in ``solve`` and ``inverse``; ``det``
-always pivots exactly, at tolerance 0.
+also run on floats.  ``rank``, ``solve``, ``inverse`` and ``signature`` read the
+mode of all their entries once: exact input pivots exactly and never reads
+``tol``, float input pivots at ``tol`` times its largest |entry|, and a mix raises
+MixedModeError.  ``det`` always pivots exactly, at tolerance 0.
 
 Rational and Gaussian-rational inputs run fraction-free: ``mat_mul`` and
 ``mat_vec`` clear each row's and column's denominators once, form the sums
@@ -354,8 +355,12 @@ def det(m):
     return _det_elim(_fx_rows(m))
 
 
-def _gauss_jordan(a, n, tol, message):
-    """Reduce the augmented rows ``a`` until their left n x n block is I."""
+def _gauss_jordan(a, n, tol, mode, message):
+    """Reduce the augmented rows ``a`` until their left n x n block is I.  Rows keep the
+    block's scale, tested at ``_relative`` of it, until divided by their pivot; their
+    entries are then ratios, tested at ``tol`` itself."""
+    ratio_tol = tol if mode == FLOAT else 0.0
+    tol = _relative([row[:n] for row in a], tol, mode)
     for c in range(n):
         p = _pivot_row(a, c, c, tol)
         if p is None:
@@ -364,40 +369,45 @@ def _gauss_jordan(a, n, tol, message):
         piv = a[c][c]
         a[c] = [x / piv for x in a[c]]
         for r in range(n):
-            if r != c and _nz(a[r][c], tol):
+            if r != c and _nz(a[r][c], ratio_tol if r < c else tol):
                 f = a[r][c]
                 a[r] = [x - f * y for x, y in zip(a[r], a[c])]
     return a
 
 
+def max_abs(m):
+    return max((sabs(x) for row in m for x in row), default=0.0)
+
+
+def _relative(m, tol, mode):
+    """The one rule: 0 for exact ``mode``, else ``tol`` times the largest |entry| of m."""
+    return tol * max_abs(m) if tol and mode == FLOAT else 0.0
+
+
 def solve(m, rhs, tol=0.0):
-    """Solve m x = rhs; rhs is a vector. Raises on singular m."""
-    n = len(m)
+    """Solve m x = rhs; rhs is a vector. Raises on singular m; ``tol`` as in :func:`rank`."""
+    n, mode = len(m), matrix_mode([*m, rhs])
     a = [[_fx(x) for x in row] + [_fx(rhs[i])] for i, row in enumerate(m)]
-    return [row[n] for row in _gauss_jordan(a, n, tol, "singular linear system")]
+    return [row[n] for row in _gauss_jordan(a, n, tol, mode, "singular linear system")]
 
 
 def inverse(m, tol=0.0):
-    """m^-1 by Gauss-Jordan; exact and float entries together raise MixedModeError."""
+    """m^-1 by Gauss-Jordan, ``tol`` as in :func:`rank`; a mode mix raises MixedModeError."""
     n = len(m)
-    one = 1.0 if matrix_mode(m) == FLOAT else _fx(m[0][0]) * 0 + 1
+    mode = matrix_mode(m)
+    one = 1.0 if mode == FLOAT else _fx(m[0][0]) * 0 + 1
     a = [
         [_fx(x) for x in row] + [one if i == j else one * 0 for j in range(n)]
         for i, row in enumerate(m)
     ]
-    return [row[n:] for row in _gauss_jordan(a, n, tol, "matrix is singular")]
-
-
-def _relative(m, tol):
-    """``tol`` times the largest |entry| of m, so that a verdict does not change with scale."""
-    return tol and tol * max((sabs(x) for row in m for x in row), default=0.0)
+    return [row[n:] for row in _gauss_jordan(a, n, tol, mode, "matrix is singular")]
 
 
 def rank(m, tol=0.0):
-    """Rank by elimination; a nonzero ``tol`` is relative to the largest |entry| of m."""
+    """Rank by elimination; ``tol`` is read only on float input, relative to its largest |entry|."""
     if not m:
         return 0
-    tol = _relative(m, tol)
+    tol = _relative(m, tol, matrix_mode(m))
     a = _fx_rows(m)
     ncols = len(a[0])
     r = 0
@@ -437,9 +447,9 @@ def signature(m, tol=0.0):
     No eigenvalues are computed: the matrix is diagonalized by congruence
     (symmetric Gaussian reduction, with a transvection step when the whole
     remaining diagonal vanishes).  A rank-deficient input raises
-    :class:`DegenerateFormError`.  A nonzero ``tol`` is relative, as in :func:`rank`.
+    :class:`DegenerateFormError`.  ``tol`` is read only on float input, as in :func:`rank`.
     """
-    tol = _relative(m, tol)
+    tol = _relative(m, tol, matrix_mode(m))
     s = _fx_rows(m)
     alive = list(range(len(m)))
     pos = neg = 0

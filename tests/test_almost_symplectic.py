@@ -129,12 +129,18 @@ def test_float_instance():
 
 
 def test_primitivity_check_survives_optimize_flag():
-    """Under python -O a wrong solve is still caught, exact and float alike."""
+    """Under python -O a wrong solve is still caught, exact and float alike, at any scale.
+
+    The true lambda is 0 here, so the patched solve adds 1 to lambda_1.  omega ^ pi is
+    bilinear, so its float bound scales with |omega| |domega|: a bound floored at 1
+    accepted the wrong lambda once omega and domega were scaled by 1e-6.
+    """
     import subprocess
     import sys
 
     script = (
         "import sys\n"
+        "from fractions import Fraction\n"
         "from g2kit import linalg\n"
         "from g2kit.almost_symplectic import PrimitivityError, primitive_decompose\n"
         "from g2kit.g2 import associative_three_form\n"
@@ -145,12 +151,14 @@ def test_primitivity_check_survives_optimize_flag():
         "om6 = omega_at(basis_point(1)).restrict(basis)\n"
         "dom6 = (3 * associative_three_form()).restrict(basis)\n"
         "linalg.solve = lambda m, rhs, tol=0.0: [1] + [0] * 5\n"
-        "for om, dom in ((om6, dom6), (om6.as_float(), dom6.as_float())):\n"
-        "    try:\n"
-        "        primitive_decompose(om, dom)\n"
-        "    except PrimitivityError:\n"
-        "        continue\n"
-        "    sys.exit(1)\n"
+        "for k in (0, 3, 6):\n"
+        "    exact, c = Fraction(1, 10**k), 10.0**-k\n"
+        "    for om, dom in ((exact * om6, exact * dom6), (c * om6.as_float(), c * dom6.as_float())):\n"
+        "        try:\n"
+        "            primitive_decompose(om, dom)\n"
+        "        except PrimitivityError:\n"
+        "            continue\n"
+        "        sys.exit(f'wrong lambda accepted at scale 1e-{k}')\n"
         "try:\n"
         "    linalg.mat_mul([[1, 2]], [[1, 2]])\n"
         "except ValueError:\n"
@@ -159,6 +167,31 @@ def test_primitivity_check_survives_optimize_flag():
     )
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_exact_decomposition_reads_no_tolerance():
+    """Exact forms scaled by 1e-5 decompose at any ``tol``: lambda is unchanged and pi scales."""
+    om6, dom6, _, _ = sphere_data_at_e1()
+    t = Fraction(1, 10**5)
+    lam, pi = primitive_decompose(om6, dom6)
+    assert tuple(primitive_decompose(t * om6, t * dom6, tol=1e-9)) == (lam, t * pi)
+
+
+@pytest.mark.parametrize("k", range(-12, 9))
+def test_float_elliptic_verdict_does_not_change_with_scale(k):
+    """omega and domega at a float sphere point, scaled by 10^k: still elliptic (3, 0)."""
+    import random
+
+    from g2kit.g2 import associative_three_form
+    from g2kit.sphere import frame_at_float_point, omega_at
+
+    frame = frame_at_float_point(random.Random(3), None)
+    tangent = [row[1:] for row in frame.matrix]
+    om6 = omega_at(frame.x).pullback(tangent)
+    dom6 = (3.0 * associative_three_form().as_float()).pullback(tangent)
+    c = 10.0**k
+    rep = elliptic_definite_check(c * om6, c * dom6, tol=1e-9)
+    assert (rep.tag, rep.signature, rep.elliptic_definite) == ("elliptic", (3, 0), True)
 
 
 def _om2_matrix_by_wedges(om2):

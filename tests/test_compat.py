@@ -9,6 +9,7 @@ from g2kit.compat import (
     IncompatiblePairError,
     NotComplexStructureError,
     compatibility_space_dims,
+    complex_basis,
     induced_metric,
     is_compatible_omega,
     omega_index,
@@ -170,6 +171,31 @@ def _symplectic_conjugate():
     """omega = standard_symplectic_matrix(3) and J = C^-1 J0 C for a symplectic C."""
     c = random_symplectic(random.Random(0), OM0)
     return OM0, conj_by(c, J0)
+
+
+def test_complex_basis_reads_no_tolerance_on_exact_seeds():
+    """Exact seeds independent only through a 1e-12 entry span a J-complex basis."""
+    j = standard_complex_structure(2)
+    seeds = [[1, 0, 0, 0], [1, Fraction(1, 10**12), 0, 0]]
+    pairs = complex_basis(seeds, lambda v: linalg.mat_vec(j, v), 2)
+    assert [v for v, _ in pairs] == seeds
+
+
+@pytest.mark.parametrize("k", [-12, -6, 0, 6])
+def test_float_compatibility_verdicts_do_not_change_with_scale(k):
+    """A shear-conjugated J is incompatible with c omega0 and J0 is compatible, at any c.
+
+    t(J) omega J - omega is linear in omega, so an absolute bound called every
+    J compatible with a small enough omega.
+    """
+    c = 10.0**k
+    shear = linalg.identity(6)
+    shear[0][1] = Fraction(1)
+    omega = [[c * x for x in row] for row in _floats(OM0)]
+    assert not is_compatible_omega(omega, _floats(conj_by(shear, J0)))
+    assert is_compatible_omega(omega, _floats(J0))
+    assert omega_index(omega, _floats(J0)) == (3, 0)
+    assert omega_index(omega, _floats(neg(J0))) == (0, 3)
 
 
 def test_is_compatible_omega_takes_its_mode_from_omega_and_j():

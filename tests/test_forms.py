@@ -242,6 +242,14 @@ def test_restrict_dependent_basis_errors():
         e12.restrict(basis)
 
 
+def test_restrict_reads_no_tolerance_on_an_exact_basis():
+    """A basis independent only through a 1e-12 entry is independent at any ``tol``."""
+    e12 = ExteriorForm.basis(3, (1, 2))
+    basis = [[1, 0, 0], [1, Fraction(1, 10**12), 0]]
+    assert e12.restrict(basis, tol=1e-9) == e12.restrict(basis)
+    assert e12.restrict(basis).coeff((1, 2)) == Fraction(1, 10**12)
+
+
 def test_mixed_mode_rejected(rng):
     a = rand_form(rng, 5, 2, nterms=2)
     with pytest.raises(MixedModeError):

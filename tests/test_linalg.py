@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2kit import linalg
-from g2kit.linalg import _bareiss
+from g2kit.linalg import DegenerateFormError, _bareiss
 from g2kit.scalars import ComplexRational, MixedModeError
 
 
@@ -148,6 +148,23 @@ def test_inverse_takes_its_mode_from_every_entry():
     assert same(linalg.inverse([[2, 1], [1, 1]]), q)
     i, zero, one = ComplexRational(0, 1), ComplexRational(0), ComplexRational(1)
     assert same(linalg.inverse([[i, 0], [0, 1]]), [[-i, zero], [zero, one]])
+
+
+def test_rank_solve_and_signature_take_their_mode_from_every_entry():
+    """A Fraction beside a float raises wherever the two sit, as in ``inverse``."""
+    half = Fraction(1, 2)
+    with pytest.raises(MixedModeError):
+        linalg.rank([[half, 0.5], [0.0, 1.0]], 1e-9)
+    with pytest.raises(MixedModeError):
+        linalg.rank([[1, 0.5], [Fraction(2), 1]])
+    with pytest.raises(MixedModeError):
+        linalg.solve([[half, 0], [0, 1]], [0.5, 1.0])
+    with pytest.raises(MixedModeError):
+        linalg.solve([[1, 0.5], [Fraction(0), 1]], [1, 1], 1e-9)
+    with pytest.raises(MixedModeError):
+        linalg.signature([[half, 0.5], [0.5, 1.0]], 1e-9)
+    assert linalg.rank([[1, 0.5], [2, 1.0]]) == 1  # ints join either mode
+    assert linalg.signature([[1.0, 0], [0, -1]], 1e-9) == (1, 1)
 
 
 _zi = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
@@ -301,3 +318,73 @@ def test_float_rank_and_signature_tolerances_are_relative(k):
     assert linalg.rank(scaled(low), 1e-10) == linalg.rank(low, 1e-10) == 2
     assert linalg.rank(scaled(low)) == 3
     assert linalg.rank([[0.0, 0.0]], 1e-10) == 0
+
+
+@pytest.mark.parametrize("k", range(-12, 13, 3))
+def test_float_solve_and_inverse_tolerances_are_relative(k):
+    """Scaling a float system by 10^k neither makes it singular nor hides that it is."""
+    m = [[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 4.0]]
+    near = [[1.0, 2.0], [2.0, 4.0 + 1e-13]]
+    c = 10.0**k
+    scaled = lambda a: [[c * x for x in row] for row in a]
+    x = linalg.solve(scaled(m), [c, 2 * c, 3 * c], 1e-9)
+    assert x == pytest.approx(linalg.solve(m, [1.0, 2.0, 3.0], 1e-9), rel=1e-12)
+    inv = linalg.inverse(scaled(m), 1e-9)
+    for row, ref in zip(inv, linalg.inverse(m, 1e-9)):
+        assert [c * y for y in row] == pytest.approx(ref, rel=1e-12)
+    with pytest.raises(DegenerateFormError):
+        linalg.solve(scaled(near), [c, c], 1e-9)
+    with pytest.raises(DegenerateFormError):
+        linalg.inverse(scaled(near), 1e-9)
+
+
+def test_exact_input_reads_no_tolerance():
+    """A tiny exact pivot is a pivot at any ``tol``: exact verdicts read no tolerance."""
+    t = Fraction(1, 10**12)
+    assert linalg.rank([[1, 0], [1, t]], 1e-9) == 2
+    assert linalg.solve([[1, 0], [0, t]], [1, 1], 1e-9) == [1, 10**12]
+    assert linalg.inverse([[1, 0], [0, t]], 1e-9) == [[1, 0], [0, 10**12]]
+    assert linalg.signature([[t, 0], [0, 1]], 1e-9) == (2, 0)
+
+
+_TINY = Fraction(1, 10**12)
+
+
+@st.composite
+def exact_cases(draw):
+    """An exact n x n matrix (n = 1..6), maybe rank-deficient, maybe with a row of 1/10^12 size."""
+    kind = draw(st.sampled_from(["int", "fraction", "int+fraction", "gaussian", "gaussian+fraction"]))
+    n = draw(st.integers(1, 6))
+    m = draw(matrices(kind, n, n))
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        m[i] = [2 * x for x in m[j]] if i != j else [x * 0 for x in m[i]]
+    if kind != "int" and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        m[i] = [x * _TINY for x in m[i]]
+    rhs = draw(st.lists(KINDS[kind], min_size=n, max_size=n))
+    return m, rhs
+
+
+def _outcome(f, *args):
+    """The value of ``f(*args)``, or the type of the DegenerateFormError it raised."""
+    try:
+        return f(*args)
+    except DegenerateFormError as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_cases())
+def test_exact_verdicts_do_not_depend_on_tol(case):
+    """rank, solve, inverse and signature of exact input: one value and type at any ``tol``."""
+    m, rhs = case
+    herm = linalg.mat_add(m, linalg.transpose(linalg.mat_conj(m)))
+    calls = [
+        (linalg.rank, m), (linalg.rank, [row[1:] or row for row in m]),
+        (linalg.solve, m, rhs), (linalg.inverse, m), (linalg.signature, herm),
+    ]
+    for f, *args in calls:
+        at_zero = _outcome(f, *args, 0.0)
+        for tol in (1e-9, 1.0):
+            assert same(_outcome(f, *args, tol), at_zero), (f.__name__, tol)
