@@ -20,16 +20,23 @@ failed; 2 is a usage or input error.  Reports are byte-reproducible given
 The argparse parser is built once per process, on the first call of
 :func:`main`, and reused by later calls: parsing leaves no state on it.
 
-``--threads`` is accepted, but samples run serially: they are CPU-bound pure
-Python, and a thread pool under the interpreter lock ran no faster.
+``--threads K`` (1 to ``os.cpu_count()``) splits sphere-suite's samples into
+``min(K, samples)`` contiguous chunks.  The caller runs the first; each other
+chunk goes to a helper process, forked on first use and kept for later calls.
+Reports are joined in seed order, so K never changes their bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import contextlib
 import functools
 import json
+import marshal
+import os
 import sys
+import threading
 
 from . import jsonio
 from .chern import CandidateJ, compute_rs, index_from_h
@@ -197,12 +204,101 @@ def _sphere_sample_check(seed_i, tol, upsilon_scale):
     }
 
 
+# Helpers are (pid, request fd, reply file), forked by this process; a forked
+# child forgets its parent's.  Messages are marshal data, which keeps float bits
+# and reads back exactly one object; a helper replies None when a sample raised.
+_helpers = []
+_helpers_lock = threading.Lock()
+
+
+def _send(fd, obj):
+    view = memoryview(marshal.dumps(obj))
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _fork_helper():
+    requests, replies = os.pipe(), os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:  # serve until the request pipe closes (EOFError); never return into the caller
+            os.close(requests[1])
+            inbox = os.fdopen(requests[0], "rb")
+            while True:
+                seeds, tol, upsilon_scale = marshal.load(inbox)
+                try:
+                    reply = [_sphere_sample_check(s, tol, upsilon_scale) for s in seeds]
+                except Exception:  # the caller re-runs the chunk and meets the error itself
+                    reply = None
+                _send(replies[1], reply)
+        finally:
+            os._exit(0)
+    os.close(requests[0])
+    os.close(replies[1])
+    return pid, requests[1], os.fdopen(replies[0], "rb")
+
+
+def _drop(helper):
+    """Close a helper's pipes, so that it reads end of file and exits, and reap it."""
+    _helpers.remove(helper)
+    os.close(helper[1])
+    helper[2].close()
+    with contextlib.suppress(ChildProcessError):  # reaped elsewhere already
+        os.waitpid(helper[0], 0)
+
+
+def _stop_helpers():
+    while _helpers:
+        _drop(_helpers[-1])
+
+
+def _forget_helpers():
+    global _helpers_lock
+    for _, request_fd, replies in _helpers:
+        os.close(request_fd)
+        replies.close()
+    _helpers.clear()
+    _helpers_lock = threading.Lock()
+
+
+atexit.register(_stop_helpers)
+os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _sample_reports(seeds, tol, upsilon_scale, workers):
+    """The reports of ``seeds`` in order; helpers run every chunk after the first.
+
+    A chunk whose helper died or whose sample raised is run here, so the
+    outcome is the serial one; a dead helper is replaced on the next call.
+    """
+    with _helpers_lock:
+        with contextlib.suppress(OSError):  # out of processes: fewer chunks
+            while len(_helpers) < workers - 1:
+                _helpers.append(_fork_helper())
+        helpers, replies = _helpers[:workers - 1], []
+        n, workers = len(seeds), len(helpers) + 1
+        chunks = [seeds[i * n // workers:(i + 1) * n // workers] for i in range(workers)]
+        for helper, chunk in zip(helpers, chunks[1:]):
+            with contextlib.suppress(BrokenPipeError):  # a dead helper: its reply is end of file
+                _send(helper[1], (chunk, tol, upsilon_scale))
+        try:
+            reports = [_sphere_sample_check(s, tol, upsilon_scale) for s in chunks[0]]
+        finally:
+            for helper in helpers:
+                try:
+                    replies.append(marshal.load(helper[2]))
+                except EOFError:
+                    replies.append(None)
+                    _drop(helper)
+    for chunk, reply in zip(chunks[1:], replies):
+        reports += reply or [_sphere_sample_check(s, tol, upsilon_scale) for s in chunk]
+    return reports
+
+
 def cmd_sphere_suite(args, parser):
     tol, samples = args.tol, args.samples
     if samples > 0 and args.seed is None:
         parser.error("--seed is required when --samples > 0")
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     upsilon_scale = 7 if args.mutate == "upsilon-scale" else 8
     checks = []
 
@@ -211,7 +307,7 @@ def cmd_sphere_suite(args, parser):
 
     if samples > 0:
         seeds = [args.seed * 1_000_003 + i for i in range(samples)]
-        sample_reports = [_sphere_sample_check(s, tol, upsilon_scale) for s in seeds]
+        sample_reports = _sample_reports(seeds, tol, upsilon_scale, min(args.threads, samples))
         agg = {
             "check": "sampled_points",
             "samples": samples,
@@ -332,6 +428,14 @@ def _tolerance(text):
     raise argparse.ArgumentTypeError(f"must be a finite number >= 0, not {text!r}")
 
 
+def _threads(text):
+    """The type of ``--threads``: 1 to ``os.cpu_count()``, checked before any process starts."""
+    k, most = int(text), os.cpu_count() or 1
+    if 1 <= k <= most:
+        return k
+    raise argparse.ArgumentTypeError(f"must be between 1 and the CPU count {most}, not {text!r}")
+
+
 @functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -353,7 +457,7 @@ def build_parser():
     p3.add_argument("--samples", type=int, default=0)
     p3.add_argument("--seed", type=int, default=None)
     p3.add_argument("--tol", type=_tolerance, default=1e-10, help="float defect bound, >= 0")
-    p3.add_argument("--threads", type=int, default=1, help="samples run serially")
+    p3.add_argument("--threads", type=_threads, default=1, help="sample processes, <= CPU count")
     p3.add_argument("--mutate", choices=("upsilon-scale",), default=None)
 
     p4 = subs.add_parser("chern", help="transition invariants of a structure")

@@ -53,9 +53,9 @@ def _nz(x, tol):
     return bool(x) if tol == 0.0 else sabs(x) > tol
 
 
-def _fx(x):
-    # int/int is float division in Python; promote ints before any division
-    return Fraction(x) if isinstance(x, int) else x
+def _fx(x, mode=None):
+    # int/int is float division in Python; promote ints before any division, to floats in float mode
+    return (float(x) if mode == FLOAT else Fraction(x)) if isinstance(x, int) else x
 
 
 def _fx_rows(m):
@@ -387,7 +387,7 @@ def _relative(m, tol, mode):
 def solve(m, rhs, tol=0.0):
     """Solve m x = rhs; rhs is a vector. Raises on singular m; ``tol`` as in :func:`rank`."""
     n, mode = len(m), matrix_mode([*m, rhs])
-    a = [[_fx(x) for x in row] + [_fx(rhs[i])] for i, row in enumerate(m)]
+    a = [[_fx(x, mode) for x in row] + [_fx(rhs[i], mode)] for i, row in enumerate(m)]
     return [row[n] for row in _gauss_jordan(a, n, tol, mode, "singular linear system")]
 
 

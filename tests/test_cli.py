@@ -1,14 +1,19 @@
 import ast
+import contextlib
+import io
 import json
+import os
 import pathlib
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 import g2kit
-from g2kit import jsonio
+from g2kit import cli, jsonio
 from g2kit.cli import main
 from g2kit.forms import ExteriorForm
 from g2kit.threeforms import elliptic_normal_form, split_normal_form
@@ -886,3 +891,181 @@ def test_no_call_picks_a_tolerance_by_mode():
             if any(isinstance(x, ast.IfExp) for t in tols for x in ast.walk(t)):
                 found.append(f"{path.name}:{node.lineno}")
     assert checked >= 8 and found == []
+
+
+# ---------------------------------------------------------------------------
+# sphere-suite --threads: helper processes run chunks of the samples
+# ---------------------------------------------------------------------------
+
+two_cpus = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--threads 2 needs two CPUs")
+
+
+@pytest.fixture
+def fresh_helpers():
+    """No cached helper before or after the test, so that none outlives a patch."""
+    cli._stop_helpers()
+    yield
+    cli._stop_helpers()
+
+
+def _sphere(capsys, seed, samples, threads, *extra):
+    argv = ["sphere-suite", "--samples", str(samples), "--seed", str(seed)]
+    return run_main([*argv, "--threads", str(threads), *extra], capsys)
+
+
+@two_cpus
+@pytest.mark.parametrize("seed", range(10))
+def test_threads_2_prints_the_serial_bytes(seed, capsys):
+    """Sample counts 1-9 split oddly and unevenly; a failing report (exit 1) too."""
+    for samples, extra in ((seed % 9 + 1, ()), (9 - seed % 9, ("--mutate", "upsilon-scale"))):
+        serial = _sphere(capsys, seed, samples, 1, *extra)
+        assert _sphere(capsys, seed, samples, 2, *extra) == serial
+        assert serial[0] == (1 if extra else 0)
+
+
+@two_cpus
+def test_helper_reports_come_back_in_seed_order_with_their_float_bits():
+    import marshal
+
+    seeds = list(range(20, 27))
+    serial = [cli._sphere_sample_check(s, 1e-10, 8) for s in seeds]
+    assert marshal.dumps(cli._sample_reports(seeds, 1e-10, 8, 2)) == marshal.dumps(serial)
+
+
+def test_threads_above_cpu_count_exit_2_before_any_process_starts(capsys, monkeypatch):
+    def no_fork():
+        raise AssertionError("a helper was forked")
+
+    monkeypatch.setattr(cli, "_fork_helper", no_fork)
+    code, out, err = _sphere(capsys, 1, 4, (os.cpu_count() or 1) + 1)
+    assert (code, out) == (2, "") and "argument --threads" in err
+
+
+@two_cpus
+def test_a_killed_helper_gives_the_serial_report_and_is_replaced(capsys, fresh_helpers):
+    serial = _sphere(capsys, 4, 6, 1)
+    assert _sphere(capsys, 4, 6, 2) == serial
+    (killed, _, _), = cli._helpers
+    os.kill(killed, signal.SIGKILL)
+    assert _sphere(capsys, 4, 6, 2) == serial
+    assert cli._helpers == []
+    assert _sphere(capsys, 4, 6, 2) == serial
+    assert [h[0] for h in cli._helpers] != [killed]
+
+
+@two_cpus
+def test_a_failed_fork_runs_the_samples_here(capsys, fresh_helpers, monkeypatch):
+    def no_process():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(cli, "_fork_helper", no_process)
+    assert _sphere(capsys, 6, 5, 2) == _sphere(capsys, 6, 5, 1) and cli._helpers == []
+
+
+@two_cpus
+def test_a_sample_raising_in_a_helper_gives_the_serial_outcome(capsys, fresh_helpers, monkeypatch):
+    """The caller re-runs a chunk whose helper sample raised, and meets what it raises."""
+    parent, check = os.getpid(), cli._sphere_sample_check
+    bad = {"seed": None}
+
+    def flaky(seed_i, tol, upsilon_scale):
+        if os.getpid() != parent or seed_i == bad["seed"]:
+            raise ValueError(seed_i)
+        return check(seed_i, tol, upsilon_scale)
+
+    monkeypatch.setattr(cli, "_sphere_sample_check", flaky)
+    expected = _sphere(capsys, 2, 5, 1)
+    assert _sphere(capsys, 2, 5, 2) == expected
+    bad["seed"] = 2 * 1_000_003 + 4  # in the helper's chunk, so it raises in the caller too
+    for threads in (1, 2):
+        with pytest.raises(ValueError, match=str(bad["seed"])):
+            _sphere(capsys, 2, 5, threads)
+    bad["seed"] = None
+    assert _sphere(capsys, 2, 5, 2) == expected and len(cli._helpers) == 1
+
+
+@two_cpus
+def test_a_forked_child_leaves_its_parents_helpers_alone(capsys, fresh_helpers):
+    expected = _sphere(capsys, 3, 4, 1)
+    assert _sphere(capsys, 3, 4, 2) == expected
+    mine = list(cli._helpers)
+    pid = os.fork()
+    if pid == 0:
+        ok = False
+        try:
+            inherited = list(cli._helpers)
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = main(["sphere-suite", "--samples", "4", "--seed", "3", "--threads", "2"])
+            own = [h[0] for h in cli._helpers]
+            cli._stop_helpers()
+            ok = inherited == [] and (code, out.getvalue()) == expected[:2]
+            ok = ok and len(own) == 1 and own[0] not in [h[0] for h in mine]
+        finally:
+            os._exit(0 if ok else 1)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG)) == (0, 0) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done == (0, 0):
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[1] == 0
+    assert cli._helpers == mine and _sphere(capsys, 3, 4, 2) == expected
+
+
+@two_cpus
+def test_concurrent_callers_each_get_their_own_reports(fresh_helpers):
+    """The lock keeps one caller's exchange with a helper from reading another's reply."""
+    import threading
+
+    jobs = {t: list(range(10 * t, 10 * t + 3)) for t in range(4)}
+    serial = {t: [cli._sphere_sample_check(s, 1e-10, 8) for s in jobs[t]] for t in jobs}
+    results = {}
+
+    def run(t):
+        results[t] = [cli._sample_reports(jobs[t], 1e-10, 8, 2) for _ in range(3)]
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {t: [serial[t]] * 3 for t in jobs}
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (a zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+@two_cpus
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+@pytest.mark.parametrize("end", ["exit", "killed"])
+def test_no_helper_outlives_its_parent(end):
+    """At exit the parent reaps its helpers; killed, it leaves them end of file on their pipe."""
+    script = (
+        "import os, signal, sys\n"
+        "from g2kit import cli\n"
+        "cli.main(['sphere-suite', '--samples', '4', '--seed', '1', '--threads', '2'])\n"
+        "print(*[h[0] for h in cli._helpers], file=sys.stderr, flush=True)\n"
+        "if sys.argv[1] == 'killed':\n"
+        "    os.kill(os.getpid(), signal.SIGKILL)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, end], capture_output=True, text=True, timeout=60
+    )
+    helpers = [int(pid) for pid in proc.stderr.split()]
+    assert len(helpers) == 1 and json.loads(proc.stdout)["pass"]
+    deadline = time.monotonic() + 10
+    while any(map(_running, helpers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_running, helpers))

@@ -167,6 +167,14 @@ def test_rank_solve_and_signature_take_their_mode_from_every_entry():
     assert linalg.signature([[1.0, 0], [0, -1]], 1e-9) == (1, 1)
 
 
+def test_float_solve_returns_floats_beside_int_entries():
+    """A float system gives float unknowns, also where its int entries meet only each other."""
+    for m, rhs in (([[2, 0], [0, 1]], [1.0, 1]), ([[2.0, 0], [0, 1]], [1, 1])):
+        x = linalg.solve(m, rhs)
+        assert x == [0.5, 1.0] and all(type(c) is float for c in x)
+    assert linalg.solve([[2, 0], [0, 1]], [1, 1]) == [Fraction(1, 2), Fraction(1)]
+
+
 _zi = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
 
 
