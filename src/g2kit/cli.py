@@ -13,9 +13,10 @@ There is no mode flag: an input document states its mode in its "mode" key
 (exact when absent), and sphere-suite samples float points when --samples > 0.
 --tol takes a finite number >= 0; any other value is a usage error.
 Exit code 0 means every check in the report passed; 1 means some check
-failed; 2 is a usage or input error.  Reports are byte-reproducible given
-(command, inputs, seed): keys are sorted and floats use fixed
-17-significant-digit formatting.
+failed; 2 is a usage or input error.  A stdout reader that leaves early
+(``| head``) loses the printed copy, not the exit code or ``--report`` file.
+Reports are byte-reproducible given (command, inputs, seed): keys are sorted
+and floats use fixed 17-significant-digit formatting.
 
 The argparse parser is built once per process, on the first call of
 :func:`main`, and reused by later calls: parsing leaves no state on it.
@@ -75,7 +76,12 @@ def _load_json(path):
 
 def _emit(report, args):
     text = jsonio.dumps_canonical(report)
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader left; later flushes go to devnull (Python's signal docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(text + "\n")
@@ -174,12 +180,12 @@ def _sphere_sample_check(seed_i, tol, upsilon_scale):
     defects["frame_independence"] = form_defect(ups, upsilon_at(u, frame2, upsilon_scale))
     from .almost_symplectic import elliptic_definite_check
     from .sphere import omega_at
-    from .g2 import associative_three_form
+    from .g2 import float_three_form
 
     # the columns g2..g7 of a verified frame are an orthonormal basis of u-perp
     tangent = [row[1:] for row in frame.matrix]
     om6 = omega_at(u).pullback(tangent)
-    dom6 = (3.0 * associative_three_form().as_float()).pullback(tangent)
+    dom6 = (3.0 * float_three_form()).pullback(tangent)
     rep = elliptic_definite_check(om6, dom6, tol=1e-9)
     defects["lambda_one_form"] = rep.decomposition.lam.norm_inf()
     ok_elliptic = rep.tag == "elliptic" and rep.signature == (3, 0) and rep.elliptic_definite

@@ -12,7 +12,8 @@ skips pairs of index tuples that share an index on their bitmasks.
 ``evaluate`` and ``pullback`` pick their minor kernel once per call, from the
 mode and the entry types: int/Fraction vectors under an exact form give
 integer minors of the once-cleared vectors (``linalg._det_z``) and one exact
-sum per value; float vectors run ``linalg._det_elim``, the elimination behind
+sum per value; float vectors pass the entries of each 2x2 or 3x3 minor
+straight to ``linalg._det2``/``_det3``, the unrolled elimination behind
 ``linalg.det``, so float values are bit-identical to a per-minor ``det``.
 """
 
@@ -23,6 +24,7 @@ from itertools import combinations, compress, count
 from math import prod
 
 from . import linalg
+from .linalg import _det2, _det3
 from .scalars import (
     ANY,
     EXACT,
@@ -210,11 +212,13 @@ class ExteriorForm(Immutable):
     def _trusted(cls, dim, degree, terms, mode):
         """Build from kernel output: increasing in-range keys, coefficients of ``mode``.
 
-        Coefficients are normalized and zeros dropped; sign sorting, index
-        validation and mode inference are skipped.  Only operations of this
-        module call it, on forms that already passed the public constructor.
+        Coefficients are normalized (a float or Fraction already is) and zeros
+        dropped; sign sorting, index validation and mode inference are skipped.
+        Only operations of this module call it, on forms that already passed
+        the public constructor.
         """
-        terms = {k: normalize_scalar(c) for k, c in terms.items() if c}
+        plain = {float, Fraction}.issuperset(map(type, terms.values()))
+        terms = {k: c if plain else normalize_scalar(c) for k, c in terms.items() if c}
         return _restore(cls, dim, degree, terms, mode)
 
     @classmethod
@@ -359,9 +363,10 @@ class ExteriorForm(Immutable):
     def _evaluator(self, vectors):
         """The map ``sub -> self(vectors[j] for j in sub)``, its minor kernel picked once.
 
-        Entry types other than the exact and float kernels' call ``linalg.det``
-        per minor.  A term is skipped when some vector vanishes on all of its
-        indices (a zero-row minor): that changes at most the sign of a zero.
+        Float and complex minors of degree 2 and 3 run ``_det2``/``_det3`` on entries
+        read from the vectors, other inexact ones ``linalg.det``, summed in term order.
+        A term is skipped when some vector vanishes on all of its indices (a
+        zero-row minor): that changes at most the sign of a zero.
         """
         zero = Fraction(0) if self.mode == EXACT else 0.0
         if self.degree == 0 or not self.terms:
@@ -377,13 +382,29 @@ class ExteriorForm(Immutable):
         types = {type(x) for v in vectors for x in v}
         if self.mode == EXACT and types <= {int, Fraction}:
             return _exact_values(coeffs, vectors, alive, idx0)
-        det = linalg._det_elim if types <= {float} else linalg.det
+        n = len(idx0[0]) if types <= {float, complex} else 0  # 0: linalg.det on every minor
+        terms = [(c, *idx) for c, idx in zip(coeffs, idx0)]
+        everywhere = all(len(a) == len(terms) for a in alive)
 
         def value(sub):
+            live = terms
+            if not everywhere:
+                live = [terms[t] for t in sorted(frozenset.intersection(*(alive[j] for j in sub)))]
             total = None
-            for t in sorted(frozenset.intersection(*(alive[j] for j in sub))):
-                d = det([[vectors[j][i] for i in idx0[t]] for j in sub])
-                total = coeffs[t] * d if total is None else total + coeffs[t] * d
+            if n == 2:
+                x, y = map(vectors.__getitem__, sub)
+                for c, i, k in live:
+                    d = _det2(x[i], x[k], y[i], y[k])
+                    total = c * d if total is None else total + c * d
+            elif n == 3:
+                x, y, z = map(vectors.__getitem__, sub)
+                for c, i, k, l in live:
+                    d = _det3(x[i], x[k], x[l], y[i], y[k], y[l], z[i], z[k], z[l])
+                    total = c * d if total is None else total + c * d
+            else:
+                for c, *idx in live:
+                    d = linalg.det([[vectors[j][i] for i in idx] for j in sub])
+                    total = c * d if total is None else total + c * d
             return zero if total is None else normalize_scalar(total)
 
         return value

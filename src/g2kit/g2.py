@@ -18,6 +18,7 @@ assembled first and the finished frame checked once.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from operator import mul
 
@@ -54,6 +55,12 @@ class FrameConstructionError(ValueError):
 def associative_three_form() -> ExteriorForm:
     """The calibration 3-form phi on R^7 (exact, unit coefficients)."""
     return ExteriorForm(7, 3, {idx: Fraction(s) for idx, s in PHI_TERMS})
+
+
+@functools.cache
+def float_three_form() -> ExteriorForm:
+    """phi with float coefficients, built once per process: forms never change."""
+    return associative_three_form().as_float()
 
 
 _PHI = dict(PHI_TERMS)
@@ -104,9 +111,7 @@ def dot(u, v):
 
 def g2_defect(matrix) -> ExteriorForm:
     """pullback(phi, g) - phi; the zero form exactly when g is in the group."""
-    phi = associative_three_form()
-    if matrix_mode(matrix) == FLOAT:
-        phi = phi.as_float()
+    phi = float_three_form() if matrix_mode(matrix) == FLOAT else associative_three_form()
     return phi.pullback(matrix) - phi
 
 
@@ -131,19 +136,18 @@ def is_g2(matrix) -> bool:
     if cleared is not None:
         return _is_g2_cleared(cleared)
     if matrix_mode(rows) == FLOAT:
-        close = lambda a, b: abs(a - b) < DEFAULT_TOL
-    else:
-        close = lambda a, b: a == b
+        return all(abs(r) < DEFAULT_TOL for r in _g2_residuals(cols))
+    return not any(_g2_residuals(cols))
+
+
+def _g2_residuals(cols):
+    """The 28 + 21 tests of :func:`is_g2` in order, each as value minus target, lazily."""
     for i in range(7):
         for j in range(i, 7):
-            d = sum((a * b for a, b in zip(cols[i], cols[j])), start=cols[i][0] * 0)
-            if not close(d, 1 if i == j else 0):
-                return False
+            yield sum(map(mul, cols[i], cols[j])) - (i == j)
     for i, j, k, negative in _CROSS_PAIRS:
         for a, b in zip(_cross(cols[i], cols[j]), cols[k]):
-            if not close(a, -b if negative else b):
-                return False
-    return True
+            yield a + b if negative else a - b
 
 
 def _is_g2_cleared(cols):

@@ -14,14 +14,15 @@ of products over Z or Z[i] on Python ints, and normalize one scalar per
 output entry.  A ``ComplexRational`` already holds its cleared triple
 (a + b*i)/d, which ``_cleared`` reads directly, and a Gaussian-rational
 result is built from its triple by one reducing constructor.  ``det`` is a
-type dispatch in front of two kernels, which ``forms`` also calls directly,
-one check per call: ``_det_z`` on int rows (closed form up to 3x3, else
-Bareiss elimination; Bareiss, Sylvester's identity and multistep
-integer-preserving Gaussian elimination, Math. Comp. 22, 1968), and
-``_det_elim``, the generic elimination for float, complex and mixed rows,
-unrolled for 2x2 and 3x3 rows (``_det_elim2``/``3``).
-Results equal the generic path's in value and in type, and float arithmetic
-order is unchanged.
+type dispatch in front of two kernels, one check per call: ``_det_z`` on int
+rows (closed form up to 3x3, else Bareiss elimination; Bareiss, Sylvester's
+identity and multistep integer-preserving Gaussian elimination, Math. Comp.
+22, 1968), and ``_det_elim``, the generic elimination for float, complex and
+mixed rows.  Its 2x2 and 3x3 cases are ``_det2``/``_det3``, the same
+elimination unrolled on the unpacked entries.  ``forms`` calls ``_det_z`` on
+exact minors and ``_det2``/``_det3`` on float minors directly.  Results equal
+the generic path's in value and in type, and float arithmetic order is
+unchanged.
 
 This is the one module with Gaussian-integer matrix kernels.  The private
 ``_zi_*`` helpers on plain ``(re, im)`` int pairs serve chern's signature sweep,
@@ -280,13 +281,13 @@ def _det_z(a):
 def _det_elim(a):
     """Determinant by elimination, the first nonzero entry as pivot; rows of ``a`` are replaced.
 
-    2x2 and 3x3 input runs the same operations unrolled: the same pivots, the
-    same row updates (skipped below a zero entry), and the pivots multiplied
-    left to right.
+    2x2 and 3x3 input runs ``_det2``/``_det3`` on its entries.
     """
     n = len(a)
-    if n in (2, 3):
-        return _det_elim2(a) if n == 2 else _det_elim3(a)
+    if n == 2:
+        return _det2(*a[0], *a[1])
+    if n == 3:
+        return _det3(*a[0], *a[1], *a[2])
     sign = 1
     result = None
     for c in range(n):
@@ -305,9 +306,9 @@ def _det_elim(a):
     return result if sign > 0 else -result
 
 
-def _det_elim2(a):
-    """``_det_elim`` of a 2x2 matrix, unrolled; ``a`` is only read."""
-    (p, q), (r, t) = a
+def _det2(p, q, r, t):
+    """``_det_elim`` of the rows (p, q), (r, t), unrolled: the same pivots, the same
+    row updates (skipped below a zero entry), the pivots multiplied left to right."""
     if not p:  # swap the rows, unless r is zero too
         if not r:
             return p * 0
@@ -317,18 +318,16 @@ def _det_elim2(a):
     return p * t if t else p * 0
 
 
-def _det_elim3(a):
-    """``_det_elim`` of a 3x3 matrix, unrolled; ``a`` is only read."""
-    r0, r1, r2 = a
-    neg = not r0[0]
+def _det3(p, u1, u2, b, c1, c2, d, e1, e2):
+    """``_det_elim`` of the rows (p, u1, u2), (b, c1, c2), (d, e1, e2), unrolled as ``_det2``."""
+    neg = not p
     if neg:
-        if r1[0]:
-            r0, r1 = r1, r0
-        elif r2[0]:
-            r0, r2 = r2, r0
+        if b:
+            p, u1, u2, b, c1, c2 = b, c1, c2, p, u1, u2
+        elif d:
+            p, u1, u2, d, e1, e2 = d, e1, e2, p, u1, u2
         else:
-            return r0[0] * 0
-    (p, u1, u2), (b, c1, c2), (d, e1, e2) = r0, r1, r2
+            return p * 0
     if b:
         f = b / p
         c1, c2 = c1 - f * u1, c2 - f * u2

@@ -5,7 +5,9 @@ scalar is an ``int``/``Fraction`` or a :class:`ComplexRational`; in *float*
 mode scalars are ``float``/``complex``.  The modes never mix silently: any
 operation that would combine them raises :class:`MixedModeError`.  Converting
 exact data to floats is always explicit (``to_float``); the reverse direction
-is never done implicitly.
+is never done implicitly.  ``vector_mode`` and ``matrix_mode`` read the joint
+mode off the set of entry types, once per set of builtin scalar types; other
+types (bool, numpy scalars) and mixes that raise fold ``mode_of`` per entry.
 
 A :class:`ComplexRational` is stored as one Gaussian integer over one
 denominator, the cleared triple (a, b, d) with gcd(a, b, d) = 1, so its
@@ -22,6 +24,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
 from math import gcd, lcm
 
 EXACT = "exact"
@@ -250,18 +254,26 @@ def join_modes(a: str, b: str) -> str:
     return a
 
 
-def vector_mode(v) -> str:
-    mode = ANY
-    for x in v:
-        mode = join_modes(mode, mode_of(x))
+# frozenset of entry types -> their joint mode; only sets of _MODE_BY_TYPE types that
+# join are kept (at most 2^5), so any other set takes the per-entry fold every time
+_MODE_OF_TYPES = {}
+
+
+def _joint_mode(types, modes):
+    mode = _MODE_OF_TYPES.get(types)
+    if mode is None:
+        mode = reduce(join_modes, modes, ANY)
+        if types <= _MODE_BY_TYPE.keys():
+            _MODE_OF_TYPES[types] = mode
     return mode
+
+
+def vector_mode(v) -> str:
+    return _joint_mode(frozenset(map(type, v)), map(mode_of, v))
 
 
 def matrix_mode(m) -> str:
-    mode = ANY
-    for row in m:
-        mode = join_modes(mode, vector_mode(row))
-    return mode
+    return _joint_mode(frozenset(map(type, chain.from_iterable(m))), map(vector_mode, m))
 
 
 def normalize_scalar(c):

@@ -16,7 +16,8 @@ import math
 from fractions import Fraction
 
 from .forms import ExteriorForm, form_defect
-from .g2 import AdaptedFrame, adapted_frame, associative_three_form, cross, dot, standard_frame
+from .g2 import AdaptedFrame, adapted_frame, associative_three_form, cross, dot
+from .g2 import float_three_form, standard_frame
 from .polyforms import PolyCoefForm, ext_d, position_field
 from .scalars import EXACT, FLOAT, Immutable, sabs, to_float, vector_mode
 
@@ -86,18 +87,14 @@ def standard_j(u, v):
 def omega_at(u) -> ExteriorForm:
     """The invariant 2-form at u as the ambient contraction iota_u phi."""
     u = point_vector(u)
-    phi = associative_three_form()
-    if vector_mode(u) == FLOAT:
-        phi = phi.as_float()
+    phi = float_three_form() if vector_mode(u) == FLOAT else associative_three_form()
     return phi.interior(u)
 
 
 def phi_tangential(u) -> ExteriorForm:
     """phi restricted to u-perp, written ambiently: phi - u-flat ^ iota_u phi."""
     u = point_vector(u)
-    phi = associative_three_form()
-    if vector_mode(u) == FLOAT:
-        phi = phi.as_float()
+    phi = float_three_form() if vector_mode(u) == FLOAT else associative_three_form()
     uflat = ExteriorForm.from_covector(u)
     return phi - uflat.wedge(phi.interior(u))
 

@@ -224,17 +224,45 @@ def test_float_chern_document_at_e1_runs_float(doc, tmp_path, capsys):
     assert report["residual"] == {"re": -1, "im": 0} and report["H_signature"] == [3, 0]
 
 
+# two sample processes where the host has two CPUs; a one-CPU host runs --threads 1
+# again, since a --threads above the CPU count is a usage error
+THREADS_2 = str(min(2, os.cpu_count() or 1))
+
+
 def test_reports_byte_reproducible():
     a = run_cli(["sphere-suite", "--samples", "3", "--seed", "5"]).stdout
     b = run_cli(["sphere-suite", "--samples", "3", "--seed", "5"]).stdout
     assert a == b
-    c = run_cli(["sphere-suite", "--samples", "3", "--seed", "5", "--threads", "2"]).stdout
+    c = run_cli(["sphere-suite", "--samples", "3", "--seed", "5", "--threads", THREADS_2]).stdout
     assert a == c
 
 
 def test_exit_zero_iff_all_pass():
     report = json.loads(run_cli(["verify-structure"]).stdout)
     assert report["pass"] and all(c["pass"] for c in report["checks"])
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["classify-3form", "--input", "DOC"], 0), (["verify-structure", "--mutate", "dkappa-coeff"], 1)],
+    ids=["passing-classify-3form", "failing-verify-structure"],
+)
+def test_reader_that_left_keeps_the_verdict_exit_code(argv, code, tmp_path):
+    """A stdout pipe with no reader (``| head -c 10`` after it exits) leaves the 0/1 verdict,
+    the report file and an empty stderr: only the printed copy is lost."""
+    report = tmp_path / "report.json"
+    argv = [exact_elliptic_doc(tmp_path) if a == "DOC" else a for a in argv]
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "g2kit.cli", *argv, "--report", str(report)],
+            stdout=w, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (code, "")
+    assert json.loads(report.read_text())["pass"] is (code == 0)
 
 
 def test_main_callable_directly(capsys):
@@ -257,7 +285,7 @@ def test_sphere_suite_reports_byte_stable():
             "126b8feffbced8ff1e905a77abb4d510f7c99350492cf3403729d63b54c76bd5",
         ("--seed", "3", "--threads", "1"):
             "3fd10351ac567714a4f10d47c594f153b61b010331e54f38c6083e048d7d1f78",
-        ("--seed", "0", "--threads", "2"):
+        ("--seed", "0", "--threads", THREADS_2):
             "0f92eb89e2c303072c6ecb64f5a89327aa86c5b4cbb517e256d1a76f77e0f706",
         ("--seed", "0", "--mutate", "upsilon-scale"):
             "5fe763f6e0361ade5ff8358f83d3749e153ec773c5f89552ea3b42e2e06373b7",

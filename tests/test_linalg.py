@@ -1,6 +1,7 @@
 """The fraction-free paths of linalg against the generic sum-of-products and
 elimination, entry by entry, in value and in type."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -48,57 +49,58 @@ def same(x, y):
     return type(x) is type(y) and repr(x) == repr(y)
 
 
-_ints = st.integers(-4, 4)
-# denominators 1 and cancelling numerators (6/3) are included on purpose
-_fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
-_gaussian = st.builds(ComplexRational, _fractions, _fractions)
-_floats = st.integers(-40, 40).map(lambda k: k / 8)
-KINDS = {
-    "int": _ints,
-    "fraction": _fractions,
-    "int+fraction": st.one_of(_ints, _fractions),
-    "gaussian": _gaussian,
-    "gaussian+fraction": st.one_of(_gaussian, _fractions),
-    "float": _floats,
+# Matrices are built by random.Random from one drawn seed per example, which
+# gives up shrinking: drawing every entry through hypothesis strategies made
+# this file about four times slower.  "a+b" kinds draw each entry from a or b.
+_ENTRY = {
+    "int": lambda rng: rng.randint(-4, 4),
+    # denominators 1 and cancelling numerators (6/3) are included on purpose
+    "fraction": lambda rng: Fraction(rng.randint(-12, 12), rng.randint(1, 6)),
+    "gaussian": lambda rng: ComplexRational(_ENTRY["fraction"](rng), _ENTRY["fraction"](rng)),
+    "float": lambda rng: rng.randint(-40, 40) / 8,
 }
+KINDS = ("float", "fraction", "gaussian", "gaussian+fraction", "int", "int+fraction")
+SEEDS = st.integers(0, 2**32 - 1)
 
 
-def matrices(kind, rows, cols):
-    return st.lists(st.lists(KINDS[kind], min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+def entry(rng, kind):
+    return _ENTRY[rng.choice(kind.split("+"))](rng)
 
 
-@st.composite
-def products(draw):
-    kind_a, kind_b = draw(st.sampled_from(sorted(KINDS))), draw(st.sampled_from(sorted(KINDS)))
+def matrix(rng, kind, rows, cols):
+    return [[entry(rng, kind) for _ in range(cols)] for _ in range(rows)]
+
+
+def products(rng):
+    kind_a, kind_b = rng.choice(KINDS), rng.choice(KINDS)
     if "float" in (kind_a, kind_b) and kind_a != kind_b:
         kind_b = kind_a
-    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
-    return draw(matrices(kind_a, n, k)), draw(matrices(kind_b, k, m)), draw(st.lists(KINDS[kind_b], min_size=k, max_size=k))
+    n, k, m = (rng.randint(1, 4) for _ in range(3))
+    return matrix(rng, kind_a, n, k), matrix(rng, kind_b, k, m), [entry(rng, kind_b) for _ in range(k)]
 
 
 @settings(max_examples=300, deadline=None)
-@given(products())
-def test_mat_mul_and_mat_vec_match_generic(case):
-    a, b, v = case
+@given(SEEDS)
+def test_mat_mul_and_mat_vec_match_generic(seed):
+    a, b, v = products(random.Random(seed))
     assert same(linalg.mat_mul(a, b), reference_mat_mul(a, b))
     assert same(linalg.mat_vec(a, v), reference_mat_vec(a, v))
 
 
-@st.composite
-def square(draw):
-    kind = draw(st.sampled_from(sorted(KINDS)))
-    n = draw(st.integers(1, 5))
-    m = draw(matrices(kind, n, n))
+def square(rng):
+    kind, n = rng.choice(KINDS), rng.randint(1, 5)
+    m = matrix(rng, kind, n, n)
     # rank-deficient: repeat a row times a scalar, or zero one out
-    if n > 1 and draw(st.booleans()):
-        i, j, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.sampled_from([0, 2]))
+    if n > 1 and rng.random() < 0.5:
+        i, j, c = rng.randrange(n), rng.randrange(n), rng.choice([0, 2])
         m[i] = [c * x for x in m[j]] if i != j else [x * 0 for x in m[i]]
     return m
 
 
 @settings(max_examples=300, deadline=None)
-@given(square())
-def test_det_matches_generic_elimination(m):
+@given(SEEDS)
+def test_det_matches_generic_elimination(seed):
+    m = square(random.Random(seed))
     assert same(linalg.det(m), reference_det(m))
 
 
@@ -175,9 +177,6 @@ def test_float_solve_returns_floats_beside_int_entries():
     assert linalg.solve([[2, 0], [0, 1]], [1, 1]) == [Fraction(1, 2), Fraction(1)]
 
 
-_zi = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
-
-
 def _as_cr(m):
     return [[ComplexRational(re, im) for re, im in row] for row in m]
 
@@ -186,27 +185,27 @@ def _as_pairs(m):
     return [[(x.re, x.im) for x in row] for row in m]
 
 
-@st.composite
-def zi_products(draw):
+def zi_products(rng):
     """An n x 3 and a 3 x m pair matrix: ``_zi_mat_mul`` serves inner dimension 3 only."""
-    n, k, m = draw(st.integers(1, 4)), 3, draw(st.integers(1, 4))
-    rows = lambda r, c: st.lists(st.lists(_zi, min_size=c, max_size=c), min_size=r, max_size=r)
-    return draw(rows(n, k)), draw(rows(k, m))
+    rows = lambda r, c: [[(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(c)] for _ in range(r)]
+    return rows(rng.randint(1, 4), 3), rows(3, rng.randint(1, 4))
 
 
 @settings(max_examples=200, deadline=None)
-@given(zi_products())
-def test_zi_mat_mul_matches_mat_mul(case):
-    a, b = case
+@given(SEEDS)
+def test_zi_mat_mul_matches_mat_mul(seed):
+    a, b = zi_products(random.Random(seed))
     assert linalg._zi_mat_mul(a, b) == _as_pairs(linalg.mat_mul(_as_cr(a), _as_cr(b)))
 
 
-@st.composite
-def zi_square3(draw, entries=_zi):
-    m = draw(st.lists(st.lists(entries, min_size=3, max_size=3), min_size=3, max_size=3))
+def zi_square3(rng, big=False):
+    """A 3x3 pair matrix; ``big`` entries reach 2^80, as the sweep's products do."""
+    def part():
+        return rng.randint(-(2**80), 2**80) if big and rng.random() < 0.5 else rng.randint(-9, 9)
+
+    m = [[(part(), part()) for _ in range(3)] for _ in range(3)]
     # singular cases: a zero row, or one row repeated
-    i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
-    kind = draw(st.sampled_from(["full", "zero", "repeat"]))
+    i, j, kind = rng.randrange(3), rng.randrange(3), rng.choice(["full", "zero", "repeat"])
     if kind == "zero":
         m[i] = [(0, 0)] * 3
     elif kind == "repeat" and i != j:
@@ -215,17 +214,13 @@ def zi_square3(draw, entries=_zi):
 
 
 @settings(max_examples=300, deadline=None)
-@given(zi_square3())
-def test_zi_det3_and_cofactors(m):
+@given(SEEDS)
+def test_zi_det3_and_cofactors(seed):
+    m = zi_square3(random.Random(seed))
     d = linalg._zi_det3(m)
     assert ComplexRational(*d) == linalg.det(_as_cr(m))
     adj = linalg.transpose(linalg._zi_cofactors(m))
     assert linalg._zi_mat_mul(m, adj) == [[d if i == j else (0, 0) for j in range(3)] for i in range(3)]
-
-
-# the sweep's products reach far past the small entries above
-_big = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
-_zi_big = st.tuples(_big, _big)
 
 
 def _general_cross(a, b):
@@ -243,9 +238,11 @@ def _general_mat_mul(a, b):
 
 
 @settings(max_examples=200, deadline=None)
-@given(zi_square3(_zi_big), zi_square3(_zi_big))
-def test_zi_3x3_kernels_match_the_general_routes(m, b):
+@given(SEEDS)
+def test_zi_3x3_kernels_match_the_general_routes(seed):
     """The straight-line 3x3 kernels against ``_zi_dot`` and ComplexRational ``mat_mul``/``det``."""
+    rng = random.Random(seed)
+    m, b = zi_square3(rng, big=True), zi_square3(rng, big=True)
     prod_ = linalg._zi_mat_mul(m, b)
     assert prod_ == _general_mat_mul(m, b)
     assert prod_ == _as_pairs(linalg.mat_mul(_as_cr(m), _as_cr(b)))
@@ -265,37 +262,49 @@ def test_zi_3x3_kernels_match_the_general_routes(m, b):
 
 
 # float, complex and exact entries for the unrolled 2x2 / 3x3 elimination: zeros of
-# both signs, values whose products cancel exactly, and values that round
-_elim_floats = st.one_of(
-    st.sampled_from([0.0, -0.0]), _floats, st.floats(-100, 100, allow_nan=False)
-)
+# both signs, values whose products cancel exactly, and values that round, down
+# to subnormals
+_EDGE_FLOATS = (100.0, -100.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.1754943508222875e-38)
+
+
+def _elim_float(rng):
+    x = rng.choice(_EDGE_FLOATS) if rng.random() < 0.1 else rng.uniform(-100, 100)
+    return rng.choice((rng.choice((0.0, -0.0)), _ENTRY["float"](rng), x))
+
+
 ELIM_KINDS = {
-    "float": _elim_floats,
-    "complex": st.builds(complex, _elim_floats, _elim_floats),
-    "fraction": st.one_of(st.just(Fraction(0)), _fractions),
-    "gaussian": st.one_of(st.just(ComplexRational(0)), _gaussian),
+    "float": _elim_float,
+    "complex": lambda rng: complex(_elim_float(rng), _elim_float(rng)),
+    "fraction": lambda rng: rng.choice((Fraction(0), _ENTRY["fraction"](rng))),
+    "gaussian": lambda rng: rng.choice((ComplexRational(0), _ENTRY["gaussian"](rng))),
 }
 
 
-@st.composite
-def small_square(draw):
-    kind = draw(st.sampled_from(sorted(ELIM_KINDS)))
-    n = draw(st.integers(2, 3))
-    m = draw(st.lists(st.lists(ELIM_KINDS[kind], min_size=n, max_size=n), min_size=n, max_size=n))
+def small_square(rng):
+    kind, n = rng.choice(sorted(ELIM_KINDS)), rng.randint(2, 3)
+    m = [[ELIM_KINDS[kind](rng) for _ in range(n)] for _ in range(n)]
     # zero leading entries (forcing one or two swaps) or a whole row
-    for i in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+    for i in [rng.randrange(n) for _ in range(rng.randint(0, n))]:
         m[i][0] = m[i][0] * 0
-    if draw(st.booleans()):
-        i = draw(st.integers(0, n - 1))
+    if rng.random() < 0.5:
+        i = rng.randrange(n)
         m[i] = [x * 0 for x in m[i]]
     return m
 
 
+def unrolled(m):
+    """``_det2``/``_det3`` on the entries of m, row by row."""
+    return (linalg._det2 if len(m) == 2 else linalg._det3)(*(x for row in m for x in row))
+
+
 @settings(max_examples=500, deadline=None)
-@given(small_square())
-def test_unrolled_det_elim_matches_the_loop(m):
-    """``_det_elim`` on 2x2 and 3x3 rows equals the elimination loop, float zero signs included."""
+@given(SEEDS)
+def test_unrolled_det_elim_matches_the_loop(seed):
+    """``_det_elim`` on 2x2 and 3x3 rows, and ``_det2``/``_det3`` on their entries, equal
+    the elimination loop, float zero signs included."""
+    m = small_square(random.Random(seed))
     assert same(linalg._det_elim([list(row) for row in m]), reference_det(m))
+    assert same(unrolled(m), reference_det(m))
 
 
 def test_unrolled_det_elim_edge_cases():
@@ -314,6 +323,7 @@ def test_unrolled_det_elim_edge_cases():
     ]
     for m in cases:
         assert same(linalg._det_elim([list(row) for row in m]), reference_det(m)), m
+        assert same(unrolled(m), reference_det(m)), m
 
 
 @pytest.mark.parametrize("k", range(-12, 13, 3))
@@ -358,20 +368,18 @@ def test_exact_input_reads_no_tolerance():
 _TINY = Fraction(1, 10**12)
 
 
-@st.composite
-def exact_cases(draw):
+def exact_cases(rng):
     """An exact n x n matrix (n = 1..6), maybe rank-deficient, maybe with a row of 1/10^12 size."""
-    kind = draw(st.sampled_from(["int", "fraction", "int+fraction", "gaussian", "gaussian+fraction"]))
-    n = draw(st.integers(1, 6))
-    m = draw(matrices(kind, n, n))
-    if n > 1 and draw(st.booleans()):
-        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    kind = rng.choice([k for k in KINDS if k != "float"])
+    n = rng.randint(1, 6)
+    m = matrix(rng, kind, n, n)
+    if n > 1 and rng.random() < 0.5:
+        i, j = rng.randrange(n), rng.randrange(n)
         m[i] = [2 * x for x in m[j]] if i != j else [x * 0 for x in m[i]]
-    if kind != "int" and draw(st.booleans()):
-        i = draw(st.integers(0, n - 1))
+    if kind != "int" and rng.random() < 0.5:
+        i = rng.randrange(n)
         m[i] = [x * _TINY for x in m[i]]
-    rhs = draw(st.lists(KINDS[kind], min_size=n, max_size=n))
-    return m, rhs
+    return m, [entry(rng, kind) for _ in range(n)]
 
 
 def _outcome(f, *args):
@@ -383,10 +391,10 @@ def _outcome(f, *args):
 
 
 @settings(max_examples=60, deadline=None)
-@given(exact_cases())
-def test_exact_verdicts_do_not_depend_on_tol(case):
+@given(SEEDS)
+def test_exact_verdicts_do_not_depend_on_tol(seed):
     """rank, solve, inverse and signature of exact input: one value and type at any ``tol``."""
-    m, rhs = case
+    m, rhs = exact_cases(random.Random(seed))
     herm = linalg.mat_add(m, linalg.transpose(linalg.mat_conj(m)))
     calls = [
         (linalg.rank, m), (linalg.rank, [row[1:] or row for row in m]),

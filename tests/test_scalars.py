@@ -5,11 +5,13 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from g2kit import scalars
 from g2kit.scalars import (
     ComplexRational,
     I_EXACT,
     MixedModeError,
     join_modes,
+    matrix_mode,
     mode_of,
     normalize_scalar,
     sconj,
@@ -53,6 +55,50 @@ def test_mixed_mode_rejected():
         join_modes("exact", "float")
     with pytest.raises(MixedModeError):
         vector_mode([Fraction(1), 0.5])
+
+
+def _fold_mode(v, part=mode_of):
+    """The per-entry fold that ``vector_mode`` runs on a type set it has not seen;
+    ``matrix_mode``'s folds the rows' modes."""
+    mode = "any"
+    for x in v:
+        mode = join_modes(mode, part(x))
+    return mode
+
+
+def _mode_outcome(f, arg):
+    try:
+        return f(arg)
+    except (MixedModeError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _mode_pool():
+    """Entries of every builtin scalar type, ints' subclass bool, a non-scalar, and
+    numpy scalars (float and complex subclasses, and an int64 that is no int) if installed."""
+    pool = [0, 3, True, False, Fraction(1, 2), ComplexRational(1, 2), 0.5, -0.0, 1j, "x"]
+    try:
+        import numpy as np
+    except ImportError:
+        return pool
+    return pool + [np.float64(0.25), np.complex128(2j), np.int64(2)]
+
+
+_MODE_POOL = _mode_pool()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_MODE_POOL), max_size=4), max_size=4))
+def test_type_set_modes_match_the_per_entry_fold(m):
+    """vector_mode and matrix_mode give the fold's mode, or raise its error with its message,
+    on a type set's first sight and on later, cached, ones."""
+    for _ in range(2):
+        for row in m:
+            assert _mode_outcome(vector_mode, row) == _mode_outcome(_fold_mode, row)
+        want = _mode_outcome(lambda rows: _fold_mode(rows, _fold_mode), m)
+        assert _mode_outcome(matrix_mode, m) == want
+    # the cache keeps only sets of builtin scalar types, so it stays bounded
+    assert all(types <= scalars._MODE_BY_TYPE.keys() for types in scalars._MODE_OF_TYPES)
 
 
 def test_mode_of_int_is_neutral():
