@@ -224,24 +224,32 @@ def _send(fd, obj):
 
 
 def _fork_helper():
-    requests, replies = os.pipe(), os.pipe()
-    pid = os.fork()
+    fds = []
+    try:  # a pipe or fork that fails closes the pipe ends opened before it
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        raise
+    request_in, request_out, reply_in, reply_out = fds
     if pid == 0:
         try:  # serve until the request pipe closes (EOFError); never return into the caller
-            os.close(requests[1])
-            inbox = os.fdopen(requests[0], "rb")
+            os.close(request_out)
+            inbox = os.fdopen(request_in, "rb")
             while True:
                 seeds, tol, upsilon_scale = marshal.load(inbox)
                 try:
                     reply = [_sphere_sample_check(s, tol, upsilon_scale) for s in seeds]
                 except Exception:  # the caller re-runs the chunk and meets the error itself
                     reply = None
-                _send(replies[1], reply)
+                _send(reply_out, reply)
         finally:
             os._exit(0)
-    os.close(requests[0])
-    os.close(replies[1])
-    return pid, requests[1], os.fdopen(replies[0], "rb")
+    os.close(request_in)
+    os.close(reply_out)
+    return pid, request_out, os.fdopen(reply_in, "rb")
 
 
 def _drop(helper):

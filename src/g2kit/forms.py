@@ -319,13 +319,15 @@ class ExteriorForm(Immutable):
         )
 
     def as_float(self):
-        """Explicit exact -> float conversion (the only allowed direction)."""
+        """Explicit exact -> float conversion, the only allowed direction; a float form is itself."""
+        if self.mode == FLOAT:
+            return self
         return ExteriorForm._trusted(
             self.dim, self.degree, {i: to_float(c) for i, c in self.terms.items()}, FLOAT
         )
 
     def norm_inf(self):
-        return max((sabs(c) for c in self.terms.values()), default=0.0)
+        return max(map(abs if self.mode == FLOAT else sabs, self.terms.values()), default=0.0)
 
     # -- multilinear operations --------------------------------------------
     def wedge(self, other):
@@ -490,10 +492,6 @@ def form_defect(a, b):
     """Max-norm of a - b, usable across modes (for float comparisons)."""
     if a.dim != b.dim or a.degree != b.degree:
         raise DimensionMismatchError("defect of incomparable forms")
-    keys = set(a.terms) | set(b.terms)
-    d = 0.0
-    for k in keys:
-        ca = to_float(a.terms.get(k, 0))
-        cb = to_float(b.terms.get(k, 0))
-        d = max(d, abs(ca - cb))
-    return d
+    ta, tb = a.as_float().terms, b.as_float().terms
+    # 0.0 goes first, as the start of the fold max(d, |a_k - b_k|): a NaN never replaces it
+    return max((0.0, *(abs(ta.get(k, 0.0) - tb.get(k, 0.0)) for k in set(ta) | set(tb))))

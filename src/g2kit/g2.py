@@ -76,14 +76,24 @@ _CROSS_PAIRS = tuple((i, j, k, neg) for i, row in enumerate(_CROSS_ROWS) for j, 
 
 
 def cross(u, v):
-    """The seven-dimensional cross product, componentwise exact."""
+    """The seven-dimensional cross product: exact, or the float bits of the ``_cross`` loop.
+
+    Nonzero floats take the straight-line ``_cross_float``, and rerun the loop if an
+    output is zero, as its sign may differ there.  A zero input runs the loop, which
+    skips it: the kernel would multiply it, and 0 * inf is NaN.  Rationals run the
+    loop on integers, one division per entry.
+    """
     u, v = list(u), list(v)
     if len(u) != 7 or len(v) != 7:
         raise ValueError("cross product needs 7-vectors")
     join_modes(vector_mode(u), vector_mode(v))
-    if all(type(x) is Fraction for x in u + v):  # integer products, one division per entry
+    uv = u + v
+    types = set(map(type, uv))
+    if types == {Fraction}:  # integer products, one division per entry
         (nu, du), (nv, dv) = _cleared_over_z((u, v))
         return tuple(Fraction(x, du * dv) for x in _cross(nu, nv))
+    if types == {float} and 0.0 not in uv and all(out := _cross_float(u, v)):
+        return out
     return _cross(u, v)
 
 
@@ -98,6 +108,22 @@ def _cross(u, v):
             if vj:
                 out[k] = out[k] - ui * vj if negative else out[k] + ui * vj
     return tuple(out)
+
+
+def _cross_float(u, v):
+    """``_cross`` written out, each entry summed in the loop's order; it does not skip
+    zero inputs, so on finite input only the signs of zero entries can differ."""
+    u1, u2, u3, u4, u5, u6, u7 = u
+    v1, v2, v3, v4, v5, v6, v7 = v
+    return (
+        u2 * v3 - u3 * v2 + u4 * v5 - u5 * v4 + u6 * v7 - u7 * v6,
+        -u1 * v3 + u3 * v1 + u4 * v6 - u5 * v7 - u6 * v4 + u7 * v5,
+        u1 * v2 - u2 * v1 - u4 * v7 - u5 * v6 + u6 * v5 + u7 * v4,
+        -u1 * v5 - u2 * v6 + u3 * v7 + u5 * v1 + u6 * v2 - u7 * v3,
+        u1 * v4 + u2 * v7 + u3 * v6 - u4 * v1 - u6 * v3 - u7 * v2,
+        -u1 * v7 + u2 * v4 - u3 * v5 - u4 * v2 + u5 * v3 + u7 * v1,
+        u1 * v6 - u2 * v5 - u3 * v4 + u4 * v3 + u5 * v2 - u6 * v1,
+    )
 
 
 def dot(u, v):
@@ -136,18 +162,26 @@ def is_g2(matrix) -> bool:
     if cleared is not None:
         return _is_g2_cleared(cleared)
     if matrix_mode(rows) == FLOAT:
-        return all(abs(r) < DEFAULT_TOL for r in _g2_residuals(cols))
-    return not any(_g2_residuals(cols))
+        return _is_g2_loop(cols, DEFAULT_TOL, _cross_float)
+    return _is_g2_loop(cols, None, _cross)
 
 
-def _g2_residuals(cols):
-    """The 28 + 21 tests of :func:`is_g2` in order, each as value minus target, lazily."""
+def _is_g2_loop(cols, tol, kernel):
+    """The 28 + 21 tests of :func:`is_g2` in order, up to the first residual r (value
+    minus target) that is nonzero, or for floats fails ``abs(r) < tol`` (NaN fails).
+    The float ``kernel``, ``_cross_float`` unguarded, meets only finite columns, as they
+    passed the dot tests, so its residuals have the loop's absolute values."""
     for i in range(7):
         for j in range(i, 7):
-            yield sum(map(mul, cols[i], cols[j])) - (i == j)
+            r = sum(map(mul, cols[i], cols[j])) - (i == j)
+            if r if tol is None else not abs(r) < tol:
+                return False
     for i, j, k, negative in _CROSS_PAIRS:
-        for a, b in zip(_cross(cols[i], cols[j]), cols[k]):
-            yield a + b if negative else a - b
+        for a, b in zip(kernel(cols[i], cols[j]), cols[k]):
+            r = a + b if negative else a - b
+            if r if tol is None else not abs(r) < tol:
+                return False
+    return True
 
 
 def _is_g2_cleared(cols):
@@ -213,8 +247,10 @@ class AdaptedFrame(Immutable):
 
     def theta(self, j) -> ExteriorForm:
         """Coframe 1-form theta_j = (g_2j+1 - i g_2j)/2 as covector (ambient)."""
-        pairs = zip(self.col(2 * j), self.col(2 * j + 1))
-        terms = {(i,): theta_value(x, y, self.mode == EXACT) for i, (x, y) in enumerate(pairs, 1)}
+        pairs, exact = zip(self.col(2 * j), self.col(2 * j + 1)), self.mode == EXACT
+        # theta_value's float branch, whose to_float leaves float entries as they are
+        terms = {(i,): theta_value(x, y, True) if exact else (y - 1j * x) / 2.0
+                 for i, (x, y) in enumerate(pairs, 1)}
         return ExteriorForm._trusted(7, 1, terms, self.mode)
 
     def tangent_columns(self):

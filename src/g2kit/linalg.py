@@ -189,13 +189,11 @@ def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     if len(a[0]) != k:
         raise ValueError(f"cannot multiply a {n}x{len(a[0])} matrix by a {k}x{m} matrix")
-    out = _fraction_free_products(a, list(zip(*b)))
+    cols = list(zip(*b))
+    out = _fraction_free_products(a, cols)
     if out is not None:
         return out
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(k)), start=a[i][0] * 0) for j in range(m)]
-        for i in range(n)
-    ]
+    return [[sum(map(mul, row, col), start=row[0] * 0) for col in cols] for row in a]
 
 
 def mat_vec(a, v):

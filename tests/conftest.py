@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,29 @@ def complex_frame_vector(frame, j):
     """f_j = (g_2j - i g_2j+1) / 2 of an exact adapted frame."""
     a, b = frame.col(2 * j), frame.col(2 * j + 1)
     return tuple(ComplexRational(Fraction(x) / 2, -Fraction(y) / 2) for x, y in zip(a, b))
+
+
+# The constants that hypothesis's st.floats favours (its providers._constant_floats),
+# which a float builder driven by one drawn seed must keep reaching.
+_HYPOTHESIS_FLOATS = (
+    0.5, 1.1, 1.5, 1.9, 1 / 3, 10e6, 10e-6, 1.175494351e-38, 5e-324, sys.float_info.min,
+    sys.float_info.max, 3.402823466e38, 9007199254740992.0, 1 - 10e-6, 2 + 10e-6,
+    1.192092896e-07, 2.2204460492503131e-016, 2.0**-24, 2.0**-14, 2.0**-149, 2.0**-126,
+    *(sys.float_info.min / n for n in (2, 10, 1000, 100_000)),
+)
+
+
+def seeded_float(rng, lo, hi):
+    """A float in [lo, hi], 0 <= hi = -lo, drawn as st.floats(lo, hi) reaches them: a
+    quarter each from the bounds, +-0.0 and the constants above; from magnitudes
+    spread over every binade down to the subnormals; and uniformly."""
+    r = rng.random()
+    if r < 0.25:
+        edges = [x for c in (0.0, hi, *_HYPOTHESIS_FLOATS) for x in (c, -c) if lo <= x <= hi]
+        return rng.choice(edges)
+    if r < 0.5:
+        return rng.choice((-1.0, 1.0)) * hi * 2.0 ** -rng.uniform(0, 1100)
+    return rng.uniform(lo, hi)
 
 
 def rand_fraction(rng, bound=6, denom=4):

@@ -990,6 +990,21 @@ def test_a_failed_fork_runs_the_samples_here(capsys, fresh_helpers, monkeypatch)
     assert _sphere(capsys, 6, 5, 2) == _sphere(capsys, 6, 5, 1) and cli._helpers == []
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds from /proc")
+def test_a_failed_fork_closes_the_pipes_it_opened(fresh_helpers, monkeypatch):
+    """Each call whose fork fails used to leave four pipe ends open."""
+    def no_fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    seeds = [7, 8, 9]
+    serial = [cli._sphere_sample_check(s, 1e-10, 8) for s in seeds]
+    monkeypatch.setattr(os, "fork", no_fork)
+    before = sorted(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        assert cli._sample_reports(seeds, 1e-10, 8, 2) == serial
+    assert sorted(os.listdir("/proc/self/fd")) == before and cli._helpers == []
+
+
 @two_cpus
 def test_a_sample_raising_in_a_helper_gives_the_serial_outcome(capsys, fresh_helpers, monkeypatch):
     """The caller re-runs a chunk whose helper sample raised, and meets what it raises."""

@@ -21,7 +21,7 @@ from g2kit.forms import (
 from g2kit.polyforms import Poly, PolyCoefForm
 from g2kit.scalars import EXACT, ComplexRational, MixedModeError, join_modes, mode_of, normalize_scalar
 
-from conftest import e_vec, rand_form, rand_vector
+from conftest import e_vec, rand_form, rand_vector, seeded_float
 
 
 def perm_sign(p):
@@ -279,6 +279,72 @@ def test_form_defect():
     a = ExteriorForm.basis(6, (1, 2)).as_float()
     b = 1.25 * ExteriorForm.basis(6, (1, 2)).as_float()
     assert form_defect(a, b) == pytest.approx(0.25)
+
+
+def _bits(x):
+    """Type and value, with the float parts of a float or complex as hex (so -0.0 != 0.0)."""
+    if isinstance(x, complex):
+        return complex, x.real.hex(), x.imag.hex()
+    return (float, x.hex()) if isinstance(x, float) else (type(x), x)
+
+
+def _form_bits(form):
+    return form.mode, [(k, _bits(c)) for k, c in form.terms.items()]
+
+
+_DEFECT_FLOATS = (0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, 1e300, -1e300, float("inf"), float("nan"))
+
+
+def _defect_coeff(rng, kind):
+    """A coefficient of a form of ``kind``: small dyadics cancel, edge values do not."""
+    if kind == "complex":
+        return complex(_defect_coeff(rng, "float"), _defect_coeff(rng, "float"))
+    if kind == "gaussian":
+        return ComplexRational(_defect_coeff(rng, "exact"), _defect_coeff(rng, "exact"))
+    if kind == "exact":
+        return Fraction(rng.randint(-8, 8), rng.randint(1, 4))
+    return rng.choice((rng.choice(_DEFECT_FLOATS), rng.randint(-8, 8) / 4, rng.gauss(0, 1)))
+
+
+def _defect_forms(rng):
+    dim, degree = rng.randint(1, 6), rng.randint(0, 3)
+    pool = list(combinations(range(1, dim + 1), degree))
+    forms = []
+    floats = ("float", "complex")
+    for kind in (rng.choice(floats + ("exact", "gaussian")), rng.choice(floats)):
+        keys = rng.sample(pool, rng.randint(0, len(pool)))
+        terms = {k: _defect_coeff(rng, kind) for k in keys}
+        forms.append(ExteriorForm(dim, degree, terms, mode="float" if kind in floats else None))
+    rng.shuffle(forms)
+    return forms
+
+
+def reference_form_defect(a, b):
+    """form_defect as it ran with to_float on every coefficient."""
+    from g2kit.scalars import to_float
+
+    d = 0.0
+    for k in set(a.terms) | set(b.terms):
+        d = max(d, abs(to_float(a.terms.get(k, 0)) - to_float(b.terms.get(k, 0))))
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_float_fast_paths_match_to_float_and_sabs(seed):
+    """as_float, form_defect and norm_inf by float bits against the per-coefficient
+    to_float/sabs code: real and complex float forms with -0.0, NaN and infinities,
+    and exact forms."""
+    from g2kit.scalars import sabs, to_float
+
+    a, b = _defect_forms(random.Random(seed))
+    for f in (a, b):
+        floats = {k: to_float(c) for k, c in f.terms.items()}
+        ref = ExteriorForm._trusted(f.dim, f.degree, floats, "float")
+        assert _form_bits(f.as_float()) == _form_bits(ref)
+        assert (f.as_float() is f) is (f.mode == "float")
+        assert _bits(f.norm_inf()) == _bits(max((sabs(c) for c in f.terms.values()), default=0.0))
+    assert _bits(form_defect(a, b)) == _bits(reference_form_defect(a, b))
 
 
 def _float_form(rng, dim, degree, nterms=4):
@@ -801,29 +867,27 @@ def reference_wedge_terms(ta, tb):
     return out
 
 
-# small values cancel exactly (so keys leave and re-enter the product), others round
-_wedge_floats = st.one_of(
-    st.sampled_from([1.0, -1.0, 2.0, -0.5]), st.floats(-1e3, 1e3, allow_nan=False)
-)
-
-
-@st.composite
-def _float_wedge_case(draw):
-    dim = draw(st.integers(1, 7))
+def _float_wedge_case(rng):
+    """Two float forms on R^dim; keys may repeat or be unsorted.  Small values
+    cancel exactly (so keys leave and re-enter the product), others round."""
+    dim = rng.randint(1, 7)
     forms = []
     for _ in range(2):
-        degree = draw(st.integers(0, min(dim, 4)))
-        key = st.tuples(*[st.integers(1, dim)] * degree)
-        forms.append(ExteriorForm(dim, degree, draw(st.dictionaries(key, _wedge_floats, max_size=12)),
-                                  mode="float"))
+        degree = rng.randint(0, min(dim, 4))
+        terms = {}
+        for _ in range(rng.randint(0, 12)):
+            key = tuple(rng.randint(1, dim) for _ in range(degree))
+            small = rng.choice((1.0, -1.0, 2.0, -0.5))
+            terms[key] = small if rng.random() < 0.5 else seeded_float(rng, -1e3, 1e3)
+        forms.append(ExteriorForm(dim, degree, terms, mode="float"))
     return forms
 
 
 @settings(max_examples=300, deadline=None)
-@given(_float_wedge_case())
-def test_float_wedge_matches_the_pair_loop(case):
+@given(st.integers(0, 2**32 - 1))
+def test_float_wedge_matches_the_pair_loop(seed):
     """Float ``wedge`` equals the all-pairs loop in value (by repr) and in key order."""
-    a, b = case
+    a, b = _float_wedge_case(random.Random(seed))
     got = a.wedge(b)
     want = ExteriorForm._trusted(a.dim, got.degree, reference_wedge_terms(a.terms, b.terms), "float")
     assert repr(list(got.terms.items())) == repr(list(want.terms.items()))

@@ -426,6 +426,79 @@ def test_cross_matches_the_structure_constant_loop(uv):
     assert [(type(x), repr(x)) for x in got] == [(type(x), repr(x)) for x in want]
 
 
+def test_cross_keeps_the_loop_bits_where_the_kernel_differs():
+    """Nonzero inputs whose products underflow give the straight-line kernel a zero
+    of the other sign, and an infinity times a zero that the loop skips gives it a
+    NaN: public cross must print the loop's bits in both."""
+    from g2kit.g2 import _cross_float
+
+    inf = float("inf")
+    cases = [
+        ([1e-200, -1e-200, 1e-200, -2e-180, 1.0, 3e-170, -1e-200],
+         [-2e-180, -1e-200, 3e-170, -1e-200, -1e-200, -2e-180, 3e-170]),
+        ([1.0, inf, 3.0, 4.0, 5.0, 6.0, 7.0], [0.0, -1.0, 2.0, 3.0, 5.0, 7.0, 11.0]),
+    ]
+    for u, v in cases:
+        want = [repr(x) for x in reference_cross(u, v)]
+        assert [repr(x) for x in _cross_float(u, v)] != want
+        assert [repr(x) for x in cross(u, v)] == want
+
+
+def reference_is_g2_float(matrix):
+    """Float ``is_g2`` as one generator of the 28 + 21 residuals over the ``_cross`` loop."""
+    from operator import mul
+
+    from g2kit.g2 import DEFAULT_TOL, _CROSS_PAIRS, _cross
+
+    cols = linalg.transpose([list(r) for r in matrix])
+
+    def residuals():
+        for i in range(7):
+            for j in range(i, 7):
+                yield sum(map(mul, cols[i], cols[j])) - (i == j)
+        for i, j, k, negative in _CROSS_PAIRS:
+            for a, b in zip(_cross(cols[i], cols[j]), cols[k]):
+                yield a + b if negative else a - b
+
+    return all(abs(r) < DEFAULT_TOL for r in residuals())
+
+
+def _float_is_g2_case(rng):
+    """A float frame, or a rational rotation about e1 in floats (many exact zeros),
+    changed in one of several ways."""
+    from g2kit.g2 import DEFAULT_TOL, _unitary_block
+    from g2kit.sphere import frame_at_float_point
+
+    if rng.random() < 0.5:
+        m = [list(r) for r in frame_at_float_point(rng, None).matrix]
+    else:
+        m = [[float(x) for x in r] for r in _unitary_block(random_su3(rng))]
+    i, j = rng.randrange(7), rng.randrange(7)
+    change = rng.choice(["none", "nudge", "nudge", "nan", "inf", "swap", "negate", "gauss"])
+    if change == "nudge":
+        m[i][j] += rng.choice([-1, 1]) * rng.choice([0.5, 2.0]) * DEFAULT_TOL
+    elif change in ("nan", "inf"):
+        m[i][j] = float(change) * rng.choice([-1, 1])
+    elif change == "swap":
+        for r in m:
+            r[i], r[j] = r[j], r[i]
+    elif change == "negate":
+        for r in m:
+            r[j] = -r[j]
+    elif change == "gauss":
+        m = [[rng.gauss(0, 1) for _ in range(7)] for _ in range(7)]
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_float_is_g2_matches_the_residual_generator(seed):
+    """The same verdict as the generator over the ``_cross`` loop: frames near the
+    tolerance on either side, columns holding NaN or infinities, exact zeros."""
+    m = _float_is_g2_case(random.Random(seed))
+    assert is_g2(m) is reference_is_g2_float(m)
+
+
 def reference_dot(u, v):
     """The dot product as a generic sum of products, left to right."""
     return sum((a * b for a, b in zip(u, v)), start=u[0] * 0)

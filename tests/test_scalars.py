@@ -1,4 +1,5 @@
 import operator
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -388,15 +389,31 @@ class ReferenceComplexRational:
         return f"({self.re}{sign}{abs(self.im)}*i)"
 
 
-_parts = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)) | st.integers(-3, 3)
-# (operand of ComplexRational arithmetic, the same value for the reference)
-_operands = st.one_of(
-    st.integers(-5, 5).map(lambda n: (n, n)),
-    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 10)).map(lambda q: (q, q)),
-    st.tuples(_parts, _parts).map(
-        lambda p: (ComplexRational(*p), ReferenceComplexRational(*p))
-    ),
-)
+def _part(rng):
+    if rng.random() < 0.5:
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+    return rng.randint(-3, 3)
+
+
+def _operand(rng):
+    """(operand of ComplexRational arithmetic, the same value for the reference).
+
+    Built by random.Random from one drawn seed, which gives up shrinking but is
+    several times faster than drawing every part through hypothesis.  A part is
+    zero about one time in five, so zero divisors stay common.
+    """
+    kind = rng.randrange(3)
+    if kind == 0:
+        n = rng.randint(-5, 5)
+        return n, n
+    if kind == 1:
+        q = Fraction(rng.randint(-30, 30), rng.randint(1, 10))
+        return q, q
+    p = [0 if rng.random() < 0.1 else _part(rng) for _ in range(2)]
+    return ComplexRational(*p), ReferenceComplexRational(*p)
+
+
+_operands = st.integers(0, 2**32 - 1).map(lambda seed: _operand(random.Random(seed)))
 
 
 def _assert_same(got, want):
@@ -421,9 +438,11 @@ def _outcome(op, *args):
 
 
 @settings(max_examples=600, deadline=None)
-@given(_operands, _operands)
-def test_complex_rational_matches_the_two_fraction_reference(x, y):
+@given(st.integers(0, 2**32 - 1))
+def test_complex_rational_matches_the_two_fraction_reference(seed):
     """Every operation on the cleared triple agrees with the Fraction pair, by value and type."""
+    rng = random.Random(seed)
+    x, y = _operand(rng), _operand(rng)
     (xn, xr), (yn, yr) = x, y
     for op in (operator.add, operator.sub, operator.mul, operator.truediv):
         got, want = _outcome(op, xn, yn), _outcome(op, xr, yr)
