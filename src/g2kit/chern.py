@@ -51,10 +51,6 @@ from .scalars import (
     Immutable,
     join_modes,
     matrix_mode,
-    sabs,
-    sconj,
-    sim,
-    sre,
     to_float,
     vector_mode,
 )
@@ -219,26 +215,22 @@ class ChernData(Immutable):
     @property
     def residual(self):
         """det(conj(s)) - det(r); zero is necessary for integrability."""
-        return sconj(self.det_s) - self.det_r
+        return self.det_s.conjugate() - self.det_r
 
     @property
     def block_matrix(self):
         r, s = self.r, self.s
-        top = [[*r[i], *s[i]] for i in range(3)]
-        bot = [
-            [sconj(x) for x in s[i]] + [sconj(x) for x in r[i]] for i in range(3)
-        ]
-        return top + bot
+        cr, cs = linalg.mat_conj(r), linalg.mat_conj(s)
+        return [[*r[i], *s[i]] for i in range(3)] + [[*cs[i], *cr[i]] for i in range(3)]
 
     @property
     def block_det(self):
         d = linalg.det(self.block_matrix)
-        im = sim(d)
-        if isinstance(im, Fraction):
-            _require(im == 0, "block determinant must be real")
+        if self.mode == EXACT:
+            _require(d.imag == 0, "block determinant must be real")
         else:
-            _require(abs(im) <= 1e-9 * max(1.0, abs(sre(d))), "block determinant must be real")
-        return sre(d)
+            _require(abs(d.imag) <= 1e-9 * max(1.0, abs(d.real)), "block determinant must be real")
+        return d.real
 
     @property
     def orientation(self):
@@ -256,7 +248,7 @@ class ChernData(Immutable):
         block determinant scales by |det h|^2, so this quotient only sees the
         structure itself; zero versus nonzero is the exported verdict.
         """
-        return sabs(self.residual) / abs(to_float(self.block_det)) ** 0.5
+        return abs(self.residual) / abs(to_float(self.block_det)) ** 0.5
 
     @property
     def residual_is_zero(self):
@@ -403,7 +395,7 @@ def equivariance_check(j: CandidateJ, frame: AdaptedFrame, g_su3, h_gl3, eta_bas
     rot_frame = frame_rotate(frame, g_su3)
     real_basis = [w for v in base.context["eta_basis"] for w in (v, j.apply(v))]
     # new basis vector k is sum_l Re(h_lk) v_l + Im(h_lk) J v_l
-    mixing = [[x for c in col for x in (sre(c), sim(c))] for col in zip(*h_gl3)]
+    mixing = [[x for c in col for x in (c.real, c.imag)] for col in zip(*h_gl3)]
     new_basis = linalg.mat_mul(mixing, real_basis)
     transformed = compute_rs(j, rot_frame, new_basis)
 
@@ -417,17 +409,17 @@ def equivariance_check(j: CandidateJ, frame: AdaptedFrame, g_su3, h_gl3, eta_bas
         # relative tolerances: r and s scale with h, and the residual with
         # det(h), as sqrt|block det| does (see residual_normalized_abs)
         rs_tol = 1e-8 * linalg.max_abs(expect_r + expect_s)
-        res_tol = 1e-8 * sabs(det_h) * abs(to_float(base.block_det)) ** 0.5
+        res_tol = 1e-8 * abs(det_h) * abs(to_float(base.block_det)) ** 0.5
 
     def close(m1, m2):
         if exact:
             return all(m1[a][b] == m2[a][b] for a in range(3) for b in range(3))
-        return all(sabs(m1[a][b] - m2[a][b]) < rs_tol for a in range(3) for b in range(3))
+        return all(abs(m1[a][b] - m2[a][b]) < rs_tol for a in range(3) for b in range(3))
 
     res_ok = (
         transformed.residual == res_expected
         if exact
-        else sabs(transformed.residual - res_expected) < res_tol
+        else abs(transformed.residual - res_expected) < res_tol
     )
     report = {
         "r_transforms": close(transformed.r, expect_r),

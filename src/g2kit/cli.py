@@ -35,15 +35,18 @@ import contextlib
 import functools
 import json
 import marshal
+import math
 import os
+import random
 import sys
 import threading
 
 from . import jsonio
-from .chern import CandidateJ, compute_rs, index_from_h
+from .almost_symplectic import elliptic_definite_check
+from .chern import CandidateJ, canonical_eta_basis, compute_rs, index_from_h
 from .dga import CoframeDGA
 from .forms import form_defect
-from .g2 import AdaptedFrame, FrameConstructionError, dot, standard_frame
+from .g2 import AdaptedFrame, FrameConstructionError, dot, float_three_form, standard_frame
 from .jsonio import JsonFormatError
 from .scalars import EXACT, FLOAT, ComplexRational
 from .sphere import (
@@ -51,6 +54,7 @@ from .sphere import (
     exact_identities,
     frame_at_float_point,
     nijenhuis_closed_form,
+    omega_at,
     phi_tangential,
     upsilon_at,
 )
@@ -168,9 +172,6 @@ def _sphere_sample_check(seed_i, tol, upsilon_scale):
     integrable at the point.  The closed form has no step size, so the
     verdict cannot depend on one.
     """
-    import math
-    import random
-
     rng = random.Random(seed_i)
     frame = frame_at_float_point(rng, None)
     u = frame.x
@@ -178,9 +179,6 @@ def _sphere_sample_check(seed_i, tol, upsilon_scale):
     defects = {"im_upsilon": form_defect(ups.imag(), phi_tangential(u))}
     frame2 = frame_at_float_point(rng, u)
     defects["frame_independence"] = form_defect(ups, upsilon_at(u, frame2, upsilon_scale))
-    from .almost_symplectic import elliptic_definite_check
-    from .sphere import omega_at
-    from .g2 import float_three_form
 
     # the columns g2..g7 of a verified frame are an orthonormal basis of u-perp
     tangent = [row[1:] for row in frame.matrix]
@@ -372,8 +370,6 @@ def _frame_from_input(doc, mode):
             "exact mode at a general point needs an explicit frame; "
             "supply \"frame\" or use float mode"
         )
-    import random
-
     return frame_at_float_point(random.Random(seed), point)
 
 
@@ -405,8 +401,6 @@ def cmd_chern(args):
     if j is None:
         family = family or "standard"
         j = CandidateJ.flipped(frame, _FAMILIES[family])
-
-    from .chern import canonical_eta_basis
 
     eta = canonical_eta_basis(frame) if family != "from-input" else None
     data = compute_rs(j, frame, eta)

@@ -22,7 +22,7 @@ from math import prod
 
 from . import linalg
 from .linalg import DegenerateFormError
-from .scalars import FLOAT, matrix_mode, sabs
+from .scalars import FLOAT, matrix_mode
 
 
 class NotComplexStructureError(ValueError):
@@ -45,7 +45,7 @@ def defect_vanishes(defect, j, *factors):
         return not any(x for row in defect for x in row)
     m = max(1.0, linalg.max_abs(j))  # m * m overflows to inf, where m ** 2 would raise
     bound = 1e-10 * (m * m) * prod(map(linalg.max_abs, factors))
-    return all(sabs(x) <= bound for row in defect for x in row)
+    return all(abs(x) <= bound for row in defect for x in row)
 
 
 def check_complex_structure(j):

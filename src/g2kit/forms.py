@@ -37,10 +37,6 @@ from .scalars import (
     matrix_mode,
     mode_of,
     normalize_scalar,
-    sabs,
-    sconj,
-    sim,
-    sre,
     to_float,
     vector_mode,
 )
@@ -305,17 +301,17 @@ class ExteriorForm(Immutable):
     # -- conjugation / parts ----------------------------------------------
     def conj(self):
         return ExteriorForm._trusted(
-            self.dim, self.degree, {i: sconj(c) for i, c in self.terms.items()}, self.mode
+            self.dim, self.degree, {i: c.conjugate() for i, c in self.terms.items()}, self.mode
         )
 
     def real(self):
         return ExteriorForm._trusted(
-            self.dim, self.degree, {i: sre(c) for i, c in self.terms.items()}, self.mode
+            self.dim, self.degree, {i: c.real for i, c in self.terms.items()}, self.mode
         )
 
     def imag(self):
         return ExteriorForm._trusted(
-            self.dim, self.degree, {i: sim(c) for i, c in self.terms.items()}, self.mode
+            self.dim, self.degree, {i: c.imag for i, c in self.terms.items()}, self.mode
         )
 
     def as_float(self):
@@ -327,7 +323,7 @@ class ExteriorForm(Immutable):
         )
 
     def norm_inf(self):
-        return max(map(abs if self.mode == FLOAT else sabs, self.terms.values()), default=0.0)
+        return max(map(abs, self.terms.values()), default=0.0)
 
     # -- multilinear operations --------------------------------------------
     def wedge(self, other):

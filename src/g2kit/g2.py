@@ -322,7 +322,7 @@ def _unitary_block(unitary):
     out = [[1 if a == b == 0 else 0 for b in range(7)] for a in range(7)]
     for j, row in enumerate(unitary):
         for k, c in enumerate(row):
-            a, b = (c.re, c.im) if isinstance(c, ComplexRational) else (c.real, c.imag)
+            a, b = c.real, c.imag
             out[2 * j + 1][2 * k + 1 : 2 * k + 3] = a, -b
             out[2 * j + 2][2 * k + 1 : 2 * k + 3] = b, a
     return out

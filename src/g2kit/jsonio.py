@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 
 from .forms import ExteriorForm
-from .scalars import EXACT, FLOAT, ComplexRational, sim, sre
+from .scalars import EXACT, FLOAT, ComplexRational
 
 
 class JsonFormatError(ValueError):
@@ -29,9 +29,8 @@ class JsonFormatError(ValueError):
 
 def scalar_to_obj(x, mode):
     if mode == FLOAT:
-        re, im = sre(x), sim(x)
-        return {"re": float(re), "im": float(im)}
-    return {"re": str(Fraction(sre(x))), "im": str(Fraction(sim(x)))}
+        return {"re": float(x.real), "im": float(x.imag)}
+    return {"re": str(Fraction(x.real)), "im": str(Fraction(x.imag))}
 
 
 def scalar_from_obj(obj, mode):

@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import lcm, prod
 from operator import mul
 
-from .scalars import FLOAT, I_EXACT, ComplexRational, matrix_mode, sabs, sconj, sre
+from .scalars import FLOAT, I_EXACT, ComplexRational, matrix_mode
 
 
 class DegenerateFormError(ValueError):
@@ -51,7 +51,7 @@ class DegenerateFormError(ValueError):
 
 def _nz(x, tol):
     # exact mode must not round-trip through floats
-    return bool(x) if tol == 0.0 else sabs(x) > tol
+    return bool(x) if tol == 0.0 else abs(x) > tol
 
 
 def _fx(x, mode=None):
@@ -209,7 +209,7 @@ def transpose(a):
 
 
 def mat_conj(a):
-    return [[sconj(x) for x in row] for row in a]
+    return [[x.conjugate() for x in row] for row in a]
 
 
 def mat_add(a, b):
@@ -236,7 +236,7 @@ def _pivot_row(rows, col, start, tol):
         return None
     best, best_mag = None, tol
     for r in range(start, len(rows)):
-        mag = sabs(rows[r][col])
+        mag = abs(rows[r][col])
         if mag > best_mag:
             best, best_mag = r, mag
     return best
@@ -373,7 +373,7 @@ def _gauss_jordan(a, n, tol, mode, message):
 
 
 def max_abs(m):
-    return max((sabs(x) for row in m for x in row), default=0.0)
+    return max((abs(x) for row in m for x in row), default=0.0)
 
 
 def _relative(m, tol, mode):
@@ -431,7 +431,7 @@ def _transvect(s, a, b, c):
     slot, so hermitian matrices satisfy s[j][i] = conj(s[i][j]).
     """
     n = len(s)
-    cc = sconj(c)
+    cc = c.conjugate()
     for j in range(n):
         s[a][j] = s[a][j] + cc * s[b][j]
     for i in range(n):
@@ -467,12 +467,12 @@ def signature(m, tol=0.0):
                 raise DegenerateFormError("form is degenerate (kernel nonempty)")
             i, j = found
             t = s[i][j]
-            if _nz(sre(t), tol):
+            if _nz(t.real, tol):
                 _transvect(s, i, j, t * 0 + 1)
             else:
                 _transvect(s, i, j, 1j if isinstance(t, complex) else I_EXACT)
             continue
-        if sre(s[a][a]) > 0:
+        if s[a][a].real > 0:
             pos += 1
         else:
             neg += 1
@@ -480,5 +480,5 @@ def signature(m, tol=0.0):
         for b in alive:
             if _nz(s[b][a], tol):
                 f = -(s[b][a] / s[a][a])
-                _transvect(s, b, a, sconj(f))
+                _transvect(s, b, a, f.conjugate())
     return (pos, neg)

@@ -9,6 +9,11 @@ is never done implicitly.  ``vector_mode`` and ``matrix_mode`` read the joint
 mode off the set of entry types, once per set of builtin scalar types; other
 types (bool, numpy scalars) and mixes that raise fold ``mode_of`` per entry.
 
+Every scalar answers Python's complex protocol, ``real``, ``imag``,
+``conjugate()`` and ``abs``, without a type dispatch: an int's parts are ints,
+a ``Fraction``'s a ``Fraction`` and the int 0, a float's or complex's floats,
+and a :class:`ComplexRational`'s ``Fraction``s, with a float ``abs``.
+
 A :class:`ComplexRational` is stored as one Gaussian integer over one
 denominator, the cleared triple (a, b, d) with gcd(a, b, d) = 1, so its
 arithmetic runs on Python ints and reduces once per result; ``linalg``
@@ -64,8 +69,10 @@ class ComplexRational(Immutable):
 
     a and b are ints, d > 0 and gcd(a, b, d) == 1, so the triple is unique and
     equality is a comparison of triples.  ``+``, ``-`` and ``*`` run on ints and
-    take one gcd, only when the denominator is not 1.  ``re`` and ``im`` are
-    read-only ``Fraction`` views.  Arithmetic with ``int``/``Fraction`` is
+    take one gcd, only when the denominator is not 1.  ``real`` and ``imag``
+    are read-only ``Fraction`` views, the same properties as ``re`` and ``im``;
+    ``conjugate()`` and ``abs()`` complete the complex protocol, ``abs`` as
+    the float ``hypot`` of the two parts.  Arithmetic with ``int``/``Fraction`` is
     allowed and stays exact; arithmetic with ``float``/``complex`` raises
     :class:`MixedModeError`.
     """
@@ -104,6 +111,11 @@ class ComplexRational(Immutable):
     @property
     def im(self):
         return Fraction(self._b, self._d)
+
+    real, imag = re, im
+
+    def __abs__(self):
+        return math.hypot(float(self.re), float(self.im))
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
@@ -289,38 +301,6 @@ def normalize_scalar(c):
     if isinstance(c, (Fraction, float)):
         return c
     raise TypeError(f"not a scalar: {c!r}")
-
-
-def sconj(x):
-    if isinstance(x, ComplexRational):
-        return x.conjugate()
-    if isinstance(x, complex):
-        return x.conjugate()
-    return x
-
-
-def sre(x):
-    if isinstance(x, ComplexRational):
-        return x.re
-    if isinstance(x, complex):
-        return x.real
-    return x
-
-
-def sim(x):
-    if isinstance(x, ComplexRational):
-        return x.im
-    if isinstance(x, complex):
-        return x.imag
-    if isinstance(x, (int, Fraction)):
-        return Fraction(0)
-    return 0.0
-
-
-def sabs(x) -> float:
-    if isinstance(x, ComplexRational):
-        return math.hypot(float(x.re), float(x.im))
-    return abs(x)
 
 
 def to_float(x):

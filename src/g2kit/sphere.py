@@ -19,7 +19,7 @@ from .forms import ExteriorForm, form_defect
 from .g2 import AdaptedFrame, adapted_frame, associative_three_form, cross, dot
 from .g2 import float_three_form, standard_frame
 from .polyforms import PolyCoefForm, ext_d, position_field
-from .scalars import EXACT, FLOAT, Immutable, sabs, to_float, vector_mode
+from .scalars import EXACT, FLOAT, Immutable, to_float, vector_mode
 
 UNIT_TOL = 1e-12
 DEFAULT_TOL = 1e-10
@@ -73,7 +73,7 @@ def check_tangent(u, v, tol=UNIT_TOL):
     u, v = point_vector(u), tuple(v)
     p = dot(u, v)
     exact = vector_mode(u) != FLOAT and vector_mode(v) != FLOAT
-    if (exact and p != 0) or (not exact and abs(to_float(p)) > tol * max(map(sabs, v))):
+    if (exact and p != 0) or (not exact and abs(p) > tol * max(map(abs, v))):
         raise NotTangentError(f"u.v = {p} != 0")
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -45,6 +46,40 @@ def orientation_sign_reference(j, vol, tol):
         raise NotComplexStructureError("could not build a J-adapted basis")
     val = vol.evaluate(chosen)
     return (1 if to_float(val) > 0 else -1), chosen
+
+
+# The type-dispatching scalar helpers that every scalar's own real, imag,
+# conjugate() and abs() replaced, verbatim, as the references they are checked against.
+def sconj(x):
+    if isinstance(x, ComplexRational):
+        return x.conjugate()
+    if isinstance(x, complex):
+        return x.conjugate()
+    return x
+
+
+def sre(x):
+    if isinstance(x, ComplexRational):
+        return x.re
+    if isinstance(x, complex):
+        return x.real
+    return x
+
+
+def sim(x):
+    if isinstance(x, ComplexRational):
+        return x.im
+    if isinstance(x, complex):
+        return x.imag
+    if isinstance(x, (int, Fraction)):
+        return Fraction(0)
+    return 0.0
+
+
+def sabs(x) -> float:
+    if isinstance(x, ComplexRational):
+        return math.hypot(float(x.re), float(x.im))
+    return abs(x)
 
 
 def tiny_pivot_elliptic_form():

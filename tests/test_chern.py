@@ -30,7 +30,7 @@ from g2kit.sampling import (
     random_symplectic,
 )
 from g2kit.polyforms import Poly
-from g2kit.scalars import EXACT, ComplexRational, I_EXACT, MixedModeError, sconj, to_float
+from g2kit.scalars import EXACT, ComplexRational, I_EXACT, MixedModeError, to_float
 from g2kit.sphere import (
     basis_point,
     frame_at_float_point,
@@ -240,7 +240,7 @@ PERMUTATIONS = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
 
 def conj_poly(p):
     """r <-> conj(r), s <-> conj(s), and each coefficient conjugated."""
-    return Poly(NV, {e[18:] + e[:18]: sconj(c) for e, c in p.terms.items()})
+    return Poly(NV, {e[18:] + e[:18]: c.conjugate() for e, c in p.terms.items()})
 
 
 def conj_terms(terms):
@@ -361,14 +361,14 @@ def test_theta_coframe_normalisation(rng):
             for w in cols:
                 values = [(t.evaluate([v]), t.evaluate([w])) for t in thetas]
                 assert dot(v, w) == 2 * sum(
-                    (x * sconj(y) + sconj(x) * y for x, y in values), ComplexRational(0)
+                    (x * y.conjugate() + x.conjugate() * y for x, y in values), ComplexRational(0)
                 )
 
 
 def assert_formulas_hold_at(data):
     """The code's matrices are the proved polynomials at the data's (r, s, conj r, conj s)."""
     point = [x for m in (data.r, data.s) for row in m for x in row]
-    point += [sconj(x) for x in point]
+    point += [x.conjugate() for x in point]
 
     def at(m):
         return [[p.eval(point) for p in row] for row in m]
@@ -432,15 +432,13 @@ def test_equivariance_on_noncompatible(rng):
 
 
 def test_residual_zero_data_properties(rng):
-    from g2kit.scalars import sconj
-
     data = random_residual_zero_data(rng)
     assert data.residual == 0
     assert is_omega_compatible_data(data)
     det_p = linalg.det(data.p_matrix)
-    assert det_p == data.det_r * sconj(data.det_r)
+    assert det_p == data.det_r * data.det_r.conjugate()
     det_q = linalg.det(data.q_matrix)
-    assert det_q == data.det_s * sconj(data.det_s)
+    assert det_q == data.det_s * data.det_s.conjugate()
     sig = index_from_h(data)
     assert sig in ((2, 1), (1, 2))
 
@@ -620,7 +618,6 @@ def test_volume_projection_identity(rng):
     the mechanism forcing the residual to vanish for integrable compatible
     structures, checked here on live data for several J.
     """
-    from g2kit.scalars import sconj
     from g2kit.sphere import phi_tangential
 
     half = Fraction(1, 2)
@@ -646,7 +643,7 @@ def test_volume_projection_identity(rng):
                 tuple(half * a - half * I_EXACT * b for a, b in zip(v, jv))
             )
         coefficient = three_form.evaluate(z_vectors)
-        expected = 12 * I_EXACT * (sconj(data.det_s) - data.det_r)
+        expected = 12 * I_EXACT * (data.det_s.conjugate() - data.det_r)
         assert coefficient == expected
         # residual-zero data have no (3,0)-part: the integrability mechanism
         if data.residual == 0:
@@ -1038,13 +1035,11 @@ def from_tangent_matrix_reference(frame, m6):
 
 def mixed_basis_reference(j, basis, h):
     """sum_l Re(h_lk) v_l + Im(h_lk) J v_l for k = 1, 2, 3, vector by vector."""
-    from g2kit.scalars import sim, sre
-
     out = []
     for k in range(3):
         vec = None
         for l in range(3):
-            a, b = sre(h[l][k]), sim(h[l][k])
+            a, b = h[l][k].real, h[l][k].imag
             jv = j.apply(basis[l])
             term = [a * basis[l][i] + b * jv[i] for i in range(7)]
             vec = term if vec is None else [x + y for x, y in zip(vec, term)]

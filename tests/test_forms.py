@@ -335,7 +335,8 @@ def test_float_fast_paths_match_to_float_and_sabs(seed):
     """as_float, form_defect and norm_inf by float bits against the per-coefficient
     to_float/sabs code: real and complex float forms with -0.0, NaN and infinities,
     and exact forms."""
-    from g2kit.scalars import sabs, to_float
+    from conftest import sabs
+    from g2kit.scalars import to_float
 
     a, b = _defect_forms(random.Random(seed))
     for f in (a, b):

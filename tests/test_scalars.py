@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -15,10 +16,11 @@ from g2kit.scalars import (
     matrix_mode,
     mode_of,
     normalize_scalar,
-    sconj,
     sqrt_fraction,
     vector_mode,
 )
+
+from conftest import sabs, sconj, seeded_float, sim, sre
 
 
 def test_arithmetic():
@@ -34,7 +36,7 @@ def test_arithmetic():
 def test_conjugation_and_equality():
     a = ComplexRational(2, 5)
     assert a.conjugate() == ComplexRational(2, -5)
-    assert sconj(Fraction(3, 4)) == Fraction(3, 4)
+    assert Fraction(3, 4).conjugate() == Fraction(3, 4)
     assert ComplexRational(7, 0) == Fraction(7)
     assert ComplexRational(7, 0) == 7
     assert ComplexRational(7, 1) != 7
@@ -481,3 +483,75 @@ def test_complex_rational_equality_with_rationals(x):
             Fraction(1, 3) / ComplexRational(Fraction(0), 0)
         with pytest.raises(AttributeError):
             zn.re = 1
+
+
+_EDGE_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308)
+
+
+def _protocol_float(rng):
+    return rng.choice(_EDGE_FLOATS) if rng.random() < 0.4 else seeded_float(rng, -1e300, 1e300)
+
+
+def _protocol_exact_part(rng):
+    """A rational part: zero often, small, or huge (10^400 overflows float)."""
+    r = rng.random()
+    if r < 0.25:
+        return 0
+    if r < 0.4:
+        return Fraction(rng.choice((-1, 1)) * 10**400 + rng.randint(-9, 9), rng.randint(1, 9))
+    return _part(rng)
+
+
+def _protocol_scalar(rng):
+    """An int, Fraction, float, complex or ComplexRational, with edge floats and huge parts."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.choice((0, rng.randint(-9, 9), rng.randint(-(10**400), 10**400)))
+    if kind == 1:
+        return Fraction(_protocol_exact_part(rng))
+    if kind == 2:
+        return _protocol_float(rng)
+    if kind == 3:
+        return complex(_protocol_float(rng), rng.choice((0.0, -0.0, _protocol_float(rng))))
+    return ComplexRational(_protocol_exact_part(rng), _protocol_exact_part(rng))
+
+
+def _scalar_key(v):
+    """Type and value of a scalar, floats by float.hex so that -0.0 and NaN compare."""
+    if isinstance(v, complex):
+        return complex, float.hex(v.real), float.hex(v.imag)
+    if isinstance(v, float):
+        return float, float.hex(v)
+    if isinstance(v, ComplexRational):
+        return ComplexRational, v._a, v._b, v._d
+    return type(v), v
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_complex_protocol_matches_the_dispatch_helpers(seed):
+    """real, imag, conjugate() and abs() of every scalar type give the sre, sim, sconj
+    and sabs they replaced: the same type and value (floats by bits), or the same
+    exception.  The one documented difference: an int's or a Fraction's imag is the
+    int 0, where sim gave Fraction(0)."""
+    rng = random.Random(seed)
+    for _ in range(8):
+        x = _protocol_scalar(rng)
+        for ref, protocol in (
+            (sre, lambda x: x.real),
+            (sim, lambda x: x.imag),
+            (sconj, lambda x: x.conjugate()),
+            (sabs, abs),
+        ):
+            try:
+                want = ref(x)
+            except Exception as exc:
+                with pytest.raises(type(exc)) as raised:
+                    protocol(x)
+                assert raised.type is type(exc)
+                continue
+            got = protocol(x)
+            if ref is sim and type(x) in (int, Fraction):
+                assert type(got) is int and got == want == 0
+            else:
+                assert _scalar_key(got) == _scalar_key(want), (x, ref.__name__)
