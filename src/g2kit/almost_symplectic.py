@@ -34,23 +34,12 @@ class PrimitiveDecomposition(Immutable):
 
     __slots__ = ("lam", "pi")
 
-    def __init__(self, lam, pi):
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "pi", pi)
-
     def __iter__(self):
         return iter((self.lam, self.pi))
 
 
 class EllipticDefiniteReport(Immutable):
     __slots__ = ("tag", "j_matrix", "signature", "elliptic_definite", "decomposition")
-
-    def __init__(self, tag, j_matrix, signature, elliptic_definite, decomposition):
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "j_matrix", j_matrix)
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "elliptic_definite", elliptic_definite)
-        object.__setattr__(self, "decomposition", decomposition)
 
     def as_dict(self):
         return {

@@ -89,9 +89,7 @@ class CandidateJ(Immutable):
         rows = tuple(tuple(r) for r in matrix)
         mode = FLOAT if join_modes(vector_mode(u), matrix_mode(rows)) == FLOAT else EXACT
         self._validate(u, rows)
-        object.__setattr__(self, "point", u)
-        object.__setattr__(self, "matrix", rows)
-        object.__setattr__(self, "mode", mode)
+        super().__init__(u, rows, mode)
 
     @staticmethod
     def _validate(u, rows):
@@ -172,11 +170,8 @@ class ChernData(Immutable):
 
     def __init__(self, r, s, context=None):
         r, s = tuple(tuple(x) for x in r), tuple(tuple(x) for x in s)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "context", context)
         mode = join_modes(matrix_mode(r), matrix_mode(s))
-        object.__setattr__(self, "mode", FLOAT if mode == FLOAT else EXACT)
+        super().__init__(r, s, context, FLOAT if mode == FLOAT else EXACT)
 
     def _r_t_conj_s(self):
         """t(r) conj(s); its transpose is t(conj(s)) r."""

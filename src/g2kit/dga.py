@@ -65,7 +65,7 @@ class DgaElement(Immutable):
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        object.__setattr__(self, "terms", canonical_terms(terms or {}, _as_complex_rational))
+        super().__init__(canonical_terms(terms or {}, _as_complex_rational))
 
     @classmethod
     def _trusted(cls, terms):

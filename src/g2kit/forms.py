@@ -197,11 +197,7 @@ class ExteriorForm(Immutable):
             mode = inferred or EXACT
         elif inferred is not None and mode != inferred:
             raise MixedModeError(f"coefficients are {inferred} but mode={mode} requested")
-        clean = canonical_terms(terms, normalize_scalar)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "mode", mode)
+        super().__init__(dim, degree, canonical_terms(terms, normalize_scalar), mode)
 
     # -- constructors --------------------------------------------------
     @classmethod
@@ -210,8 +206,8 @@ class ExteriorForm(Immutable):
 
         Coefficients are normalized (a float or Fraction already is) and zeros
         dropped; sign sorting, index validation and mode inference are skipped.
-        Only operations of this module call it, on forms that already passed
-        the public constructor.
+        It is called only on what operations make of forms that already
+        passed the public constructor.
         """
         plain = {float, Fraction}.issuperset(map(type, terms.values()))
         terms = {k: c if plain else normalize_scalar(c) for k, c in terms.items() if c}

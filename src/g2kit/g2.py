@@ -235,8 +235,7 @@ class AdaptedFrame(Immutable):
         mode = EXACT if matrix_mode(rows) != FLOAT else FLOAT
         if check and not is_g2(rows):
             raise FrameConstructionError("matrix does not preserve phi")
-        object.__setattr__(self, "matrix", rows)
-        object.__setattr__(self, "mode", mode)
+        super().__init__(rows, mode)
 
     def col(self, j):
         return tuple(self.matrix[i][j - 1] for i in range(7))

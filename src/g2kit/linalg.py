@@ -6,14 +6,16 @@ handful of routines needed are written out over a generic scalar type.  They
 also run on floats.  ``rank``, ``solve``, ``inverse`` and ``signature`` read the
 mode of all their entries once: exact input pivots exactly and never reads
 ``tol``, float input pivots at ``tol`` times its largest |entry|, and a mix raises
-MixedModeError.  ``det`` always pivots exactly, at tolerance 0.
+MixedModeError.  ``det`` always pivots exactly, at tolerance 0.  ``rank`` and
+``det`` (n >= 4) read their pivots from one forward elimination, ``_eliminate``.
 
-Rational and Gaussian-rational inputs run fraction-free: ``mat_mul`` and
-``mat_vec`` clear each row's and column's denominators once, form the sums
-of products over Z or Z[i] on Python ints, and normalize one scalar per
-output entry.  A ``ComplexRational`` already holds its cleared triple
-(a + b*i)/d, which ``_cleared`` reads directly, and a Gaussian-rational
-result is built from its triple by one reducing constructor.  ``det`` is a
+Rational and Gaussian-rational inputs run fraction-free: ``mat_mul`` clears
+each row's and column's denominators once, forms the sums of products over
+Z or Z[i] on Python ints, and normalizes one scalar per output entry;
+``mat_vec`` is ``mat_mul`` on one column, so a vector of the wrong length
+raises.  A ``ComplexRational`` already holds its cleared triple (a + b*i)/d,
+which ``_cleared`` reads directly, and a Gaussian-rational result is built
+from its triple by one reducing constructor.  ``det`` is a
 type dispatch in front of two kernels, one check per call: ``_det_z`` on int
 rows (closed form up to 3x3, else Bareiss elimination; Bareiss, Sylvester's
 identity and multistep integer-preserving Gaussian elimination, Math. Comp.
@@ -197,11 +199,7 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    if all(len(row) == len(v) for row in a):
-        out = _fraction_free_products(a, [v])
-        if out is not None:
-            return [row[0] for row in out]
-    return [sum((a[i][j] * v[j] for j in range(len(v))), start=a[i][0] * 0) for i in range(len(a))]
+    return [row[0] for row in mat_mul(a, [[x] for x in v])]
 
 
 def transpose(a):
@@ -276,30 +274,42 @@ def _det_z(a):
     return _bareiss(a)
 
 
+def _eliminate(a, tol):
+    """Forward elimination of the rows ``a`` in place: yields each column's pivot (None
+    if it has none) and whether its row was swapped up, until every row holds a pivot."""
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        p = _pivot_row(a, c, r, tol)
+        if p is None:
+            yield None, False
+            continue
+        a[r], a[p] = a[p], a[r]
+        piv = a[r][c]
+        for rr in range(r + 1, len(a)):
+            if _nz(a[rr][c], tol):
+                f = a[rr][c] / piv
+                a[rr] = [x - f * y for x, y in zip(a[rr], a[r])]
+        yield piv, p != r
+        r += 1
+        if r == len(a):
+            return
+
+
 def _det_elim(a):
     """Determinant by elimination, the first nonzero entry as pivot; rows of ``a`` are replaced.
 
-    2x2 and 3x3 input runs ``_det2``/``_det3`` on its entries.
+    2x2 and 3x3 input runs ``_det2``/``_det3`` on its entries, larger input ``_eliminate``.
     """
     n = len(a)
     if n == 2:
         return _det2(*a[0], *a[1])
     if n == 3:
         return _det3(*a[0], *a[1], *a[2])
-    sign = 1
-    result = None
-    for c in range(n):
-        p = _pivot_row(a, c, c, 0.0)
-        if p is None:
+    sign, result = 1, None
+    for piv, swapped in _eliminate(a, 0.0):
+        if piv is None:
             return a[0][0] * 0
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            sign = -sign
-        piv = a[c][c]
-        for r in range(c + 1, n):
-            if a[r][c]:
-                f = a[r][c] / piv
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+        sign = -sign if swapped else sign
         result = piv if result is None else result * piv
     return result if sign > 0 else -result
 
@@ -402,26 +412,8 @@ def inverse(m, tol=0.0):
 
 def rank(m, tol=0.0):
     """Rank by elimination; ``tol`` is read only on float input, relative to its largest |entry|."""
-    if not m:
-        return 0
     tol = _relative(m, tol, matrix_mode(m))
-    a = _fx_rows(m)
-    ncols = len(a[0])
-    r = 0
-    for c in range(ncols):
-        p = _pivot_row(a, c, r, tol)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        piv = a[r][c]
-        for rr in range(r + 1, len(a)):
-            if _nz(a[rr][c], tol):
-                f = a[rr][c] / piv
-                a[rr] = [x - f * y for x, y in zip(a[rr], a[r])]
-        r += 1
-        if r == len(a):
-            break
-    return r
+    return sum(piv is not None for piv, _ in _eliminate(_fx_rows(m), tol))
 
 
 def _transvect(s, a, b, c):

@@ -54,8 +54,7 @@ class Poly(Immutable):
             c = normalize_scalar(c)
             if c:
                 clean[expo] = c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        super().__init__(nvars, clean)
 
     @classmethod
     def const(cls, nvars, c):
@@ -174,9 +173,7 @@ class PolyCoefForm(Immutable):
         def coerce(p):
             return p if isinstance(p, Poly) else Poly.const(dim, p)
 
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", canonical_terms(terms, coerce))
+        super().__init__(dim, degree, canonical_terms(terms, coerce))
 
     @classmethod
     def from_constant_form(cls, form: ExteriorForm):

@@ -20,9 +20,9 @@ arithmetic runs on Python ints and reduces once per result; ``linalg``
 reads the triple directly when it clears a whole row.
 
 :class:`Immutable` is the base of every value class in the package: a value
-is checked once, by its constructor, and never changes after.  copy,
-deepcopy and pickle rebuild it from its slots through :func:`_restore`, and
-so do the unchecked ``_trusted`` builders of forms and DGA elements.
+is checked once, by its constructor, set by one ``Immutable.__init__`` call,
+and never changes after.  copy, deepcopy, pickle (:func:`_restore`) and the
+unchecked ``_trusted`` builders of forms and DGA elements make that call too.
 """
 
 from __future__ import annotations
@@ -43,9 +43,17 @@ class MixedModeError(TypeError):
 
 
 class Immutable:
-    """Fields in ``__slots__``, set once by the constructor with ``object.__setattr__``."""
+    """Fields in ``__slots__``, set once and in slot order by ``__init__``; a subclass
+    with checks runs them in its own constructor, then passes every field to it."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        slots = self.__slots__
+        if len(values) != len(slots):
+            raise TypeError(f"{type(self).__name__} takes {len(slots)} fields, got {len(values)}")
+        for name, value in zip(slots, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -57,10 +65,9 @@ class Immutable:
 
 
 def _restore(cls, *values):
-    """A ``cls`` with ``values`` in its slots, in ``__slots__`` order; nothing is checked."""
+    """A ``cls`` with ``values`` in its slots, in ``__slots__`` order; only their count is checked."""
     obj = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values):
-        object.__setattr__(obj, name, value)
+    Immutable.__init__(obj, *values)
     return obj
 
 
@@ -87,6 +94,7 @@ class ComplexRational(Immutable):
             # both parts are reduced, so the triple over their lcm is too
             d = lcm(re.denominator, im.denominator)
             a, b = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+        # the slot setters, not Immutable.__init__: this constructor is on exact hot paths
         _set_a(self, a)
         _set_b(self, b)
         _set_d(self, d)

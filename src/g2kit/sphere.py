@@ -45,8 +45,7 @@ class SpherePoint(Immutable):
                 raise ValueError(f"|u|^2 = {n} != 1")
         elif abs(n - 1.0) > UNIT_TOL:
             raise ValueError(f"|u|^2 = {n} deviates from 1 beyond {UNIT_TOL}")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "mode", mode)
+        super().__init__(u, mode)
 
     def __iter__(self):
         return iter(self.u)

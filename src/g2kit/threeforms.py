@@ -29,7 +29,7 @@ J e3 = e4, J e5 = e6, and vol0(e1, ..., e6) = 1 > 0.
 
 from __future__ import annotations
 
-import cmath
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -42,7 +42,7 @@ from .scalars import (
 
 
 class FloatRangeError(ValueError):
-    """A float form whose K or lambda is not finite, or whose lambda underflows to 0 while K does not."""
+    """A float form with a coefficient that is not finite, or whose lambda leaves the float range."""
 
 
 class ThreeFormClass(Immutable):
@@ -57,13 +57,7 @@ class ThreeFormClass(Immutable):
     __slots__ = ("tag", "discriminant", "j_matrix", "sqrt_is_exact", "_rho", "_upsilon", "mode")
 
     def __init__(self, tag, discriminant, mode, j_matrix=None, sqrt_is_exact=True, rho=None):
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "discriminant", discriminant)
-        object.__setattr__(self, "j_matrix", j_matrix)
-        object.__setattr__(self, "sqrt_is_exact", sqrt_is_exact)
-        object.__setattr__(self, "_rho", rho)
-        object.__setattr__(self, "_upsilon", None)
-        object.__setattr__(self, "mode", mode)
+        super().__init__(tag, discriminant, j_matrix, sqrt_is_exact, rho, None, mode)
 
     @property
     def upsilon(self):
@@ -189,15 +183,14 @@ def k_operator(rho: ExteriorForm, vol: ExteriorForm):
     return [[(-1) ** b * acc[6 * b + a] / c for a in range(6)] for b in range(6)]
 
 
-def discriminant(rho: ExteriorForm, vol: ExteriorForm):
-    """lambda = trace(K^2) / 6; K^2 = lambda * Id on the open orbits."""
-    return _discriminant_of(k_operator(rho, vol))
-
-
-def _discriminant_of(k):
-    """lambda = trace(K^2) / 6 from the matrix K of :func:`k_operator`."""
-    k2 = linalg.mat_mul(k, k)
-    return sum((k2[i][i] for i in range(6)), start=k2[0][0] * 0) / 6
+def _binary_scaled(form):
+    """``(form / 2^e, e)`` for a float form, 2^e just above its largest |coefficient|
+    (``math.frexp``); a coefficient that is not finite raises :class:`FloatRangeError`."""
+    if not all(map(math.isfinite, form.terms.values())):
+        raise FloatRangeError("a coefficient of the float form is not finite")
+    e = math.frexp(form.norm_inf())[1]
+    terms = {idx: math.ldexp(x, -e) for idx, x in form.terms.items()}
+    return ExteriorForm._trusted(form.dim, form.degree, terms, FLOAT), e
 
 
 def recover_upsilon(rho: ExteriorForm, j) -> ExteriorForm:
@@ -231,36 +224,47 @@ def classify_3form(rho: ExteriorForm, vol: ExteriorForm = None, tol=1e-12) -> Th
     J = -K / sqrt(-lambda) induces the orientation of ``vol`` (default: the
     standard volume form) by the lemma of the module docstring.  In exact
     mode J is exact whenever -lambda is a rational square; otherwise J is
-    produced in float mode.  ``tol`` is read only on float forms: the tag is
-    degenerate when |lambda| <= tol |rho|^4 / |vol|^2 (max-norm of rho,
-    coefficient of vol), a test unchanged by rescaling rho or vol.  A float
-    form whose K or lambda overflows to inf or NaN, or whose lambda
-    underflows to 0 while K does not, raises :class:`FloatRangeError`.
+    produced in float mode.
+
+    A float form is classified on the copy rho / 2^e, vol / 2^f of
+    :func:`_binary_scaled`, whose K and lambda cannot overflow.  It has the
+    tag and J of the form by (a) and (b) of the lemma, and their bits where
+    the form's own K^2 stays in the float range: powers of two scale exactly.
+    lambda = trace(K^2) / 6 is reported with trace(K^2) = 2^(4e - 2f) times the
+    copy's; where that overflows, or underflows to 0 while the copy's does
+    not, :class:`FloatRangeError` is raised.  ``tol`` is read only on float
+    forms: the tag is degenerate when |lambda| <= tol |rho|^4 / |vol|^2
+    (max-norm of rho, coefficient of vol), a test unchanged by rescaling.
     """
     if vol is None:
         vol = standard_volume_form()
     exact = rho.mode == EXACT and vol.mode == EXACT
+    rho_s, vol_s = rho, vol
     if not exact:
-        rho, vol = rho.as_float(), vol.as_float()
-    k = k_operator(rho, vol)
-    lam = _discriminant_of(k)
+        rho = rho.as_float()
+        (rho_s, e), (vol_s, f) = _binary_scaled(rho), _binary_scaled(vol.as_float())
+    k = k_operator(rho_s, vol_s)
+    k2 = linalg.mat_mul(k, k)  # lambda * Id on the open orbits
+    trace = sum((k2[i][i] for i in range(6)), start=k2[0][0] * 0)
+    lam = lam_s = trace / 6
     bound = 0
     if not exact:
-        if not all(map(cmath.isfinite, [lam, *(x for row in k for x in row)])):
-            raise FloatRangeError("K or lambda of the float form is not finite")
-        # lambda has degree 4 in rho and -2 in vol, and so has the float bound; it is
-        # formed by products, so that no power overflows and no square of vol underflows
-        n = rho.norm_inf()
-        q = n * n / abs(vol.terms[(1, 2, 3, 4, 5, 6)])
-        bound = tol * q * q
-        if tol and not bound and not lam and any(x for row in k for x in row):
+        try:
+            lam = math.ldexp(trace, 4 * e - 2 * f) / 6
+        except OverflowError:
+            raise FloatRangeError("lambda of the float form overflows") from None
+        if lam_s and not lam:
             raise FloatRangeError("lambda of the float form underflows to 0")
-    if abs(lam) <= bound:
+        # lambda has degree 4 in rho and -2 in vol, and so has the float bound
+        n = rho_s.norm_inf()
+        q = n * n / abs(vol_s.terms[(1, 2, 3, 4, 5, 6)])
+        bound = tol * q * q
+    if abs(lam_s) <= bound:
         return ThreeFormClass("degenerate", lam, rho.mode)
-    if to_float(lam) > 0:
+    if to_float(lam_s) > 0:
         return ThreeFormClass("split", lam, rho.mode)
 
-    root = sqrt_fraction(-lam) if exact else (-lam) ** 0.5
+    root = sqrt_fraction(-lam) if exact else (-lam_s) ** 0.5
     sqrt_is_exact = root is not None
     if root is None:
         root = (-to_float(lam)) ** 0.5

@@ -8,7 +8,10 @@ import pytest
 from g2kit import linalg
 from g2kit.compat import NotComplexStructureError
 from g2kit.forms import ExteriorForm
-from g2kit.scalars import ComplexRational, to_float
+from g2kit.linalg import (
+    _det2, _det3, _fraction_free_products, _fx_rows, _nz, _pivot_row, _relative
+)
+from g2kit.scalars import ComplexRational, matrix_mode, to_float
 
 
 def e_vec(dim, k, float_mode=False):
@@ -80,6 +83,69 @@ def sabs(x) -> float:
     if isinstance(x, ComplexRational):
         return math.hypot(float(x.re), float(x.im))
     return abs(x)
+
+
+# linalg's rank and _det_elim loops, and its mat_vec, as they were before rank and
+# _det_elim shared linalg._eliminate and mat_vec became mat_mul on one column,
+# verbatim, as the references they are checked against.
+def rank(m, tol=0.0):
+    """Rank by elimination; ``tol`` is read only on float input, relative to its largest |entry|."""
+    if not m:
+        return 0
+    tol = _relative(m, tol, matrix_mode(m))
+    a = _fx_rows(m)
+    ncols = len(a[0])
+    r = 0
+    for c in range(ncols):
+        p = _pivot_row(a, c, r, tol)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        piv = a[r][c]
+        for rr in range(r + 1, len(a)):
+            if _nz(a[rr][c], tol):
+                f = a[rr][c] / piv
+                a[rr] = [x - f * y for x, y in zip(a[rr], a[r])]
+        r += 1
+        if r == len(a):
+            break
+    return r
+
+
+def _det_elim(a):
+    """Determinant by elimination, the first nonzero entry as pivot; rows of ``a`` are replaced.
+
+    2x2 and 3x3 input runs ``_det2``/``_det3`` on its entries.
+    """
+    n = len(a)
+    if n == 2:
+        return _det2(*a[0], *a[1])
+    if n == 3:
+        return _det3(*a[0], *a[1], *a[2])
+    sign = 1
+    result = None
+    for c in range(n):
+        p = _pivot_row(a, c, c, 0.0)
+        if p is None:
+            return a[0][0] * 0
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            sign = -sign
+        piv = a[c][c]
+        for r in range(c + 1, n):
+            if a[r][c]:
+                f = a[r][c] / piv
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+        result = piv if result is None else result * piv
+    return result if sign > 0 else -result
+
+
+def mat_vec(a, v):
+    if all(len(row) == len(v) for row in a):
+        out = _fraction_free_products(a, [v])
+        if out is not None:
+            return [row[0] for row in out]
+    return [sum((a[i][j] * v[j] for j in range(len(v))), start=a[i][0] * 0) for i in range(len(a))]
 
 
 def tiny_pivot_elliptic_form():

@@ -638,8 +638,8 @@ def test_small_float_forms_keep_their_tags(doc, tag, tmp_path, capsys):
 # and a form document with a key outside mode, dim, degree and terms, or a
 # term with a key outside idx, re and im, a classify-3form --input or --vol
 # with a nonzero imaginary part, a float part that is not finite, a float form
-# whose K or lambda is not finite, or whose lambda underflows to 0 while K does
-# not, and an exact string outside the grammar
+# whose lambda overflows, or underflows to 0 while that of its power-of-two
+# scaled copy does not, and an exact string outside the grammar
 # [+-]p or [+-]p/q
 BAD_INPUTS = {
     "point-digit-string": ("chern", {"point": "1000000"}),
@@ -718,6 +718,8 @@ BAD_INPUTS = {
     "float-split-vol-1e-320": ("float split vol", _float_vol(1e-320)),
     # open-orbit forms whose lambda underflows to 0 while K does not: tagged degenerate
     "float-split-1e-100": ("classify-3form", _float_split(1e-100)),
+    # ... also where K underflows to 0 too: tagged degenerate with exit 0
+    "float-split-1e-200": ("classify-3form", _float_split(1e-200)),
     "float-split-vol-1e300": ("float split vol", _float_vol(1e300)),
     "float-elliptic-2^-300": (
         "classify-3form", jsonio.form_to_obj((Fraction(1, 2**300) * elliptic_normal_form()).as_float())

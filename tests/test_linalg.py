@@ -11,6 +11,8 @@ from g2kit import linalg
 from g2kit.linalg import DegenerateFormError, _bareiss
 from g2kit.scalars import ComplexRational, MixedModeError
 
+from conftest import _det_elim as det_elim_loop, mat_vec as mat_vec_loop, rank as rank_loop
+
 
 def reference_mat_mul(a, b):
     return [
@@ -404,3 +406,60 @@ def test_exact_verdicts_do_not_depend_on_tol(seed):
         at_zero = _outcome(f, *args, 0.0)
         for tol in (1e-9, 1.0):
             assert same(_outcome(f, *args, tol), at_zero), (f.__name__, tol)
+
+
+def bits(x):
+    """Type and value of x, a float or complex by ``float.hex`` of both parts, lists entry by entry."""
+    if isinstance(x, list):
+        return [bits(y) for y in x]
+    if isinstance(x, (float, complex)):
+        return type(x), x.real.hex(), x.imag.hex()
+    return type(x), x
+
+
+REF_KINDS = {**ELIM_KINDS, "int": lambda rng: rng.choice((0, _ENTRY["int"](rng)))}
+
+
+def reference_case(rng, rows, cols):
+    """A rows x cols matrix of one kind with +-0.0 or exact zeros, maybe a zero column or
+    row or a repeated multiple of a row, and a vector of cols entries of the same kind."""
+    kind = rng.choice(sorted(REF_KINDS))
+    m = [[REF_KINDS[kind](rng) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(rng.randint(0, 2)):
+        i, j, c = rng.randrange(rows), rng.randrange(cols), rng.choice((1, -1, 2))
+        change = rng.choice(("column", "row", "repeat"))
+        if change == "column":
+            for row in m:
+                row[j] *= 0
+        elif change == "row":
+            m[i] = [x * 0 for x in m[i]]
+        else:
+            m[i] = [c * x for x in m[rng.randrange(rows)]]
+    return m, [REF_KINDS[kind](rng) for _ in range(cols)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS)
+def test_shared_elimination_and_mat_vec_match_the_old_loops(seed):
+    """``rank`` and ``_det_elim`` on ``_eliminate``, and ``mat_vec`` as one ``mat_mul``
+    column, against the loops they replaced (``conftest``): the same rank, and a
+    determinant, rows and product of the same types and float bits."""
+    rng = random.Random(seed)
+    m, v = reference_case(rng, rng.randint(1, 6), rng.randint(1, 6))
+    for tol in (0.0, 1e-9):
+        assert linalg.rank(m, tol) == rank_loop(m, tol)
+    assert bits(linalg.mat_vec(m, v)) == bits(mat_vec_loop(m, v))
+    n = rng.randint(1, 6)
+    sq, _ = reference_case(rng, n, n)
+    got, want = [list(row) for row in sq], [list(row) for row in sq]
+    assert bits(linalg._det_elim(got)) == bits(det_elim_loop(want))
+    assert bits(got) == bits(want)
+
+
+def test_mat_vec_rejects_a_vector_of_the_wrong_length():
+    """A short or long vector raises, as in ``mat_mul``; it was truncated or overran before."""
+    a = [[1, 2, 3], [4, 5, 6]]
+    for v in ([1, 2], [1.0, 2.0], [1, 2, 3, 4]):
+        with pytest.raises(ValueError, match="cannot multiply"):
+            linalg.mat_vec(a, v)
+    assert linalg.mat_vec(a, [1, 0, Fraction(1, 2)]) == [Fraction(5, 2), 7]

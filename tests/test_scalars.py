@@ -196,11 +196,26 @@ def _state(v):
     return [type(v).__name__, repr(v)]
 
 
-_IMMUTABLE = _immutable_values()
+# The values are built by a fixture, not at import, so that a fault in the
+# modules that build them (g2, linalg, ...) fails these tests and not the
+# collection of every test of this file.
+_IMMUTABLE_NAMES = (
+    "gaussian", "int", "exact-form", "float-form", "dga-element", "frame", "random-frame",
+    "candidate-j", "float-candidate-j", "chern-data", "elliptic-class", "split-class",
+    "sphere-point", "float-sphere-point", "poly", "poly-form", "constant-poly-form",
+    "decomposition", "elliptic-report",
+)
 
 
-@pytest.mark.parametrize("value", _IMMUTABLE.values(), ids=_IMMUTABLE.keys())
-def test_immutable_values_copy_and_pickle(value):
+@pytest.fixture(scope="module")
+def immutable_values():
+    values = _immutable_values()
+    assert tuple(values) == _IMMUTABLE_NAMES
+    return values
+
+
+@pytest.mark.parametrize("name", _IMMUTABLE_NAMES)
+def test_immutable_values_copy_and_pickle(name, immutable_values):
     """copy, deepcopy and a pickle round trip rebuild the same value of the same type.
 
     Every slot is compared, nested values included; ``==`` and ``repr`` too
@@ -209,6 +224,7 @@ def test_immutable_values_copy_and_pickle(value):
     import copy
     import pickle
 
+    value = immutable_values[name]
     for clone in (
         copy.copy(value),
         copy.deepcopy(value),
@@ -224,12 +240,12 @@ def test_immutable_values_copy_and_pickle(value):
         assert hash(pickle.loads(pickle.dumps(value))) == hash(value)
 
 
-@pytest.mark.parametrize("value", _IMMUTABLE.values(), ids=_IMMUTABLE.keys())
-def test_immutable_values_refuse_setattr_and_del(value):
+@pytest.mark.parametrize("name", _IMMUTABLE_NAMES)
+def test_immutable_values_refuse_setattr_and_del(name, immutable_values):
     """Every slot, and any other name, refuses both assignment and deletion."""
     import copy
 
-    value = copy.deepcopy(value)  # a failure must not spoil the shared value
+    value = copy.deepcopy(immutable_values[name])  # a failure must not spoil the shared value
     before = _state(value)
     for name in (*type(value).__slots__, "extra"):
         with pytest.raises(AttributeError, match="is immutable"):
@@ -259,6 +275,23 @@ def test_every_slotted_class_uses_the_immutable_base():
                 for method in ("__setattr__", "__delattr__", "__reduce__", "__reduce_ex__"):
                     assert cls is Immutable or method not in vars(cls), (cls, method)
     assert len(slotted) == 12, slotted
+
+
+def test_immutable_init_fills_the_slots_in_order_and_checks_their_count():
+    """The base constructor sets each slot once, in ``__slots__`` order; a wrong count raises."""
+    from g2kit.almost_symplectic import PrimitiveDecomposition
+    from g2kit.scalars import Immutable, _restore
+
+    d = PrimitiveDecomposition("lam", "pi")
+    assert (d.lam, d.pi) == ("lam", "pi") and tuple(d) == ("lam", "pi")
+    for values in ((), ("lam",), ("lam", "pi", "extra")):
+        with pytest.raises(TypeError, match="PrimitiveDecomposition takes 2 fields"):
+            PrimitiveDecomposition(*values)
+    with pytest.raises(TypeError, match="ComplexRational takes 3 fields, got 2"):
+        Immutable.__init__(object.__new__(ComplexRational), 1, 2)
+    with pytest.raises(TypeError, match="ComplexRational takes 3 fields, got 4"):
+        _restore(ComplexRational, 1, 2, 3, 4)
+    assert _restore(ComplexRational, 1, 2, 3) == ComplexRational(Fraction(1, 3), Fraction(2, 3))
 
 
 # Pickles of three values written before the immutable base existed (Python

@@ -1,3 +1,4 @@
+import math
 import random
 import struct
 from fractions import Fraction
@@ -11,6 +12,7 @@ from g2kit.forms import ExteriorForm, pullback
 from g2kit.sampling import random_invertible_rational
 from g2kit.scalars import FLOAT, I_EXACT, ComplexRational, sqrt_fraction
 from g2kit.threeforms import (
+    FloatRangeError,
     classify_3form,
     elliptic_normal_form,
     k_operator,
@@ -211,6 +213,32 @@ def test_float_tag_does_not_depend_on_scale(k):
         rho = 10.0**k * normal.as_float()
         assert classify_3form(rho).tag == tag
         assert classify_3form(normal.as_float(), 10.0**k * vol).tag == tag
+
+
+@pytest.mark.parametrize("normal", [split_normal_form, elliptic_normal_form])
+def test_power_of_two_scales_keep_the_tag_and_the_j_bits(normal):
+    """2^k rho is never tagged degenerate.  Where its lambda, trace(K^2) / 6 = 2^4k
+    lambda_1, fits the float range, it has the tag and J bits of k = 0 and reports that
+    lambda, and Upsilon is that of 2^k rho; elsewhere it raises FloatRangeError.  Every
+    third k of -1074..1023 is tried, and every k from 12 below to 12 above the k that fit."""
+    unit = classify_3form(normal().as_float())
+    terms = normal().terms
+    hexes = lambda m: m and [[x.hex() for x in row] for row in m]
+    for k in sorted({*range(-1074, 1024, 3), *range(-280, 268)}):
+        rho = ExteriorForm(6, 3, {i: math.ldexp(c, k) for i, c in terms.items()}, FLOAT)
+        try:
+            want = math.ldexp(6 * unit.discriminant, 4 * k) / 6
+        except OverflowError:
+            want = 0.0
+        if not want:
+            with pytest.raises(FloatRangeError):
+                classify_3form(rho)
+            continue
+        cls = classify_3form(rho)
+        assert (cls.tag, cls.discriminant) == (unit.tag, want)
+        assert hexes(cls.j_matrix) == hexes(unit.j_matrix)
+        if k in (-200, 0, 200) and cls.tag == "elliptic":
+            assert cls.upsilon == recover_upsilon(rho, cls.j_matrix)
 
 
 @settings(max_examples=25, deadline=None)
