@@ -71,19 +71,18 @@ def _om2_matrix(om2):
     return matrix
 
 
-def primitive_decompose(omega: ExteriorForm, domega: ExteriorForm, tol=0.0) -> PrimitiveDecomposition:
+def primitive_decompose(omega: ExteriorForm, domega: ExteriorForm) -> PrimitiveDecomposition:
     """Unique (lambda, pi) with domega = lambda ^ omega + pi and omega ^ pi = 0.
 
     Solved from domega ^ omega = lambda ^ omega^2 (a 6x6 linear system); the
     remainder pi = domega - lambda ^ omega is then primitive by construction,
-    which is re-verified (:class:`PrimitivityError` if not).  Degenerate
-    omega raises.  ``tol`` is read only on float forms: the solve pivots at it
-    relative to |omega^2|, and |omega ^ pi| <= max(tol, 1e-9) |omega| |domega|.
+    which is re-verified (:class:`PrimitivityError` if not): exactly, or on float
+    forms as |omega ^ pi| <= 1e-9 |omega| |domega|.  Degenerate omega raises.
     """
-    return _decompose(omega, domega, tol)[0]
+    return _decompose(omega, domega)[0]
 
 
-def _decompose(omega, domega, tol):
+def _decompose(omega, domega):
     """``primitive_decompose`` and the omega^3 it formed, both in the forms' joint mode."""
     if omega.dim != 6 or omega.degree != 2:
         raise ValueError("omega must be a 2-form on R^6")
@@ -97,14 +96,14 @@ def _decompose(omega, domega, tol):
     if om3.is_zero:
         raise DegenerateFormError("omega is degenerate (omega^3 = 0)")
     rhs = _five_form_coords(domega.wedge(omega))
-    coeffs = linalg.solve(_om2_matrix(om2), rhs, tol)
+    coeffs = linalg.solve(_om2_matrix(om2), rhs)
     lam = ExteriorForm(6, 1, {(a + 1,): c for a, c in enumerate(coeffs) if c})
     if float_mode and lam.mode == EXACT:
         lam = lam.as_float()
     pi = domega - lam.wedge(omega)
     check = omega.wedge(pi)
     if float_mode:
-        primitive = check.norm_inf() <= max(tol, 1e-9) * (omega.norm_inf() * domega.norm_inf())
+        primitive = check.norm_inf() <= 1e-9 * (omega.norm_inf() * domega.norm_inf())
     else:
         primitive = check.is_zero
     if not primitive:
@@ -122,9 +121,9 @@ def elliptic_definite_check(
     the orientation of omega^3) and the signature is the
     :func:`~g2kit.compat.hermitian_index` of g(v, w) = omega(v, Jw); the
     verdict is elliptic-definite iff that signature is (3, 0).  ``tol`` is
-    read only on float forms, each bound relative to the scale it bounds.
+    the float degeneracy bound of :func:`~g2kit.threeforms.classify_3form`.
     """
-    decomp, om3 = _decompose(omega, domega, tol)
+    decomp, om3 = _decompose(omega, domega)
     cls = classify_3form(decomp.pi, om3, tol)
     if cls.tag != "elliptic":
         return EllipticDefiniteReport(cls.tag, None, None, False, decomp)
@@ -133,7 +132,7 @@ def elliptic_definite_check(
     om, zero = (omega.as_float(), 0.0) if cls.mode == FLOAT else (omega, Fraction(0))
     omat = [[om.coeff((a, b)) if a != b else zero for b in range(1, 7)] for a in range(1, 7)]
     g = linalg.mat_mul(omat, j)
-    signature = hermitian_index(g, tol * 100)
+    signature = hermitian_index(g)
     return EllipticDefiniteReport(
         "elliptic", j, signature, signature == (3, 0), decomp
     )

@@ -280,14 +280,14 @@ def omega_type_components(data: ChernData):
 
 
 def index_from_h(data: ChernData):
-    """Signature (p, q) of H, at relative tolerance 1e-10 on float data; raises if H is degenerate.
+    """Signature (p, q) of H; raises if H is degenerate.
 
     When the residual vanishes a definite H contradicts the determinant
     monotonicity argument, so that combination raises
     :class:`TheoremContradictionError` (and is exercised by randomized search
     in the test suite, which confirms it is never constructible).
     """
-    sig = linalg.signature(data.h_matrix, 1e-10)
+    sig = linalg.signature(data.h_matrix)
     return _indefinite(sig) if data.residual_is_zero else sig
 
 
@@ -327,8 +327,7 @@ def default_eta_basis(j: CandidateJ):
     """Greedy J-complex basis of u-perp from projected coordinate seeds.
 
     Seeds e_a - (u.e_a) u are taken in index order; a seed is kept when it
-    grows the real span together with its J-image (:func:`compat.complex_basis`,
-    at pivot tolerance 1e-8 for a float J).
+    grows the real span together with its J-image (:func:`compat.complex_basis`).
     """
     u = j.point
     seeds = (tuple((1 if i == a else 0) - u[a] * u[i] for i in range(7)) for a in range(7))
@@ -362,7 +361,7 @@ def compute_rs(j: CandidateJ, frame: AdaptedFrame, eta_basis=None) -> ChernData:
             check_tangent(u, v, 1e-8)
     real_basis = [w for v in basis for w in (tuple(v), j.apply(v))]
     if eta_basis is not None:  # default_eta_basis proved its basis independent
-        if linalg.rank(real_basis, 1e-8) != 6:
+        if linalg.rank(real_basis) != 6:
             raise NotComplexStructureError("eta basis is not J-complexly independent")
 
     pairings = linalg.mat_mul(frame.tangent_columns(), linalg.transpose(real_basis))

@@ -85,10 +85,8 @@ def induced_metric(omega, j):
     """g(v, w) = omega(v, Jw) as a matrix; symmetric iff the pair is compatible."""
     omega = [list(r) for r in omega]
     matrix_mode([*omega, *j])  # omega and J share one mode, or MixedModeError
-    try:
-        linalg.inverse(omega, 1e-10)
-    except DegenerateFormError:
-        raise DegenerateFormError("omega is degenerate") from None
+    if linalg.rank(omega) != len(omega):
+        raise DegenerateFormError("omega is degenerate")
     return linalg.mat_mul(omega, j)
 
 
@@ -103,14 +101,14 @@ def is_compatible_omega(omega, j):
 def complex_basis(seeds, apply_j, n):
     """The pairs (v, Jv) of the first n seeds, in order, that grow the real span.
 
-    Jv is ``apply_j(v)``; independence is a rank test, at tolerance 1e-8 on float seeds.
+    Jv is ``apply_j(v)``; independence is a rank test.
     """
     pairs = []
     rows = []
     for v in seeds:
         jv = apply_j(v)
         candidate = rows + [list(v), list(jv)]
-        if linalg.rank(candidate, 1e-8) == len(candidate):
+        if linalg.rank(candidate) == len(candidate):
             rows = candidate
             pairs.append((v, jv))
             if len(pairs) == n:
@@ -118,10 +116,9 @@ def complex_basis(seeds, apply_j, n):
     raise NotComplexStructureError(f"the seeds span no J-complex basis of {n} pairs")
 
 
-def hermitian_index(g, tol):
-    """The (p, q) of a J-hermitian g(v, w) = omega(v, Jw) with inertia (2p, 2q); odd raises.
-    ``tol`` is read only on float g, relative to its largest |entry|."""
-    pos, neg = linalg.signature(g, tol)
+def hermitian_index(g):
+    """The (p, q) of a J-hermitian g(v, w) = omega(v, Jw) with inertia (2p, 2q); odd raises."""
+    pos, neg = linalg.signature(g)
     if pos % 2 or neg % 2:
         raise IncompatiblePairError(f"hermitian inertia ({pos},{neg}) is not even")
     return (pos // 2, neg // 2)
@@ -132,7 +129,7 @@ def omega_index(omega, j):
     if not is_compatible_omega(omega, j):
         raise IncompatiblePairError("pair is not omega-compatible")
     g = induced_metric(omega, j)
-    return hermitian_index(g, 1e-10)
+    return hermitian_index(g)
 
 
 # ---------------------------------------------------------------------------

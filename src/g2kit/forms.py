@@ -429,11 +429,10 @@ class ExteriorForm(Immutable):
                 terms[tuple(j + 1 for j in sub)] = val
         return ExteriorForm._trusted(m, self.degree, terms, self.mode)
 
-    def restrict(self, basis, tol=0.0):
-        """Restriction to the span of ``basis`` (coefficients = evaluations); ``tol`` is
-        read only on a float basis, relative to its largest |entry|."""
+    def restrict(self, basis):
+        """Restriction to the span of ``basis`` (coefficients = evaluations)."""
         basis = [list(b) for b in basis]
-        if linalg.rank(basis, tol) != len(basis):
+        if linalg.rank(basis) != len(basis):
             raise DependentBasisError("restriction basis is linearly dependent")
         return self.pullback([[b[i] for b in basis] for i in range(self.dim)])
 

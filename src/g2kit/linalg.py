@@ -4,10 +4,10 @@ numpy cannot do rational arithmetic, and the classification verdicts in this
 package (signatures, ranks, kernel dimensions) must be tolerance-free, so the
 handful of routines needed are written out over a generic scalar type.  They
 also run on floats.  ``rank``, ``solve``, ``inverse`` and ``signature`` read the
-mode of all their entries once: exact input pivots exactly and never reads
-``tol``, float input pivots at ``tol`` times its largest |entry|, and a mix raises
-MixedModeError.  ``det`` always pivots exactly, at tolerance 0.  ``rank`` and
-``det`` (n >= 4) read their pivots from one forward elimination, ``_eliminate``.
+mode of all their entries once: exact input pivots exactly, float input on its largest
+entry above ``PIVOT_TOL`` = 1e-9 times its largest |entry| (no caller picks a tolerance),
+and a mix raises MixedModeError.  ``det`` always pivots exactly, at tolerance 0.
+``rank`` and ``det`` (n >= 4) read their pivots from one forward elimination, ``_eliminate``.
 
 Rational and Gaussian-rational inputs run fraction-free: ``mat_mul`` clears
 each row's and column's denominators once, forms the sums of products over
@@ -45,6 +45,8 @@ from math import lcm, prod
 from operator import mul
 
 from .scalars import FLOAT, I_EXACT, ComplexRational, matrix_mode
+
+PIVOT_TOL = 1e-9  # relative to the input's largest |entry|, read only on float input
 
 
 class DegenerateFormError(ValueError):
@@ -188,9 +190,9 @@ def _fraction_free_products(rows, cols):
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    if len(a[0]) != k:
-        raise ValueError(f"cannot multiply a {n}x{len(a[0])} matrix by a {k}x{m} matrix")
+    k, m = len(b), len(b[0]) if b else 0
+    if {*map(len, a)} != {k} or {*map(len, b)} != {m}:
+        raise ValueError(f"cannot multiply rows of lengths {[*map(len, a)]} by {[*map(len, b)]}")
     cols = list(zip(*b))
     out = _fraction_free_products(a, cols)
     if out is not None:
@@ -354,20 +356,22 @@ def _det3(p, u1, u2, b, c1, c2, d, e1, e2):
 
 
 def det(m):
-    """Rational input runs ``_det_z`` on cleared rows, anything else ``_det_elim``."""
+    """Rational input runs ``_det_z`` on cleared rows, anything else ``_det_elim``; det([]) is 1."""
     n = len(m)
-    rows = _cleared_over_z(m) if n else None
+    if not n:
+        return 1  # the empty product
+    rows = _cleared_over_z(m)
     if rows is not None and all(len(nums) == n for nums, _ in rows):
         return Fraction(_det_z([nums for nums, _ in rows]), prod(d for _, d in rows))
     return _det_elim(_fx_rows(m))
 
 
-def _gauss_jordan(a, n, tol, mode, message):
+def _gauss_jordan(a, n, mode, message):
     """Reduce the augmented rows ``a`` until their left n x n block is I.  Rows keep the
     block's scale, tested at ``_relative`` of it, until divided by their pivot; their
-    entries are then ratios, tested at ``tol`` itself."""
-    ratio_tol = tol if mode == FLOAT else 0.0
-    tol = _relative([row[:n] for row in a], tol, mode)
+    entries are then ratios, tested at ``PIVOT_TOL`` itself."""
+    ratio_tol = PIVOT_TOL if mode == FLOAT else 0.0
+    tol = _relative([row[:n] for row in a], mode)
     for c in range(n):
         p = _pivot_row(a, c, c, tol)
         if p is None:
@@ -386,20 +390,20 @@ def max_abs(m):
     return max((abs(x) for row in m for x in row), default=0.0)
 
 
-def _relative(m, tol, mode):
-    """The one rule: 0 for exact ``mode``, else ``tol`` times the largest |entry| of m."""
-    return tol * max_abs(m) if tol and mode == FLOAT else 0.0
+def _relative(m, mode):
+    """The one rule: 0 for exact ``mode``, else ``PIVOT_TOL`` times the largest |entry| of m."""
+    return PIVOT_TOL * max_abs(m) if mode == FLOAT else 0.0
 
 
-def solve(m, rhs, tol=0.0):
-    """Solve m x = rhs; rhs is a vector. Raises on singular m; ``tol`` as in :func:`rank`."""
+def solve(m, rhs):
+    """Solve m x = rhs; rhs is a vector. Raises on singular m."""
     n, mode = len(m), matrix_mode([*m, rhs])
     a = [[_fx(x, mode) for x in row] + [_fx(rhs[i], mode)] for i, row in enumerate(m)]
-    return [row[n] for row in _gauss_jordan(a, n, tol, mode, "singular linear system")]
+    return [row[n] for row in _gauss_jordan(a, n, mode, "singular linear system")]
 
 
-def inverse(m, tol=0.0):
-    """m^-1 by Gauss-Jordan, ``tol`` as in :func:`rank`; a mode mix raises MixedModeError."""
+def inverse(m):
+    """m^-1 by Gauss-Jordan; a mode mix raises MixedModeError."""
     n = len(m)
     mode = matrix_mode(m)
     one = 1.0 if mode == FLOAT else _fx(m[0][0]) * 0 + 1
@@ -407,12 +411,12 @@ def inverse(m, tol=0.0):
         [_fx(x) for x in row] + [one if i == j else one * 0 for j in range(n)]
         for i, row in enumerate(m)
     ]
-    return [row[n:] for row in _gauss_jordan(a, n, tol, mode, "matrix is singular")]
+    return [row[n:] for row in _gauss_jordan(a, n, mode, "matrix is singular")]
 
 
-def rank(m, tol=0.0):
-    """Rank by elimination; ``tol`` is read only on float input, relative to its largest |entry|."""
-    tol = _relative(m, tol, matrix_mode(m))
+def rank(m):
+    """Rank by elimination."""
+    tol = _relative(m, matrix_mode(m))
     return sum(piv is not None for piv, _ in _eliminate(_fx_rows(m), tol))
 
 
@@ -430,15 +434,15 @@ def _transvect(s, a, b, c):
         s[i][a] = s[i][a] + s[i][b] * c
 
 
-def signature(m, tol=0.0):
+def signature(m):
     """Inertia (pos, neg) of a symmetric/hermitian matrix by exact congruence.
 
     No eigenvalues are computed: the matrix is diagonalized by congruence
     (symmetric Gaussian reduction, with a transvection step when the whole
     remaining diagonal vanishes).  A rank-deficient input raises
-    :class:`DegenerateFormError`.  ``tol`` is read only on float input, as in :func:`rank`.
+    :class:`DegenerateFormError`.
     """
-    tol = _relative(m, tol, matrix_mode(m))
+    tol = _relative(m, matrix_mode(m))
     s = _fx_rows(m)
     alive = list(range(len(m)))
     pos = neg = 0

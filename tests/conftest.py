@@ -8,10 +8,8 @@ import pytest
 from g2kit import linalg
 from g2kit.compat import NotComplexStructureError
 from g2kit.forms import ExteriorForm
-from g2kit.linalg import (
-    _det2, _det3, _fraction_free_products, _fx_rows, _nz, _pivot_row, _relative
-)
-from g2kit.scalars import ComplexRational, matrix_mode, to_float
+from g2kit.linalg import _det2, _det3, _fraction_free_products, _fx_rows, _nz, _pivot_row
+from g2kit.scalars import FLOAT, ComplexRational, matrix_mode, to_float
 
 
 def e_vec(dim, k, float_mode=False):
@@ -40,7 +38,7 @@ def orientation_sign_reference(j, vol, tol):
         v = e_vec(n, a + 1, float_mode)
         jv = tuple(linalg.mat_vec(j, list(v)))
         candidate = span_rows + [list(v), list(jv)]
-        if linalg.rank(candidate, tol) == len(candidate):
+        if rank(candidate, tol) == len(candidate):
             span_rows = candidate
             chosen.extend([v, jv])
         if len(chosen) == 6:
@@ -87,7 +85,13 @@ def sabs(x) -> float:
 
 # linalg's rank and _det_elim loops, and its mat_vec, as they were before rank and
 # _det_elim shared linalg._eliminate and mat_vec became mat_mul on one column,
-# verbatim, as the references they are checked against.
+# verbatim, as the references they are checked against; _relative as it was
+# before linalg.PIVOT_TOL replaced the callers' tolerances.
+def _relative(m, tol, mode):
+    """The one rule: 0 for exact ``mode``, else ``tol`` times the largest |entry| of m."""
+    return tol * linalg.max_abs(m) if tol and mode == FLOAT else 0.0
+
+
 def rank(m, tol=0.0):
     """Rank by elimination; ``tol`` is read only on float input, relative to its largest |entry|."""
     if not m:

@@ -178,9 +178,9 @@ def test_criterion_7_elliptic_definiteness_of_the_sphere():
         frame = frame_at_float_point(rng, None)
         u = frame.x
         basis = [list(b) for b in frame.tangent_columns()]
-        om6 = omega_at(u).restrict(basis, tol=1e-9)
-        dom6 = (3.0 * associative_three_form().as_float()).restrict(basis, tol=1e-9)
-        lam, pi = primitive_decompose(om6, dom6, tol=1e-12)
+        om6 = omega_at(u).restrict(basis)
+        dom6 = (3.0 * associative_three_form().as_float()).restrict(basis)
+        lam, pi = primitive_decompose(om6, dom6)
         worst = max(worst, lam.norm_inf())
         rep = elliptic_definite_check(om6, dom6, tol=1e-12)
         assert rep.tag == "elliptic"

@@ -171,11 +171,12 @@ def test_primitivity_check_survives_optimize_flag():
 
 
 def test_exact_decomposition_reads_no_tolerance():
-    """Exact forms scaled by 1e-5 decompose at any ``tol``: lambda is unchanged and pi scales."""
+    """Exact forms scaled by 1e-5, so |omega^2| is 1e-10, far below ``linalg.PIVOT_TOL``,
+    decompose exactly: lambda is unchanged and pi scales."""
     om6, dom6, _, _ = sphere_data_at_e1()
     t = Fraction(1, 10**5)
     lam, pi = primitive_decompose(om6, dom6)
-    assert tuple(primitive_decompose(t * om6, t * dom6, tol=1e-9)) == (lam, t * pi)
+    assert tuple(primitive_decompose(t * om6, t * dom6)) == (lam, t * pi)
 
 
 @pytest.mark.parametrize("k", range(-12, 9))

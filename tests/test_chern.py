@@ -44,7 +44,7 @@ from g2kit.threeforms import (
     elliptic_normal_form,
 )
 
-from conftest import rand_form
+from conftest import rand_form, rank as rank_loop
 
 E1 = basis_point(1)
 FRAME = standard_frame()
@@ -879,7 +879,8 @@ def test_sweep_reports_skipped_degenerate_trials(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def default_eta_basis_reference(j, tol=1e-8):
-    """The greedy loop that ``default_eta_basis`` ran before ``compat.complex_basis``."""
+    """The greedy loop that ``default_eta_basis`` ran before ``compat.complex_basis``, on the
+    rank loop of ``conftest`` at the pivot tolerance it read then."""
     u = j.point
     exact = j.mode == EXACT
     chosen = []
@@ -891,7 +892,7 @@ def default_eta_basis_reference(j, tol=1e-8):
         )
         jseed = j.apply(seed)
         candidate = span_rows + [list(seed), list(jseed)]
-        if linalg.rank(candidate, 0.0 if exact else tol) == len(candidate):
+        if rank_loop(candidate, 0.0 if exact else tol) == len(candidate):
             span_rows = candidate
             chosen.append(seed)
         if len(chosen) == 3:

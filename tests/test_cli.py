@@ -884,28 +884,25 @@ def test_every_defaulted_parameter_is_set_by_some_call():
     assert len(params) > 20 and never == _NEVER_SET_ALLOWED
 
 
-def _tol_positions():
-    """The position of ``tol`` among the arguments of each callee that takes one."""
+def test_no_call_passes_a_pivot_tolerance():
+    """The float pivot tolerance is decided once, as ``linalg.PIVOT_TOL``.
+
+    None of the eight functions that passed a tolerance through to it takes
+    ``tol``, and no call in the package passes them one, by keyword or as an
+    argument past their parameters.
+    """
     import inspect
 
     from g2kit import almost_symplectic, compat, linalg
 
-    fns = [linalg.rank, linalg.solve, linalg.inverse, linalg.signature,
-           compat.hermitian_index, almost_symplectic._decompose, ExteriorForm.restrict]
-    out = {}
+    fns = [linalg.rank, linalg.solve, linalg.inverse, linalg.signature, ExteriorForm.restrict,
+           compat.hermitian_index, almost_symplectic.primitive_decompose,
+           almost_symplectic._decompose]
+    arity = {}
     for fn in fns:
         names = list(inspect.signature(fn).parameters)
-        out[fn.__name__] = names.index("tol") - (names[0] == "self")
-    return out
-
-
-def test_no_call_picks_a_tolerance_by_mode():
-    """No call in the package passes a conditional expression as a tolerance.
-
-    linalg and compat decide exact or float from their input, so a caller's
-    ``0.0 if exact else tol`` would repeat that decision in a second place.
-    """
-    positions = _tol_positions()
+        assert "tol" not in names, fn.__qualname__
+        arity[fn.__name__] = len(names) - (names[0] == "self")
     src = pathlib.Path(g2kit.__file__).parent
     checked, found = 0, []
     for path in sorted(src.glob("*.py")):
@@ -913,12 +910,10 @@ def test_no_call_picks_a_tolerance_by_mode():
             name = isinstance(node, ast.Call) and (
                 getattr(node.func, "id", None) or getattr(node.func, "attr", None)
             )
-            if name not in positions:
+            if name not in arity:
                 continue
-            pos = positions[name]
-            tols = node.args[pos : pos + 1] + [k.value for k in node.keywords if k.arg == "tol"]
-            checked += bool(tols)
-            if any(isinstance(x, ast.IfExp) for t in tols for x in ast.walk(t)):
+            checked += 1
+            if len(node.args) > arity[name] or any(k.arg in (None, "tol") for k in node.keywords):
                 found.append(f"{path.name}:{node.lineno}")
     assert checked >= 8 and found == []
 

@@ -243,11 +243,13 @@ def test_restrict_dependent_basis_errors():
 
 
 def test_restrict_reads_no_tolerance_on_an_exact_basis():
-    """A basis independent only through a 1e-12 entry is independent at any ``tol``."""
+    """An exact basis independent only through a 1e-12 entry is independent; the same
+    float basis is dependent at ``linalg.PIVOT_TOL``."""
     e12 = ExteriorForm.basis(3, (1, 2))
     basis = [[1, 0, 0], [1, Fraction(1, 10**12), 0]]
-    assert e12.restrict(basis, tol=1e-9) == e12.restrict(basis)
     assert e12.restrict(basis).coeff((1, 2)) == Fraction(1, 10**12)
+    with pytest.raises(DependentBasisError):
+        e12.as_float().restrict([[1.0, 0.0, 0.0], [1.0, 1e-12, 0.0]])
 
 
 def test_mixed_mode_rejected(rng):

@@ -3,6 +3,7 @@ elimination, entry by entry, in value and in type."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -158,17 +159,17 @@ def test_rank_solve_and_signature_take_their_mode_from_every_entry():
     """A Fraction beside a float raises wherever the two sit, as in ``inverse``."""
     half = Fraction(1, 2)
     with pytest.raises(MixedModeError):
-        linalg.rank([[half, 0.5], [0.0, 1.0]], 1e-9)
+        linalg.rank([[half, 0.5], [0.0, 1.0]])
     with pytest.raises(MixedModeError):
         linalg.rank([[1, 0.5], [Fraction(2), 1]])
     with pytest.raises(MixedModeError):
         linalg.solve([[half, 0], [0, 1]], [0.5, 1.0])
     with pytest.raises(MixedModeError):
-        linalg.solve([[1, 0.5], [Fraction(0), 1]], [1, 1], 1e-9)
+        linalg.solve([[1, 0.5], [Fraction(0), 1]], [1, 1])
     with pytest.raises(MixedModeError):
-        linalg.signature([[half, 0.5], [0.5, 1.0]], 1e-9)
+        linalg.signature([[half, 0.5], [0.5, 1.0]])
     assert linalg.rank([[1, 0.5], [2, 1.0]]) == 1  # ints join either mode
-    assert linalg.signature([[1.0, 0], [0, -1]], 1e-9) == (1, 1)
+    assert linalg.signature([[1.0, 0], [0, -1]]) == (1, 1)
 
 
 def test_float_solve_returns_floats_beside_int_entries():
@@ -330,14 +331,16 @@ def test_unrolled_det_elim_edge_cases():
 
 @pytest.mark.parametrize("k", range(-12, 13, 3))
 def test_float_rank_and_signature_tolerances_are_relative(k):
-    """Scaling a float matrix by 10^k changes neither verdict; tol 0 stays exact pivoting."""
+    """Scaling a float matrix by 10^k changes neither verdict.  At ``PIVOT_TOL`` = 1e-9 of
+    the largest |entry|, a pivot of 1e-14 of it is zero and one of 1e-8 of it is not."""
     sym = [[1.0, 2.0, 0.5], [2.0, -1.0, 0.25], [0.5, 0.25, 3.0]]
     low = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0 + 1e-13], [0.0, 1.0, 1.0]]
+    full = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0 + 1e-7], [0.0, 1.0, 1.0]]
     scaled = lambda m: [[10.0**k * x for x in row] for row in m]
-    assert linalg.signature(scaled(sym), 1e-10) == linalg.signature(sym, 1e-10) == (2, 1)
-    assert linalg.rank(scaled(low), 1e-10) == linalg.rank(low, 1e-10) == 2
-    assert linalg.rank(scaled(low)) == 3
-    assert linalg.rank([[0.0, 0.0]], 1e-10) == 0
+    assert linalg.signature(scaled(sym)) == linalg.signature(sym) == (2, 1)
+    assert linalg.rank(scaled(low)) == linalg.rank(low) == 2
+    assert linalg.rank(scaled(full)) == linalg.rank(full) == 3
+    assert linalg.rank([[0.0, 0.0]]) == 0
 
 
 @pytest.mark.parametrize("k", range(-12, 13, 3))
@@ -345,26 +348,30 @@ def test_float_solve_and_inverse_tolerances_are_relative(k):
     """Scaling a float system by 10^k neither makes it singular nor hides that it is."""
     m = [[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 4.0]]
     near = [[1.0, 2.0], [2.0, 4.0 + 1e-13]]
+    apart = [[1.0, 2.0], [2.0, 4.0 + 1e-7]]
     c = 10.0**k
     scaled = lambda a: [[c * x for x in row] for row in a]
-    x = linalg.solve(scaled(m), [c, 2 * c, 3 * c], 1e-9)
-    assert x == pytest.approx(linalg.solve(m, [1.0, 2.0, 3.0], 1e-9), rel=1e-12)
-    inv = linalg.inverse(scaled(m), 1e-9)
-    for row, ref in zip(inv, linalg.inverse(m, 1e-9)):
+    x = linalg.solve(scaled(m), [c, 2 * c, 3 * c])
+    assert x == pytest.approx(linalg.solve(m, [1.0, 2.0, 3.0]), rel=1e-12)
+    inv = linalg.inverse(scaled(m))
+    for row, ref in zip(inv, linalg.inverse(m)):
         assert [c * y for y in row] == pytest.approx(ref, rel=1e-12)
     with pytest.raises(DegenerateFormError):
-        linalg.solve(scaled(near), [c, c], 1e-9)
+        linalg.solve(scaled(near), [c, c])
     with pytest.raises(DegenerateFormError):
-        linalg.inverse(scaled(near), 1e-9)
+        linalg.inverse(scaled(near))
+    assert linalg.solve(scaled(apart), [c, 2 * c]) == pytest.approx([1.0, 0.0], abs=1e-6)
+    assert len(linalg.inverse(scaled(apart))) == 2
 
 
 def test_exact_input_reads_no_tolerance():
-    """A tiny exact pivot is a pivot at any ``tol``: exact verdicts read no tolerance."""
+    """An exact pivot far below ``PIVOT_TOL`` is a pivot: exact verdicts read no tolerance."""
     t = Fraction(1, 10**12)
-    assert linalg.rank([[1, 0], [1, t]], 1e-9) == 2
-    assert linalg.solve([[1, 0], [0, t]], [1, 1], 1e-9) == [1, 10**12]
-    assert linalg.inverse([[1, 0], [0, t]], 1e-9) == [[1, 0], [0, 10**12]]
-    assert linalg.signature([[t, 0], [0, 1]], 1e-9) == (2, 0)
+    assert t < linalg.PIVOT_TOL
+    assert linalg.rank([[1, 0], [1, t]]) == 2
+    assert linalg.solve([[1, 0], [0, t]], [1, 1]) == [1, 10**12]
+    assert linalg.inverse([[1, 0], [0, t]]) == [[1, 0], [0, 10**12]]
+    assert linalg.signature([[t, 0], [0, 1]]) == (2, 0)
 
 
 _TINY = Fraction(1, 10**12)
@@ -395,7 +402,8 @@ def _outcome(f, *args):
 @settings(max_examples=60, deadline=None)
 @given(SEEDS)
 def test_exact_verdicts_do_not_depend_on_tol(seed):
-    """rank, solve, inverse and signature of exact input: one value and type at any ``tol``."""
+    """rank, solve, inverse and signature of exact input: one value and type at any
+    value of ``PIVOT_TOL``, 0 included."""
     m, rhs = exact_cases(random.Random(seed))
     herm = linalg.mat_add(m, linalg.transpose(linalg.mat_conj(m)))
     calls = [
@@ -403,9 +411,11 @@ def test_exact_verdicts_do_not_depend_on_tol(seed):
         (linalg.solve, m, rhs), (linalg.inverse, m), (linalg.signature, herm),
     ]
     for f, *args in calls:
-        at_zero = _outcome(f, *args, 0.0)
+        with mock.patch.object(linalg, "PIVOT_TOL", 0.0):
+            at_zero = _outcome(f, *args)
         for tol in (1e-9, 1.0):
-            assert same(_outcome(f, *args, tol), at_zero), (f.__name__, tol)
+            with mock.patch.object(linalg, "PIVOT_TOL", tol):
+                assert same(_outcome(f, *args), at_zero), (f.__name__, tol)
 
 
 def bits(x):
@@ -442,12 +452,11 @@ def reference_case(rng, rows, cols):
 @given(SEEDS)
 def test_shared_elimination_and_mat_vec_match_the_old_loops(seed):
     """``rank`` and ``_det_elim`` on ``_eliminate``, and ``mat_vec`` as one ``mat_mul``
-    column, against the loops they replaced (``conftest``): the same rank, and a
-    determinant, rows and product of the same types and float bits."""
+    column, against the loops they replaced (``conftest``): the same rank as the old loop
+    at 1e-9, and a determinant, rows and product of the same types and float bits."""
     rng = random.Random(seed)
     m, v = reference_case(rng, rng.randint(1, 6), rng.randint(1, 6))
-    for tol in (0.0, 1e-9):
-        assert linalg.rank(m, tol) == rank_loop(m, tol)
+    assert linalg.rank(m) == rank_loop(m, 1e-9)
     assert bits(linalg.mat_vec(m, v)) == bits(mat_vec_loop(m, v))
     n = rng.randint(1, 6)
     sq, _ = reference_case(rng, n, n)
@@ -463,3 +472,29 @@ def test_mat_vec_rejects_a_vector_of_the_wrong_length():
         with pytest.raises(ValueError, match="cannot multiply"):
             linalg.mat_vec(a, v)
     assert linalg.mat_vec(a, [1, 0, Fraction(1, 2)]) == [Fraction(5, 2), 7]
+
+
+def test_mat_mul_rejects_ragged_rows():
+    """Every row of either factor must fit the shape, on the fraction-free and the
+    generic path; a short row of ``a`` was truncated before, and an empty factor
+    raised IndexError."""
+    for a, b in (
+        ([[1, 2], [3]], [[1], [1]]),
+        ([[1.0, 2.0], [3.0]], [[1.0], [1.0]]),
+        ([[1, 2], [3, 4]], [[1, 2], [1]]),
+        ([[1.0, 2.0], [3.0, 4.0]], [[1.0], [1.0, 2.0]]),
+        ([[1, 2], [3, 4, 5]], [[1], [1]]),
+        ([[1]], []),
+        ([], [[1]]),
+    ):
+        with pytest.raises(ValueError, match="cannot multiply"):
+            linalg.mat_mul(a, b)
+    for a, v in (([[1.0, 2.0], [3.0]], [1.0, 1.0]), ([[1, 2]], [])):
+        with pytest.raises(ValueError, match="cannot multiply"):
+            linalg.mat_vec(a, v)
+
+
+def test_empty_matrix_has_rank_0_and_determinant_1():
+    """The 0x0 matrix: no pivot, and the empty product as its determinant."""
+    assert linalg.rank([]) == 0
+    assert linalg.det([]) == 1

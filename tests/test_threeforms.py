@@ -199,7 +199,7 @@ def test_sphere_primitive_form_elliptic_at_float_points():
         frame = frame_at_float_point(rng, None)
         u = frame.x
         basis = frame.tangent_columns()
-        pi6 = (3.0 * phi_tangential(u)).restrict([list(b) for b in basis], tol=1e-9)
+        pi6 = (3.0 * phi_tangential(u)).restrict([list(b) for b in basis])
         cls = classify_3form(pi6)
         assert cls.tag == "elliptic"
         assert cls.discriminant < 0
