@@ -66,8 +66,11 @@ def sort_sign(idx):
     idx = tuple(idx)
     if len(set(idx)) != len(idx):
         return idx, 0
+    key = tuple(sorted(idx))
+    if key == idx:
+        return key, 1
     inversions = sum(a > b for pos, a in enumerate(idx) for b in idx[pos + 1 :])
-    return tuple(sorted(idx)), -1 if inversions % 2 else 1
+    return key, -1 if inversions % 2 else 1
 
 
 # (ia, ib) -> (sign, key) of sort_sign(ia + ib) for disjoint increasing ia, ib:
@@ -209,8 +212,13 @@ class ExteriorForm(Immutable):
         It is called only on what operations make of forms that already
         passed the public constructor.
         """
-        plain = {float, Fraction}.issuperset(map(type, terms.values()))
-        terms = {k: c if plain else normalize_scalar(c) for k, c in terms.items() if c}
+        types = {*map(type, terms.values())}
+        if types <= {float, Fraction}:
+            terms = {k: c for k, c in terms.items() if c}
+        elif types <= {float, complex}:  # the complex branch of normalize_scalar, inline
+            terms = {k: c.real if c.imag == 0.0 else c for k, c in terms.items() if c}
+        else:
+            terms = {k: normalize_scalar(c) for k, c in terms.items() if c}
         return _restore(cls, dim, degree, terms, mode)
 
     @classmethod

@@ -34,7 +34,8 @@ def scalar_to_obj(x, mode):
 
 
 def scalar_from_obj(obj, mode):
-    re, im = number_from_obj(obj.get("re", 0), mode), number_from_obj(obj.get("im", 0), mode)
+    re = number_from_obj(obj.get("re", 0), mode)
+    im = number_from_obj(obj["im"], mode) if "im" in obj else 0
     if mode == FLOAT:
         return complex(re, im) if im else re
     return ComplexRational(re, im) if im else re
@@ -65,9 +66,12 @@ def number_from_obj(obj, mode):
         if not math.isfinite(x):
             raise JsonFormatError(f"float documents need finite numbers, got {obj!r}")
         return x
-    if type(obj) is int or type(obj) is str and _EXACT_NUMBER.fullmatch(obj):
+    if type(obj) is int:
+        return Fraction(obj)
+    if type(obj) is str and _EXACT_NUMBER.fullmatch(obj):
+        p, _, q = obj.partition("/")
         try:
-            return Fraction(obj)
+            return Fraction(int(p), int(q or 1))
         except ValueError as exc:  # more digits than int() converts
             raise JsonFormatError(f"not an exact number: {obj!r}") from exc
     raise JsonFormatError(f"exact documents need 'p/q' strings, got {obj!r}")

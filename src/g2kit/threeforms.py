@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
+from operator import mul
 
 from . import linalg
 from .compat import check_complex_structure
@@ -86,14 +88,9 @@ def elliptic_normal_form() -> ExteriorForm:
     )
 
 
+@cache
 def standard_volume_form() -> ExteriorForm:
     return ExteriorForm(6, 6, {(1, 2, 3, 4, 5, 6): Fraction(1)})
-
-
-def _basis_vec(dim, a, float_mode):
-    if float_mode:
-        return tuple(1.0 if i == a else 0.0 for i in range(dim))
-    return tuple(Fraction(1 if i == a else 0) for i in range(dim))
 
 
 def _k_table():
@@ -119,6 +116,34 @@ def _k_table():
 _K_TABLE = _k_table()
 
 
+def _k_integers(rho: ExteriorForm, vol: ExteriorForm):
+    """k_operator's input checks and, on Fraction rho and vol, its kernel: ints ``(acc, num, den)``
+    with K[b][a] = (-1)^b acc[6b + a] num / den, rho's denominators cleared once; else None."""
+    if rho.dim != 6 or rho.degree != 3:
+        raise ValueError("classification needs a 3-form on R^6")
+    if vol.dim != 6 or vol.degree != 6 or vol.is_zero:
+        raise ValueError("volume form must be a nonzero 6-form")
+    c = vol.terms[(1, 2, 3, 4, 5, 6)]
+    cleared = type(c) is Fraction and rho.mode == EXACT and linalg._cleared([*rho.terms.values()])
+    if not cleared or len(cleared) != 2:
+        return None
+    nums, d = cleared
+    coeff = dict(zip(rho.terms, nums))
+    acc = [0] * 36
+    for idx, n in coeff.items():
+        for sign, entries in _K_TABLE[idx]:
+            n_a = sign * n
+            for k, j, s in entries:
+                m = coeff.get(j)
+                if m is not None:
+                    acc[k] += s * n_a * m
+    return acc, c.denominator, (d or 1) ** 2 * c.numerator
+
+
+def _k_fractions(acc, num, den):
+    return [[Fraction((-1) ** b * acc[6 * b + a] * num, den) for a in range(6)] for b in range(6)]
+
+
 def k_operator(rho: ExteriorForm, vol: ExteriorForm):
     """Matrix of v |-> (iota_v rho) ^ rho under iota_w vol = that 5-form.
 
@@ -130,42 +155,23 @@ def k_operator(rho: ExteriorForm, vol: ExteriorForm):
     triples (k, J, s) with k = 6b + a, J = (all but b) - (I - a) and s the
     sign of e_(I - a) ^ e_J.  The 5-forms are never built.
 
-    Exact rational input clears its denominators once (``linalg._cleared``),
-    sums int products, and divides once per entry.  Any other input (floats,
-    complex or Gaussian-rational coefficients) runs the same loop on its
-    scalars with the arithmetic of ``rho.interior(e_a).wedge(rho)``, so its
-    float bits equal that construction's: each entry adds its signed
+    Exact rational input sums int products in ``_k_integers`` and divides
+    once per entry (:func:`classify_3form` reads lambda off those ints).  Any
+    other input (floats, complex or Gaussian-rational coefficients) runs the
+    same loop on its scalars with the arithmetic of ``rho.interior(e_a).wedge(rho)``,
+    so its float bits equal that construction's: each entry adds its signed
     products rho_I * rho_J in ``rho.terms`` order (the order ``wedge_terms``
     visits them, as a fixed (a, b) meets at most one J per I), drops a zero
     sum as a missing key, and applies the column sign and the division after
     the sum.
     """
-    if rho.dim != 6 or rho.degree != 3:
-        raise ValueError("classification needs a 3-form on R^6")
-    if vol.dim != 6 or vol.degree != 6 or vol.is_zero:
-        raise ValueError("volume form must be a nonzero 6-form")
+    if ints := _k_integers(rho, vol):
+        return _k_fractions(*ints)
     float_mode = rho.mode == FLOAT or vol.mode == FLOAT
     if float_mode:
         rho, vol = rho.as_float(), vol.as_float()
     c = vol.terms[(1, 2, 3, 4, 5, 6)]
     terms = rho.terms
-    cleared = linalg._cleared(list(terms.values()))
-    if cleared is not None and len(cleared) == 2 and type(c) is Fraction:
-        nums, d = cleared
-        num = dict(zip(terms, nums))
-        acc = [0] * 36
-        for idx, n in num.items():
-            for sign, entries in _K_TABLE[idx]:
-                n_a = sign * n
-                for k, j, s in entries:
-                    m = num.get(j)
-                    if m is not None:
-                        acc[k] += s * n_a * m
-        den = (d or 1) ** 2 * c.numerator
-        return [
-            [Fraction((-1) ** b * acc[6 * b + a] * c.denominator, den) for a in range(6)]
-            for b in range(6)
-        ]
     unit, zero = (1.0, 0.0) if float_mode else (Fraction(1), Fraction(0))
     acc = [None] * 36
     for idx, x in terms.items():
@@ -205,9 +211,9 @@ def recover_upsilon(rho: ExteriorForm, j) -> ExteriorForm:
     float_mode = rho.mode == FLOAT or matrix_mode(j) == FLOAT
     if float_mode:
         rho = rho.as_float()
-    third = (1.0 / 3.0) if float_mode else Fraction(1, 3)
+    third, one = (1.0 / 3.0, 1.0) if float_mode else (Fraction(1, 3), Fraction(1))
     im_part = third * rho
-    basis = [list(_basis_vec(6, a, float_mode)) for a in range(6)]
+    basis = [[one if i == a else 0 * one for i in range(6)] for a in range(6)]
     j_cols = [linalg.mat_vec(j, e) for e in basis]
     re_terms = {
         (a, b, c): im_part.evaluate([j_cols[a - 1], basis[b - 1], basis[c - 1]])
@@ -222,8 +228,10 @@ def classify_3form(rho: ExteriorForm, vol: ExteriorForm = None, tol=1e-12) -> Th
     """Split / elliptic / degenerate tag, with (J, Upsilon) in the elliptic case.
 
     J = -K / sqrt(-lambda) induces the orientation of ``vol`` (default: the
-    standard volume form) by the lemma of the module docstring.  In exact
-    mode J is exact whenever -lambda is a rational square; otherwise J is
+    standard volume form) by the lemma of the module docstring.  On exact
+    rational input lambda = trace(K^2) / 6 is one Fraction of the ints of
+    ``_k_integers``, and K is built from them only for the J of an elliptic
+    form.  J is exact whenever -lambda is a rational square; otherwise J is
     produced in float mode.
 
     A float form is classified on the copy rho / 2^e, vol / 2^f of
@@ -239,13 +247,19 @@ def classify_3form(rho: ExteriorForm, vol: ExteriorForm = None, tol=1e-12) -> Th
     if vol is None:
         vol = standard_volume_form()
     exact = rho.mode == EXACT and vol.mode == EXACT
+    ints = _k_integers(rho, vol) if exact else None
     rho_s, vol_s = rho, vol
     if not exact:
         rho = rho.as_float()
         (rho_s, e), (vol_s, f) = _binary_scaled(rho), _binary_scaled(vol.as_float())
-    k = k_operator(rho_s, vol_s)
-    k2 = linalg.mat_mul(k, k)  # lambda * Id on the open orbits
-    trace = sum((k2[i][i] for i in range(6)), start=k2[0][0] * 0)
+    if ints is None:  # the diagonal of K^2 = lambda * Id, each entry summed as mat_mul sums it
+        k = k_operator(rho_s, vol_s)
+        k2 = [sum(map(mul, row, col), start=row[0] * 0) for row, col in zip(k, zip(*k))]
+        trace = sum(k2, start=k2[0] * 0)
+    else:  # trace(K^2) = (num / den)^2 sum of (-1)^(a+b) acc[6a + b] acc[6b + a]
+        acc, num, den = ints
+        trace = Fraction(num * num * sum((-1) ** (a + b) * acc[6 * a + b] * acc[6 * b + a]
+                                         for a in range(6) for b in range(6)), den * den)
     lam = lam_s = trace / 6
     bound = 0
     if not exact:
@@ -266,6 +280,7 @@ def classify_3form(rho: ExteriorForm, vol: ExteriorForm = None, tol=1e-12) -> Th
 
     root = sqrt_fraction(-lam) if exact else (-lam_s) ** 0.5
     sqrt_is_exact = root is not None
+    k = _k_fractions(*ints) if ints else k
     if root is None:
         root = (-to_float(lam)) ** 0.5
         k = [[to_float(x) for x in row] for row in k]

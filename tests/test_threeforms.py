@@ -291,13 +291,17 @@ def test_non_complex_j_raises_from_classify(monkeypatch):
     from g2kit import threeforms
     from g2kit.compat import NotComplexStructureError
 
-    # rotation blocks of speeds 1, 1, 5: trace(K^2)/6 = -9, but K^2 != -9 I
+    # rotation blocks of speeds 1, 1, 5: trace(K^2)/6 = -9, but K^2 != -9 I.  An exact
+    # form reads lambda = -4 off its ints and builds K with _k_fractions; a float form
+    # reads trace(K^2) off k_operator.
     k = [[Fraction(0)] * 6 for _ in range(6)]
     for b, w in enumerate((1, 1, 5)):
         k[2 * b][2 * b + 1], k[2 * b + 1][2 * b] = Fraction(-w), Fraction(w)
     monkeypatch.setattr(threeforms, "k_operator", lambda rho, vol: k)
-    with pytest.raises(NotComplexStructureError):
-        classify_3form(elliptic_normal_form())
+    monkeypatch.setattr(threeforms, "_k_fractions", lambda acc, num, den: k)
+    for rho in (elliptic_normal_form(), elliptic_normal_form().as_float()):
+        with pytest.raises(NotComplexStructureError):
+            classify_3form(rho)
 
 
 def k_operator_reference(rho, vol):
@@ -361,3 +365,93 @@ def test_k_operator_matches_the_wedge_construction(seed):
     rho, vol = _k_case(random.Random(seed))
     got, want = k_operator(rho, vol), k_operator_reference(rho, vol)
     assert [[_bits(x) for x in row] for row in got] == [[_bits(x) for x in row] for row in want]
+
+
+def _exact_3form(kind, rng):
+    """An exact 3-form of ``kind``; "decomposable" (alpha ^ beta) and most "sparse" ones are degenerate."""
+    if kind in ("split", "elliptic"):
+        normal = split_normal_form() if kind == "split" else elliptic_normal_form()
+        return normal.pullback(random_invertible_rational(rng, 6, bound=3))
+    if kind == "decomposable":
+        return rand_form(rng, 6, 1, nterms=rng.randint(1, 6)).wedge(rand_form(rng, 6, 2, nterms=15))
+    return rand_form(rng, 6, 3, nterms=rng.randint(0, 4) if kind == "sparse" else rng.randint(5, 20))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(("split", "elliptic", "decomposable", "sparse", "dense")),
+    st.integers(0, 2**32 - 1),
+    st.integers(-9, 8),
+    st.integers(1, 5),
+)
+def test_integer_lambda_is_trace_k_squared_over_6(kind, seed, c_num, c_den):
+    """K^2 = lambda * Id exactly for every 3-form, and the lambda that classify_3form
+    reads off the ints of k_operator's kernel is trace(K^2) / 6, a Fraction, under a
+    vol coefficient (2 c_num + 1) / (2 c_den) of either sign that is never an integer."""
+    rho = _exact_3form(kind, random.Random(seed))
+    vol = ExteriorForm(6, 6, {(1, 2, 3, 4, 5, 6): Fraction(2 * c_num + 1, 2 * c_den)})
+    k = k_operator(rho, vol)
+    k2 = linalg.mat_mul(k, k)
+    cls = classify_3form(rho, vol)
+    lam = cls.discriminant
+    assert k2 == [[lam if a == b else 0 for b in range(6)] for a in range(6)]
+    trace = sum((k2[i][i] for i in range(6)), start=k2[0][0] * 0)
+    assert (type(lam), lam) == (type(trace / 6), trace / 6) == (Fraction, trace / 6)
+    assert (cls.tag == "degenerate") == (lam == 0)
+    if kind in ("split", "elliptic"):
+        assert cls.tag == kind
+    elif kind == "decomposable":
+        assert cls.tag == "degenerate"
+
+
+def test_exact_classification_builds_k_only_for_an_elliptic_j(monkeypatch):
+    """Split and degenerate exact forms never build K or multiply matrices; an elliptic
+    form builds its J from one integer accumulation, without k_operator."""
+    from g2kit import threeforms
+
+    def refuse(*args):
+        raise AssertionError("K was built")
+
+    forms = {
+        "split": pullback(split_normal_form(), _GL6),
+        "degenerate": pullback(ExteriorForm(6, 3, {(1, 2, 3): Fraction(2, 7)}), _GL6),
+        "elliptic": pullback(elliptic_normal_form(), _GL6),
+    }
+    vols = (None, ExteriorForm(6, 6, {(1, 2, 3, 4, 5, 6): Fraction(-5, 3)}))
+    monkeypatch.setattr(threeforms, "k_operator", refuse)
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "mat_mul", refuse)
+        m.setattr(threeforms, "_k_fractions", refuse)
+        for tag in ("split", "degenerate"):
+            assert [classify_3form(forms[tag], vol).tag for vol in vols] == [tag, tag]
+    calls = []
+    kernel = threeforms._k_integers
+    monkeypatch.setattr(threeforms, "_k_integers", lambda rho, vol: calls.append(1) or kernel(rho, vol))
+    for vol in vols:
+        cls = classify_3form(forms["elliptic"], vol)
+        assert (cls.tag, cls.sqrt_is_exact) == ("elliptic", True)
+    assert calls == [1, 1]
+
+
+_NOT_A_3FORM = "classification needs a 3-form on R^6"
+_NOT_A_VOLUME = "volume form must be a nonzero 6-form"
+
+
+@pytest.mark.parametrize(
+    "rho, vol, message",
+    [
+        (ExteriorForm(7, 3, {(1, 2, 3): 1}), None, _NOT_A_3FORM),
+        (ExteriorForm(6, 2, {(1, 2): 1}), None, _NOT_A_3FORM),
+        (split_normal_form(), ExteriorForm(6, 6, {}), _NOT_A_VOLUME),
+        (split_normal_form(), ExteriorForm(6, 5, {(1, 2, 3, 4, 5): 1}), _NOT_A_VOLUME),
+        (split_normal_form(), ExteriorForm(7, 6, {(1, 2, 3, 4, 5, 7): 1}), _NOT_A_VOLUME),
+    ],
+    ids=["dim-7", "degree-2", "zero-vol", "vol-degree-5", "vol-dim-7"],
+)
+def test_classify_keeps_the_input_contract_of_k_operator(rho, vol, message):
+    """The integer path raises the ValueError of k_operator, type and message alike."""
+    k_vol = standard_volume_form() if vol is None else vol
+    for call in (lambda: k_operator(rho, k_vol), lambda: classify_3form(rho, vol)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (ValueError, message)
