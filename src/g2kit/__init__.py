@@ -79,6 +79,7 @@ from .compat import (
     standard_symplectic_matrix,
 )
 from .threeforms import (
+    ComplexFormError,
     FloatRangeError,
     ThreeFormClass,
     classify_3form,

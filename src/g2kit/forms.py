@@ -20,8 +20,10 @@ straight to ``linalg._det2``/``_det3``, the unrolled elimination behind
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, compress, count
+from functools import reduce
+from itertools import combinations, compress, count, islice
 from math import prod
+from operator import lt
 
 from . import linalg
 from .linalg import _det2, _det3
@@ -98,19 +100,19 @@ def _mask(key):
 # whose zero is falsy (scalars, Poly, ComplexRational).  Zero coefficients are
 # never stored.  ExteriorForm, polyforms.PolyCoefForm and dga.DgaElement are
 # thin wrappers over these functions, and all three build their terms from
-# user input with ``canonical_terms``.
+# user input with ``canonical_terms`` (ExteriorForm unless every index is a key).
 # ---------------------------------------------------------------------------
 
-def canonical_terms(terms, coerce):
+def canonical_terms(terms, coerce, signs=None):
     """Sort each key by sign, coerce its coefficient, sum repeated keys, drop zeros.
 
     An odd permutation negates its coefficient as ``-1 * c`` before ``coerce``
     (so a float complex keeps a real part of +0.0), and the sum on a repeated
-    key is coerced again.
+    key is coerced again.  ``signs``, when given, holds ``sort_sign`` of each
+    index of ``terms`` in order, so that a caller who has it sorts no index twice.
     """
     out = {}
-    for idx, c in terms.items():
-        key, sign = sort_sign(idx)
+    for (idx, c), (key, sign) in zip(terms.items(), signs or map(sort_sign, terms)):
         if sign == 0:
             continue
         c = coerce(c if sign == 1 else -1 * c)
@@ -176,6 +178,36 @@ def interior_terms(terms, comps):
     return out
 
 
+def _are_keys(terms, dim, degree):
+    """Whether every index of ``terms`` is a key as stored: an increasing tuple of
+    ``degree`` entries in 1..dim."""
+    try:
+        for idx in terms:
+            if not (type(idx) is tuple and len(idx) == degree and all(map(lt, idx, idx[1:]))
+                    and (not idx or 1 <= idx[0] and idx[-1] <= dim)):
+                return False
+    except TypeError:  # entries that do not compare: the general path names them
+        return False
+    return True
+
+
+def _with_mode(inferred, coeff):
+    """``inferred`` joined with the mode of ``coeff``, an int read as exact."""
+    m = mode_of(coeff)
+    m = EXACT if m == ANY else m
+    return m if inferred is None else join_modes(inferred, m)
+
+
+def _normalized(terms):
+    """The nonzero coefficients of ``terms`` as ``normalize_scalar`` stores them."""
+    types = {*map(type, terms.values())}
+    if types <= {float, Fraction}:
+        return {k: c for k, c in terms.items() if c}
+    if types <= {float, complex}:  # the complex branch of normalize_scalar, inline
+        return {k: c.real if c.imag == 0.0 else c for k, c in terms.items() if c}
+    return {k: normalize_scalar(c) for k, c in terms.items() if c}
+
+
 class ExteriorForm(Immutable):
     __slots__ = ("dim", "degree", "terms", "mode")
 
@@ -184,23 +216,29 @@ class ExteriorForm(Immutable):
         if degree < 0:
             raise DegreeError(f"negative degree {degree}")
         terms = terms or {}
-        inferred = None
-        for idx, coeff in terms.items():
-            idx = tuple(idx)
-            if len(idx) != degree:
-                raise InvalidIndexError(f"tuple {idx} has length != degree {degree}")
-            if any(not 1 <= i <= dim for i in idx):
-                raise InvalidIndexError(f"index in {idx} outside 1..{dim}")
-            if len(set(idx)) == len(idx):
-                # cancelled terms set the mode too; an int reads as exact
-                m = mode_of(coeff)
-                m = EXACT if m == ANY else m
-                inferred = m if inferred is None else join_modes(inferred, m)
+        # cancelled terms set the mode too; a repeated index drops its term and its mode
+        if _are_keys(terms, dim, degree):  # no index to sort, none repeats, no two sum
+            coeffs = terms.values()
+            one_type = len({*map(type, coeffs)}) == 1  # mode_of reads the type alone
+            inferred = reduce(_with_mode, islice(coeffs, 1) if one_type else coeffs, None)
+            signs = None
+        else:
+            inferred, signs = None, []
+            for idx, coeff in terms.items():
+                idx = tuple(idx)
+                if len(idx) != degree:
+                    raise InvalidIndexError(f"tuple {idx} has length != degree {degree}")
+                if any(not 1 <= i <= dim for i in idx):
+                    raise InvalidIndexError(f"index in {idx} outside 1..{dim}")
+                signs.append(sort_sign(idx))
+                if signs[-1][1]:
+                    inferred = _with_mode(inferred, coeff)
         if mode is None:
             mode = inferred or EXACT
         elif inferred is not None and mode != inferred:
             raise MixedModeError(f"coefficients are {inferred} but mode={mode} requested")
-        super().__init__(dim, degree, canonical_terms(terms, normalize_scalar), mode)
+        terms = _normalized(terms) if signs is None else canonical_terms(terms, normalize_scalar, signs)
+        super().__init__(dim, degree, terms, mode)
 
     # -- constructors --------------------------------------------------
     @classmethod
@@ -212,14 +250,7 @@ class ExteriorForm(Immutable):
         It is called only on what operations make of forms that already
         passed the public constructor.
         """
-        types = {*map(type, terms.values())}
-        if types <= {float, Fraction}:
-            terms = {k: c for k, c in terms.items() if c}
-        elif types <= {float, complex}:  # the complex branch of normalize_scalar, inline
-            terms = {k: c.real if c.imag == 0.0 else c for k, c in terms.items() if c}
-        else:
-            terms = {k: normalize_scalar(c) for k, c in terms.items() if c}
-        return _restore(cls, dim, degree, terms, mode)
+        return _restore(cls, dim, degree, _normalized(terms), mode)
 
     @classmethod
     def zero(cls, dim, degree, mode=EXACT):

@@ -10,10 +10,10 @@ fixed 17-significant-digit form, so a report is byte-reproducible from
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .forms import ExteriorForm
 from .scalars import EXACT, FLOAT, ComplexRational
@@ -48,7 +48,7 @@ def number_to_obj(x, mode):
     return str(Fraction(x))
 
 
-_EXACT_NUMBER = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_EXACT_NUMBER = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def number_from_obj(obj, mode):
@@ -68,10 +68,10 @@ def number_from_obj(obj, mode):
         return x
     if type(obj) is int:
         return Fraction(obj)
-    if type(obj) is str and _EXACT_NUMBER.fullmatch(obj):
-        p, _, q = obj.partition("/")
+    if type(obj) is str and (m := _EXACT_NUMBER.fullmatch(obj)):
+        p, q = m.groups()
         try:
-            return Fraction(int(p), int(q or 1))
+            return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
         except ValueError as exc:  # more digits than int() converts
             raise JsonFormatError(f"not an exact number: {obj!r}") from exc
     raise JsonFormatError(f"exact documents need 'p/q' strings, got {obj!r}")
@@ -119,7 +119,8 @@ def form_from_obj(obj):
         dim, degree = _int_from_obj(obj["dim"], "dim"), _int_from_obj(obj["degree"], "degree")
         terms = {}  # a repeated idx adds, as a permuted one does in ExteriorForm
         for t in obj.get("terms", []):
-            _check_keys(t, _TERM_KEYS, "a term")
+            if type(t) is not dict or not t.keys() <= _TERM_KEYS:
+                _check_keys(t, _TERM_KEYS, "a term")
             idx, c = _index_from_obj(t["idx"]), scalar_from_obj(t, mode)
             terms[idx] = c if idx not in terms else terms[idx] + c
     except (KeyError, TypeError) as exc:
@@ -130,7 +131,10 @@ def form_from_obj(obj):
 def _index_from_obj(obj):
     if not isinstance(obj, list):
         raise JsonFormatError(f"an index must be a JSON array, got {obj!r}")
-    return tuple(_int_from_obj(i, "an index entry") for i in obj)
+    if not {*map(type, obj)} <= {int}:
+        for i in obj:
+            _int_from_obj(i, "an index entry")
+    return tuple(obj)
 
 
 def vector_to_obj(v, mode):
@@ -161,28 +165,30 @@ def matrix_from_obj(obj, mode):
 # ---------------------------------------------------------------------------
 
 def _canonical(obj):
+    if isinstance(obj, str):
+        return _quote(obj)
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        return "{" + ",".join(f"{json.dumps(str(k))}:{_canonical(v)}" for k, v in items) + "}"
+        return "{" + ",".join(f"{_quote(str(k))}:{_canonical(v)}" for k, v in items) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_canonical(x) for x in obj) + "]"
     if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
+        return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
         return repr(obj)
     if isinstance(obj, float):
         return format(obj, ".17g")
     if isinstance(obj, Fraction):
-        return json.dumps(str(obj))
+        return _quote(str(obj))
     if isinstance(obj, ComplexRational):
-        return json.dumps(f"{obj.re}{'+' if obj.im >= 0 else ''}{obj.im}i")
+        return _quote(f"{obj.re}{'+' if obj.im >= 0 else ''}{obj.im}i")
     if isinstance(obj, complex):
-        return json.dumps(f"{format(obj.real, '.17g')}{'+' if obj.imag >= 0 else ''}{format(obj.imag, '.17g')}i")
-    if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(f"{format(obj.real, '.17g')}{'+' if obj.imag >= 0 else ''}{format(obj.imag, '.17g')}i")
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON text: sorted keys, fixed float formatting."""
+    """Deterministic JSON text: sorted keys, fixed float formatting, and keys and strings
+    quoted by ``json.encoder.encode_basestring_ascii``, the quoter (in C) that ``json.dumps``
+    calls on a str."""
     return _canonical(obj)

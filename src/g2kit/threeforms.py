@@ -47,6 +47,10 @@ class FloatRangeError(ValueError):
     """A float form with a coefficient that is not finite, or whose lambda leaves the float range."""
 
 
+class ComplexFormError(ValueError):
+    """A form with a coefficient that is not real: the orbits classified are those of real 3-forms."""
+
+
 class ThreeFormClass(Immutable):
     """Classification result: tag, discriminant, mode, and elliptic extras.
 
@@ -114,11 +118,30 @@ def _k_table():
 
 
 _K_TABLE = _k_table()
+_SUBSETS = {idx: pos for pos, idx in enumerate(_K_TABLE)}
+
+
+def _k_pairs():
+    """``_K_TABLE`` merged over unordered pairs: one ``(k, i, j, c)`` per entry k and pair of
+    3-subsets I, J, at positions i < j in ``_SUBSETS``, that reaches it; c is the sum of the
+    signs with which rho_I rho_J and rho_J rho_I reach entry k."""
+    merged = {}
+    for idx, per_a in _K_TABLE.items():
+        for sign, entries in per_a:
+            for k, j, s in entries:
+                key = (k, *sorted((_SUBSETS[idx], _SUBSETS[j])))
+                merged[key] = merged.get(key, 0) + sign * s
+    return tuple((k, i, j, c) for (k, i, j), c in merged.items() if c)
+
+
+_K_PAIRS = _k_pairs()
 
 
 def _k_integers(rho: ExteriorForm, vol: ExteriorForm):
     """k_operator's input checks and, on Fraction rho and vol, its kernel: ints ``(acc, num, den)``
-    with K[b][a] = (-1)^b acc[6b + a] num / den, rho's denominators cleared once; else None."""
+    with K[b][a] = (-1)^b acc[6b + a] num / den, rho's denominators cleared once; else None.
+    acc takes the 150 products of ``_K_PAIRS`` (60 with coefficient +-1, 90 with +-2) where
+    ``_K_TABLE`` takes 240: the order of an int sum does not change it."""
     if rho.dim != 6 or rho.degree != 3:
         raise ValueError("classification needs a 3-form on R^6")
     if vol.dim != 6 or vol.degree != 6 or vol.is_zero:
@@ -128,15 +151,12 @@ def _k_integers(rho: ExteriorForm, vol: ExteriorForm):
     if not cleared or len(cleared) != 2:
         return None
     nums, d = cleared
-    coeff = dict(zip(rho.terms, nums))
+    x = [0] * 20
+    for idx, n in zip(rho.terms, nums):
+        x[_SUBSETS[idx]] = n
     acc = [0] * 36
-    for idx, n in coeff.items():
-        for sign, entries in _K_TABLE[idx]:
-            n_a = sign * n
-            for k, j, s in entries:
-                m = coeff.get(j)
-                if m is not None:
-                    acc[k] += s * n_a * m
+    for k, i, j, coeff in _K_PAIRS:
+        acc[k] += coeff * x[i] * x[j]
     return acc, c.denominator, (d or 1) ** 2 * c.numerator
 
 
@@ -155,15 +175,18 @@ def k_operator(rho: ExteriorForm, vol: ExteriorForm):
     triples (k, J, s) with k = 6b + a, J = (all but b) - (I - a) and s the
     sign of e_(I - a) ^ e_J.  The 5-forms are never built.
 
-    Exact rational input sums int products in ``_k_integers`` and divides
-    once per entry (:func:`classify_3form` reads lambda off those ints).  Any
-    other input (floats, complex or Gaussian-rational coefficients) runs the
-    same loop on its scalars with the arithmetic of ``rho.interior(e_a).wedge(rho)``,
-    so its float bits equal that construction's: each entry adds its signed
-    products rho_I * rho_J in ``rho.terms`` order (the order ``wedge_terms``
-    visits them, as a fixed (a, b) meets at most one J per I), drops a zero
-    sum as a missing key, and applies the column sign and the division after
-    the sum.
+    Exact rational input sums int products in ``_k_integers``, over the pair
+    table ``_K_PAIRS`` that merges rho_I rho_J and rho_J rho_I of each entry
+    into one product, and divides once per entry (:func:`classify_3form`
+    reads lambda off those ints).  Any other input (floats, complex or
+    Gaussian-rational coefficients) runs ``_K_TABLE`` itself on its scalars
+    with the arithmetic of ``rho.interior(e_a).wedge(rho)``, so its float bits
+    equal that construction's: each entry adds its signed products
+    rho_I * rho_J in ``rho.terms`` order (the order ``wedge_terms`` visits
+    them, as a fixed (a, b) meets at most one J per I), drops a zero sum as a
+    missing key, and applies the column sign and the division after the sum.
+    A float sum depends on its order, so this loop does not take the merged
+    table, whose one product per pair would land at another place of the sum.
     """
     if ints := _k_integers(rho, vol):
         return _k_fractions(*ints)
@@ -243,11 +266,14 @@ def classify_3form(rho: ExteriorForm, vol: ExteriorForm = None, tol=1e-12) -> Th
     not, :class:`FloatRangeError` is raised.  ``tol`` is read only on float
     forms: the tag is degenerate when |lambda| <= tol |rho|^4 / |vol|^2
     (max-norm of rho, coefficient of vol), a test unchanged by rescaling.
+    A form with a coefficient that is not real raises :class:`ComplexFormError`.
     """
     if vol is None:
         vol = standard_volume_form()
     exact = rho.mode == EXACT and vol.mode == EXACT
     ints = _k_integers(rho, vol) if exact else None
+    if ints is None and any(c.imag for form in (rho, vol) for c in form.terms.values()):
+        raise ComplexFormError("classification needs a real 3-form and a real volume form")
     rho_s, vol_s = rho, vol
     if not exact:
         rho = rho.as_float()

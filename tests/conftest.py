@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -10,6 +11,7 @@ from g2kit.compat import NotComplexStructureError
 from g2kit.forms import ExteriorForm
 from g2kit.linalg import _det2, _det3, _fraction_free_products, _fx_rows, _nz, _pivot_row
 from g2kit.scalars import FLOAT, ComplexRational, matrix_mode, to_float
+from g2kit.threeforms import _K_TABLE
 
 
 def e_vec(dim, k, float_mode=False):
@@ -150,6 +152,49 @@ def mat_vec(a, v):
         if out is not None:
             return [row[0] for row in out]
     return [sum((a[i][j] * v[j] for j in range(len(v))), start=a[i][0] * 0) for i in range(len(a))]
+
+
+# threeforms._k_integers's accumulation as it was before it ran the pair table
+# threeforms._K_PAIRS (one product per entry of _K_TABLE, 240 in a dense form), and
+# jsonio._canonical as it was before it quoted strings with encode_basestring_ascii,
+# verbatim, as the references they are checked against.
+def k_integers_reference(rho, vol):
+    """``(acc, num, den)`` of ``_k_integers`` for a Fraction 3-form rho and volume form vol."""
+    c = vol.terms[(1, 2, 3, 4, 5, 6)]
+    nums, d = linalg._cleared([*rho.terms.values()])
+    coeff = dict(zip(rho.terms, nums))
+    acc = [0] * 36
+    for idx, n in coeff.items():
+        for sign, entries in _K_TABLE[idx]:
+            n_a = sign * n
+            for k, j, s in entries:
+                m = coeff.get(j)
+                if m is not None:
+                    acc[k] += s * n_a * m
+    return acc, c.denominator, (d or 1) ** 2 * c.numerator
+
+
+def canonical_reference(obj):
+    if isinstance(obj, dict):
+        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
+        return "{" + ",".join(f"{json.dumps(str(k))}:{canonical_reference(v)}" for k, v in items) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(canonical_reference(x) for x in obj) + "]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return repr(obj)
+    if isinstance(obj, float):
+        return format(obj, ".17g")
+    if isinstance(obj, Fraction):
+        return json.dumps(str(obj))
+    if isinstance(obj, ComplexRational):
+        return json.dumps(f"{obj.re}{'+' if obj.im >= 0 else ''}{obj.im}i")
+    if isinstance(obj, complex):
+        return json.dumps(f"{format(obj.real, '.17g')}{'+' if obj.imag >= 0 else ''}{format(obj.imag, '.17g')}i")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj)}")
 
 
 def tiny_pivot_elliptic_form():

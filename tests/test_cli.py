@@ -492,6 +492,81 @@ def test_classify_degenerate_reports_byte_stable(tmp_path, capsys):
     }
 
 
+def _classify_request_outcomes(tmp_path, capsys):
+    """sha256 of the reports of classify-3form on GL(6) pullbacks, per (seed, form), and
+    (exit code, exception name) of three malformed documents.
+
+    Each form is sent as bare "re" terms, with "im": "0" added, with every index
+    reversed, with a repeated index and a permuted one that cancels, and as a float
+    document; each of these once with the standard volume form and once with -5/3.
+    """
+    import hashlib
+    import random
+
+    from g2kit.sampling import random_invertible_rational
+
+    vol = tmp_path / "vol.json"
+    vol.write_text(json.dumps({"dim": 6, "degree": 6, "terms": [{"idx": [1, 2, 3, 4, 5, 6], "re": "-5/3"}]}))
+    normals = {
+        "split": split_normal_form(),
+        "elliptic": elliptic_normal_form(),
+        "degenerate": ExteriorForm(6, 3, {(1, 2, 3): Fraction(1, 3), (1, 4, 5): Fraction(-2)}),
+    }
+    outcomes = {}
+    for seed in (3, 4):
+        rng = random.Random(seed)
+        for name, normal in normals.items():
+            rho = normal.pullback(random_invertible_rational(rng, 6))
+            plain = [{"idx": list(idx), "re": str(c)} for idx, c in rho.terms.items()]
+            docs = [
+                plain,
+                [dict(t, im="0") for t in plain],
+                [{"idx": t["idx"][::-1], "re": t["re"]} for t in plain],
+                plain + [{"idx": [1, 1, 2], "re": "7"}, {"idx": [1, 2, 3], "re": "1/2"},
+                         {"idx": [2, 1, 3], "re": "1/2"}],
+            ]
+            docs = [{"dim": 6, "degree": 3, "terms": terms} for terms in docs]
+            docs.append(jsonio.form_to_obj(rho.as_float()))
+            digest = hashlib.sha256()
+            for k, doc in enumerate(docs):
+                path = tmp_path / f"{seed}{name}{k}.json"
+                path.write_text(json.dumps(doc))
+                for extra in ([], ["--vol", str(vol)]):
+                    assert main(["classify-3form", "--input", str(path), *extra]) == 0
+                    digest.update(capsys.readouterr().out.encode())
+            outcomes[seed, name] = digest.hexdigest()
+    bad = {
+        "index 9": {"dim": 6, "degree": 3, "terms": [{"idx": [1, 2, 9], "re": "1"}]},
+        "1/0": {"dim": 6, "degree": 3, "terms": [{"idx": [1, 2, 3], "re": "1/0"}]},
+        "dim 7": {"dim": 7, "degree": 3, "terms": [{"idx": [1, 2, 3], "re": "1"}]},
+    }
+    for name, doc in bad.items():
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        try:
+            outcomes[name] = (main(["classify-3form", "--input", str(path)]), None)
+        except Exception as exc:  # the outcome is what is pinned
+            outcomes[name] = (None, type(exc).__name__)
+    return outcomes
+
+
+def test_classify_request_bytes_are_pinned(tmp_path, capsys):
+    """The exact requests of the cli_exact mix, and their odd spellings, print the reports
+    they always have; the three malformed documents that ``bench/workloads.KNOWN_DEFECTS``
+    counts keep their outcome until the verdict contract closes (ROADMAP section 1)."""
+    assert _classify_request_outcomes(tmp_path, capsys) == {
+        (3, "split"): "3187a25a4b39a589ccedae02da99f47ad9ed03ea3ab8de497b65ca025aa5984f",
+        (3, "elliptic"): "2a3cddb1b73ac3921f86b93e257bb4aca73e83485e35d300260df3a6dc368732",
+        (3, "degenerate"): "63ebf71ac51cc568e9430f0c12b8045e04936771a3fa5678a9ceb36d9331e698",
+        (4, "split"): "863d1cbce445d7daea6ddf544ca15a4ca26e4c483b8912e01b131a8e7672b1f0",
+        (4, "elliptic"): "46efb9ee4daf324ba1649638062eab50b8559f386c4c3a06408f6d40c9376f22",
+        (4, "degenerate"): "a46d9a706ec95fddbead8f1748766ae24bf2e3daee4238636aa1bb9db52afac4",
+        "index 9": (None, "InvalidIndexError"),
+        "1/0": (None, "ZeroDivisionError"),
+        "dim 7": (None, "ValueError"),
+    }
+
+
 def run_main(argv, capsys):
     """Exit code, stdout and stderr of ``main`` in-process; argparse usage errors give 2."""
     try:

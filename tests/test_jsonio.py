@@ -1,14 +1,16 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2kit import jsonio
 from g2kit.forms import ExteriorForm
 from g2kit.jsonio import JsonFormatError
 from g2kit.scalars import ComplexRational
 
-from conftest import rand_form
+from conftest import canonical_reference, rand_form
 
 
 def test_form_round_trip_exact(rng):
@@ -76,6 +78,36 @@ def test_canonical_valid_json():
     parsed = json.loads(jsonio.dumps_canonical(obj))
     assert parsed["n"] == 7
     assert parsed["nested"]["list"][3] is None
+
+
+_REPORT_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from((-0.0, 5e-324, math.inf, -math.inf, math.nan)),
+    st.fractions(),
+    st.builds(ComplexRational, st.fractions(), st.fractions()),
+    st.complex_numbers(),
+    st.text(),
+    st.sampled_from(("\u00e9t\u00e9", "\U0001d4b3", "tab\tnew\nline\x00\x1f", '"quoted\\"', "\ud800")),
+)
+_REPORTS = st.recursive(
+    _REPORT_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.integers()), kids, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_REPORTS)
+def test_canonical_dumps_match_the_json_dumps_quoting(report):
+    """Keys and strings quoted by json's string quoter give the bytes of json.dumps."""
+    assert jsonio.dumps_canonical(report) == canonical_reference(report)
 
 
 def test_gaussian_rational_dumps_are_pinned():

@@ -23,6 +23,7 @@ from g2kit.threeforms import (
 
 from conftest import (
     e_vec,
+    k_integers_reference,
     orientation_sign_reference,
     rand_form,
     seeded_float,
@@ -402,6 +403,59 @@ def test_integer_lambda_is_trace_k_squared_over_6(kind, seed, c_num, c_den):
         assert cls.tag == kind
     elif kind == "decomposable":
         assert cls.tag == "degenerate"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(("split", "elliptic", "decomposable", "sparse", "dense")),
+    st.integers(0, 2**32 - 1),
+    st.integers(-9, 8),
+    st.integers(1, 5),
+)
+def test_pair_table_gives_the_ints_of_the_entry_loop(kind, seed, c_num, c_den):
+    """``_k_integers`` on the merged pair table returns the (acc, num, den) of the loop
+    over the 240 entries of ``_K_TABLE``, under a vol coefficient (2 c_num + 1) / (2 c_den)."""
+    from g2kit import threeforms
+
+    rho = _exact_3form(kind, random.Random(seed))
+    vol = ExteriorForm(6, 6, {(1, 2, 3, 4, 5, 6): Fraction(2 * c_num + 1, 2 * c_den)})
+    assert threeforms._k_integers(rho, vol) == k_integers_reference(rho, vol)
+
+
+def test_pair_table_merges_the_240_entries_into_150_products():
+    """Each unordered pair {I, J} reaches an entry k at most once, with the sum of the signs
+    of rho_I rho_J and rho_J rho_I there; no pair cancels."""
+    from collections import Counter
+
+    from g2kit.threeforms import _K_PAIRS, _K_TABLE
+
+    entries = sum(len(e) for per_a in _K_TABLE.values() for _, e in per_a)
+    assert entries == 240 == sum(abs(c) for *_, c in _K_PAIRS)
+    assert len(_K_PAIRS) == 150 == len({(k, i, j) for k, i, j, _ in _K_PAIRS})
+    assert Counter(c for *_, c in _K_PAIRS) == {1: 36, -1: 24, 2: 60, -2: 30}
+    assert all(i < j for _, i, j, _ in _K_PAIRS)
+
+
+def test_a_form_that_is_not_real_raises_a_value_error_of_its_own():
+    """A Gaussian or complex form or volume form has no real GL(6) orbit: classify_3form
+    raised TypeError on some and tagged others, and raises ComplexFormError on all."""
+    from g2kit import threeforms
+
+    split, vol = split_normal_form(), standard_volume_form()
+    cases = [
+        ((1 + I_EXACT) * split, vol),
+        (I_EXACT * split, vol),
+        ((1 + I_EXACT) * elliptic_normal_form(), vol),
+        ((1 + 1j) * split.as_float(), vol),
+        (1j * split.as_float(), vol.as_float()),
+        (split, I_EXACT * vol),
+        (split.as_float(), I_EXACT * vol),
+        (split.as_float(), 1j * vol.as_float()),
+    ]
+    for rho, v in cases:
+        with pytest.raises(ValueError, match="needs a real 3-form") as info:
+            classify_3form(rho, v)
+        assert type(info.value) is threeforms.ComplexFormError
 
 
 def test_exact_classification_builds_k_only_for_an_elliptic_j(monkeypatch):
