@@ -39,6 +39,7 @@ with the functions named above.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 from . import linalg
 from .compat import NotComplexStructureError, complex_basis, defect_vanishes
@@ -429,61 +430,60 @@ def equivariance_check(j: CandidateJ, frame: AdaptedFrame, g_su3, h_gl3, eta_bas
 # residual-zero sampling (the signature dichotomy sweep)
 # ---------------------------------------------------------------------------
 
-# Gaussian integers are (re, im) int pairs here, multiplied by linalg's _zi_* helpers.
+# Gaussian integers are (re, im) int pairs here, and a 3x3 Z[i] matrix is linalg's flat
+# pair (re, im) of row-major 9-tuples, multiplied by its _zi3_* kernels.
 
 _UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
 def _random_rz_pairs(rng):
-    """(r, s_bar) over the Gaussian integers: omega-compatible, residual zero.
+    """(r, scale, s_bar) over the Gaussian integers: the datum (scale r, s_bar) is
+    omega-compatible with residual zero.
 
     M := t(r) conj(s) is drawn complex symmetric (symmetry is exactly
     omega-compatibility) with det(M) = det(r)^2 pinned by construction
     (P L D t(L) t(P) with diagonal a unit split of (det r, det r, 1)), which
-    forces det(conj(s)) = det(r).  The datum is scaled by |det r|^2 to clear
-    the one matrix inverse; a positive real scale changes neither the
-    residual's vanishing nor any signature.
+    forces det(conj(s)) = det(r).  The datum is scaled by scale = |det r|^2 to
+    clear the one matrix inverse; a positive real scale changes neither the
+    residual's vanishing nor any signature.  s_bar = adj(t(r)) P L conj(det r) D t(L) t(P).
     """
     while True:
-        r = [
-            [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3)]
-            for _ in range(3)
-        ]
-        det_r = linalg._zi_det3(r)
+        parts = [rng.randrange(7) - 3 for _ in range(18)]  # randint(-3, 3), re before im
+        r = (tuple(parts[0::2]), tuple(parts[1::2]))
+        det_r = linalg._zi3_det(r)
         if det_r == (0, 0):
             continue
+        scale = det_r[0] * det_r[0] + det_r[1] * det_r[1]
         u1, u2 = _UNITS[rng.randrange(4)], _UNITS[rng.randrange(4)]
-        u12 = linalg._zi_mul(u1, u2)  # a unit, so its inverse is its conjugate
-        diag = [linalg._zi_mul(u1, det_r), linalg._zi_mul(u2, det_r), (u12[0], -u12[1])]
+        # conj(det r) D = diag(u1 scale, u2 scale, conj(u12)) with u12 = u1 u2 det r
+        u12 = linalg._zi_mul(linalg._zi_mul(u1, u2), det_r)
+        diag = [(u1[0] * scale, u1[1] * scale), (u2[0] * scale, u2[1] * scale), (u12[0], -u12[1])]
         rng.shuffle(diag)
-        low = [[(1 if i == j else 0, 0) for j in range(3)] for i in range(3)]
-        for i in range(3):
-            for j in range(i):
-                low[i][j] = (rng.randint(-2, 2), rng.randint(-2, 2))
-        low_d = [[linalg._zi_mul(x, diag[j]) for j, x in enumerate(row)] for row in low]
-        m2 = linalg._zi_mat_mul(low_d, linalg.transpose(low))
+        l = [rng.randrange(5) - 2 for _ in range(6)]  # L's entries (1, 0), (2, 0), (2, 1)
         perm = [0, 1, 2]
         rng.shuffle(perm)
-        m2 = [[m2[perm[i]][perm[j]] for j in range(3)] for i in range(3)]
+        (d0, e0), (d1, e1), (d2, e2) = diag
+        rows = itemgetter(*[3 * p + j for p in perm for j in range(3)])  # row i of P m is row perm[i] of m
+        low = rows((1, 0, 0, l[0], 1, 0, l[2], l[4], 1)), rows((0, 0, 0, l[1], 0, 0, l[3], l[5], 0))
+        d = (d0, 0, 0, 0, d1, 0, 0, 0, d2), (e0, 0, 0, 0, e1, 0, 0, 0, e2)
+        m2 = linalg._zi3_mul(linalg._zi3_mul(low, d), linalg._zi3_transpose(low))
         # adj(t(r)) is the cofactor matrix of r
-        cd = (det_r[0], -det_r[1])
-        s_bar = [
-            [linalg._zi_mul(cd, x) for x in row]
-            for row in linalg._zi_mat_mul(linalg._zi_cofactors(r), m2)
-        ]
-        scale = det_r[0] * det_r[0] + det_r[1] * det_r[1]
-        r_scaled = [[(x[0] * scale, x[1] * scale) for x in row] for row in r]
-        return r_scaled, s_bar
+        return r, scale, linalg._zi3_mul(linalg._zi3_cofactors(r), m2)
 
 
-def _pairs_to_cr(m):
-    return [[ComplexRational._from_cleared(x[0], x[1], 1) for x in row] for row in m]
+def _datum(r, scale, s_bar):
+    """ChernData of the datum (scale r, conj(s_bar)) that ``_random_rz_pairs`` draws."""
+    cr = ComplexRational._from_cleared
+    (a, b), (c, d) = r, linalg._zi3_conj(s_bar)
+    return ChernData(
+        [[cr(scale * a[k], scale * b[k], 1) for k in (i, i + 1, i + 2)] for i in (0, 3, 6)],
+        [[cr(c[k], d[k], 1) for k in (i, i + 1, i + 2)] for i in (0, 3, 6)],
+    )
 
 
 def random_residual_zero_data(rng) -> ChernData:
     """Random exact omega-compatible datum with residual forced to zero."""
-    r, s_bar = _random_rz_pairs(rng)
-    data = ChernData(_pairs_to_cr(r), _pairs_to_cr(linalg._zi_conj(s_bar)))
+    data = _datum(*_random_rz_pairs(rng))
     _require(data.residual == 0, "residual is not zero")
     _require(is_omega_compatible_data(data), "t(r) conj(s) is not symmetric")
     return data
@@ -510,6 +510,11 @@ def signature_dichotomy_sweep(trials, seed, crosscheck_every=200):
     symmetry of t(r)conj(s), that det(x - H) has real coefficients,
     det(P) = |det r|^2, and that H is nondegenerate (a degenerate H is
     skipped and counted); a definite H raises :class:`TheoremContradictionError`.
+    The datum is (scale r, s_bar) of :func:`_random_rz_pairs`, and the checks
+    read the small r and scale = |det r|^2 > 0: each is its equation on the
+    datum divided by a power of scale.  det(s_bar) = scale^3 det(r), t(r) s_bar
+    is symmetric, det(t(r) conj(r)) = |det r|^2 since P = scale^2 t(r) conj(r),
+    and H = scale^2 t(r) conj(r) - t(s_bar) conj(s_bar).
     Returns a report dict.
     Raises ``TypeError`` unless ``trials`` and ``crosscheck_every`` are ints
     (``bool`` is not), and ``ValueError`` for ``trials < 0`` or
@@ -522,36 +527,35 @@ def signature_dichotomy_sweep(trials, seed, crosscheck_every=200):
     if trials < 0 or crosscheck_every < 1:
         raise ValueError(f"need trials >= 0 and crosscheck_every >= 1: {trials}, {crosscheck_every}")
     rng = random.Random(seed)
+    mul, det, transpose, conj = linalg._zi3_mul, linalg._zi3_det, linalg._zi3_transpose, linalg._zi3_conj
     counts = {}
     done = skipped = 0
     while done < trials:
-        r, s_bar = _random_rz_pairs(rng)
-        # residual zero and compatibility, re-verified on the raw pairs
-        det_r = linalg._zi_det3(r)
-        _require(linalg._zi_det3(s_bar) == det_r, "residual is not zero")
-        r_t = linalg.transpose(r)
-        m = linalg._zi_mat_mul(r_t, s_bar)
-        _require(m == linalg.transpose(m), "t(r) conj(s) is not symmetric")
-        # H = P - t(s_bar) conj(s_bar) with P = t(r) conj(r), and the coefficients
-        # c1, c2, c3 of det(x - H), which are real because H is hermitian
-        p = linalg._zi_mat_mul(r_t, linalg._zi_conj(r))
-        q = linalg._zi_mat_mul(linalg.transpose(s_bar), linalg._zi_conj(s_bar))
-        h = [[(x[0] - y[0], x[1] - y[1]) for x, y in zip(pr, qr)] for pr, qr in zip(p, q)]
-        (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = h
-        c1, c2 = (h00[0] + h11[0] + h22[0], h00[1] + h11[1] + h22[1]), (0, 0)
-        for x, y, z, w in ((h00, h11, h01, h10), (h00, h22, h02, h20), (h11, h22, h12, h21)):
-            a, b = linalg._zi_mul(x, y), linalg._zi_mul(z, w)  # the principal minor xy - zw
-            c2 = (c2[0] + a[0] - b[0], c2[1] + a[1] - b[1])
-        c3 = linalg._zi_det3(h)
+        r, scale, s_bar = _random_rz_pairs(rng)
+        # residual zero and compatibility of (scale r, s_bar), re-verified on r and scale
+        dr, di = det(r)
+        cube = scale * scale * scale
+        _require(det(s_bar) == (cube * dr, cube * di), "residual is not zero")
+        r_t = transpose(r)
+        m = mul(r_t, s_bar)
+        _require(m == transpose(m), "t(r) conj(s) is not symmetric")
+        # H = scale^2 P - t(s_bar) conj(s_bar) with P = t(r) conj(r), and the coefficients of
+        # det(x - H): c1 = trace, c2 = trace of the cofactors, c3 = det, real as H is hermitian
+        p = mul(r_t, conj(r))
+        q = mul(transpose(s_bar), conj(s_bar))
+        sq = scale * scale
+        h = tuple([sq * x - y for x, y in zip(pp, qq)] for pp, qq in zip(p, q))
+        (h0, _, _, _, h4, _, _, _, h8), (g0, _, _, _, g4, _, _, _, g8) = h
+        (k0, _, _, _, k4, _, _, _, k8), (l0, _, _, _, l4, _, _, _, l8) = linalg._zi3_cofactors(h)
+        c1, c2, c3 = (h0 + h4 + h8, g0 + g4 + g8), (k0 + k4 + k8, l0 + l4 + l8), det(h)
         _require(c1[1] == c2[1] == c3[1] == 0, "hermitian minors must be real")
-        _require(linalg._zi_det3(p) == (det_r[0] ** 2 + det_r[1] ** 2, 0), "det(P) != |det r|^2")
+        _require(det(p) == (dr * dr + di * di, 0), "det(P) != |det r|^2")
         if c3[0] == 0:
             skipped += 1  # degenerate H: datum does not define a structure
             continue
         sig = _inertia3(c1[0], c2[0], c3[0])
         if done % crosscheck_every == 0:
-            data = ChernData(_pairs_to_cr(r), _pairs_to_cr(linalg._zi_conj(s_bar)))
-            _require(index_from_h(data) == sig, "minor/congruence signature mismatch")
+            _require(index_from_h(_datum(r, scale, s_bar)) == sig, "minor/congruence signature mismatch")
         sig = _indefinite(sig)
         counts[sig] = counts.get(sig, 0) + 1
         done += 1

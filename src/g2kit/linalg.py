@@ -26,14 +26,14 @@ exact minors and ``_det2``/``_det3`` on float minors directly.  Results equal
 the generic path's in value and in type, and float arithmetic order is
 unchanged.
 
-This is the one module with Gaussian-integer matrix kernels.  The private
-``_zi_*`` helpers on plain ``(re, im)`` int pairs serve chern's signature sweep,
-whose many small products Fraction normalization would dominate.  The sweep
-only uses 3x3 shapes, and those run as straight-line code on the unpacked
-ints: ``_zi_dot3`` (a 3-term dot product), ``_zi_mat_mul`` on it (inner
-dimension 3 only), ``_zi_cross`` entry by entry, and
-``_zi_cofactors``/``_zi_det3`` built on those.  ``_zi_dot`` is the general
-Z[i] dot product, under ``mat_mul``.
+This is the one module with Gaussian-integer matrix kernels.  chern's
+signature sweep, whose many small products Fraction normalization would
+dominate, runs on flat 3x3 Z[i] matrices, each a pair (re, im) of row-major
+9-tuples of ints: ``_zi3_mul``, ``_zi3_cofactors`` and ``_zi3_det`` are
+written out on the unpacked ints, ``_zi3_transpose`` is one ``itemgetter``
+per part and ``_zi3_conj`` negates ``im``.  ``_zi_mul`` multiplies two
+``(re, im)`` scalars, and ``_zi_dot`` is the general Z[i] dot product, under
+``mat_mul``.
 
 Matrices are lists of row lists; vectors are flat lists/tuples.
 """
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-from operator import mul
+from operator import itemgetter, mul, neg
 
 from .scalars import FLOAT, I_EXACT, ComplexRational, matrix_mode
 
@@ -138,45 +138,73 @@ def _zi_mul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def _zi_conj(m):
-    return [[(x[0], -x[1]) for x in row] for row in m]
+_T3 = itemgetter(0, 3, 6, 1, 4, 7, 2, 5, 8)
 
 
-def _zi_dot3(x, y):
-    """x . y over Z[i] for 3-vectors of (re, im) pairs, written out."""
-    (p0, q0), (p1, q1), (p2, q2) = x
-    (r0, s0), (r1, s1), (r2, s2) = y
+def _zi3_transpose(m):
+    return _T3(m[0]), _T3(m[1])
+
+
+def _zi3_conj(m):
+    return m[0], tuple(map(neg, m[1]))
+
+
+def _zi3_mul(a, b):
+    """a b for flat 3x3 Z[i] matrices, written out."""
+    (a0, a1, a2, a3, a4, a5, a6, a7, a8), (c0, c1, c2, c3, c4, c5, c6, c7, c8) = a
+    (b0, b1, b2, b3, b4, b5, b6, b7, b8), (d0, d1, d2, d3, d4, d5, d6, d7, d8) = b
     return (
-        p0 * r0 - q0 * s0 + p1 * r1 - q1 * s1 + p2 * r2 - q2 * s2,
-        p0 * s0 + q0 * r0 + p1 * s1 + q1 * r1 + p2 * s2 + q2 * r2,
+        (
+            a0 * b0 + a1 * b3 + a2 * b6 - c0 * d0 - c1 * d3 - c2 * d6,
+            a0 * b1 + a1 * b4 + a2 * b7 - c0 * d1 - c1 * d4 - c2 * d7,
+            a0 * b2 + a1 * b5 + a2 * b8 - c0 * d2 - c1 * d5 - c2 * d8,
+            a3 * b0 + a4 * b3 + a5 * b6 - c3 * d0 - c4 * d3 - c5 * d6,
+            a3 * b1 + a4 * b4 + a5 * b7 - c3 * d1 - c4 * d4 - c5 * d7,
+            a3 * b2 + a4 * b5 + a5 * b8 - c3 * d2 - c4 * d5 - c5 * d8,
+            a6 * b0 + a7 * b3 + a8 * b6 - c6 * d0 - c7 * d3 - c8 * d6,
+            a6 * b1 + a7 * b4 + a8 * b7 - c6 * d1 - c7 * d4 - c8 * d7,
+            a6 * b2 + a7 * b5 + a8 * b8 - c6 * d2 - c7 * d5 - c8 * d8,
+        ),
+        (
+            a0 * d0 + a1 * d3 + a2 * d6 + c0 * b0 + c1 * b3 + c2 * b6,
+            a0 * d1 + a1 * d4 + a2 * d7 + c0 * b1 + c1 * b4 + c2 * b7,
+            a0 * d2 + a1 * d5 + a2 * d8 + c0 * b2 + c1 * b5 + c2 * b8,
+            a3 * d0 + a4 * d3 + a5 * d6 + c3 * b0 + c4 * b3 + c5 * b6,
+            a3 * d1 + a4 * d4 + a5 * d7 + c3 * b1 + c4 * b4 + c5 * b7,
+            a3 * d2 + a4 * d5 + a5 * d8 + c3 * b2 + c4 * b5 + c5 * b8,
+            a6 * d0 + a7 * d3 + a8 * d6 + c6 * b0 + c7 * b3 + c8 * b6,
+            a6 * d1 + a7 * d4 + a8 * d7 + c6 * b1 + c7 * b4 + c8 * b7,
+            a6 * d2 + a7 * d5 + a8 * d8 + c6 * b2 + c7 * b5 + c8 * b8,
+        ),
     )
 
 
-def _zi_mat_mul(a, b):
-    """a b for pair matrices with 3 rows in b, the sweep's only shape: one ``_zi_dot3`` per entry."""
-    cols = list(zip(*b))
-    return [[_zi_dot3(x, y) for y in cols] for x in a]
+def _zi3_cofactors(m):
+    """Cofactor matrix (x, y) of a flat 3x3 Z[i] matrix: entry (i, j) is the 2x2 minor
+    m[i+1][j+1] m[i+2][j+2] - m[i+1][j+2] m[i+2][j+1], indices mod 3, written out."""
+    (a0, a1, a2, a3, a4, a5, a6, a7, a8), (c0, c1, c2, c3, c4, c5, c6, c7, c8) = m
+    x0, y0 = a4 * a8 - c4 * c8 - a5 * a7 + c5 * c7, a4 * c8 + c4 * a8 - a5 * c7 - c5 * a7
+    x1, y1 = a5 * a6 - c5 * c6 - a3 * a8 + c3 * c8, a5 * c6 + c5 * a6 - a3 * c8 - c3 * a8
+    x2, y2 = a3 * a7 - c3 * c7 - a4 * a6 + c4 * c6, a3 * c7 + c3 * a7 - a4 * c6 - c4 * a6
+    x3, y3 = a7 * a2 - c7 * c2 - a8 * a1 + c8 * c1, a7 * c2 + c7 * a2 - a8 * c1 - c8 * a1
+    x4, y4 = a8 * a0 - c8 * c0 - a6 * a2 + c6 * c2, a8 * c0 + c8 * a0 - a6 * c2 - c6 * a2
+    x5, y5 = a6 * a1 - c6 * c1 - a7 * a0 + c7 * c0, a6 * c1 + c6 * a1 - a7 * c0 - c7 * a0
+    x6, y6 = a1 * a5 - c1 * c5 - a2 * a4 + c2 * c4, a1 * c5 + c1 * a5 - a2 * c4 - c2 * a4
+    x7, y7 = a2 * a3 - c2 * c3 - a0 * a5 + c0 * c5, a2 * c3 + c2 * a3 - a0 * c5 - c0 * a5
+    x8, y8 = a0 * a4 - c0 * c4 - a1 * a3 + c1 * c3, a0 * c4 + c0 * a4 - a1 * c3 - c1 * a3
+    return (x0, x1, x2, x3, x4, x5, x6, x7, x8), (y0, y1, y2, y3, y4, y5, y6, y7, y8)
 
 
-def _zi_cross(a, b):
-    """a x b for pair 3-vectors, bilinear: entry k is a[k+1] b[k+2] - a[k+2] b[k+1]."""
-    (p0, q0), (p1, q1), (p2, q2) = a
-    (r0, s0), (r1, s1), (r2, s2) = b
-    return [
-        (p1 * r2 - q1 * s2 - p2 * r1 + q2 * s1, p1 * s2 + q1 * r2 - p2 * s1 - q2 * r1),
-        (p2 * r0 - q2 * s0 - p0 * r2 + q0 * s2, p2 * s0 + q2 * r0 - p0 * s2 - q0 * r2),
-        (p0 * r1 - q0 * s1 - p1 * r0 + q1 * s0, p0 * s1 + q0 * r1 - p1 * s0 - q1 * r0),
-    ]
-
-
-def _zi_cofactors(m):
-    """Cofactor matrix of a 3x3 pair matrix: row k is m[k+1] x m[k+2]."""
-    return [_zi_cross(m[1], m[2]), _zi_cross(m[2], m[0]), _zi_cross(m[0], m[1])]
-
-
-def _zi_det3(m):
-    """det of a 3x3 pair matrix as m[0] . (m[1] x m[2])."""
-    return _zi_dot3(m[0], _zi_cross(m[1], m[2]))
+def _zi3_det(m):
+    """det of a flat 3x3 Z[i] matrix as (re, im): row 0 against its cofactors (x_j, y_j), written out."""
+    (a0, a1, a2, a3, a4, a5, a6, a7, a8), (c0, c1, c2, c3, c4, c5, c6, c7, c8) = m
+    x0, y0 = a4 * a8 - c4 * c8 - a5 * a7 + c5 * c7, a4 * c8 + c4 * a8 - a5 * c7 - c5 * a7
+    x1, y1 = a5 * a6 - c5 * c6 - a3 * a8 + c3 * c8, a5 * c6 + c5 * a6 - a3 * c8 - c3 * a8
+    x2, y2 = a3 * a7 - c3 * c7 - a4 * a6 + c4 * c6, a3 * c7 + c3 * a7 - a4 * c6 - c4 * a6
+    return (
+        a0 * x0 - c0 * y0 + a1 * x1 - c1 * y1 + a2 * x2 - c2 * y2,
+        a0 * y0 + c0 * x0 + a1 * y1 + c1 * x1 + a2 * y2 + c2 * x2,
+    )
 
 
 def _fraction_free_products(rows, cols):

@@ -282,10 +282,15 @@ def classify_3form(rho: ExteriorForm, vol: ExteriorForm = None, tol=1e-12) -> Th
         k = k_operator(rho_s, vol_s)
         k2 = [sum(map(mul, row, col), start=row[0] * 0) for row, col in zip(k, zip(*k))]
         trace = sum(k2, start=k2[0] * 0)
-    else:  # trace(K^2) = (num / den)^2 sum of (-1)^(a+b) acc[6a + b] acc[6b + a]
-        acc, num, den = ints
-        trace = Fraction(num * num * sum((-1) ** (a + b) * acc[6 * a + b] * acc[6 * b + a]
-                                         for a in range(6) for b in range(6)), den * den)
+    else:  # trace(K^2) = (num / den)^2 sum of (-1)^(a+b) acc[6a + b] acc[6b + a], i.e. the
+        acc, num, den = ints  # squares at a = b and twice each pair a < b, signs written out
+        t = sum(map(mul, acc[::7], acc[::7])) + 2 * (
+            acc[2] * acc[12] + acc[4] * acc[24] + acc[9] * acc[19] + acc[11] * acc[31]
+            + acc[16] * acc[26] + acc[23] * acc[33] - acc[1] * acc[6] - acc[3] * acc[18]
+            - acc[5] * acc[30] - acc[8] * acc[13] - acc[10] * acc[25] - acc[15] * acc[20]
+            - acc[17] * acc[32] - acc[22] * acc[27] - acc[29] * acc[34]
+        )
+        trace = Fraction(num * num * t, den * den)
     lam = lam_s = trace / 6
     bound = 0
     if not exact:

@@ -197,6 +197,109 @@ def canonical_reference(obj):
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
+# chern._random_rz_pairs and linalg's Gaussian-integer pair helpers as they were before the
+# sweep ran on linalg's flat 3x3 kernels, verbatim apart from the module prefix, as the
+# references they are checked against.  A matrix is a list of rows of (re, im) int pairs.
+def _zi_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _zi_conj(m):
+    return [[(x[0], -x[1]) for x in row] for row in m]
+
+
+def _zi_dot3(x, y):
+    """x . y over Z[i] for 3-vectors of (re, im) pairs, written out."""
+    (p0, q0), (p1, q1), (p2, q2) = x
+    (r0, s0), (r1, s1), (r2, s2) = y
+    return (
+        p0 * r0 - q0 * s0 + p1 * r1 - q1 * s1 + p2 * r2 - q2 * s2,
+        p0 * s0 + q0 * r0 + p1 * s1 + q1 * r1 + p2 * s2 + q2 * r2,
+    )
+
+
+def _zi_mat_mul(a, b):
+    """a b for pair matrices with 3 rows in b, the sweep's only shape: one ``_zi_dot3`` per entry."""
+    cols = list(zip(*b))
+    return [[_zi_dot3(x, y) for y in cols] for x in a]
+
+
+def _zi_cross(a, b):
+    """a x b for pair 3-vectors, bilinear: entry k is a[k+1] b[k+2] - a[k+2] b[k+1]."""
+    (p0, q0), (p1, q1), (p2, q2) = a
+    (r0, s0), (r1, s1), (r2, s2) = b
+    return [
+        (p1 * r2 - q1 * s2 - p2 * r1 + q2 * s1, p1 * s2 + q1 * r2 - p2 * s1 - q2 * r1),
+        (p2 * r0 - q2 * s0 - p0 * r2 + q0 * s2, p2 * s0 + q2 * r0 - p0 * s2 - q0 * r2),
+        (p0 * r1 - q0 * s1 - p1 * r0 + q1 * s0, p0 * s1 + q0 * r1 - p1 * s0 - q1 * r0),
+    ]
+
+
+def _zi_cofactors(m):
+    """Cofactor matrix of a 3x3 pair matrix: row k is m[k+1] x m[k+2]."""
+    return [_zi_cross(m[1], m[2]), _zi_cross(m[2], m[0]), _zi_cross(m[0], m[1])]
+
+
+def _zi_det3(m):
+    """det of a 3x3 pair matrix as m[0] . (m[1] x m[2])."""
+    return _zi_dot3(m[0], _zi_cross(m[1], m[2]))
+
+
+_UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def _random_rz_pairs(rng):
+    """(r, s_bar) over the Gaussian integers: omega-compatible, residual zero.
+
+    M := t(r) conj(s) is drawn complex symmetric (symmetry is exactly
+    omega-compatibility) with det(M) = det(r)^2 pinned by construction
+    (P L D t(L) t(P) with diagonal a unit split of (det r, det r, 1)), which
+    forces det(conj(s)) = det(r).  The datum is scaled by |det r|^2 to clear
+    the one matrix inverse; a positive real scale changes neither the
+    residual's vanishing nor any signature.
+    """
+    while True:
+        r = [
+            [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3)]
+            for _ in range(3)
+        ]
+        det_r = _zi_det3(r)
+        if det_r == (0, 0):
+            continue
+        u1, u2 = _UNITS[rng.randrange(4)], _UNITS[rng.randrange(4)]
+        u12 = _zi_mul(u1, u2)  # a unit, so its inverse is its conjugate
+        diag = [_zi_mul(u1, det_r), _zi_mul(u2, det_r), (u12[0], -u12[1])]
+        rng.shuffle(diag)
+        low = [[(1 if i == j else 0, 0) for j in range(3)] for i in range(3)]
+        for i in range(3):
+            for j in range(i):
+                low[i][j] = (rng.randint(-2, 2), rng.randint(-2, 2))
+        low_d = [[_zi_mul(x, diag[j]) for j, x in enumerate(row)] for row in low]
+        m2 = _zi_mat_mul(low_d, linalg.transpose(low))
+        perm = [0, 1, 2]
+        rng.shuffle(perm)
+        m2 = [[m2[perm[i]][perm[j]] for j in range(3)] for i in range(3)]
+        # adj(t(r)) is the cofactor matrix of r
+        cd = (det_r[0], -det_r[1])
+        s_bar = [
+            [_zi_mul(cd, x) for x in row]
+            for row in _zi_mat_mul(_zi_cofactors(r), m2)
+        ]
+        scale = det_r[0] * det_r[0] + det_r[1] * det_r[1]
+        r_scaled = [[(x[0] * scale, x[1] * scale) for x in row] for row in r]
+        return r_scaled, s_bar
+
+
+def flat3(m):
+    """A 3x3 matrix of (re, im) pairs as linalg's flat pair (re, im) of row-major 9-tuples."""
+    return tuple(tuple(x[part] for row in m for x in row) for part in (0, 1))
+
+
+def unflat3(m):
+    """The inverse of ``flat3``: rows of (re, im) pairs."""
+    return [[(m[0][k], m[1][k]) for k in (i, i + 1, i + 2)] for i in (0, 3, 6)]
+
+
 def tiny_pivot_elliptic_form():
     """An exact elliptic (rho, vol) with lambda = -2989/648, a non-square mu = -lambda.
 

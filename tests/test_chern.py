@@ -44,7 +44,14 @@ from g2kit.threeforms import (
     elliptic_normal_form,
 )
 
-from conftest import rand_form, rank as rank_loop
+from conftest import (
+    _random_rz_pairs as random_rz_pairs_reference,
+    _zi_det3 as zi_det3_reference,
+    flat3,
+    rand_form,
+    rank as rank_loop,
+    unflat3,
+)
 
 E1 = basis_point(1)
 FRAME = standard_frame()
@@ -519,6 +526,27 @@ def test_sweep_report_is_pinned(seed, digest):
     assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("seed", [*range(20), 4850])
+def test_random_rz_pairs_matches_the_pair_reference(seed):
+    """The flat generator gives the pair generator's datum (scale r, s_bar) from the same
+    stream, 200 draws per seed.  The first r of seed 4850 is singular, so it is redrawn."""
+    from g2kit import chern
+
+    if seed == 4850:
+        rng = random.Random(seed)
+        first = [[(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
+        assert zi_det3_reference(first) == (0, 0)
+    new, ref = random.Random(seed), random.Random(seed)
+    for _ in range(200):
+        r, scale, s_bar = chern._random_rz_pairs(new)
+        dr, di = linalg._zi3_det(r)
+        assert scale == dr * dr + di * di > 0
+        want_r, want_s = random_rz_pairs_reference(ref)
+        assert flat3(want_r) == tuple(tuple(scale * x for x in part) for part in r)
+        assert flat3(want_s) == s_bar
+    assert new.getstate() == ref.getstate()
+
+
 @pytest.mark.parametrize(
     "trials, crosscheck_every",
     [(-3, 200), (-1, 1), (5, 0), (5, -2), (0, 0), (2.5, 1), (3, 1.5), (True, 1), (3, True)],
@@ -538,7 +566,7 @@ def test_sweep_of_zero_trials_is_an_empty_pass():
 def jacobi_signature_reference(h):
     """The replaced sweep rule: sign changes of the leading minors (Jacobi), congruence when one is 0."""
     a, b = linalg._zi_mul(h[0][0], h[1][1]), linalg._zi_mul(h[0][1], h[1][0])
-    minors = (h[0][0][0], a[0] - b[0], linalg._zi_det3(h)[0])
+    minors = (h[0][0][0], a[0] - b[0], zi_det3_reference(h)[0])
     if minors[0] == 0 or minors[1] == 0:
         return linalg.signature([[ComplexRational(*x) for x in row] for row in h])
     seq = [1, *minors]
@@ -551,7 +579,7 @@ def charpoly_coefficients(h):
     c2 = 0
     for i, j in ((0, 1), (0, 2), (1, 2)):
         c2 += h[i][i][0] * h[j][j][0] - h[i][j][0] ** 2 - h[i][j][1] ** 2
-    return sum(h[i][i][0] for i in range(3)), c2, linalg._zi_det3(h)[0]
+    return sum(h[i][i][0] for i in range(3)), c2, zi_det3_reference(h)[0]
 
 
 _small = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -3])
@@ -661,20 +689,24 @@ from g2kit import chern, linalg
 from g2kit.scalars import ComplexRational
 if not sys.flags.optimize:
     sys.exit(3)
-orig_pairs, orig_det = chern._random_rz_pairs, linalg._zi_det3
+orig_pairs, orig_det = chern._random_rz_pairs, linalg._zi3_det
 
 def bumped(rng):
-    r, s_bar = orig_pairs(rng)
-    s_bar[0][0] = (s_bar[0][0][0] + 1, s_bar[0][0][1])
-    return r, s_bar
+    r, scale, (re, im) = orig_pairs(rng)
+    return r, scale, ((re[0] + 1, *re[1:]), im)
 
 def transposed(rng):
-    r, s_bar = orig_pairs(rng)
-    return r, linalg.transpose(s_bar)
+    r, scale, s_bar = orig_pairs(rng)
+    return r, scale, linalg._zi3_transpose(s_bar)
+
+def rescaled(rng):
+    r, scale, s_bar = orig_pairs(rng)
+    return r, scale + 1, s_bar
 
 def hermitian_det_off_by_one(m):
     d = orig_det(m)
-    if all(m[i][j] == (m[j][i][0], -m[j][i][1]) for i in range(3) for j in range(3)):
+    (re, im), (re_t, im_t) = m, linalg._zi3_transpose(m)
+    if re == re_t and all(x == -y for x, y in zip(im, im_t)):
         return (d[0] + 1, d[1])
     return d
 
@@ -687,12 +719,13 @@ def raised(call):
 
 sweep = lambda: chern.signature_dichotomy_sweep(5, 1)
 seen = []
-# chern reaches the Gaussian-integer pair helpers as linalg attributes
+# chern reaches the flat Gaussian-integer kernels as linalg attributes
 for module, attr, fake in (
     (chern, "_random_rz_pairs", bumped),
+    (chern, "_random_rz_pairs", rescaled),
     (chern, "_random_rz_pairs", transposed),
-    (linalg, "_zi_conj", lambda m: m),
-    (linalg, "_zi_det3", hermitian_det_off_by_one),
+    (linalg, "_zi3_conj", lambda m: m),
+    (linalg, "_zi3_det", hermitian_det_off_by_one),
     (chern, "index_from_h", lambda data: (3, 0)),
 ):
     orig = getattr(module, attr)
@@ -710,6 +743,8 @@ print(seen)
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str([
+        "residual is not zero",
+        "residual is not zero",
         "residual is not zero",
         "residual is not zero",
         "t(r) conj(s) is not symmetric",
@@ -861,8 +896,8 @@ def test_sweep_reports_skipped_degenerate_trials(monkeypatch):
     def degenerate_once(rng):
         calls.append(None)
         if len(calls) == 1:
-            zero = [[(0, 0)] * 3 for _ in range(3)]
-            return zero, [row[:] for row in zero]
+            zero = (0,) * 9, (0,) * 9
+            return zero, 1, zero
         return orig(rng)
 
     monkeypatch.setattr(chern, "_random_rz_pairs", degenerate_once)

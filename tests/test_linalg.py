@@ -13,6 +13,13 @@ from g2kit.linalg import DegenerateFormError, _bareiss
 from g2kit.scalars import ComplexRational, MixedModeError
 
 from conftest import _det_elim as det_elim_loop, mat_vec as mat_vec_loop, rank as rank_loop
+from conftest import (
+    _zi_cofactors as zi_cofactors_reference,
+    _zi_det3 as zi_det3_reference,
+    _zi_mat_mul as zi_mat_mul_reference,
+    flat3,
+    unflat3,
+)
 
 
 def reference_mat_mul(a, b):
@@ -188,19 +195,6 @@ def _as_pairs(m):
     return [[(x.re, x.im) for x in row] for row in m]
 
 
-def zi_products(rng):
-    """An n x 3 and a 3 x m pair matrix: ``_zi_mat_mul`` serves inner dimension 3 only."""
-    rows = lambda r, c: [[(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(c)] for _ in range(r)]
-    return rows(rng.randint(1, 4), 3), rows(3, rng.randint(1, 4))
-
-
-@settings(max_examples=200, deadline=None)
-@given(SEEDS)
-def test_zi_mat_mul_matches_mat_mul(seed):
-    a, b = zi_products(random.Random(seed))
-    assert linalg._zi_mat_mul(a, b) == _as_pairs(linalg.mat_mul(_as_cr(a), _as_cr(b)))
-
-
 def zi_square3(rng, big=False):
     """A 3x3 pair matrix; ``big`` entries reach 2^80, as the sweep's products do."""
     def part():
@@ -216,14 +210,26 @@ def zi_square3(rng, big=False):
     return m
 
 
+@settings(max_examples=200, deadline=None)
+@given(SEEDS)
+def test_zi_mat_mul_matches_mat_mul(seed):
+    """The flat product, transpose and conjugate against ComplexRational ``mat_mul``."""
+    rng = random.Random(seed)
+    a, b = zi_square3(rng), zi_square3(rng)
+    want = linalg.mat_mul(_as_cr(a), _as_cr(b))
+    assert linalg._zi3_mul(flat3(a), flat3(b)) == flat3(_as_pairs(want))
+    assert linalg._zi3_transpose(flat3(a)) == flat3(linalg.transpose(a))
+    assert linalg._zi3_conj(flat3(a)) == flat3(_as_pairs(linalg.mat_conj(_as_cr(a))))
+
+
 @settings(max_examples=300, deadline=None)
 @given(SEEDS)
 def test_zi_det3_and_cofactors(seed):
-    m = zi_square3(random.Random(seed))
-    d = linalg._zi_det3(m)
-    assert ComplexRational(*d) == linalg.det(_as_cr(m))
-    adj = linalg.transpose(linalg._zi_cofactors(m))
-    assert linalg._zi_mat_mul(m, adj) == [[d if i == j else (0, 0) for j in range(3)] for i in range(3)]
+    m = flat3(zi_square3(random.Random(seed)))
+    d = linalg._zi3_det(m)
+    assert ComplexRational(*d) == linalg.det(_as_cr(unflat3(m)))
+    adj = linalg._zi3_transpose(linalg._zi3_cofactors(m))
+    assert linalg._zi3_mul(m, adj) == flat3([[d if i == j else (0, 0) for j in range(3)] for i in range(3)])
 
 
 def _general_cross(a, b):
@@ -243,25 +249,27 @@ def _general_mat_mul(a, b):
 @settings(max_examples=200, deadline=None)
 @given(SEEDS)
 def test_zi_3x3_kernels_match_the_general_routes(seed):
-    """The straight-line 3x3 kernels against ``_zi_dot`` and ComplexRational ``mat_mul``/``det``."""
+    """The flat 3x3 kernels against ``_zi_dot``, the pair helpers they replaced, and
+    ComplexRational ``mat_mul``/``det``."""
     rng = random.Random(seed)
     m, b = zi_square3(rng, big=True), zi_square3(rng, big=True)
-    prod_ = linalg._zi_mat_mul(m, b)
-    assert prod_ == _general_mat_mul(m, b)
-    assert prod_ == _as_pairs(linalg.mat_mul(_as_cr(m), _as_cr(b)))
+    prod_ = linalg._zi3_mul(flat3(m), flat3(b))
+    assert prod_ == flat3(_general_mat_mul(m, b)) == flat3(zi_mat_mul_reference(m, b))
+    assert prod_ == flat3(_as_pairs(linalg.mat_mul(_as_cr(m), _as_cr(b))))
     cr = _as_cr(m)
+    cof = linalg._zi3_cofactors(flat3(m))
     for k in range(3):
         x, y = cr[(k + 1) % 3], cr[(k + 2) % 3]
         want = [x[(t + 1) % 3] * y[(t + 2) % 3] - x[(t + 2) % 3] * y[(t + 1) % 3] for t in range(3)]
-        assert linalg._zi_cross(m[(k + 1) % 3], m[(k + 2) % 3]) == _as_pairs([want])[0]
-    cof = linalg._zi_cofactors(m)
-    assert cof == [_general_cross(m[(k + 1) % 3], m[(k + 2) % 3]) for k in range(3)]
-    d = linalg._zi_det3(m)
-    assert d == linalg._zi_dot(*zip(*m[0]), *zip(*cof[0]))
+        assert unflat3(cof)[k] == _as_pairs([want])[0]
+    assert cof == flat3([_general_cross(m[(k + 1) % 3], m[(k + 2) % 3]) for k in range(3)])
+    assert cof == flat3(zi_cofactors_reference(m))
+    d = linalg._zi3_det(flat3(m))
+    assert d == linalg._zi_dot(*zip(*m[0]), *zip(*unflat3(cof)[0])) == zi_det3_reference(m)
     assert ComplexRational(*d) == linalg.det(cr)
-    assert linalg._zi_mat_mul(m, linalg.transpose(cof)) == [
-        [d if i == j else (0, 0) for j in range(3)] for i in range(3)
-    ]
+    assert linalg._zi3_mul(flat3(m), linalg._zi3_transpose(cof)) == flat3(
+        [[d if i == j else (0, 0) for j in range(3)] for i in range(3)]
+    )
 
 
 # float, complex and exact entries for the unrolled 2x2 / 3x3 elimination: zeros of
