@@ -234,7 +234,7 @@ class ChernData(Immutable):
         d = self.block_det
         if not d:
             raise NotComplexStructureError("degenerate transition block")
-        return 1 if to_float(d) > 0 else -1
+        return 1 if d > 0 else -1
 
     @property
     def residual_normalized_abs(self):
@@ -434,6 +434,7 @@ def equivariance_check(j: CandidateJ, frame: AdaptedFrame, g_su3, h_gl3, eta_bas
 # pair (re, im) of row-major 9-tuples, multiplied by its _zi3_* kernels.
 
 _UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+CROSSCHECK_EVERY = 200  # the sweep recomputes every CROSSCHECK_EVERY-th trial by congruence
 
 
 def _random_rz_pairs(rng):
@@ -500,11 +501,11 @@ def _inertia3(c1, c2, c3):
     return (pos, 3 - pos)
 
 
-def signature_dichotomy_sweep(trials, seed, crosscheck_every=200):
+def signature_dichotomy_sweep(trials, seed):
     """Residual-zero omega-compatible data never have definite H.
 
     Runs over the Gaussian integers with the signature read off det(x - H)
-    by Descartes' rule (:func:`_inertia3`); every ``crosscheck_every``-th
+    by Descartes' rule (:func:`_inertia3`); every ``CROSSCHECK_EVERY``-th
     trial is recomputed through the exact congruence of :func:`index_from_h`
     and must agree.  Each trial re-verifies det(conj(s)) = det(r), the
     symmetry of t(r)conj(s), that det(x - H) has real coefficients,
@@ -516,16 +517,15 @@ def signature_dichotomy_sweep(trials, seed, crosscheck_every=200):
     is symmetric, det(t(r) conj(r)) = |det r|^2 since P = scale^2 t(r) conj(r),
     and H = scale^2 t(r) conj(r) - t(s_bar) conj(s_bar).
     Returns a report dict.
-    Raises ``TypeError`` unless ``trials`` and ``crosscheck_every`` are ints
-    (``bool`` is not), and ``ValueError`` for ``trials < 0`` or
-    ``crosscheck_every < 1``.
+    Raises ``TypeError`` unless ``trials`` is an int (``bool`` is not), and
+    ``ValueError`` for ``trials < 0``.
     """
     import random
 
-    if type(trials) is not int or type(crosscheck_every) is not int:
-        raise TypeError(f"trials and crosscheck_every must be ints: {trials!r}, {crosscheck_every!r}")
-    if trials < 0 or crosscheck_every < 1:
-        raise ValueError(f"need trials >= 0 and crosscheck_every >= 1: {trials}, {crosscheck_every}")
+    if type(trials) is not int:
+        raise TypeError(f"trials must be an int: {trials!r}")
+    if trials < 0:
+        raise ValueError(f"need trials >= 0: {trials}")
     rng = random.Random(seed)
     mul, det, transpose, conj = linalg._zi3_mul, linalg._zi3_det, linalg._zi3_transpose, linalg._zi3_conj
     counts = {}
@@ -554,7 +554,7 @@ def signature_dichotomy_sweep(trials, seed, crosscheck_every=200):
             skipped += 1  # degenerate H: datum does not define a structure
             continue
         sig = _inertia3(c1[0], c2[0], c3[0])
-        if done % crosscheck_every == 0:
+        if done % CROSSCHECK_EVERY == 0:
             _require(index_from_h(_datum(r, scale, s_bar)) == sig, "minor/congruence signature mismatch")
         sig = _indefinite(sig)
         counts[sig] = counts.get(sig, 0) + 1

@@ -39,7 +39,7 @@ from . import linalg
 from .compat import check_complex_structure
 from .forms import ExteriorForm
 from .scalars import (
-    EXACT, FLOAT, I_EXACT, Immutable, matrix_mode, normalize_scalar, sqrt_fraction, to_float
+    EXACT, FLOAT, I_EXACT, Immutable, matrix_mode, normalize_scalar, sqrt_fraction
 )
 
 
@@ -137,27 +137,36 @@ def _k_pairs():
 _K_PAIRS = _k_pairs()
 
 
-def _k_integers(rho: ExteriorForm, vol: ExteriorForm):
-    """k_operator's input checks and, on Fraction rho and vol, its kernel: ints ``(acc, num, den)``
-    with K[b][a] = (-1)^b acc[6b + a] num / den, rho's denominators cleared once; else None.
-    acc takes the 150 products of ``_K_PAIRS`` (60 with coefficient +-1, 90 with +-2) where
-    ``_K_TABLE`` takes 240: the order of an int sum does not change it."""
+def _check_shapes(rho: ExteriorForm, vol: ExteriorForm):
     if rho.dim != 6 or rho.degree != 3:
         raise ValueError("classification needs a 3-form on R^6")
     if vol.dim != 6 or vol.degree != 6 or vol.is_zero:
         raise ValueError("volume form must be a nonzero 6-form")
+
+
+def _k_integers(rho: ExteriorForm, vol: ExteriorForm):
+    """k_operator's input checks and, on real rho and vol, its kernel: ints ``(acc, num, den)``
+    with K[b][a] = (-1)^b acc[6b + a] num / den.  Each coefficient, Fraction or float, is read
+    as the rational it is (``as_integer_ratio``), and rho's denominators are cleared by one lcm.
+    Complex and Gaussian coefficients give None, a float that is not finite FloatRangeError.
+    acc takes the 150 products of ``_K_PAIRS`` (60 with coefficient +-1, 90 with +-2) where
+    ``_K_TABLE`` takes 240: the order of an int sum does not change it."""
+    _check_shapes(rho, vol)
     c = vol.terms[(1, 2, 3, 4, 5, 6)]
-    cleared = type(c) is Fraction and rho.mode == EXACT and linalg._cleared([*rho.terms.values()])
-    if not cleared or len(cleared) != 2:
+    try:
+        (cn, cd), *ratios = [x.as_integer_ratio() for x in (c, *rho.terms.values())]
+    except AttributeError:
         return None
-    nums, d = cleared
+    except (OverflowError, ValueError):
+        raise FloatRangeError("a coefficient of the float form is not finite") from None
+    d = math.lcm(*(q for _, q in ratios))
     x = [0] * 20
-    for idx, n in zip(rho.terms, nums):
-        x[_SUBSETS[idx]] = n
+    for idx, (p, q) in zip(rho.terms, ratios):
+        x[_SUBSETS[idx]] = p * (d // q)
     acc = [0] * 36
     for k, i, j, coeff in _K_PAIRS:
         acc[k] += coeff * x[i] * x[j]
-    return acc, c.denominator, (d or 1) ** 2 * c.numerator
+    return acc, cd, d * d * cn
 
 
 def _k_fractions(acc, num, den):
@@ -177,10 +186,9 @@ def k_operator(rho: ExteriorForm, vol: ExteriorForm):
 
     Exact rational input sums int products in ``_k_integers``, over the pair
     table ``_K_PAIRS`` that merges rho_I rho_J and rho_J rho_I of each entry
-    into one product, and divides once per entry (:func:`classify_3form`
-    reads lambda off those ints).  Any other input (floats, complex or
-    Gaussian-rational coefficients) runs ``_K_TABLE`` itself on its scalars
-    with the arithmetic of ``rho.interior(e_a).wedge(rho)``, so its float bits
+    into one product, and divides once per entry.  Any other input (floats,
+    complex or Gaussian-rational coefficients) runs ``_K_TABLE`` itself on its
+    scalars with the arithmetic of ``rho.interior(e_a).wedge(rho)``, so its float bits
     equal that construction's: each entry adds its signed products
     rho_I * rho_J in ``rho.terms`` order (the order ``wedge_terms`` visits
     them, as a fixed (a, b) meets at most one J per I), drops a zero sum as a
@@ -188,11 +196,12 @@ def k_operator(rho: ExteriorForm, vol: ExteriorForm):
     A float sum depends on its order, so this loop does not take the merged
     table, whose one product per pair would land at another place of the sum.
     """
-    if ints := _k_integers(rho, vol):
-        return _k_fractions(*ints)
     float_mode = rho.mode == FLOAT or vol.mode == FLOAT
     if float_mode:
+        _check_shapes(rho, vol)
         rho, vol = rho.as_float(), vol.as_float()
+    elif ints := _k_integers(rho, vol):
+        return _k_fractions(*ints)
     c = vol.terms[(1, 2, 3, 4, 5, 6)]
     terms = rho.terms
     unit, zero = (1.0, 0.0) if float_mode else (Fraction(1), Fraction(0))
@@ -210,16 +219,6 @@ def k_operator(rho: ExteriorForm, vol: ExteriorForm):
                 acc[k] = v if v else None
     acc = [zero if v is None else normalize_scalar(v) for v in acc]
     return [[(-1) ** b * acc[6 * b + a] / c for a in range(6)] for b in range(6)]
-
-
-def _binary_scaled(form):
-    """``(form / 2^e, e)`` for a float form, 2^e just above its largest |coefficient|
-    (``math.frexp``); a coefficient that is not finite raises :class:`FloatRangeError`."""
-    if not all(map(math.isfinite, form.terms.values())):
-        raise FloatRangeError("a coefficient of the float form is not finite")
-    e = math.frexp(form.norm_inf())[1]
-    terms = {idx: math.ldexp(x, -e) for idx, x in form.terms.items()}
-    return ExteriorForm._trusted(form.dim, form.degree, terms, FLOAT), e
 
 
 def recover_upsilon(rho: ExteriorForm, j) -> ExteriorForm:
@@ -251,71 +250,59 @@ def classify_3form(rho: ExteriorForm, vol: ExteriorForm = None, tol=1e-12) -> Th
     """Split / elliptic / degenerate tag, with (J, Upsilon) in the elliptic case.
 
     J = -K / sqrt(-lambda) induces the orientation of ``vol`` (default: the
-    standard volume form) by the lemma of the module docstring.  On exact
-    rational input lambda = trace(K^2) / 6 is one Fraction of the ints of
-    ``_k_integers``, and K is built from them only for the J of an elliptic
-    form.  J is exact whenever -lambda is a rational square; otherwise J is
-    produced in float mode.
-
-    A float form is classified on the copy rho / 2^e, vol / 2^f of
-    :func:`_binary_scaled`, whose K and lambda cannot overflow.  It has the
-    tag and J of the form by (a) and (b) of the lemma, and their bits where
-    the form's own K^2 stays in the float range: powers of two scale exactly.
-    lambda = trace(K^2) / 6 is reported with trace(K^2) = 2^(4e - 2f) times the
-    copy's; where that overflows, or underflows to 0 while the copy's does
-    not, :class:`FloatRangeError` is raised.  ``tol`` is read only on float
-    forms: the tag is degenerate when |lambda| <= tol |rho|^4 / |vol|^2
-    (max-norm of rho, coefficient of vol), a test unchanged by rescaling.
-    A form with a coefficient that is not real raises :class:`ComplexFormError`.
+    standard volume form) by the lemma of the module docstring.  Exact and
+    float input alike, a float being the dyadic rational it stores, take the
+    ints of ``_k_integers``: lambda = trace(K^2) / 6 is one exact Fraction, and
+    the tag is its sign.  J is exact where -lambda is a rational square on exact
+    input; otherwise it is read off the ints in floats, each entry within 1 ulp.
+    ``tol`` is read only on float input: the tag is degenerate when |lambda| <=
+    tol |rho|^4 / |vol|^2 (max-norm of rho, coefficient of vol), decided exactly.
+    Float input reports lambda rounded once, and raises :class:`FloatRangeError`
+    where that overflows or gives 0 for a nonzero lambda.  A coefficient that
+    is not real raises :class:`ComplexFormError`.
     """
     if vol is None:
         vol = standard_volume_form()
-    exact = rho.mode == EXACT and vol.mode == EXACT
-    ints = _k_integers(rho, vol) if exact else None
-    if ints is None and any(c.imag for form in (rho, vol) for c in form.terms.values()):
+    ints = _k_integers(rho, vol)
+    if ints is None:
         raise ComplexFormError("classification needs a real 3-form and a real volume form")
-    rho_s, vol_s = rho, vol
+    # trace(K^2) = (num / den)^2 t, with t the sum of (-1)^(a+b) acc[6a + b] acc[6b + a]:
+    acc, num, den = ints  # the squares at a = b and twice each pair a < b, signs written out
+    t = sum(map(mul, acc[::7], acc[::7])) + 2 * (
+        acc[2] * acc[12] + acc[4] * acc[24] + acc[9] * acc[19] + acc[11] * acc[31]
+        + acc[16] * acc[26] + acc[23] * acc[33] - acc[1] * acc[6] - acc[3] * acc[18]
+        - acc[5] * acc[30] - acc[8] * acc[13] - acc[10] * acc[25] - acc[15] * acc[20]
+        - acc[17] * acc[32] - acc[22] * acc[27] - acc[29] * acc[34]
+    )
+    lam = Fraction(num * num * t, 6 * den * den)
+    exact, degenerate = rho.mode == EXACT and vol.mode == EXACT, not t
     if not exact:
         rho = rho.as_float()
-        (rho_s, e), (vol_s, f) = _binary_scaled(rho), _binary_scaled(vol.as_float())
-    if ints is None:  # the diagonal of K^2 = lambda * Id, each entry summed as mat_mul sums it
-        k = k_operator(rho_s, vol_s)
-        k2 = [sum(map(mul, row, col), start=row[0] * 0) for row, col in zip(k, zip(*k))]
-        trace = sum(k2, start=k2[0] * 0)
-    else:  # trace(K^2) = (num / den)^2 sum of (-1)^(a+b) acc[6a + b] acc[6b + a], i.e. the
-        acc, num, den = ints  # squares at a = b and twice each pair a < b, signs written out
-        t = sum(map(mul, acc[::7], acc[::7])) + 2 * (
-            acc[2] * acc[12] + acc[4] * acc[24] + acc[9] * acc[19] + acc[11] * acc[31]
-            + acc[16] * acc[26] + acc[23] * acc[33] - acc[1] * acc[6] - acc[3] * acc[18]
-            - acc[5] * acc[30] - acc[8] * acc[13] - acc[10] * acc[25] - acc[15] * acc[20]
-            - acc[17] * acc[32] - acc[22] * acc[27] - acc[29] * acc[34]
-        )
-        trace = Fraction(num * num * t, den * den)
-    lam = lam_s = trace / 6
-    bound = 0
-    if not exact:
+        # |lambda| <= tol |rho|^4 / |vol|^2 in ints, each side times the other's denominators
+        c = vol.terms[(1, 2, 3, 4, 5, 6)]
+        (p, q), (a, b), (m, n) = (x.as_integer_ratio() for x in (tol, rho.norm_inf(), c))
+        degenerate = abs(lam.numerator) * q * b**4 * m * m <= p * a**4 * n * n * lam.denominator
         try:
-            lam = math.ldexp(trace, 4 * e - 2 * f) / 6
+            lam = float(lam)
         except OverflowError:
             raise FloatRangeError("lambda of the float form overflows") from None
-        if lam_s and not lam:
+        if t and not lam:
             raise FloatRangeError("lambda of the float form underflows to 0")
-        # lambda has degree 4 in rho and -2 in vol, and so has the float bound
-        n = rho_s.norm_inf()
-        q = n * n / abs(vol_s.terms[(1, 2, 3, 4, 5, 6)])
-        bound = tol * q * q
-    if abs(lam_s) <= bound:
+    if degenerate:
         return ThreeFormClass("degenerate", lam, rho.mode)
-    if to_float(lam_s) > 0:
+    if t > 0:
         return ThreeFormClass("split", lam, rho.mode)
 
-    root = sqrt_fraction(-lam) if exact else (-lam_s) ** 0.5
-    sqrt_is_exact = root is not None
-    k = _k_fractions(*ints) if ints else k
+    root = sqrt_fraction(-lam) if exact else None
     if root is None:
-        root = (-to_float(lam)) ** 0.5
-        k = [[to_float(x) for x in row] for row in k]
+        # J[b][a] = -(-1)^b sign(den) acc[6b + a] sqrt(6 / -t), each entry one rounding of
+        # acc f / e with f = floor(e sqrt(6 / -t)) of 70 bits or more: within 1 ulp, and finite
+        # wherever J fits the float range
+        e = 1 << (t.bit_length() + 141) // 2
+        f = math.isqrt(6 * e * e // -t) * (-1 if den > 0 else 1)
+        j = [[x * g / e for x in acc[6 * b : 6 * b + 6]] for b, g in enumerate((f, -f) * 3)]
         rho = rho.as_float()
-    j = [[-x / root for x in row] for row in k]
+    else:
+        j = [[-x / root for x in row] for row in _k_fractions(*ints)]
     check_complex_structure(j)
-    return ThreeFormClass("elliptic", lam, rho.mode, j, sqrt_is_exact, rho)
+    return ThreeFormClass("elliptic", lam, rho.mode, j, not exact or root is not None, rho)

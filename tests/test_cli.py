@@ -2,6 +2,7 @@ import ast
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import signal
@@ -438,8 +439,9 @@ def test_usage_error_leaves_later_reports_unchanged(tmp_path, capsys):
 def test_classify_degenerate_reports_byte_stable(tmp_path, capsys):
     """classify-3form on pullbacks of degenerate forms prints the report it always has.
 
-    A float discriminant here is what is left of K^2 after cancellation, so
-    its 17 digits show any change in the order of the float sums that build K.
+    A float discriminant here is the exact lambda of the dyadic form, near 0
+    after cancellation, rounded once, so its 17 digits show any change in the
+    integer kernel that builds it or in that rounding.
     """
     import hashlib
     import random
@@ -472,23 +474,23 @@ def test_classify_degenerate_reports_byte_stable(tmp_path, capsys):
     exact_zero = "6f0689c4ba32136078b6eacfd6a0630b036f3936a79e9e3c8094ad3e709eb50e"
     assert digests == {
         ("e123", 0, "exact"): exact_zero,
-        ("e123", 0, "float"): "cebed787678d7b9d36d1639dc5fe2b9ece3516d6861228a2c9b83e29a61e6e64",
+        ("e123", 0, "float"): "a7c60a3fddd5eea25c9190029d3f430e4db224e7bfd6ede4b7fc64d4be0f541c",
         ("e123", 0, "float-pullback"):
-            "9131636d52616c9394596cef38e6ec8c81b2dabd337f9b102babf1e0d0581f79",
+            "2eac3d7e1dc1b7fc5d4b14f2394ba100548051b7ae7de4458c3d3ac52ba5e689",
         ("e1(e23+e45)", 0, "exact"): exact_zero,
         ("e1(e23+e45)", 0, "float"):
-            "74f7b3c896c84f5279dc8a069722305be465f6050b48478179549a29e468c18d",
+            "8e98cdf1caecc413b84350ff5ba63a06d1a2e479841e9b38a9525324c2de8212",
         ("e1(e23+e45)", 0, "float-pullback"):
-            "1b505ed02078d545afd66f848361642708c21650fe5c40fca8bfa240e3978b22",
+            "9ed0da32819e9330856acb2d9361265f009ac42bdbb9a5cf8b7ccb1171a4b513",
         ("e123", 1, "exact"): exact_zero,
         ("e123", 1, "float"): "6b23440f428512f4c7c5f593867dd2a579ab322866dcc40c8ed9ffd639d78f0c",
         ("e123", 1, "float-pullback"):
-            "e589b4cc6b15337a82c31713d0647baae428745e095f934fcf7a9dfaa60ec72f",
+            "9a379f68c177f9be386f7a20f13d8c2b52e6654ed0f8374f9cdf63faa5296847",
         ("e1(e23+e45)", 1, "exact"): exact_zero,
         ("e1(e23+e45)", 1, "float"):
-            "a0214d6a1e5da6609faee2535d94448cba33a6c5c5a30767594665a3afcd4ed7",
+            "82bcc73a4560c19b62362adc64595cc44e49e4f3d6488511a81854ceb34648ae",
         ("e1(e23+e45)", 1, "float-pullback"):
-            "3f027fa8e90182e241ce6e8d1d3c7c915d8516fc74003911970f49ac8847cb6f",
+            "d04d5e447814bcf2c276ae74c880db2997b83d62bee36b2870c040aa21acf853",
     }
 
 
@@ -555,12 +557,12 @@ def test_classify_request_bytes_are_pinned(tmp_path, capsys):
     they always have; the three malformed documents that ``bench/workloads.KNOWN_DEFECTS``
     counts keep their outcome until the verdict contract closes (ROADMAP section 1)."""
     assert _classify_request_outcomes(tmp_path, capsys) == {
-        (3, "split"): "3187a25a4b39a589ccedae02da99f47ad9ed03ea3ab8de497b65ca025aa5984f",
-        (3, "elliptic"): "2a3cddb1b73ac3921f86b93e257bb4aca73e83485e35d300260df3a6dc368732",
-        (3, "degenerate"): "63ebf71ac51cc568e9430f0c12b8045e04936771a3fa5678a9ceb36d9331e698",
-        (4, "split"): "863d1cbce445d7daea6ddf544ca15a4ca26e4c483b8912e01b131a8e7672b1f0",
-        (4, "elliptic"): "46efb9ee4daf324ba1649638062eab50b8559f386c4c3a06408f6d40c9376f22",
-        (4, "degenerate"): "a46d9a706ec95fddbead8f1748766ae24bf2e3daee4238636aa1bb9db52afac4",
+        (3, "split"): "af9f07bd6864afe924192bea59e3198dd1076edf80be6434bcf61928170a5b12",
+        (3, "elliptic"): "6da52e068a3be7139dbdd0fe520783c0fd5fd905705bfa661c1b5aa1ea0ee0f2",
+        (3, "degenerate"): "6e03447a6c114d270c6aef92e78bf17b5310123e8840b299d9407ac121248951",
+        (4, "split"): "7db7ea2b4d21d455d5003c7b2d0611b4551bcefd81db4c4287e56c79b6b27c09",
+        (4, "elliptic"): "d1eb563193fcdffbebd12ca6a38a41639550270058ff1fbe6654b6644cebc0b1",
+        (4, "degenerate"): "674e961e40d8c74f3361f29ae8b207fe0965ed1d7ea48ebe829f81220f194f9d",
         "index 9": (None, "InvalidIndexError"),
         "1/0": (None, "ZeroDivisionError"),
         "dim 7": (None, "ValueError"),
@@ -705,6 +707,41 @@ def test_small_float_forms_keep_their_tags(doc, tag, tmp_path, capsys):
     assert code == 0 and json.loads(out)["tag"] == tag
 
 
+def test_float_split_form_whose_lambda_fits_is_classified(tmp_path, capsys):
+    """1e77 (e^123 + e^456) has lambda = 1e77^4, which rounds to 1e308: split, exit 0.
+    Its float K^2 once overflowed, and it exited 2."""
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(_float_split(1e77)))
+    code, out, _ = run_main(["classify-3form", "--input", str(path)], capsys)
+    report = json.loads(out)
+    assert (code, report["tag"], report["discriminant"]) == (0, "split", 1e308)
+
+
+def test_exact_split_form_beyond_the_float_range_is_classified(tmp_path, capsys):
+    """10^200 (e^123 + e^456): the tag is read off the exact lambda = 10^800, which exited 1
+    with an OverflowError when its sign was read off a float."""
+    terms = [{"idx": [1, 2, 3], "re": "1" + "0" * 200}, {"idx": [4, 5, 6], "re": "1" + "0" * 200}]
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps({"dim": 6, "degree": 3, "terms": terms}))
+    code, out, _ = run_main(["classify-3form", "--input", str(path)], capsys)
+    report = json.loads(out)
+    assert (code, report["tag"], report["discriminant"]) == (0, "split", "1" + "0" * 800)
+
+
+def test_float_elliptic_form_with_coefficients_2_to_the_400_and_minus_400(tmp_path, capsys):
+    """At --tol 0, 2^400 e^136 + 2^-400 e^145 + 2^400 e^235 - 2^-400 e^246 (lambda = -4
+    exactly) is elliptic with a finite J; it was tagged degenerate with discriminant 0.0."""
+    big, small = 2.0**400, 2.0**-400
+    terms = [{"idx": list(i), "re": c} for i, c in
+             (((1, 3, 6), big), ((1, 4, 5), small), ((2, 3, 5), big), ((2, 4, 6), -small))]
+    path = tmp_path / "elliptic.json"
+    path.write_text(json.dumps({"mode": "float", "dim": 6, "degree": 3, "terms": terms}))
+    code, out, _ = run_main(["classify-3form", "--input", str(path), "--tol", "0"], capsys)
+    report = json.loads(out)
+    assert (code, report["tag"], report["discriminant"]) == (0, "elliptic", -4.0)
+    assert all(math.isfinite(x) for row in report["J"] for x in row)
+
+
 # malformed documents that must exit 2: a vector or matrix that is not a JSON
 # array, a float entry that is not a number, a frame that is not 7x7, a
 # --vol that is not a nonzero 6-form on R^6, a JSON boolean where a number
@@ -713,9 +750,8 @@ def test_small_float_forms_keep_their_tags(doc, tag, tmp_path, capsys):
 # and a form document with a key outside mode, dim, degree and terms, or a
 # term with a key outside idx, re and im, a classify-3form --input or --vol
 # with a nonzero imaginary part, a float part that is not finite, a float form
-# whose lambda overflows, or underflows to 0 while that of its power-of-two
-# scaled copy does not, and an exact string outside the grammar
-# [+-]p or [+-]p/q
+# whose exact lambda rounds to an infinite float or to 0, and an exact string
+# outside the grammar [+-]p or [+-]p/q
 BAD_INPUTS = {
     "point-digit-string": ("chern", {"point": "1000000"}),
     "point-string": ("chern", {"point": "abc"}),
@@ -782,18 +818,17 @@ BAD_INPUTS = {
     "float-form-int-beyond-float-range": ("classify-3form", _form("float", re=10**400)),
     "float-vol-nan": ("float vol", _float_vol(float("nan"))),
     "float-vol-infinity": ("float vol", _float_vol(float("inf"))),
-    # split forms whose K or lambda overflows: inf was printed, or OverflowError,
-    # NotComplexStructureError or ZeroDivisionError escaped
-    "float-split-1e77": ("classify-3form", _float_split(1e77)),
+    # split forms whose lambda overflows the float range: inf was printed, or
+    # OverflowError, NotComplexStructureError or ZeroDivisionError escaped
     "float-split-1e78": ("classify-3form", _float_split(1e78)),
     "float-split-1e100": ("classify-3form", _float_split(1e100)),
     "float-split-1e200": ("classify-3form", _float_split(1e200)),
     "float-split-vol-1e-160": ("float split vol", _float_vol(1e-160)),
     "float-split-vol-1e-200": ("float split vol", _float_vol(1e-200)),
     "float-split-vol-1e-320": ("float split vol", _float_vol(1e-320)),
-    # open-orbit forms whose lambda underflows to 0 while K does not: tagged degenerate
+    # open-orbit forms whose nonzero lambda rounds to 0: they were tagged degenerate,
+    # with exit 0 where K underflowed to 0 too
     "float-split-1e-100": ("classify-3form", _float_split(1e-100)),
-    # ... also where K underflows to 0 too: tagged degenerate with exit 0
     "float-split-1e-200": ("classify-3form", _float_split(1e-200)),
     "float-split-vol-1e300": ("float split vol", _float_vol(1e300)),
     "float-elliptic-2^-300": (

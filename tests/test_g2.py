@@ -285,6 +285,27 @@ def test_is_g2_agrees_with_pullback_oracle():
         assert not is_g2(m) and not g2_defect(m).is_zero
 
 
+def test_is_g2_of_gaussian_rational_copies_gives_the_rational_verdict(monkeypatch):
+    """ComplexRational entries with imaginary part 0 do not clear over Z, so they take the
+    exact loop with the generic cross product; it gives the verdicts of the rational copies."""
+    from g2kit import g2
+
+    rng = random.Random(12)
+    frame = [list(r) for r in random_rational_frame(rng).matrix]
+    nudged = [list(r) for r in frame]
+    nudged[3][5] += Fraction(1, 7)
+    cases = [(frame, True), (nudged, False), ([[r[1], r[0], *r[2:]] for r in frame], False),
+             (_diag(*[0] * 7), False), (_diag(*[1] * 7), True)]
+    loops = []
+    loop = g2._is_g2_loop
+    spy = lambda cols, tol, kernel: loops.append(tol) or loop(cols, tol, kernel)
+    monkeypatch.setattr(g2, "_is_g2_loop", spy)
+    for m, verdict in cases:
+        gaussian = [[ComplexRational(x, Fraction(0)) for x in r] for r in m]
+        assert is_g2(m) is is_g2(gaussian) is verdict
+    assert loops == [None] * len(cases)
+
+
 def test_is_g2_float_frames():
     from g2kit.sphere import frame_at_float_point
 

@@ -120,11 +120,26 @@ def _exact_elliptic_cases(count):
     return cases[True] + cases[False]
 
 
+def _dyadic(form):
+    """The exact form of the rationals that a float form stores."""
+    return ExteriorForm(form.dim, form.degree, {i: Fraction(c) for i, c in form.terms.items()})
+
+
+def _within_an_ulp_of_minus_k_over_root(x, k, mu):
+    """Whether the float x lies within math.ulp(x) of -k / sqrt(mu), for exact k and mu > 0,
+    decided in exact arithmetic on the squares: sqrt(mu) is irrational in general."""
+    if not k:
+        return x == 0
+    ulp, size = Fraction(math.ulp(x)), abs(Fraction(x))
+    return (x > 0) == (k < 0) and max(size - ulp, 0) ** 2 <= k * k / mu <= (size + ulp) ** 2
+
+
 def test_elliptic_j_is_minus_k_over_the_root_of_mu():
     """The lemma of ``threeforms``: J = -K / sqrt(mu), and K reverses the orientation of vol.
 
-    J is compared exactly for a square mu and as the same floats otherwise; the
-    orientation of K is evaluated exactly.
+    J is compared exactly for a square mu.  A float J, that of a non-square mu or of the
+    float copy of each form, lies within 1 ulp of -K / sqrt(mu) entry by entry, with K and
+    mu those of the exact (dyadic) input; the orientation of K is evaluated exactly.
     """
     signs = set()
     for rho, vol, cls in _exact_elliptic_cases(100):
@@ -134,11 +149,17 @@ def test_elliptic_j_is_minus_k_over_the_root_of_mu():
             root = sqrt_fraction(mu)
             assert cls.j_matrix == [[-x / root for x in row] for row in k]
         else:
-            root = float(mu) ** 0.5
-            want = [[(-float(x) / root).hex() for x in row] for row in k]
-            assert [[x.hex() for x in row] for row in cls.j_matrix] == want
+            assert all(map(_within_an_ulp_of_minus_k_over_root, sum(cls.j_matrix, []), sum(k, []),
+                           [mu] * 36))
         assert orientation_sign_reference(k, vol, 0)[0] == -1
         signs.add((cls.sqrt_is_exact, vol.terms[(1, 2, 3, 4, 5, 6)] > 0))
+        rho_f, vol_f = rho.as_float(), vol.as_float()
+        float_cls = classify_3form(rho_f, vol_f)
+        k = k_operator(_dyadic(rho_f), _dyadic(vol_f))
+        mu = -classify_3form(_dyadic(rho_f), _dyadic(vol_f)).discriminant
+        assert (float_cls.tag, float_cls.discriminant) == ("elliptic", float(-mu))
+        assert all(map(_within_an_ulp_of_minus_k_over_root, sum(float_cls.j_matrix, []),
+                       sum(k, []), [mu] * 36))
     assert len(signs) == 4
 
 
@@ -216,19 +237,27 @@ def test_float_tag_does_not_depend_on_scale(k):
         assert classify_3form(normal.as_float(), 10.0**k * vol).tag == tag
 
 
+def _scaled(form, k):
+    """2^k form, a float form with every coefficient scaled exactly by ``math.ldexp``."""
+    return ExteriorForm(6, 3, {i: math.ldexp(c, k) for i, c in form.terms.items()}, FLOAT)
+
+
+def _hexes(m):
+    return m and [[x.hex() for x in row] for row in m]
+
+
 @pytest.mark.parametrize("normal", [split_normal_form, elliptic_normal_form])
 def test_power_of_two_scales_keep_the_tag_and_the_j_bits(normal):
-    """2^k rho is never tagged degenerate.  Where its lambda, trace(K^2) / 6 = 2^4k
-    lambda_1, fits the float range, it has the tag and J bits of k = 0 and reports that
-    lambda, and Upsilon is that of 2^k rho; elsewhere it raises FloatRangeError.  Every
-    third k of -1074..1023 is tried, and every k from 12 below to 12 above the k that fit."""
+    """2^k rho is never tagged degenerate.  Where its lambda, 2^4k lambda_1 rounded once,
+    fits the float range, it has the tag and J bits of k = 0 and reports that lambda, and
+    Upsilon is that of 2^k rho; elsewhere it raises FloatRangeError.  Every third k of
+    -1074..1023 is tried, and every k from 12 below to 12 above the k that fit."""
     unit = classify_3form(normal().as_float())
-    terms = normal().terms
-    hexes = lambda m: m and [[x.hex() for x in row] for row in m]
+    lam = Fraction(unit.discriminant)
     for k in sorted({*range(-1074, 1024, 3), *range(-280, 268)}):
-        rho = ExteriorForm(6, 3, {i: math.ldexp(c, k) for i, c in terms.items()}, FLOAT)
+        rho = _scaled(normal(), k)
         try:
-            want = math.ldexp(6 * unit.discriminant, 4 * k) / 6
+            want = float(lam * Fraction(2) ** (4 * k))
         except OverflowError:
             want = 0.0
         if not want:
@@ -237,9 +266,40 @@ def test_power_of_two_scales_keep_the_tag_and_the_j_bits(normal):
             continue
         cls = classify_3form(rho)
         assert (cls.tag, cls.discriminant) == (unit.tag, want)
-        assert hexes(cls.j_matrix) == hexes(unit.j_matrix)
+        assert _hexes(cls.j_matrix) == _hexes(unit.j_matrix)
         if k in (-200, 0, 200) and cls.tag == "elliptic":
             assert cls.upsilon == recover_upsilon(rho, cls.j_matrix)
+
+
+def test_power_of_two_scales_of_float_pullbacks_keep_the_tag_and_the_j_bits():
+    """Float Gaussian GL(6) pullbacks of both normal forms, 10 each: every scale 2^k,
+    k = -1074..1023, at which the exact lambda 2^4k lambda_1 of 2^k rho rounds to a finite
+    nonzero float gives the tag and J bits of k = 0 and that lambda.  At every 31st other k
+    where 2^k rho stores the coefficients of rho scaled exactly, FloatRangeError is raised."""
+    rng = random.Random(41)
+    j_bits = lambda m: struct.pack("<36d", *(x for row in m for x in row))
+    fits = 0
+    for normal, tag in ((split_normal_form(), "split"), (elliptic_normal_form(), "elliptic")) * 10:
+        g = [[rng.gauss(0.0, 1.0) for _ in range(6)] for _ in range(6)]
+        rho = normal.as_float().pullback(g)
+        unit, lam = classify_3form(rho), classify_3form(_dyadic(rho)).discriminant
+        assert (unit.tag, unit.discriminant) == (tag, float(lam))
+        want_j = unit.j_matrix and j_bits(unit.j_matrix)
+        top = max(math.frexp(x)[1] for x in rho.terms.values())
+        for k in range(-1074, 1024):
+            try:
+                want = float(lam * 2 ** (4 * k) if k >= 0 else lam / 2 ** (-4 * k))
+            except OverflowError:
+                want = 0.0
+            if want:
+                fits += 1
+                cls = classify_3form(_scaled(rho, k))
+                assert (cls.tag, cls.discriminant) == (tag, want)
+                assert (cls.j_matrix and j_bits(cls.j_matrix)) == want_j
+            elif k % 31 == 0 and -1000 < k + top < 1024:
+                with pytest.raises(FloatRangeError):
+                    classify_3form(_scaled(rho, k))
+    assert fits > 20 * 500
 
 
 @settings(max_examples=25, deadline=None)
@@ -292,14 +352,13 @@ def test_non_complex_j_raises_from_classify(monkeypatch):
     from g2kit import threeforms
     from g2kit.compat import NotComplexStructureError
 
-    # rotation blocks of speeds 1, 1, 5: trace(K^2)/6 = -9, but K^2 != -9 I.  An exact
-    # form reads lambda = -4 off its ints and builds K with _k_fractions; a float form
-    # reads trace(K^2) off k_operator.
-    k = [[Fraction(0)] * 6 for _ in range(6)]
+    # rotation blocks of speeds 1, 1, 5: trace(K^2)/6 = -9, but K^2 != -9 I.  Both forms
+    # read these ints; the exact one builds J = -K / 3 with _k_fractions, the float one
+    # takes J off the same ints.
+    acc = [0] * 36
     for b, w in enumerate((1, 1, 5)):
-        k[2 * b][2 * b + 1], k[2 * b + 1][2 * b] = Fraction(-w), Fraction(w)
-    monkeypatch.setattr(threeforms, "k_operator", lambda rho, vol: k)
-    monkeypatch.setattr(threeforms, "_k_fractions", lambda acc, num, den: k)
+        acc[14 * b + 1], acc[14 * b + 6] = -w, -w  # K[2b][2b+1] = -w, K[2b+1][2b] = w
+    monkeypatch.setattr(threeforms, "_k_integers", lambda rho, vol: (acc, 1, 1))
     for rho in (elliptic_normal_form(), elliptic_normal_form().as_float()):
         with pytest.raises(NotComplexStructureError):
             classify_3form(rho)
@@ -485,6 +544,64 @@ def test_exact_classification_builds_k_only_for_an_elliptic_j(monkeypatch):
         cls = classify_3form(forms["elliptic"], vol)
         assert (cls.tag, cls.sqrt_is_exact) == ("elliptic", True)
     assert calls == [1, 1]
+
+
+def test_no_classification_reaches_k_operator(monkeypatch):
+    """Exact, float and mixed input are all classified on the ints of ``_k_integers``: the
+    float K of k_operator is never built, for any tag, with a square mu or without."""
+    from g2kit import threeforms
+
+    def refuse(*args):
+        raise AssertionError("k_operator was called")
+
+    rho_np, vol_np = tiny_pivot_elliptic_form()
+    forms = [
+        (pullback(split_normal_form(), _GL6), None, "split"),
+        (pullback(ExteriorForm(6, 3, {(1, 2, 3): Fraction(2, 7)}), _GL6), None, "degenerate"),
+        (ExteriorForm.zero(6, 3), None, "degenerate"),
+        (pullback(elliptic_normal_form(), _GL6), None, "elliptic"),
+        (rho_np, vol_np, "elliptic"),
+    ]
+    monkeypatch.setattr(threeforms, "k_operator", refuse)
+    for rho, vol, tag in forms:
+        vol = standard_volume_form() if vol is None else vol
+        for pair in ((rho, vol), (rho.as_float(), vol.as_float()), (rho, vol.as_float()),
+                     (rho.as_float(), vol)):
+            assert classify_3form(*pair).tag == tag
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_a_coefficient_that_is_not_finite_raises_float_range_error(bad):
+    """In rho or in vol, next to finite coefficients of either kind."""
+    for rho, vol in (
+        (ExteriorForm(6, 3, {(1, 2, 3): bad, (4, 5, 6): 1.0}, FLOAT), standard_volume_form()),
+        (split_normal_form(), ExteriorForm(6, 6, {(1, 2, 3, 4, 5, 6): bad}, FLOAT)),
+        (split_normal_form().as_float(), ExteriorForm(6, 6, {(1, 2, 3, 4, 5, 6): bad}, FLOAT)),
+    ):
+        with pytest.raises(FloatRangeError, match="not finite"):
+            classify_3form(rho, vol)
+
+
+def test_an_exact_split_form_beyond_the_float_range_is_split():
+    """10^200 (e^123 + e^456) has lambda = 10^800: its tag is read off the sign of the exact
+    lambda, which no float holds (the tag was once read off a float of it: OverflowError)."""
+    cls = classify_3form(10**200 * split_normal_form())
+    assert (cls.tag, cls.discriminant, cls.mode) == ("split", Fraction(10**800), "exact")
+
+
+def test_a_float_form_whose_scaled_k_underflows_keeps_its_exact_tag():
+    """2^400 e^136 + 2^-400 e^145 + 2^400 e^235 - 2^-400 e^246 is a diagonal pullback of the
+    elliptic normal form, lambda = -4 exactly.  At tol 0 it is elliptic with a finite J that
+    squares to -I (it was tagged degenerate: the products of a scaled copy underflowed); at
+    the default tol its |rho|^4 = 2^1600 makes it degenerate."""
+    big, small = 2.0**400, 2.0**-400
+    rho = ExteriorForm(6, 3, {(1, 3, 6): big, (1, 4, 5): small, (2, 3, 5): big, (2, 4, 6): -small})
+    cls = classify_3form(rho, tol=0)
+    assert (cls.tag, cls.discriminant) == ("elliptic", -4.0)
+    assert all(math.isfinite(x) for row in cls.j_matrix for x in row)
+    j = [[Fraction(x) for x in row] for row in cls.j_matrix]
+    assert linalg.mat_mul(j, j) == [[-1 if a == b else 0 for b in range(6)] for a in range(6)]
+    assert classify_3form(rho).tag == "degenerate"
 
 
 _NOT_A_3FORM = "classification needs a 3-form on R^6"
