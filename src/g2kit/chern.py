@@ -52,7 +52,7 @@ from .scalars import (
     Immutable,
     join_modes,
     matrix_mode,
-    to_float,
+    sqrt_rounded,
     vector_mode,
 )
 from .sphere import check_tangent, point_vector
@@ -242,9 +242,13 @@ class ChernData(Immutable):
 
         The raw residual scales by det(h) under eta |-> h^-1 eta while the
         block determinant scales by |det h|^2, so this quotient only sees the
-        structure itself; zero versus nonzero is the exported verdict.
+        structure itself; zero versus nonzero is the exported verdict.  Exact
+        data take the root of one exact quotient, rounded once: finite where it fits.
         """
-        return abs(self.residual) / abs(to_float(self.block_det)) ** 0.5
+        if self.mode == FLOAT:
+            return abs(self.residual) / abs(self.block_det) ** 0.5
+        res = self.residual
+        return sqrt_rounded((res.real ** 2 + res.imag ** 2) / abs(self.block_det))
 
     @property
     def residual_is_zero(self):
@@ -404,7 +408,7 @@ def equivariance_check(j: CandidateJ, frame: AdaptedFrame, g_su3, h_gl3, eta_bas
         # relative tolerances: r and s scale with h, and the residual with
         # det(h), as sqrt|block det| does (see residual_normalized_abs)
         rs_tol = 1e-8 * linalg.max_abs(expect_r + expect_s)
-        res_tol = 1e-8 * abs(det_h) * abs(to_float(base.block_det)) ** 0.5
+        res_tol = 1e-8 * abs(det_h) * abs(base.block_det) ** 0.5
 
     def close(m1, m2):
         if exact:

@@ -331,3 +331,11 @@ def sqrt_fraction(x: Fraction):
     if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
     return None
+
+
+def sqrt_rounded(x: Fraction) -> float:
+    """sqrt of a Fraction x >= 0, rounded once: an isqrt of 57+ bits, rounded to odd, / 2^e."""
+    n, d = x.numerator, x.denominator
+    e = max(0, 116 - n.bit_length() + d.bit_length()) // 2
+    r = math.isqrt((n << 2 * e) // d)
+    return (r | (r * r * d != n << 2 * e)) / (1 << e)

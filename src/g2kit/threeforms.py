@@ -30,6 +30,7 @@ J e3 = e4, J e5 = e6, and vol0(e1, ..., e6) = 1 > 0.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -37,10 +38,8 @@ from operator import mul
 
 from . import linalg
 from .compat import check_complex_structure
-from .forms import ExteriorForm
-from .scalars import (
-    EXACT, FLOAT, I_EXACT, Immutable, matrix_mode, normalize_scalar, sqrt_fraction
-)
+from .forms import ExteriorForm, sort_sign
+from .scalars import EXACT, FLOAT, I_EXACT, Immutable, matrix_mode, sqrt_fraction
 
 
 class FloatRangeError(ValueError):
@@ -97,66 +96,45 @@ def standard_volume_form() -> ExteriorForm:
     return ExteriorForm(6, 6, {(1, 2, 3, 4, 5, 6): Fraction(1)})
 
 
-def _k_table():
-    """3-subset I -> one ``(sign, ((k, J, s), ...))`` per a in I, as described in k_operator."""
-    full = range(1, 7)
-    table = {}
-    for idx in combinations(full, 3):
-        per_a = []
-        for pos, a in enumerate(idx):
-            r1, r2 = idx[:pos] + idx[pos + 1 :]
-            entries = []
-            for b in full:
-                if b != r1 and b != r2:
-                    j = tuple(i for i in full if i != b and i != r1 and i != r2)
-                    # e_r1 ^ e_r2 ^ e_J takes one transposition per i in J below r1 or r2
-                    moves = r1 + r2 - 3 - (b < r1) - (b < r2)
-                    entries.append((6 * b + a - 7, j, -1 if moves % 2 else 1))
-            per_a.append((-1 if pos % 2 else 1, tuple(entries)))
-        table[idx] = tuple(per_a)
-    return table
-
-
-_K_TABLE = _k_table()
-_SUBSETS = {idx: pos for pos, idx in enumerate(_K_TABLE)}
+_SUBSETS = {idx: pos for pos, idx in enumerate(combinations(range(1, 7), 3))}
 
 
 def _k_pairs():
-    """``_K_TABLE`` merged over unordered pairs: one ``(k, i, j, c)`` per entry k and pair of
-    3-subsets I, J, at positions i < j in ``_SUBSETS``, that reaches it; c is the sum of the
-    signs with which rho_I rho_J and rho_J rho_I reach entry k."""
+    """The products that reach the entries of K: one ``(k, i, j, c)`` per entry k = 6b + a and
+    unordered pair of 3-subsets I, J at positions i < j in ``_SUBSETS``.  For a in I at
+    position pos, iota_{e_a} e_I = (-1)^pos e_(I - a), and for each J disjoint from I - a,
+    e_(I - a) ^ e_J = s e_(all but b) with ``sort_sign``'s s; c sums the signs with which
+    rho_I rho_J and rho_J rho_I reach entry k, so 240 products merge into 150."""
     merged = {}
-    for idx, per_a in _K_TABLE.items():
-        for sign, entries in per_a:
-            for k, j, s in entries:
-                key = (k, *sorted((_SUBSETS[idx], _SUBSETS[j])))
-                merged[key] = merged.get(key, 0) + sign * s
+    for idx, i in _SUBSETS.items():
+        for pos, a in enumerate(idx):
+            r1, r2 = rest = idx[:pos] + idx[pos + 1 :]
+            for jdx, j in _SUBSETS.items():
+                if r1 not in jdx and r2 not in jdx:
+                    key, s = sort_sign(rest + jdx)
+                    pair = (6 * (21 - sum(key)) + a - 7, *sorted((i, j)))  # b = 21 - sum(key)
+                    merged[pair] = merged.get(pair, 0) + (-1) ** pos * s
     return tuple((k, i, j, c) for (k, i, j), c in merged.items() if c)
 
 
 _K_PAIRS = _k_pairs()
 
 
-def _check_shapes(rho: ExteriorForm, vol: ExteriorForm):
+def _k_integers(rho: ExteriorForm, vol: ExteriorForm):
+    """k_operator's input checks and its kernel: ints ``(acc, num, den)`` with K[b][a] =
+    (-1)^b acc[6b + a] num / den.  Each coefficient, Fraction or float, is read as the rational
+    it is (``as_integer_ratio``), and rho's denominators are cleared by one lcm.  A complex or
+    Gaussian coefficient raises ComplexFormError, a float that is not finite FloatRangeError.
+    acc takes the 150 products of ``_K_PAIRS``, 60 with coefficient +-1 and 90 with +-2."""
     if rho.dim != 6 or rho.degree != 3:
         raise ValueError("classification needs a 3-form on R^6")
     if vol.dim != 6 or vol.degree != 6 or vol.is_zero:
         raise ValueError("volume form must be a nonzero 6-form")
-
-
-def _k_integers(rho: ExteriorForm, vol: ExteriorForm):
-    """k_operator's input checks and, on real rho and vol, its kernel: ints ``(acc, num, den)``
-    with K[b][a] = (-1)^b acc[6b + a] num / den.  Each coefficient, Fraction or float, is read
-    as the rational it is (``as_integer_ratio``), and rho's denominators are cleared by one lcm.
-    Complex and Gaussian coefficients give None, a float that is not finite FloatRangeError.
-    acc takes the 150 products of ``_K_PAIRS`` (60 with coefficient +-1, 90 with +-2) where
-    ``_K_TABLE`` takes 240: the order of an int sum does not change it."""
-    _check_shapes(rho, vol)
     c = vol.terms[(1, 2, 3, 4, 5, 6)]
     try:
         (cn, cd), *ratios = [x.as_integer_ratio() for x in (c, *rho.terms.values())]
     except AttributeError:
-        return None
+        raise ComplexFormError("classification needs a real 3-form and a real volume form") from None
     except (OverflowError, ValueError):
         raise FloatRangeError("a coefficient of the float form is not finite") from None
     d = math.lcm(*(q for _, q in ratios))
@@ -174,51 +152,15 @@ def _k_fractions(acc, num, den):
 
 
 def k_operator(rho: ExteriorForm, vol: ExteriorForm):
-    """Matrix of v |-> (iota_v rho) ^ rho under iota_w vol = that 5-form.
+    """Exact matrix of v |-> (iota_v rho) ^ rho under iota_w vol = that 5-form.
 
-    K[b][a] = (-1)^b c_b(a) / vol_123456 (0-based a, b), where c_b(a) is the
-    coefficient of e_(all but b) in (iota_{e_a} rho) ^ rho.  Only the pairs
-    with iota_{e_a} e_I ^ e_J = +-e_(all but b) reach that coefficient, and
-    ``_K_TABLE`` lists them once: for each 3-subset I and each a in I it
-    holds the sign (-1)^pos of iota_{e_a} e_I = +-e_(I - a), and the four
-    triples (k, J, s) with k = 6b + a, J = (all but b) - (I - a) and s the
-    sign of e_(I - a) ^ e_J.  The 5-forms are never built.
-
-    Exact rational input sums int products in ``_k_integers``, over the pair
-    table ``_K_PAIRS`` that merges rho_I rho_J and rho_J rho_I of each entry
-    into one product, and divides once per entry.  Any other input (floats,
-    complex or Gaussian-rational coefficients) runs ``_K_TABLE`` itself on its
-    scalars with the arithmetic of ``rho.interior(e_a).wedge(rho)``, so its float bits
-    equal that construction's: each entry adds its signed products
-    rho_I * rho_J in ``rho.terms`` order (the order ``wedge_terms`` visits
-    them, as a fixed (a, b) meets at most one J per I), drops a zero sum as a
-    missing key, and applies the column sign and the division after the sum.
-    A float sum depends on its order, so this loop does not take the merged
-    table, whose one product per pair would land at another place of the sum.
+    K[b][a] = (-1)^b c_b(a) / vol_123456 (0-based a, b), with c_b(a) the coefficient of
+    e_(all but b) in (iota_{e_a} rho) ^ rho, summed in ints by ``_k_integers`` over the
+    products of ``_K_PAIRS``; the 5-forms are never built.  A float coefficient counts as
+    the dyadic rational it stores, as in :func:`classify_3form`, so every entry is a
+    Fraction; a coefficient that is not real raises :class:`ComplexFormError`.
     """
-    float_mode = rho.mode == FLOAT or vol.mode == FLOAT
-    if float_mode:
-        _check_shapes(rho, vol)
-        rho, vol = rho.as_float(), vol.as_float()
-    elif ints := _k_integers(rho, vol):
-        return _k_fractions(*ints)
-    c = vol.terms[(1, 2, 3, 4, 5, 6)]
-    terms = rho.terms
-    unit, zero = (1.0, 0.0) if float_mode else (Fraction(1), Fraction(0))
-    acc = [None] * 36
-    for idx, x in terms.items():
-        for sign, entries in _K_TABLE[idx]:
-            xa = normalize_scalar(unit * x if sign == 1 else -(unit * x))
-            for k, j, s in entries:
-                y = terms.get(j)
-                if y is None:
-                    continue
-                t = xa * y if s == 1 else -(xa * y)
-                v = acc[k]
-                v = t if v is None else v + t
-                acc[k] = v if v else None
-    acc = [zero if v is None else normalize_scalar(v) for v in acc]
-    return [[(-1) ** b * acc[6 * b + a] / c for a in range(6)] for b in range(6)]
+    return _k_fractions(*_k_integers(rho, vol))
 
 
 def recover_upsilon(rho: ExteriorForm, j) -> ExteriorForm:
@@ -259,13 +201,14 @@ def classify_3form(rho: ExteriorForm, vol: ExteriorForm = None, tol=1e-12) -> Th
     tol |rho|^4 / |vol|^2 (max-norm of rho, coefficient of vol), decided exactly.
     Float input reports lambda rounded once, and raises :class:`FloatRangeError`
     where that overflows or gives 0 for a nonzero lambda.  A coefficient that
-    is not real raises :class:`ComplexFormError`.
+    is not real raises :class:`ComplexFormError`, and a ``tol`` that is not a
+    finite real number >= 0 ValueError, before any other work.
     """
+    if not (isinstance(tol, numbers.Real) and 0 <= tol < math.inf):
+        raise ValueError(f"tol must be a finite real number >= 0, not {tol!r}")
     if vol is None:
         vol = standard_volume_form()
     ints = _k_integers(rho, vol)
-    if ints is None:
-        raise ComplexFormError("classification needs a real 3-form and a real volume form")
     # trace(K^2) = (num / den)^2 t, with t the sum of (-1)^(a+b) acc[6a + b] acc[6b + a]:
     acc, num, den = ints  # the squares at a = b and twice each pair a < b, signs written out
     t = sum(map(mul, acc[::7], acc[::7])) + 2 * (

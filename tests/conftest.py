@@ -3,6 +3,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -11,7 +12,6 @@ from g2kit.compat import NotComplexStructureError
 from g2kit.forms import ExteriorForm
 from g2kit.linalg import _det2, _det3, _fraction_free_products, _fx_rows, _nz, _pivot_row
 from g2kit.scalars import FLOAT, ComplexRational, matrix_mode, to_float
-from g2kit.threeforms import _K_TABLE
 
 
 def e_vec(dim, k, float_mode=False):
@@ -154,10 +154,34 @@ def mat_vec(a, v):
     return [sum((a[i][j] * v[j] for j in range(len(v))), start=a[i][0] * 0) for i in range(len(a))]
 
 
+# threeforms._k_table, the entry table that threeforms._K_PAIRS was once merged from,
 # threeforms._k_integers's accumulation as it was before it ran the pair table
 # threeforms._K_PAIRS (one product per entry of _K_TABLE, 240 in a dense form), and
 # jsonio._canonical as it was before it quoted strings with encode_basestring_ascii,
 # verbatim, as the references they are checked against.
+def _k_table():
+    """3-subset I -> one ``(sign, ((k, J, s), ...))`` per a in I, as described in k_operator."""
+    full = range(1, 7)
+    table = {}
+    for idx in combinations(full, 3):
+        per_a = []
+        for pos, a in enumerate(idx):
+            r1, r2 = idx[:pos] + idx[pos + 1 :]
+            entries = []
+            for b in full:
+                if b != r1 and b != r2:
+                    j = tuple(i for i in full if i != b and i != r1 and i != r2)
+                    # e_r1 ^ e_r2 ^ e_J takes one transposition per i in J below r1 or r2
+                    moves = r1 + r2 - 3 - (b < r1) - (b < r2)
+                    entries.append((6 * b + a - 7, j, -1 if moves % 2 else 1))
+            per_a.append((-1 if pos % 2 else 1, tuple(entries)))
+        table[idx] = tuple(per_a)
+    return table
+
+
+_K_TABLE = _k_table()
+
+
 def k_integers_reference(rho, vol):
     """``(acc, num, den)`` of ``_k_integers`` for a Fraction 3-form rho and volume form vol."""
     c = vol.terms[(1, 2, 3, 4, 5, 6)]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -428,6 +429,33 @@ def test_orientation_of_a_block_determinant_beyond_the_float_range():
     assert ChernData(big, zero).orientation == 1
     assert ChernData(zero, big).block_det == -(10**1200)
     assert ChernData(zero, big).orientation == -1
+
+
+def test_residual_normalized_abs_of_exact_data_beyond_the_float_range():
+    """r = 10^+-200 I, s = 0: |residual| / sqrt|block det| is 1, read as one exact quotient
+    (the block determinant 10^+-1200 was converted to a float first, which raised
+    OverflowError at 10^1200 and ZeroDivisionError at 10^-1200)."""
+    zero = [[Fraction(0)] * 3 for _ in range(3)]
+    for scale in (Fraction(10**200), Fraction(1, 10**200)):
+        big = [[scale if a == b else Fraction(0) for b in range(3)] for a in range(3)]
+        assert ChernData(big, zero).residual_normalized_abs == 1.0
+        assert ChernData(zero, big).residual_normalized_abs == 1.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_exact_residual_normalized_abs_is_rounded_once(seed):
+    """On exact data the float is the nearest to sqrt(|residual|^2 / |block det|)."""
+    rng = random.Random(seed)
+    entry = lambda: ComplexRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                                    Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    data = ChernData(*([[entry() for _ in range(3)] for _ in range(3)] for _ in range(2)))
+    if not data.block_det:
+        return
+    x, res = data.residual_normalized_abs, data.residual
+    q = (res.real**2 + res.imag**2) / abs(data.block_det)
+    half = Fraction(math.ulp(x)) / 2
+    assert max(Fraction(x) - half, 0) ** 2 <= q <= (Fraction(x) + half) ** 2
 
 
 def test_equivariance_exact(rng):

@@ -17,6 +17,7 @@ from g2kit.scalars import (
     mode_of,
     normalize_scalar,
     sqrt_fraction,
+    sqrt_rounded,
     vector_mode,
 )
 
@@ -116,6 +117,16 @@ def test_sqrt_fraction():
     assert sqrt_fraction(Fraction(2)) is None
     with pytest.raises(ValueError):
         sqrt_fraction(Fraction(-1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0, allow_infinity=False), st.integers(1, 2**80))
+def test_sqrt_rounded_is_the_correctly_rounded_root(x, d):
+    """On a float, math.sqrt's correctly rounded root; on x / d, the nearest float."""
+    assert sqrt_rounded(Fraction(x)) == math.sqrt(x)
+    q = Fraction(x) / d
+    y, half = sqrt_rounded(q), Fraction(math.ulp(sqrt_rounded(q))) / 2
+    assert max(Fraction(y) - half, 0) ** 2 <= q <= (Fraction(y) + half) ** 2
 
 
 def test_normalize_scalar_types():

@@ -12,6 +12,7 @@ from g2kit.forms import ExteriorForm, pullback
 from g2kit.sampling import random_invertible_rational
 from g2kit.scalars import FLOAT, I_EXACT, ComplexRational, sqrt_fraction
 from g2kit.threeforms import (
+    ComplexFormError,
     FloatRangeError,
     classify_3form,
     elliptic_normal_form,
@@ -22,6 +23,7 @@ from g2kit.threeforms import (
 )
 
 from conftest import (
+    _K_TABLE,
     e_vec,
     k_integers_reference,
     orientation_sign_reference,
@@ -365,23 +367,20 @@ def test_non_complex_j_raises_from_classify(monkeypatch):
 
 
 def k_operator_reference(rho, vol):
-    """K from the whole 5-forms (iota_{e_a} rho) ^ rho: the construction k_operator replaced."""
-    float_mode = rho.mode == FLOAT or vol.mode == FLOAT
-    if float_mode:
-        rho, vol = rho.as_float(), vol.as_float()
-    zero = 0.0 if float_mode else Fraction(0)
+    """K from the whole 5-forms (iota_{e_a} rho) ^ rho, for exact rho and vol: the
+    construction k_operator replaced."""
     c = vol.terms[(1, 2, 3, 4, 5, 6)]
     cols = []
     for a in range(6):
-        xi = rho.interior(e_vec(6, a + 1, float_mode)).wedge(rho)
+        xi = rho.interior(e_vec(6, a + 1)).wedge(rho)
         rests = [tuple(i for i in range(1, 7) if i != b) for b in range(1, 7)]
-        cols.append([(-1) ** b * xi.terms.get(rest, zero) / c for b, rest in enumerate(rests)])
+        cols.append([(-1) ** b * xi.terms.get(rest, Fraction(0)) / c for b, rest in enumerate(rests)])
     return [[cols[a][b] for a in range(6)] for b in range(6)]
 
 
 def _k_coeff(rng, kind):
     """A coefficient of ``kind``.  Small integers make exact cancellations; tiny
-    values make products that underflow to +-0.0."""
+    floats make dyadic rationals with large denominators."""
     if kind == "exact":
         return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
     if kind == "gaussian":
@@ -409,22 +408,19 @@ def _k_case(rng):
     return ExteriorForm(6, 3, terms), ExteriorForm(6, 6, {(1, 2, 3, 4, 5, 6): c})
 
 
-def _bits(x):
-    """The value and its type, with floats as their bytes, so that -0.0 != 0.0."""
-    if isinstance(x, complex):
-        return complex, struct.pack("<dd", x.real, x.imag)
-    if isinstance(x, float):
-        return float, struct.pack("<d", x)
-    return type(x), x
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_k_operator_matches_the_wedge_construction(seed):
-    """Equal exact values of equal types; float bits equal, signed zeros included."""
+    """On real input, the Fractions of the wedge construction on the dyadic rationals that
+    the form stores; a form with a coefficient that is not real raises ComplexFormError."""
     rho, vol = _k_case(random.Random(seed))
-    got, want = k_operator(rho, vol), k_operator_reference(rho, vol)
-    assert [[_bits(x) for x in row] for row in got] == [[_bits(x) for x in row] for row in want]
+    if any(isinstance(x, (complex, ComplexRational)) for f in (rho, vol) for x in f.terms.values()):
+        with pytest.raises(ComplexFormError):
+            k_operator(rho, vol)
+        return
+    got, want = k_operator(rho, vol), k_operator_reference(_dyadic(rho), _dyadic(vol))
+    assert got == want
+    assert all(type(x) is Fraction for row in got + want for x in row)
 
 
 def _exact_3form(kind, rng):
@@ -473,7 +469,7 @@ def test_integer_lambda_is_trace_k_squared_over_6(kind, seed, c_num, c_den):
 )
 def test_pair_table_gives_the_ints_of_the_entry_loop(kind, seed, c_num, c_den):
     """``_k_integers`` on the merged pair table returns the (acc, num, den) of the loop
-    over the 240 entries of ``_K_TABLE``, under a vol coefficient (2 c_num + 1) / (2 c_den)."""
+    over the 240 entries of the reference ``_K_TABLE``, under a vol coefficient (2 c_num + 1) / (2 c_den)."""
     from g2kit import threeforms
 
     rho = _exact_3form(kind, random.Random(seed))
@@ -486,7 +482,7 @@ def test_pair_table_merges_the_240_entries_into_150_products():
     of rho_I rho_J and rho_J rho_I there; no pair cancels."""
     from collections import Counter
 
-    from g2kit.threeforms import _K_PAIRS, _K_TABLE
+    from g2kit.threeforms import _K_PAIRS
 
     entries = sum(len(e) for per_a in _K_TABLE.values() for _, e in per_a)
     assert entries == 240 == sum(abs(c) for *_, c in _K_PAIRS)
@@ -626,3 +622,16 @@ def test_classify_keeps_the_input_contract_of_k_operator(rho, vol, message):
         with pytest.raises(ValueError) as info:
             call()
         assert (type(info.value), str(info.value)) == (ValueError, message)
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf, "1e-12", 1j, None])
+def test_classify_rejects_a_tol_that_is_not_a_finite_real_number_at_least_0(tol):
+    """Before any other work: -1.0 divided by zero on this degenerate float form, nan and
+    inf failed inside as_integer_ratio, with ZeroDivisionError, ValueError, OverflowError."""
+    rho = ExteriorForm(6, 3, {(1, 2, 3): 1.0})
+    for form in (rho, _dyadic(rho), ExteriorForm(7, 3, {})):
+        with pytest.raises(ValueError, match="tol must be a finite real number >= 0") as info:
+            classify_3form(form, tol=tol)
+        assert type(info.value) is ValueError
+    for ok in (0, 0.0, Fraction(1, 10), 1e300):
+        assert classify_3form(rho, tol=ok).tag == "degenerate"
