@@ -213,28 +213,29 @@ class ChernData(Immutable):
         """det(conj(s)) - det(r); zero is necessary for integrability."""
         return self.det_s.conjugate() - self.det_r
 
-    @property
-    def block_matrix(self):
-        r, s = self.r, self.s
-        cr, cs = linalg.mat_conj(r), linalg.mat_conj(s)
-        return [[*r[i], *s[i]] for i in range(3)] + [[*cs[i], *cr[i]] for i in range(3)]
+    def _dyadic(self):
+        """Exact data as they are; float data with each entry the dyadic rational it stores."""
+        if self.mode == EXACT:
+            return self
+        exact = lambda x: ComplexRational(x.real, x.imag) if isinstance(x, complex) else Fraction(x)
+        return ChernData(*([[exact(x) for x in row] for row in m] for m in (self.r, self.s)))
 
     @property
     def block_det(self):
-        d = linalg.det(self.block_matrix)
-        if self.mode == EXACT:
-            _require(d.imag == 0, "block determinant must be real")
-        else:
-            _require(abs(d.imag) <= 1e-9 * max(1.0, abs(d.real)), "block determinant must be real")
+        """det [[r, s], [conj(s), conj(r)]] of ``_dyadic``, real for every r and s (conjugation swaps
+        the block rows and columns): the exact realness check guards ``linalg.det``'s Gaussian path."""
+        e = self._dyadic()
+        cr, cs = linalg.mat_conj(e.r), linalg.mat_conj(e.s)
+        d = linalg.det([[*e.r[i], *e.s[i]] for i in range(3)] + [[*cs[i], *cr[i]] for i in range(3)])
+        _require(d.imag == 0, "block determinant must be real")
+        if not d:
+            raise NotComplexStructureError("degenerate transition block")
         return d.real
 
     @property
     def orientation(self):
         """+1 when J induces the same orientation as the reference structure."""
-        d = self.block_det
-        if not d:
-            raise NotComplexStructureError("degenerate transition block")
-        return 1 if d > 0 else -1
+        return 1 if self.block_det > 0 else -1
 
     @property
     def residual_normalized_abs(self):
@@ -242,12 +243,10 @@ class ChernData(Immutable):
 
         The raw residual scales by det(h) under eta |-> h^-1 eta while the
         block determinant scales by |det h|^2, so this quotient only sees the
-        structure itself; zero versus nonzero is the exported verdict.  Exact
-        data take the root of one exact quotient, rounded once: finite where it fits.
+        structure itself; zero versus nonzero is the exported verdict.  It is the root
+        of one exact quotient of the ``_dyadic`` values, rounded once: scale-free, finite where it fits.
         """
-        if self.mode == FLOAT:
-            return abs(self.residual) / abs(self.block_det) ** 0.5
-        res = self.residual
+        res = self._dyadic().residual
         return sqrt_rounded((res.real ** 2 + res.imag ** 2) / abs(self.block_det))
 
     @property
@@ -408,7 +407,7 @@ def equivariance_check(j: CandidateJ, frame: AdaptedFrame, g_su3, h_gl3, eta_bas
         # relative tolerances: r and s scale with h, and the residual with
         # det(h), as sqrt|block det| does (see residual_normalized_abs)
         rs_tol = 1e-8 * linalg.max_abs(expect_r + expect_s)
-        res_tol = 1e-8 * abs(det_h) * abs(base.block_det) ** 0.5
+        res_tol = 1e-8 * abs(det_h) * sqrt_rounded(abs(base.block_det))
 
     def close(m1, m2):
         if exact:

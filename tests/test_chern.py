@@ -442,6 +442,49 @@ def test_residual_normalized_abs_of_exact_data_beyond_the_float_range():
         assert ChernData(zero, big).residual_normalized_abs == 1.0
 
 
+def _scaled(m, k):
+    """m times 2^k, exactly: each real and imaginary part is ldexp'd."""
+    return [[complex(math.ldexp(x.real, k), math.ldexp(x.imag, k)) if isinstance(x, complex)
+             else math.ldexp(x, k) for x in row] for row in m]
+
+
+def _verdicts(data):
+    return data.residual_normalized_abs, data.residual_is_zero, data.orientation
+
+
+def test_float_verdicts_do_not_move_under_rescaling():
+    """The quotient, the residual-zero verdict and the orientation of float (r, s) read
+    their dyadic values, so (2^k r, 2^k s) gives the values at k = 0.  In floats the block
+    determinant under- or overflowed past |k| ~ 170: ZeroDivisionError or a nan quotient."""
+    ident, zero = ([[float(a == b) * c for b in range(3)] for a in range(3)] for c in (1, 0))
+    want = _verdicts(ChernData(ident, zero))
+    assert want == (1.0, False, 1)
+    for k in range(-1000, 1001, 10):
+        assert _verdicts(ChernData(_scaled(ident, k), zero)) == want, k
+    rng = random.Random(36)
+    part = lambda: rng.choice((-1, 1)) * 2.0 ** rng.uniform(-20, 20)
+    for _ in range(20):
+        r, s = ([[complex(part(), part()) for _ in range(3)] for _ in range(3)] for _ in range(2))
+        want = _verdicts(ChernData(r, s))
+        for k in (-1000, -640, -300, -110, 110, 300, 640, 1000):
+            assert _verdicts(ChernData(_scaled(r, k), _scaled(s, k))) == want, k
+
+
+@pytest.mark.parametrize("entry", [Fraction(1), 1e50])
+def test_a_degenerate_block_raises_not_a_complex_structure(entry):
+    """r = s makes [[r, s], [conj(s), conj(r)]] singular.  Every property that reads the
+    block raises NotComplexStructureError, as orientation did; the quotient raised
+    ZeroDivisionError."""
+    r = [[entry if a == b else 0 * entry for b in range(3)] for a in range(3)]
+    data = ChernData(r, r)
+    props = ["block_det", "orientation", "residual_normalized_abs"]
+    if data.mode != EXACT:  # exact residual_is_zero tests residual == 0 and reads no block
+        props.append("residual_is_zero")
+    for prop in props:
+        with pytest.raises(NotComplexStructureError, match="degenerate transition block"):
+            getattr(data, prop)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_exact_residual_normalized_abs_is_rounded_once(seed):

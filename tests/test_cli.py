@@ -388,8 +388,8 @@ _PINNED_DIGESTS = [
     "28b8e36492ba7ea2ac0c0f79e3e3be2c7cdb5208b408fd7f5bd77fa9c3da2b6b",
     "ac7a3bfecf76068390a69793c45afae4c6742c5e9e4b449edb01c734a7496384",
     "5823cc02cb37d4eeca13f9640f37396494b2a67b1b569fcaada44dcc4168c064",
-    "01c24a0ff97ed55edf498a09fcc7bcfeb28c9cbc47a9d37bc851eb7ba10af9cb",
-    "e6b8d32345e9df6bbe2600e1c9f506bb6fa4d4da9e645e4c31855469e4b9090a",
+    "bde2e558ddc80b905d91571a820eaba10ab1a4bac3606f8a6fabdcddcfa98112",
+    "bdc6257ba5b2fe400aa7017ed3cf2f660acdec8e33d782c84dc76c7bd5e801a0",
     "b7ab87b070f68e36584b8c907700dd4469a0df28ead0779d5de7db22899b4ca8",
 ]
 
