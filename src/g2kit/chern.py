@@ -39,7 +39,8 @@ with the functions named above.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import itemgetter
+from itertools import repeat
+from operator import itemgetter, ne
 
 from . import linalg
 from .compat import NotComplexStructureError, complex_basis, defect_vanishes
@@ -56,6 +57,7 @@ from .scalars import (
     vector_mode,
 )
 from .sphere import check_tangent, point_vector
+from .threeforms import FloatRangeError
 
 
 class TheoremContradictionError(AssertionError):
@@ -214,11 +216,15 @@ class ChernData(Immutable):
         return self.det_s.conjugate() - self.det_r
 
     def _dyadic(self):
-        """Exact data as they are; float data with each entry the dyadic rational it stores."""
+        """Exact data as they are; float data with each entry the dyadic rational it stores.
+        A nan or infinite entry raises ``threeforms.FloatRangeError``."""
         if self.mode == EXACT:
             return self
         exact = lambda x: ComplexRational(x.real, x.imag) if isinstance(x, complex) else Fraction(x)
-        return ChernData(*([[exact(x) for x in row] for row in m] for m in (self.r, self.s)))
+        try:
+            return ChernData(*([[exact(x) for x in row] for row in m] for m in (self.r, self.s)))
+        except (OverflowError, ValueError):  # Fraction and ComplexRational of nan and of +-inf
+            raise FloatRangeError("an entry of the float transition matrices is not finite") from None
 
     @property
     def block_det(self):
@@ -440,6 +446,34 @@ _UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 CROSSCHECK_EVERY = 200  # the sweep recomputes every CROSSCHECK_EVERY-th trial by congruence
 
 
+# random.shuffle of a 3-list swaps x[2] with x[a], a = _randbelow(3), then x[1] with x[b],
+# b = _randbelow(2).  By 2a + b: getters of the order it leaves, on a 3-sequence and on the rows
+# and the columns of a flat 3x3 matrix.
+_SHUFFLES = tuple((itemgetter(*x), itemgetter(*[3 * p + q for p in x for q in x])) for x in (
+    (1, 2, 0), (2, 1, 0), (2, 0, 1), (0, 2, 1), (1, 0, 2), (0, 1, 2)))
+
+
+def _below(gb, n, count):
+    """``count`` successive rng.randrange(n), n > 0, from gb = rng.getrandbits."""
+    k = n.bit_length()
+    out = [x for x in map(gb, repeat(k, count)) if x < n]
+    while len(out) < count:
+        x = gb(k)
+        if x < n:
+            out.append(x)
+    return out
+
+
+def _shuffle3(gb):
+    """2a + b of the swap draws of rng.shuffle on a 3-list (see ``_SHUFFLES``)."""
+    a = b = 3
+    while a > 2:
+        a = gb(2)
+    while b > 1:
+        b = gb(2)
+    return 2 * a + b
+
+
 def _random_rz_pairs(rng):
     """(r, scale, s_bar) over the Gaussian integers: the datum (scale r, s_bar) is
     omega-compatible with residual zero.
@@ -450,27 +484,38 @@ def _random_rz_pairs(rng):
     forces det(conj(s)) = det(r).  The datum is scaled by scale = |det r|^2 to
     clear the one matrix inverse; a positive real scale changes neither the
     residual's vanishing nor any signature.  s_bar = adj(t(r)) P L conj(det r) D t(L) t(P).
+
+    The draws are those of randint(-3, 3) for r's 18 parts (re before im), randrange(4) for two
+    units, shuffle(D), randrange(5) - 2 for L's entries (1, 0), (2, 0), (2, 1) and shuffle(P),
+    taken from rng.getrandbits by random's _randbelow rule (Python 3.10 to 3.13) without the
+    calls' argument checks: n.bit_length() bits a word, redrawn while the word is >= n.  So
+    randrange(7), (4) and (5) take 3 bits a word, and each swap of a 3-list's shuffle 2 bits.
+    P L D t(L) t(P) is complex symmetric: six entries written out on ints, then reordered.
     """
+    gb = rng.getrandbits
     while True:
-        parts = [rng.randrange(7) - 3 for _ in range(18)]  # randint(-3, 3), re before im
+        parts = [x - 3 for x in _below(gb, 7, 18)]
         r = (tuple(parts[0::2]), tuple(parts[1::2]))
-        det_r = linalg._zi3_det(r)
-        if det_r == (0, 0):
+        dr, di = linalg._zi3_det(r)
+        if not (dr or di):
             continue
-        scale = det_r[0] * det_r[0] + det_r[1] * det_r[1]
-        u1, u2 = _UNITS[rng.randrange(4)], _UNITS[rng.randrange(4)]
-        # conj(det r) D = diag(u1 scale, u2 scale, conj(u12)) with u12 = u1 u2 det r
-        u12 = linalg._zi_mul(linalg._zi_mul(u1, u2), det_r)
-        diag = [(u1[0] * scale, u1[1] * scale), (u2[0] * scale, u2[1] * scale), (u12[0], -u12[1])]
-        rng.shuffle(diag)
-        l = [rng.randrange(5) - 2 for _ in range(6)]  # L's entries (1, 0), (2, 0), (2, 1)
-        perm = [0, 1, 2]
-        rng.shuffle(perm)
-        (d0, e0), (d1, e1), (d2, e2) = diag
-        rows = itemgetter(*[3 * p + j for p in perm for j in range(3)])  # row i of P m is row perm[i] of m
-        low = rows((1, 0, 0, l[0], 1, 0, l[2], l[4], 1)), rows((0, 0, 0, l[1], 0, 0, l[3], l[5], 0))
-        d = (d0, 0, 0, 0, d1, 0, 0, 0, d2), (e0, 0, 0, 0, e1, 0, 0, 0, e2)
-        m2 = linalg._zi3_mul(linalg._zi3_mul(low, d), linalg._zi3_transpose(low))
+        scale = dr * dr + di * di
+        (p1, q1), (p2, q2) = map(_UNITS.__getitem__, _below(gb, 4, 2))
+        # conj(det r) D = diag(u1 scale, u2 scale, conj(u1 u2 det r)), shuffled
+        pu, qu = p1 * p2 - q1 * q2, p1 * q2 + q1 * p2
+        diag = (p1 * scale, q1 * scale), (p2 * scale, q2 * scale), (pu * dr - qu * di, -pu * di - qu * dr)
+        (d0, e0), (d1, e1), (d2, e2) = _SHUFFLES[_shuffle3(gb)][0](diag)
+        a0, a1, b0, b1, c0, c1 = [x - 2 for x in _below(gb, 5, 6)]  # L10, L20, L21
+        reorder = _SHUFFLES[_shuffle3(gb)][1]  # entry (i, j) of P m t(P) is m[perm[i]][perm[j]]
+        # L D t(L) has rows (d0, x, y), (x, p, q), (y, q, t): x = d0 L10, y = d0 L20, z = d1 L21,
+        # p = x L10 + d1, q = x L20 + z and t = y L20 + z L21 + d2
+        xr, xi = d0 * a0 - e0 * a1, d0 * a1 + e0 * a0
+        yr, yi = d0 * b0 - e0 * b1, d0 * b1 + e0 * b0
+        zr, zi = d1 * c0 - e1 * c1, d1 * c1 + e1 * c0
+        pr, pi = xr * a0 - xi * a1 + d1, xr * a1 + xi * a0 + e1
+        qr, qi = xr * b0 - xi * b1 + zr, xr * b1 + xi * b0 + zi
+        tr, ti = yr * b0 - yi * b1 + zr * c0 - zi * c1 + d2, yr * b1 + yi * b0 + zr * c1 + zi * c0 + e2
+        m2 = reorder((d0, xr, yr, xr, pr, qr, yr, qr, tr)), reorder((e0, xi, yi, xi, pi, qi, yi, qi, ti))
         # adj(t(r)) is the cofactor matrix of r
         return r, scale, linalg._zi3_mul(linalg._zi3_cofactors(r), m2)
 
@@ -500,7 +545,7 @@ def _inertia3(c1, c2, c3):
     exactly: the sign changes of (1, -c1, c2, -c3), zeros dropped.
     """
     signs = [c > 0 for c in (1, -c1, c2, -c3) if c]
-    pos = sum(a != b for a, b in zip(signs, signs[1:]))
+    pos = sum(map(ne, signs, signs[1:]))
     return (pos, 3 - pos)
 
 
@@ -510,15 +555,17 @@ def signature_dichotomy_sweep(trials, seed):
     Runs over the Gaussian integers with the signature read off det(x - H)
     by Descartes' rule (:func:`_inertia3`); every ``CROSSCHECK_EVERY``-th
     trial is recomputed through the exact congruence of :func:`index_from_h`
-    and must agree.  Each trial re-verifies det(conj(s)) = det(r), the
-    symmetry of t(r)conj(s), that det(x - H) has real coefficients,
-    det(P) = |det r|^2, and that H is nondegenerate (a degenerate H is
-    skipped and counted); a definite H raises :class:`TheoremContradictionError`.
+    and must agree, and c3 must equal ``linalg._zi3_det`` of H.  Each trial
+    re-verifies det(conj(s)) = det(r), the symmetry of t(r)conj(s), that
+    det(x - H) has real coefficients, det(P) = |det r|^2, and that H is
+    nondegenerate (a degenerate H is skipped and counted); a definite H
+    raises :class:`TheoremContradictionError`.
     The datum is (scale r, s_bar) of :func:`_random_rz_pairs`, and the checks
     read the small r and scale = |det r|^2 > 0: each is its equation on the
     datum divided by a power of scale.  det(s_bar) = scale^3 det(r), t(r) s_bar
     is symmetric, det(t(r) conj(r)) = |det r|^2 since P = scale^2 t(r) conj(r),
-    and H = scale^2 t(r) conj(r) - t(s_bar) conj(s_bar).
+    and H = scale^2 t(r) conj(r) - t(s_bar) conj(s_bar), built once; one pass
+    of ``linalg._zi3_charpoly`` gives c1, c2, c3 of det(x - H).
     Returns a report dict.
     Raises ``TypeError`` unless ``trials`` is an int (``bool`` is not), and
     ``ValueError`` for ``trials < 0``.
@@ -543,14 +590,12 @@ def signature_dichotomy_sweep(trials, seed):
         m = mul(r_t, s_bar)
         _require(m == transpose(m), "t(r) conj(s) is not symmetric")
         # H = scale^2 P - t(s_bar) conj(s_bar) with P = t(r) conj(r), and the coefficients of
-        # det(x - H): c1 = trace, c2 = trace of the cofactors, c3 = det, real as H is hermitian
+        # det(x - H), real as H is hermitian
         p = mul(r_t, conj(r))
         q = mul(transpose(s_bar), conj(s_bar))
         sq = scale * scale
-        h = tuple([sq * x - y for x, y in zip(pp, qq)] for pp, qq in zip(p, q))
-        (h0, _, _, _, h4, _, _, _, h8), (g0, _, _, _, g4, _, _, _, g8) = h
-        (k0, _, _, _, k4, _, _, _, k8), (l0, _, _, _, l4, _, _, _, l8) = linalg._zi3_cofactors(h)
-        c1, c2, c3 = (h0 + h4 + h8, g0 + g4 + g8), (k0 + k4 + k8, l0 + l4 + l8), det(h)
+        h = [sq * x - y for x, y in zip(p[0], q[0])], [sq * x - y for x, y in zip(p[1], q[1])]
+        c1, c2, c3 = linalg._zi3_charpoly(h)
         _require(c1[1] == c2[1] == c3[1] == 0, "hermitian minors must be real")
         _require(det(p) == (dr * dr + di * di, 0), "det(P) != |det r|^2")
         if c3[0] == 0:
@@ -559,6 +604,7 @@ def signature_dichotomy_sweep(trials, seed):
         sig = _inertia3(c1[0], c2[0], c3[0])
         if done % CROSSCHECK_EVERY == 0:
             _require(index_from_h(_datum(r, scale, s_bar)) == sig, "minor/congruence signature mismatch")
+            _require(det(h) == c3, "c3 != det(H)")
         sig = _indefinite(sig)
         counts[sig] = counts.get(sig, 0) + 1
         done += 1

@@ -29,11 +29,11 @@ unchanged.
 This is the one module with Gaussian-integer matrix kernels.  chern's
 signature sweep, whose many small products Fraction normalization would
 dominate, runs on flat 3x3 Z[i] matrices, each a pair (re, im) of row-major
-9-tuples of ints: ``_zi3_mul``, ``_zi3_cofactors`` and ``_zi3_det`` are
+9-tuples of ints: ``_zi3_mul``, ``_zi3_cofactors``, ``_zi3_det`` and
+``_zi3_charpoly`` (the coefficients of det(x - m) from five 2x2 minors) are
 written out on the unpacked ints, ``_zi3_transpose`` is one ``itemgetter``
-per part and ``_zi3_conj`` negates ``im``.  ``_zi_mul`` multiplies two
-``(re, im)`` scalars, and ``_zi_dot`` is the general Z[i] dot product, under
-``mat_mul``.
+per part and ``_zi3_conj`` negates ``im``.  ``_zi_dot`` is the general Z[i]
+dot product, under ``mat_mul``.
 
 Matrices are lists of row lists; vectors are flat lists/tuples.
 """
@@ -134,10 +134,6 @@ def _dot_qi(x, y):
     return ComplexRational._from_cleared(re, im, d)
 
 
-def _zi_mul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
 _T3 = itemgetter(0, 3, 6, 1, 4, 7, 2, 5, 8)
 
 
@@ -202,6 +198,22 @@ def _zi3_det(m):
     x1, y1 = a5 * a6 - c5 * c6 - a3 * a8 + c3 * c8, a5 * c6 + c5 * a6 - a3 * c8 - c3 * a8
     x2, y2 = a3 * a7 - c3 * c7 - a4 * a6 + c4 * c6, a3 * c7 + c3 * a7 - a4 * c6 - c4 * a6
     return (
+        a0 * x0 - c0 * y0 + a1 * x1 - c1 * y1 + a2 * x2 - c2 * y2,
+        a0 * y0 + c0 * x0 + a1 * y1 + c1 * x1 + a2 * y2 + c2 * x2,
+    )
+
+
+def _zi3_charpoly(m):
+    """(c1, c2, c3) of det(x - m) = x^3 - c1 x^2 + c2 x - c3 for a flat 3x3 Z[i] matrix, each as
+    (re, im), written out: the trace, the sum of the principal 2x2 minors (cofactors 0, 4 and 8)
+    and the det, row 0 against cofactors 0, 1 and 2; five 2x2 minors in all."""
+    (a0, a1, a2, a3, a4, a5, a6, a7, a8), (c0, c1, c2, c3, c4, c5, c6, c7, c8) = m
+    x0, y0 = a4 * a8 - c4 * c8 - a5 * a7 + c5 * c7, a4 * c8 + c4 * a8 - a5 * c7 - c5 * a7
+    x1, y1 = a5 * a6 - c5 * c6 - a3 * a8 + c3 * c8, a5 * c6 + c5 * a6 - a3 * c8 - c3 * a8
+    x2, y2 = a3 * a7 - c3 * c7 - a4 * a6 + c4 * c6, a3 * c7 + c3 * a7 - a4 * c6 - c4 * a6
+    x4, y4 = a8 * a0 - c8 * c0 - a6 * a2 + c6 * c2, a8 * c0 + c8 * a0 - a6 * c2 - c6 * a2
+    x8, y8 = a0 * a4 - c0 * c4 - a1 * a3 + c1 * c3, a0 * c4 + c0 * a4 - a1 * c3 - c1 * a3
+    return (a0 + a4 + a8, c0 + c4 + c8), (x0 + x4 + x8, y0 + y4 + y8), (
         a0 * x0 - c0 * y0 + a1 * x1 - c1 * y1 + a2 * x2 - c2 * y2,
         a0 * y0 + c0 * x0 + a1 * y1 + c1 * x1 + a2 * y2 + c2 * x2,
     )

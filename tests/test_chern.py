@@ -48,6 +48,7 @@ from g2kit.threeforms import (
 from conftest import (
     _random_rz_pairs as random_rz_pairs_reference,
     _zi_det3 as zi_det3_reference,
+    _zi_mul as zi_mul_reference,
     flat3,
     rand_form,
     rank as rank_loop,
@@ -485,6 +486,22 @@ def test_a_degenerate_block_raises_not_a_complex_structure(entry):
             getattr(data, prop)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["r", "s"])
+def test_a_non_finite_float_entry_raises_float_range_error(value, where):
+    """A nan or infinite entry has no dyadic value: every property that reads ``_dyadic`` raises
+    the FloatRangeError of classify_3form, where Fraction's ValueError/OverflowError escaped."""
+    from g2kit.threeforms import FloatRangeError
+
+    eye = [[float(a == b) for b in range(3)] for a in range(3)]
+    bad = [row[:] for row in eye]
+    bad[2][2] = value
+    data = ChernData(bad, [[0.0] * 3] * 3) if where == "r" else ChernData(eye, bad)
+    for prop in ("block_det", "orientation", "residual_normalized_abs", "residual_is_zero"):
+        with pytest.raises(FloatRangeError, match="not finite"):
+            getattr(data, prop)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_exact_residual_normalized_abs_is_rounded_once(seed):
@@ -644,7 +661,7 @@ def test_sweep_of_zero_trials_is_an_empty_pass():
 
 def jacobi_signature_reference(h):
     """The replaced sweep rule: sign changes of the leading minors (Jacobi), congruence when one is 0."""
-    a, b = linalg._zi_mul(h[0][0], h[1][1]), linalg._zi_mul(h[0][1], h[1][0])
+    a, b = zi_mul_reference(h[0][0], h[1][1]), zi_mul_reference(h[0][1], h[1][0])
     minors = (h[0][0][0], a[0] - b[0], zi_det3_reference(h)[0])
     if minors[0] == 0 or minors[1] == 0:
         return linalg.signature([[ComplexRational(*x) for x in row] for row in h])
@@ -654,11 +671,13 @@ def jacobi_signature_reference(h):
 
 
 def charpoly_coefficients(h):
-    """(trace, sum of the principal 2x2 minors, det) of a hermitian pair matrix, as ints."""
-    c2 = 0
+    """(trace, sum of the principal 2x2 minors, det) of a 3x3 pair matrix, each as (re, im)."""
+    c2 = (0, 0)
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        c2 += h[i][i][0] * h[j][j][0] - h[i][j][0] ** 2 - h[i][j][1] ** 2
-    return sum(h[i][i][0] for i in range(3)), c2, zi_det3_reference(h)[0]
+        a, b = zi_mul_reference(h[i][i], h[j][j]), zi_mul_reference(h[i][j], h[j][i])
+        c2 = (c2[0] + a[0] - b[0], c2[1] + a[1] - b[1])
+    c1 = tuple(sum(h[i][i][part] for i in range(3)) for part in (0, 1))
+    return c1, c2, zi_det3_reference(h)
 
 
 _small = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -3])
@@ -690,11 +709,44 @@ def test_charpoly_inertia_matches_the_congruence(h):
     """
     from g2kit.chern import _inertia3
 
-    c1, c2, c3 = charpoly_coefficients(h)
+    (c1, _), (c2, _), (c3, _) = charpoly_coefficients(h)
     if c3 == 0:
         return
     want = linalg.signature([[ComplexRational(*x) for x in row] for row in h])
     assert _inertia3(c1, c2, c3) == want == jacobi_signature_reference(h)
+
+
+@st.composite
+def general_pairs(draw):
+    """3x3 Gaussian-integer matrices, hermitian or not, with small entries or entries near 2^80."""
+    part = st.one_of(_small, st.integers(-(2**80), 2**80))
+    return [[(draw(part), draw(part)) for _ in range(3)] for _ in range(3)]
+
+
+_SINGULAR = [
+    [[(0, 0)] * 3] * 3,
+    [[(2**80, 0), (3, 2**80), (0, 0)], [(3, -(2**80)), (2**80, 0), (0, 0)], [(0, 0), (0, 0), (0, 0)]],
+    [[(1, 1), (2, 0), (3, -1)], [(2, 2), (4, 0), (6, -2)], [(0, 1), (5, 5), (-2**80, 7)]],
+    [[(x * y[0], x * y[1]) for y in ((1, 2), (2**80, -1), (0, 3))] for x in (1, -2, 2**79)],
+]
+
+
+@settings(max_examples=150, deadline=None)
+@example(_SINGULAR[0], 1)
+@example(_SINGULAR[1], 1)
+@example(_SINGULAR[2], -3)
+@example(_SINGULAR[3], 2**80 + 1)
+@given(st.one_of(hermitian_pairs(), general_pairs()), st.sampled_from([1, -1, 2**80 + 1]))
+def test_zi3_charpoly_matches_the_coefficient_reference(h, k):
+    """The fused kernel's (c1, c2, c3) of det(x - kH) against trace, principal minors and
+    ``_zi_det3``, on hermitian and general matrices, small, scaled by 2^80 + 1 or with entries
+    near 2^80, and on singular matrices, where c3 is 0."""
+    singular = h in _SINGULAR
+    h = [[(k * x, k * y) for x, y in row] for row in h]
+    got = linalg._zi3_charpoly(flat3(h))
+    assert got == charpoly_coefficients(h)
+    if singular:
+        assert got[2] == (0, 0)
 
 
 def test_sweep_runs_the_congruence_only_on_crosscheck_trials(monkeypatch):
@@ -768,7 +820,7 @@ from g2kit import chern, linalg
 from g2kit.scalars import ComplexRational
 if not sys.flags.optimize:
     sys.exit(3)
-orig_pairs, orig_det = chern._random_rz_pairs, linalg._zi3_det
+orig_pairs, orig_det, orig_charpoly = chern._random_rz_pairs, linalg._zi3_det, linalg._zi3_charpoly
 
 def bumped(rng):
     r, scale, (re, im) = orig_pairs(rng)
@@ -788,6 +840,14 @@ def hermitian_det_off_by_one(m):
     if re == re_t and all(x == -y for x, y in zip(im, im_t)):
         return (d[0] + 1, d[1])
     return d
+
+def c3_off_by_one(m):
+    c1, c2, (re, im) = orig_charpoly(m)
+    return c1, c2, (re + 1, im)
+
+def c2_imaginary(m):
+    c1, (re, im), c3 = orig_charpoly(m)
+    return c1, (re, im + 1), c3
 
 def raised(call):
     try:
@@ -814,9 +874,14 @@ for module, attr, fake in (
         seen.append(raised(lambda: chern.random_residual_zero_data(random.Random(0))))
     setattr(module, attr, orig)
 data = chern.random_residual_zero_data(random.Random(0))
+orig_linalg_det = linalg.det
 for fake_det in (ComplexRational(1, 1), 1.0 + 1.0j):
     linalg.det = lambda m, tol=0.0: fake_det
     seen.append(raised(lambda: data.block_det))
+linalg.det = orig_linalg_det
+for fake in (c3_off_by_one, c2_imaginary):
+    linalg._zi3_charpoly = fake
+    seen.append(raised(sweep))
 print(seen)
 """
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
@@ -833,6 +898,8 @@ print(seen)
         "minor/congruence signature mismatch",
         "block determinant must be real",
         "block determinant must be real",
+        "c3 != det(H)",
+        "hermitian minors must be real",
     ])
 
 
