@@ -139,8 +139,9 @@ class CandidateJ(Immutable):
         for k in (1, 2, 3):
             sgn = -1 if k in planes else 1
             a, b = frame.col(2 * k), frame.col(2 * k + 1)
-            for i in range(n):
-                for j in range(n):
+            live = [i for i in range(n) if a[i] or b[i]]  # elsewhere the update adds a zero
+            for i in live:
+                for j in live:
                     rows[i][j] += sgn * (b[i] * a[j] - a[i] * b[j])
         return cls(u, rows)
 
@@ -169,12 +170,18 @@ class ChernData(Immutable):
     it is decided here, once, and every invariant reads it.
     """
 
-    __slots__ = ("r", "s", "context", "mode")
+    __slots__ = ("r", "s", "context", "mode", "_residual", "_block_det", "_exact")
 
     def __init__(self, r, s, context=None):
         r, s = tuple(tuple(x) for x in r), tuple(tuple(x) for x in s)
         mode = join_modes(matrix_mode(r), matrix_mode(s))
-        super().__init__(r, s, context, FLOAT if mode == FLOAT else EXACT)
+        super().__init__(r, s, context, FLOAT if mode == FLOAT else EXACT, None, None, None)
+
+    def _lazy(self, slot, compute):
+        """``slot``, filled by ``compute()`` on its first read: the immutable datum computes each once."""
+        if getattr(self, slot) is None:
+            object.__setattr__(self, slot, compute())
+        return getattr(self, slot)
 
     def _r_t_conj_s(self):
         """t(r) conj(s); its transpose is t(conj(s)) r."""
@@ -213,13 +220,14 @@ class ChernData(Immutable):
     @property
     def residual(self):
         """det(conj(s)) - det(r); zero is necessary for integrability."""
-        return self.det_s.conjugate() - self.det_r
+        return self._lazy("_residual", lambda: self.det_s.conjugate() - self.det_r)
 
     def _dyadic(self):
         """Exact data as they are; float data with each entry the dyadic rational it stores.
         A nan or infinite entry raises ``threeforms.FloatRangeError``."""
-        if self.mode == EXACT:
-            return self
+        return self if self.mode == EXACT else self._lazy("_exact", self._dyadic_data)
+
+    def _dyadic_data(self):
         exact = lambda x: ComplexRational(x.real, x.imag) if isinstance(x, complex) else Fraction(x)
         try:
             return ChernData(*([[exact(x) for x in row] for row in m] for m in (self.r, self.s)))
@@ -230,6 +238,9 @@ class ChernData(Immutable):
     def block_det(self):
         """det [[r, s], [conj(s), conj(r)]] of ``_dyadic``, real for every r and s (conjugation swaps
         the block rows and columns): the exact realness check guards ``linalg.det``'s Gaussian path."""
+        return self._lazy("_block_det", self._block_det_value)
+
+    def _block_det_value(self):
         e = self._dyadic()
         cr, cs = linalg.mat_conj(e.r), linalg.mat_conj(e.s)
         d = linalg.det([[*e.r[i], *e.s[i]] for i in range(3)] + [[*cs[i], *cr[i]] for i in range(3)])
@@ -257,7 +268,7 @@ class ChernData(Immutable):
 
     @property
     def residual_is_zero(self):
-        """The residual-zero verdict, the one place it is decided.
+        """The residual-zero verdict, the one place it is decided; a degenerate block raises.
 
         Exact mode tests equality.  Float mode tests the gauge-free
         ``residual_normalized_abs`` against 1e-9: the raw float residual
@@ -265,7 +276,7 @@ class ChernData(Immutable):
         """
         if self.mode == FLOAT:
             return self.residual_normalized_abs < 1e-9
-        return self.residual == 0
+        return self.block_det != 0 and self.residual == 0
 
 
 def upsilon_type_extremes(data: ChernData):

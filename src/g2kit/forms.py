@@ -387,11 +387,15 @@ class ExteriorForm(Immutable):
             raise DegreeError(
                 f"degree-{self.degree} form needs {self.degree} vectors, got {len(vectors)}"
             )
+        return self._checked_evaluator(vectors)(range(self.degree))
+
+    def _checked_evaluator(self, vectors):
+        """``_evaluator`` after ``evaluate``'s length and mode checks of the vectors."""
         for v in vectors:
             if len(v) != self.dim:
                 raise DimensionMismatchError("vector dimension != form dimension")
         join_modes(self.mode, matrix_mode(vectors))
-        return self._evaluator(vectors)(range(self.degree))
+        return self._evaluator(vectors)
 
     def _evaluator(self, vectors):
         """The map ``sub -> self(vectors[j] for j in sub)``, its minor kernel picked once.

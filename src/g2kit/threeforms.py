@@ -36,7 +36,6 @@ from functools import cache
 from itertools import combinations
 from operator import mul
 
-from . import linalg
 from .compat import check_complex_structure
 from .forms import ExteriorForm, sort_sign
 from .scalars import EXACT, FLOAT, I_EXACT, Immutable, matrix_mode, sqrt_fraction
@@ -167,7 +166,8 @@ def recover_upsilon(rho: ExteriorForm, j) -> ExteriorForm:
     """The (3,0)-form Upsilon with 3 Im(Upsilon) = rho, given its J.
 
     Re(Upsilon)(v, w, z) = Im(Upsilon)(Jv, w, z) for a (3,0)-form, so the real
-    part is recovered by feeding J into the first slot.  The input must be
+    part is recovered by feeding J into the first slot: every value is read
+    from one evaluator over (J e_1, ..., J e_6, e_1, ..., e_6).  The input must be
     elliptic with j its recovered structure; a j that is not a complex
     structure is rejected outright.
     """
@@ -178,11 +178,8 @@ def recover_upsilon(rho: ExteriorForm, j) -> ExteriorForm:
     third, one = (1.0 / 3.0, 1.0) if float_mode else (Fraction(1, 3), Fraction(1))
     im_part = third * rho
     basis = [[one if i == a else 0 * one for i in range(6)] for a in range(6)]
-    j_cols = [linalg.mat_vec(j, e) for e in basis]
-    re_terms = {
-        (a, b, c): im_part.evaluate([j_cols[a - 1], basis[b - 1], basis[c - 1]])
-        for a, b, c in combinations(range(1, 7), 3)
-    }
+    value = im_part._checked_evaluator([[x * one for x in col] for col in zip(*j)] + basis)
+    re_terms = {(a, b, c): value((a - 1, b + 5, c + 5)) for a, b, c in combinations(range(1, 7), 3)}
     re_part = ExteriorForm(6, 3, re_terms, mode=rho.mode)
     i_unit = 1j if float_mode else I_EXACT
     return re_part + i_unit * im_part

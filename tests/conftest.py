@@ -11,7 +11,7 @@ from g2kit import linalg
 from g2kit.compat import NotComplexStructureError
 from g2kit.forms import ExteriorForm
 from g2kit.linalg import _det2, _det3, _fraction_free_products, _fx_rows, _nz, _pivot_row
-from g2kit.scalars import FLOAT, ComplexRational, matrix_mode, to_float
+from g2kit.scalars import EXACT, FLOAT, ComplexRational, matrix_mode, to_float
 
 
 def e_vec(dim, k, float_mode=False):
@@ -196,6 +196,47 @@ def k_integers_reference(rho, vol):
                 if m is not None:
                     acc[k] += s * n_a * m
     return acc, c.denominator, (d or 1) ** 2 * c.numerator
+
+
+# threeforms.recover_upsilon's real part as it was before it read every value from one
+# evaluator (J's columns by mat_vec, one evaluate per triple), and CandidateJ.flipped's rows
+# as they were before it skipped the zero entries of a plane (all 49 entries a plane),
+# verbatim apart from the returned values, as the references they are checked against.
+def upsilon_real_terms_reference(rho, j):
+    """The 20 values (zeros kept) that ``recover_upsilon`` reads for Re(Upsilon)."""
+    float_mode = rho.mode == FLOAT or matrix_mode(j) == FLOAT
+    if float_mode:
+        rho = rho.as_float()
+    third, one = (1.0 / 3.0, 1.0) if float_mode else (Fraction(1, 3), Fraction(1))
+    im_part = third * rho
+    basis = [[one if i == a else 0 * one for i in range(6)] for a in range(6)]
+    j_cols = [linalg.mat_vec(j, e) for e in basis]
+    return {
+        (a, b, c): im_part.evaluate([j_cols[a - 1], basis[b - 1], basis[c - 1]])
+        for a, b, c in combinations(range(1, 7), 3)
+    }
+
+
+def flipped_rows_reference(frame, planes=(2, 3)):
+    """The 7x7 rows that ``CandidateJ.flipped(frame, planes)`` passes to the constructor."""
+    n = 7
+    rows = [[Fraction(0) if frame.mode == EXACT else 0.0] * n for _ in range(n)]
+    for k in (1, 2, 3):
+        sgn = -1 if k in planes else 1
+        a, b = frame.col(2 * k), frame.col(2 * k + 1)
+        for i in range(n):
+            for j in range(n):
+                rows[i][j] += sgn * (b[i] * a[j] - a[i] * b[j])
+    return rows
+
+
+def bits(x):
+    """Type and value of x, a float or complex by ``float.hex`` of both parts, lists entry by entry."""
+    if isinstance(x, list):
+        return [bits(y) for y in x]
+    if isinstance(x, (float, complex)):
+        return type(x), x.real.hex(), x.imag.hex()
+    return type(x), x
 
 
 def canonical_reference(obj):

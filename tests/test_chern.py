@@ -49,7 +49,9 @@ from conftest import (
     _random_rz_pairs as random_rz_pairs_reference,
     _zi_det3 as zi_det3_reference,
     _zi_mul as zi_mul_reference,
+    bits,
     flat3,
+    flipped_rows_reference,
     rand_form,
     rank as rank_loop,
     unflat3,
@@ -154,6 +156,54 @@ def test_flipped_family_at_random_frames(rng):
     d2 = compute_rs(j2, rotated, canonical_eta_basis(rotated))
     assert d2.residual == 0
     assert index_from_h(d2) == (1, 2)
+
+
+def test_flipped_matches_the_dense_reference():
+    """flipped updates only the rows and columns where a plane's two columns are nonzero: its
+    entries have the values, types and float.hex of the dense 49-entry loop, over all 8 plane
+    subsets, on the standard frame exact and as floats (two nonzero entries a plane), random
+    rational frames and float frames from frame_at_float_point."""
+    from itertools import chain, combinations
+
+    float_frame = AdaptedFrame([[float(x) for x in row] for row in FRAME.matrix])
+    frames = [FRAME, float_frame, *(random_rational_frame(random.Random(k)) for k in range(3))]
+    frames += [frame_at_float_point(random.Random(k), None) for k in range(3)]
+    assert sum(map(bool, FRAME.col(4))) == sum(map(bool, FRAME.col(5))) == 1
+    for frame in frames:
+        for planes in chain.from_iterable(combinations((1, 2, 3), k) for k in range(4)):
+            got = [list(row) for row in CandidateJ.flipped(frame, planes).matrix]
+            assert bits(got) == bits(flipped_rows_reference(frame, planes)), (frame.matrix, planes)
+
+
+def _invariants(data):
+    return (data.residual, data.block_det, data.orientation, data.residual_normalized_abs,
+            data.residual_is_zero, index_from_h(data))
+
+
+@pytest.mark.parametrize("filled", [False, True])
+def test_chern_data_keeps_its_invariants_through_copy_and_pickle(filled):
+    """The residual, the block determinant and the dyadic datum are kept on the datum once read:
+    copy, deepcopy and a pickle round trip give the same invariants, kept or not.  The exact
+    ones are those of the three families at the standard frame, not of another datum's kept
+    values; the float ones those of a fresh datum of the same (r, s)."""
+    import copy
+    import pickle
+
+    basis = canonical_eta_basis(FRAME)
+    want = {(): (-1, 1, 1, 1.0, False, (3, 0)), (1, 2, 3): (1, -1, -1, 1.0, False, (0, 3)),
+            (2, 3): (0, 1, 1, 0.0, True, (1, 2))}
+    cases = [(compute_rs(CandidateJ.flipped(FRAME, p), FRAME, basis), w) for p, w in want.items()]
+    frame = frame_at_float_point(random.Random(3), None)
+    for planes in ((), (2, 3)):
+        data = compute_rs(CandidateJ.flipped(frame, planes), frame, canonical_eta_basis(frame))
+        cases.append((data, _invariants(ChernData(data.r, data.s))))
+    for data, w in cases:
+        if filled:
+            assert _invariants(data) == w
+        for clone in (copy.copy(data), copy.deepcopy(data), pickle.loads(pickle.dumps(data))):
+            assert (clone._residual is None, clone._block_det is None) == (not filled, not filled)
+            assert _invariants(clone) == w
+        assert _invariants(data) == w
 
 
 def test_det_scaling_example():
@@ -475,13 +525,10 @@ def test_float_verdicts_do_not_move_under_rescaling():
 def test_a_degenerate_block_raises_not_a_complex_structure(entry):
     """r = s makes [[r, s], [conj(s), conj(r)]] singular.  Every property that reads the
     block raises NotComplexStructureError, as orientation did; the quotient raised
-    ZeroDivisionError."""
+    ZeroDivisionError, and exact residual_is_zero answered True by equality."""
     r = [[entry if a == b else 0 * entry for b in range(3)] for a in range(3)]
     data = ChernData(r, r)
-    props = ["block_det", "orientation", "residual_normalized_abs"]
-    if data.mode != EXACT:  # exact residual_is_zero tests residual == 0 and reads no block
-        props.append("residual_is_zero")
-    for prop in props:
+    for prop in ("block_det", "orientation", "residual_normalized_abs", "residual_is_zero"):
         with pytest.raises(NotComplexStructureError, match="degenerate transition block"):
             getattr(data, prop)
 

@@ -394,15 +394,20 @@ _PINNED_DIGESTS = [
 ]
 
 
-def _pinned_digests(tmp_path, capsys):
-    """stdout sha256 of the runs that ``_PINNED_DIGESTS`` pins, each checked for its exit code."""
-    import hashlib
-    import math
-
+def _float_point_document(tmp_path):
+    """The float-point chern document of ``_pinned_digests``, written under ``tmp_path``."""
     u = [1.0, 2.0, -1.0, 0.5, 3.0, -2.0, 1.5]
     n = math.sqrt(sum(x * x for x in u))
     path = tmp_path / "floatpt.json"
     path.write_text(json.dumps({"mode": "float", "point": [x / n for x in u], "frame_seed": 9}))
+    return path
+
+
+def _pinned_digests(tmp_path, capsys):
+    """stdout sha256 of the runs that ``_PINNED_DIGESTS`` pins, each checked for its exit code."""
+    import hashlib
+
+    path = _float_point_document(tmp_path)
     runs = {
         ("verify-structure",): 0,
         ("verify-structure", "--mutate", "dkappa-coeff"): 1,
@@ -425,6 +430,27 @@ def test_structure_chern_and_sphere_reports_byte_stable(tmp_path, capsys):
     longer sphere-suite run.
     """
     assert _pinned_digests(tmp_path, capsys) == _PINNED_DIGESTS
+
+
+def test_a_chern_report_computes_each_determinant_once(tmp_path, capsys, monkeypatch):
+    """ChernData keeps its residual and block determinant: an exact report takes the two 3x3
+    determinants of its residual and one 6x6 block determinant ({3: 8, 6: 2} before they were
+    kept), and the float-point document at most the float and the dyadic residual's four 3x3
+    and one 6x6 ({3: 8, 6: 4})."""
+    from collections import Counter
+
+    from g2kit import linalg
+
+    counts, det = Counter(), linalg.det
+    monkeypatch.setattr(linalg, "det", lambda m: counts.update([len(m)]) or det(m))
+    path = str(_float_point_document(tmp_path))
+    for family in ("standard", "flip23"):
+        for argv, most in ((["chern", "--family", family], {3: 2, 6: 1}),
+                           (["chern", "--input", path, "--family", family], {3: 4, 6: 1})):
+            counts.clear()
+            assert run_main(argv, capsys)[0] == 0
+            assert set(counts) <= set(most) and all(counts[k] <= most[k] for k in counts), (argv, counts)
+            assert "--input" in argv or counts == most, (argv, counts)  # exact: exactly these
 
 
 def test_usage_error_leaves_later_reports_unchanged(tmp_path, capsys):

@@ -17,6 +17,7 @@ from conftest import (
     _zi_cofactors as zi_cofactors_reference,
     _zi_det3 as zi_det3_reference,
     _zi_mat_mul as zi_mat_mul_reference,
+    bits,
     flat3,
     unflat3,
 )
@@ -424,15 +425,6 @@ def test_exact_verdicts_do_not_depend_on_tol(seed):
         for tol in (1e-9, 1.0):
             with mock.patch.object(linalg, "PIVOT_TOL", tol):
                 assert same(_outcome(f, *args), at_zero), (f.__name__, tol)
-
-
-def bits(x):
-    """Type and value of x, a float or complex by ``float.hex`` of both parts, lists entry by entry."""
-    if isinstance(x, list):
-        return [bits(y) for y in x]
-    if isinstance(x, (float, complex)):
-        return type(x), x.real.hex(), x.imag.hex()
-    return type(x), x
 
 
 REF_KINDS = {**ELIM_KINDS, "int": lambda rng: rng.choice((0, _ENTRY["int"](rng)))}

@@ -24,12 +24,14 @@ from g2kit.threeforms import (
 
 from conftest import (
     _K_TABLE,
+    bits,
     e_vec,
     k_integers_reference,
     orientation_sign_reference,
     rand_form,
     seeded_float,
     tiny_pivot_elliptic_form,
+    upsilon_real_terms_reference,
 )
 
 
@@ -328,6 +330,34 @@ def test_upsilon_is_recovered_on_first_access():
             cls = classify_3form(form)
             assert cls.upsilon == recover_upsilon(form, cls.j_matrix)
             assert cls.upsilon is cls.upsilon
+
+
+def test_upsilon_real_part_matches_the_per_triple_reference(monkeypatch):
+    """recover_upsilon reads Re(Upsilon) from one evaluator over J's columns and the basis:
+    each of the 20 values it passes to ExteriorForm, zeros included, has the value, type and
+    float.hex of one ``evaluate`` per triple, on exact and float elliptic pullbacks (rational
+    and Gaussian GL(6)), on the tiny-pivot form, whose exact rho has a float J, and on the
+    normal form, 16 of whose float values are zeros of both signs."""
+    from g2kit import threeforms
+
+    seen, form = [], threeforms.ExteriorForm
+    spy = lambda *a, **k: seen.append(dict(a[2])) or form(*a, **k)  # a[2]: the terms
+    monkeypatch.setattr(threeforms, "ExteriorForm", spy)
+    rng, normal = random.Random(38), elliptic_normal_form()
+    cases = [tiny_pivot_elliptic_form(), (normal, None), (normal.as_float(), None)]
+    for _ in range(4):
+        rho = normal.pullback(random_invertible_rational(rng, 6))
+        g = [[rng.gauss(0.0, 1.0) for _ in range(6)] for _ in range(6)]
+        cases += [(rho, None), (rho.as_float(), None), (normal.as_float().pullback(g), None)]
+    kinds = set()
+    for rho, vol in cases:
+        cls = classify_3form(rho, vol)
+        seen.clear()
+        assert cls.upsilon is not None and len(seen) == 1
+        want = upsilon_real_terms_reference(cls._rho, cls.j_matrix)
+        assert list(seen[0]) == list(want) and bits([*seen[0].values()]) == bits([*want.values()])
+        kinds.add((rho.mode, cls.mode))
+    assert kinds == {("exact", "exact"), ("exact", "float"), ("float", "float")}
 
 
 def test_elliptic_definite_check_never_recovers_upsilon(monkeypatch):
