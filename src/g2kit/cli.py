@@ -80,15 +80,18 @@ def _load_json(path):
 
 def _emit(report, args):
     text = jsonio.dumps_canonical(report)
+    if args.report:  # first, so that an unwritable path prints no report
+        try:
+            with open(args.report, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.report}: {exc}") from exc
     try:
         print(text, flush=True)
     except BrokenPipeError:  # the reader left; later flushes go to devnull (Python's signal docs)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text + "\n")
     return 0 if report["pass"] else 1
 
 

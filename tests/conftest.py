@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -431,6 +432,9 @@ def rand_form(rng, dim, degree, nterms=3, complex_coeffs=False):
         else:
             terms[idx] = rand_fraction(rng)
     return ExteriorForm(dim, degree, terms)
+
+
+two_cpus = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--threads 2 needs two CPUs")
 
 
 @pytest.fixture

@@ -19,7 +19,8 @@ from g2kit.cli import main
 from g2kit.forms import ExteriorForm
 from g2kit.threeforms import elliptic_normal_form, split_normal_form
 
-from conftest import tiny_pivot_elliptic_form
+from conftest import tiny_pivot_elliptic_form, two_cpus
+from test_pins import MOVED, PINS, check_row, write_document
 
 
 def run_cli(args):
@@ -266,59 +267,26 @@ def test_reader_that_left_keeps_the_verdict_exit_code(argv, code, tmp_path):
     assert json.loads(report.read_text())["pass"] is (code == 0)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-structure"], ["classify-3form", "--input", "DOC"], ["sphere-suite", "--samples", "1", "--seed", "0"],
+     ["chern", "--family", "flip23"]],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_report_path_is_an_input_error(argv, tmp_path, capsys):
+    """The report file is written before the report is printed, so a --report path that
+    cannot be opened exits 2 with nothing on stdout and one input error line."""
+    argv = [exact_elliptic_doc(tmp_path) if a == "DOC" else a for a in argv]
+    code, out, err = run_main([*argv, "--report", str(tmp_path / "missing" / "r.json")], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: cannot write ") and err.count("\n") == 1, err
+
+
 def test_main_callable_directly(capsys):
     code = main(["verify-structure"])
     assert code == 0
     out = capsys.readouterr().out
     assert json.loads(out)["pass"]
-
-
-def test_sphere_suite_reports_byte_stable():
-    """sphere-suite stdout for fixed seeds is the one it has always printed."""
-    import hashlib
-
-    expected = {
-        ("--seed", "0", "--threads", "1"):
-            "0f92eb89e2c303072c6ecb64f5a89327aa86c5b4cbb517e256d1a76f77e0f706",
-        ("--seed", "1", "--threads", "1"):
-            "75e71999b1cc4a351c77a5f27ec74f5a021897202e21cb7c7e49cb42af9bfcdf",
-        ("--seed", "2", "--threads", "1"):
-            "126b8feffbced8ff1e905a77abb4d510f7c99350492cf3403729d63b54c76bd5",
-        ("--seed", "3", "--threads", "1"):
-            "3fd10351ac567714a4f10d47c594f153b61b010331e54f38c6083e048d7d1f78",
-        ("--seed", "0", "--threads", THREADS_2):
-            "0f92eb89e2c303072c6ecb64f5a89327aa86c5b4cbb517e256d1a76f77e0f706",
-        ("--seed", "0", "--mutate", "upsilon-scale"):
-            "5fe763f6e0361ade5ff8358f83d3749e153ec773c5f89552ea3b42e2e06373b7",
-    }
-    for flags, digest in expected.items():
-        out = run_cli(["sphere-suite", "--samples", "4", *flags]).stdout
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
-
-
-def test_chern_frame_reports_byte_stable(tmp_path, capsys):
-    """chern --input on random exact frames prints the report it always has."""
-    import hashlib
-    import random
-
-    from g2kit.chern import CandidateJ
-    from g2kit.sampling import random_rational_frame
-
-    digests = []
-    for seed in (0, 1):
-        frame = random_rational_frame(random.Random(seed))
-        doc = {"mode": "exact", "frame": [[str(x) for x in row] for row in frame.matrix]}
-        if seed == 1:
-            flip = CandidateJ.flipped(frame, (2, 3))
-            doc["J"] = [[str(x) for x in row] for row in flip.matrix]
-        path = tmp_path / f"frame{seed}.json"
-        path.write_text(json.dumps(doc))
-        assert main(["chern", "--input", str(path)]) == 0
-        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
-    assert digests == [
-        "8fc16f96c96243b526b016f53c010649bac20a87ccacc6abd479132f9ae29bdf",
-        "a3440d067d176bf244265422a9fc2965c2c71731e674ba4da1df54daf1de466d",
-    ]
 
 
 def test_commands_run_without_numpy():
@@ -348,90 +316,6 @@ sys.exit(11)
     assert proc.stderr.split() == ["0", "0", "0", "0"]
 
 
-def test_classify_reports_byte_stable(tmp_path, capsys):
-    """classify-3form on GL(6) pullbacks of the normal forms prints the report it always has.
-
-    The float reports print J, Upsilon and the discriminant to 17 digits, so
-    any change in the order of float evaluation shows here.
-    """
-    import hashlib
-    import random
-
-    from g2kit.sampling import random_invertible_rational
-
-    digests = {}
-    for seed in (0, 1):
-        g = random_invertible_rational(random.Random(seed), 6)
-        for name, normal in (("elliptic", elliptic_normal_form()), ("split", split_normal_form())):
-            rho = normal.pullback(g)
-            for mode, form in (("exact", rho), ("float", rho.as_float())):
-                path = tmp_path / f"{name}{seed}{mode}.json"
-                path.write_text(json.dumps(jsonio.form_to_obj(form)))
-                assert main(["classify-3form", "--input", str(path)]) == 0
-                out = capsys.readouterr().out
-                assert json.loads(out)["tag"] == name
-                digests[name, seed, mode] = hashlib.sha256(out.encode()).hexdigest()
-    assert digests == {
-        ("elliptic", 0, "exact"): "0ee1f9760381d6ef0f3c66732d4fcda3849f5fbd288140f2ecff9194e6f3fe3b",
-        ("elliptic", 0, "float"): "65e7d00f9e2ef986dfbc09d8acf324b3dffd225ca00fe22e4fb4f20f4df3a31a",
-        ("split", 0, "exact"): "5a2329b7de9bf8ee664e6889ad4a400eea3f73eb7d5ac16cc20d72d69af97ef3",
-        ("split", 0, "float"): "0cb8e818d045dc3d8a8fa05cce25ea1e694b3514faf7edccf64b82e1dc083f21",
-        ("elliptic", 1, "exact"): "08388ea759028da01b99cf7ecdeaf7b5150a92bd49877eb6db5997255d8957c5",
-        ("elliptic", 1, "float"): "902b0ba22125a4088339924524c77adf7abfe79c340a33a5395f06908b4b39ac",
-        ("split", 1, "exact"): "5d6eb6c8210452770f149687b24918ce7632676f0c426149c5db04db079df800",
-        ("split", 1, "float"): "288d0cc91d412e5b04516e65e5be33698566c175a100d252677f9ee43d6f14c4",
-    }
-
-
-_PINNED_DIGESTS = [
-    "245915a97b4e51b3cdb69424a6210e153632722269d56e381488fbc11248bc94",
-    "28b8e36492ba7ea2ac0c0f79e3e3be2c7cdb5208b408fd7f5bd77fa9c3da2b6b",
-    "ac7a3bfecf76068390a69793c45afae4c6742c5e9e4b449edb01c734a7496384",
-    "5823cc02cb37d4eeca13f9640f37396494b2a67b1b569fcaada44dcc4168c064",
-    "bde2e558ddc80b905d91571a820eaba10ab1a4bac3606f8a6fabdcddcfa98112",
-    "bdc6257ba5b2fe400aa7017ed3cf2f660acdec8e33d782c84dc76c7bd5e801a0",
-    "b7ab87b070f68e36584b8c907700dd4469a0df28ead0779d5de7db22899b4ca8",
-]
-
-
-def _float_point_document(tmp_path):
-    """The float-point chern document of ``_pinned_digests``, written under ``tmp_path``."""
-    u = [1.0, 2.0, -1.0, 0.5, 3.0, -2.0, 1.5]
-    n = math.sqrt(sum(x * x for x in u))
-    path = tmp_path / "floatpt.json"
-    path.write_text(json.dumps({"mode": "float", "point": [x / n for x in u], "frame_seed": 9}))
-    return path
-
-
-def _pinned_digests(tmp_path, capsys):
-    """stdout sha256 of the runs that ``_PINNED_DIGESTS`` pins, each checked for its exit code."""
-    import hashlib
-
-    path = _float_point_document(tmp_path)
-    runs = {
-        ("verify-structure",): 0,
-        ("verify-structure", "--mutate", "dkappa-coeff"): 1,
-        ("verify-structure", "--mutate", "dtheta-coeff"): 1,
-        **{("chern", "--input", str(path), "--family", f): 0
-           for f in ("standard", "minus-standard", "flip23")},
-        ("sphere-suite", "--samples", "20", "--seed", "7"): 0,
-    }
-    digests = []
-    for args, code in runs.items():
-        assert main(list(args)) == code, args
-        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
-    return digests
-
-
-def test_structure_chern_and_sphere_reports_byte_stable(tmp_path, capsys):
-    """More reports whose bytes are pinned: the DGA products of verify-structure
-    (plain and mutated), chern families at the float point of
-    ``test_chern_float_point`` (its J is built by float cross products), and a
-    longer sphere-suite run.
-    """
-    assert _pinned_digests(tmp_path, capsys) == _PINNED_DIGESTS
-
-
 def test_a_chern_report_computes_each_determinant_once(tmp_path, capsys, monkeypatch):
     """ChernData keeps its residual and block determinant: an exact report takes the two 3x3
     determinants of its residual and one 6x6 block determinant ({3: 8, 6: 2} before they were
@@ -443,7 +327,7 @@ def test_a_chern_report_computes_each_determinant_once(tmp_path, capsys, monkeyp
 
     counts, det = Counter(), linalg.det
     monkeypatch.setattr(linalg, "det", lambda m: counts.update([len(m)]) or det(m))
-    path = str(_float_point_document(tmp_path))
+    path = write_document({"doc": "float-point", "frame_seed": 9}, tmp_path / "floatpt.json")
     for family in ("standard", "flip23"):
         for argv, most in ((["chern", "--family", family], {3: 2, 6: 1}),
                            (["chern", "--input", path, "--family", family], {3: 4, 6: 1})):
@@ -459,140 +343,8 @@ def test_usage_error_leaves_later_reports_unchanged(tmp_path, capsys):
 
     assert build_parser() is build_parser()
     assert run_main(["sphere-suite", "--samples", "x"], capsys)[:2] == (2, "")
-    assert _pinned_digests(tmp_path, capsys) == _PINNED_DIGESTS
-
-
-def test_classify_degenerate_reports_byte_stable(tmp_path, capsys):
-    """classify-3form on pullbacks of degenerate forms prints the report it always has.
-
-    A float discriminant here is the exact lambda of the dyadic form, near 0
-    after cancellation, rounded once, so its 17 digits show any change in the
-    integer kernel that builds it or in that rounding.
-    """
-    import hashlib
-    import random
-
-    from g2kit.sampling import random_invertible_rational
-
-    degenerate = {
-        "e123": ExteriorForm(6, 3, {(1, 2, 3): 1}),
-        "e1(e23+e45)": ExteriorForm(6, 3, {(1, 2, 3): 1, (1, 4, 5): 1}),
-    }
-    digests = {}
-    for seed in (0, 1):
-        g = random_invertible_rational(random.Random(seed), 6)
-        rng = random.Random(seed)
-        gf = [[(a == b) + rng.uniform(-0.5, 0.5) for b in range(6)] for a in range(6)]
-        for name, normal in degenerate.items():
-            rho = Fraction(1, 3) * normal.pullback(g)
-            forms = {
-                "exact": rho,
-                "float": rho.as_float(),
-                "float-pullback": normal.as_float().pullback(gf),
-            }
-            for mode, form in forms.items():
-                path = tmp_path / f"{seed}{mode}.json"
-                path.write_text(json.dumps(jsonio.form_to_obj(form)))
-                assert main(["classify-3form", "--input", str(path)]) == 0
-                out = capsys.readouterr().out
-                assert json.loads(out)["tag"] == "degenerate"
-                digests[name, seed, mode] = hashlib.sha256(out.encode()).hexdigest()
-    exact_zero = "6f0689c4ba32136078b6eacfd6a0630b036f3936a79e9e3c8094ad3e709eb50e"
-    assert digests == {
-        ("e123", 0, "exact"): exact_zero,
-        ("e123", 0, "float"): "a7c60a3fddd5eea25c9190029d3f430e4db224e7bfd6ede4b7fc64d4be0f541c",
-        ("e123", 0, "float-pullback"):
-            "2eac3d7e1dc1b7fc5d4b14f2394ba100548051b7ae7de4458c3d3ac52ba5e689",
-        ("e1(e23+e45)", 0, "exact"): exact_zero,
-        ("e1(e23+e45)", 0, "float"):
-            "8e98cdf1caecc413b84350ff5ba63a06d1a2e479841e9b38a9525324c2de8212",
-        ("e1(e23+e45)", 0, "float-pullback"):
-            "9ed0da32819e9330856acb2d9361265f009ac42bdbb9a5cf8b7ccb1171a4b513",
-        ("e123", 1, "exact"): exact_zero,
-        ("e123", 1, "float"): "6b23440f428512f4c7c5f593867dd2a579ab322866dcc40c8ed9ffd639d78f0c",
-        ("e123", 1, "float-pullback"):
-            "9a379f68c177f9be386f7a20f13d8c2b52e6654ed0f8374f9cdf63faa5296847",
-        ("e1(e23+e45)", 1, "exact"): exact_zero,
-        ("e1(e23+e45)", 1, "float"):
-            "82bcc73a4560c19b62362adc64595cc44e49e4f3d6488511a81854ceb34648ae",
-        ("e1(e23+e45)", 1, "float-pullback"):
-            "d04d5e447814bcf2c276ae74c880db2997b83d62bee36b2870c040aa21acf853",
-    }
-
-
-def _classify_request_outcomes(tmp_path, capsys):
-    """sha256 of the reports of classify-3form on GL(6) pullbacks, per (seed, form), and
-    (exit code, exception name) of three malformed documents.
-
-    Each form is sent as bare "re" terms, with "im": "0" added, with every index
-    reversed, with a repeated index and a permuted one that cancels, and as a float
-    document; each of these once with the standard volume form and once with -5/3.
-    """
-    import hashlib
-    import random
-
-    from g2kit.sampling import random_invertible_rational
-
-    vol = tmp_path / "vol.json"
-    vol.write_text(json.dumps({"dim": 6, "degree": 6, "terms": [{"idx": [1, 2, 3, 4, 5, 6], "re": "-5/3"}]}))
-    normals = {
-        "split": split_normal_form(),
-        "elliptic": elliptic_normal_form(),
-        "degenerate": ExteriorForm(6, 3, {(1, 2, 3): Fraction(1, 3), (1, 4, 5): Fraction(-2)}),
-    }
-    outcomes = {}
-    for seed in (3, 4):
-        rng = random.Random(seed)
-        for name, normal in normals.items():
-            rho = normal.pullback(random_invertible_rational(rng, 6))
-            plain = [{"idx": list(idx), "re": str(c)} for idx, c in rho.terms.items()]
-            docs = [
-                plain,
-                [dict(t, im="0") for t in plain],
-                [{"idx": t["idx"][::-1], "re": t["re"]} for t in plain],
-                plain + [{"idx": [1, 1, 2], "re": "7"}, {"idx": [1, 2, 3], "re": "1/2"},
-                         {"idx": [2, 1, 3], "re": "1/2"}],
-            ]
-            docs = [{"dim": 6, "degree": 3, "terms": terms} for terms in docs]
-            docs.append(jsonio.form_to_obj(rho.as_float()))
-            digest = hashlib.sha256()
-            for k, doc in enumerate(docs):
-                path = tmp_path / f"{seed}{name}{k}.json"
-                path.write_text(json.dumps(doc))
-                for extra in ([], ["--vol", str(vol)]):
-                    assert main(["classify-3form", "--input", str(path), *extra]) == 0
-                    digest.update(capsys.readouterr().out.encode())
-            outcomes[seed, name] = digest.hexdigest()
-    bad = {
-        "index 9": {"dim": 6, "degree": 3, "terms": [{"idx": [1, 2, 9], "re": "1"}]},
-        "1/0": {"dim": 6, "degree": 3, "terms": [{"idx": [1, 2, 3], "re": "1/0"}]},
-        "dim 7": {"dim": 7, "degree": 3, "terms": [{"idx": [1, 2, 3], "re": "1"}]},
-    }
-    for name, doc in bad.items():
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        try:
-            outcomes[name] = (main(["classify-3form", "--input", str(path)]), None)
-        except Exception as exc:  # the outcome is what is pinned
-            outcomes[name] = (None, type(exc).__name__)
-    return outcomes
-
-
-def test_classify_request_bytes_are_pinned(tmp_path, capsys):
-    """The exact requests of the cli_exact mix, and their odd spellings, print the reports
-    they always have; the three malformed documents that ``bench/workloads.KNOWN_DEFECTS``
-    counts keep their outcome until the verdict contract closes (ROADMAP section 1)."""
-    assert _classify_request_outcomes(tmp_path, capsys) == {
-        (3, "split"): "af9f07bd6864afe924192bea59e3198dd1076edf80be6434bcf61928170a5b12",
-        (3, "elliptic"): "6da52e068a3be7139dbdd0fe520783c0fd5fd905705bfa661c1b5aa1ea0ee0f2",
-        (3, "degenerate"): "6e03447a6c114d270c6aef92e78bf17b5310123e8840b299d9407ac121248951",
-        (4, "split"): "7db7ea2b4d21d455d5003c7b2d0611b4551bcefd81db4c4287e56c79b6b27c09",
-        (4, "elliptic"): "d1eb563193fcdffbebd12ca6a38a41639550270058ff1fbe6654b6644cebc0b1",
-        (4, "degenerate"): "674e961e40d8c74f3361f29ae8b207fe0965ed1d7ea48ebe829f81220f194f9d",
-        "index 9": (None, "InvalidIndexError"),
-        "1/0": (None, "ZeroDivisionError"),
-        "dim 7": (None, "ValueError"),
-    }
+    for row_id in MOVED["test_cli.py::test_structure_chern_and_sphere_reports_byte_stable"]:
+        check_row(PINS[row_id], tmp_path)
 
 
 def run_main(argv, capsys):
@@ -1057,9 +809,6 @@ def test_no_call_passes_a_pivot_tolerance():
 # ---------------------------------------------------------------------------
 # sphere-suite --threads: helper processes run chunks of the samples
 # ---------------------------------------------------------------------------
-
-two_cpus = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--threads 2 needs two CPUs")
-
 
 @pytest.fixture
 def fresh_helpers():
