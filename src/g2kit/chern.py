@@ -201,8 +201,7 @@ class ChernData(Immutable):
     def gamma_matrix(self):
         """(t(r) conj(s) + t(conj(s)) r) / 2: complex symmetric."""
         a = self._r_t_conj_s()
-        half = Fraction(1, 2) if self.mode == EXACT else 0.5
-        return linalg.mat_scale(half, linalg.mat_add(a, linalg.transpose(a)))
+        return linalg.mat_scale(Fraction(1, 2), linalg.mat_add(a, linalg.transpose(a)))
 
     @property
     def h_matrix(self):
@@ -281,8 +280,7 @@ class ChernData(Immutable):
 
 def upsilon_type_extremes(data: ChernData):
     """Coefficients (8 det r, 8 det s) of the (3,0) and (0,3) volume parts."""
-    eight = Fraction(8) if data.mode == EXACT else 8.0
-    return (eight * data.det_r, eight * data.det_s)
+    return (8 * data.det_r, 8 * data.det_s)
 
 
 def omega_type_components(data: ChernData):
@@ -388,8 +386,7 @@ def compute_rs(j: CandidateJ, frame: AdaptedFrame, eta_basis=None) -> ChernData:
     pairings = linalg.mat_mul(frame.tangent_columns(), linalg.transpose(real_basis))
     rows = zip(pairings[0::2], pairings[1::2])  # (g_2j . w, g_2j+1 . w) for j = 1, 2, 3
     theta = [[theta_value(x, y, frame.mode == EXACT) for x, y in zip(a, b)] for a, b in rows]
-    half = Fraction(1, 2) if exact else 0.5
-    i_unit = I_EXACT if exact else 1j
+    half, i_unit = Fraction(1, 2), I_EXACT if exact else 1j
     r = [[half * (t[2 * l] - i_unit * t[2 * l + 1]) for l in range(3)] for t in theta]
     s = [[half * (t[2 * l] + i_unit * t[2 * l + 1]) for l in range(3)] for t in theta]
     return ChernData(r, s, context={"frame": frame, "j": j, "eta_basis": [tuple(v) for v in basis]})

@@ -24,7 +24,8 @@ The argparse parser is built once per process, on the first call of
 ``--threads K`` (1 to ``os.cpu_count()``) splits sphere-suite's samples into
 ``min(K, samples)`` contiguous chunks.  The caller runs the first; each other
 chunk goes to a helper process, forked on first use and kept for later calls.
-Reports are joined in seed order, so K never changes their bytes.
+Reports are joined in seed order, so K never changes their bytes.  Each sample
+runs :func:`g2kit.sphere.sample_check`, as ``verify_domega_pointwise`` does.
 """
 
 from __future__ import annotations
@@ -35,29 +36,19 @@ import contextlib
 import functools
 import json
 import marshal
-import math
 import os
 import random
 import sys
 import threading
 
 from . import jsonio
-from .almost_symplectic import elliptic_definite_check
 from .chern import CandidateJ, canonical_eta_basis, compute_rs, index_from_h
 from .dga import CoframeDGA
-from .forms import form_defect
-from .g2 import AdaptedFrame, FrameConstructionError, dot, float_three_form, standard_frame
+from .g2 import AdaptedFrame, FrameConstructionError, standard_frame
 from .jsonio import JsonFormatError
 from .scalars import EXACT, FLOAT, ComplexRational
-from .sphere import (
-    basis_point,
-    exact_identities,
-    frame_at_float_point,
-    nijenhuis_closed_form,
-    omega_at,
-    phi_tangential,
-    upsilon_at,
-)
+from .sphere import basis_point, exact_identities, frame_at_float_point, sample_check
+from .sphere import sample_seeds, sampled_points
 from .threeforms import FloatRangeError, classify_3form, standard_volume_form
 
 USAGE_ERROR = 2
@@ -166,51 +157,6 @@ def cmd_classify_3form(args):
 # sphere-suite
 # ---------------------------------------------------------------------------
 
-def _sphere_sample_check(seed_i, tol, upsilon_scale):
-    """All checks at one float sample point drawn from ``seed_i``.
-
-    The Nijenhuis verdict (report key ``nijenhuis_nonzero_stable``) is
-    |N(X, Y)| > 1e-3 for the closed-form tensor ``nijenhuis_closed_form`` at
-    two random tangent vectors X, Y: the invariant structure is not
-    integrable at the point.  The closed form has no step size, so the
-    verdict cannot depend on one.
-    """
-    rng = random.Random(seed_i)
-    frame = frame_at_float_point(rng, None)
-    u = frame.x
-    ups = upsilon_at(u, frame, upsilon_scale)
-    defects = {"im_upsilon": form_defect(ups.imag(), phi_tangential(u))}
-    frame2 = frame_at_float_point(rng, u)
-    defects["frame_independence"] = form_defect(ups, upsilon_at(u, frame2, upsilon_scale))
-
-    # the columns g2..g7 of a verified frame are an orthonormal basis of u-perp
-    tangent = [row[1:] for row in frame.matrix]
-    om6 = omega_at(u).pullback(tangent)
-    dom6 = (3.0 * float_three_form()).pullback(tangent)
-    rep = elliptic_definite_check(om6, dom6, tol=1e-9)
-    defects["lambda_one_form"] = rep.decomposition.lam.norm_inf()
-    ok_elliptic = rep.tag == "elliptic" and rep.signature == (3, 0) and rep.elliptic_definite
-
-    tangent = []
-    for _ in range(2):
-        v = [rng.gauss(0, 1) for _ in range(7)]
-        p = dot(v, u)
-        tangent.append([x - p * c for x, c in zip(v, u)])
-    nij_ok = math.sqrt(sum(x * x for x in nijenhuis_closed_form(u, *tangent))) > 1e-3
-
-    return {
-        "seed": seed_i,
-        "defects": defects,
-        "elliptic_definite": ok_elliptic,
-        "nijenhuis_nonzero_stable": nij_ok,
-        "pass": bool(
-            ok_elliptic
-            and nij_ok
-            and max(defects.values()) < tol
-        ),
-    }
-
-
 # Helpers are (pid, request fd, reply file), forked by this process; a forked
 # child forgets its parent's.  Messages are marshal data, which keeps float bits
 # and reads back exactly one object; a helper replies None when a sample raised.
@@ -242,7 +188,7 @@ def _fork_helper():
             while True:
                 seeds, tol, upsilon_scale = marshal.load(inbox)
                 try:
-                    reply = [_sphere_sample_check(s, tol, upsilon_scale) for s in seeds]
+                    reply = [sample_check(s, tol, upsilon_scale) for s in seeds]
                 except Exception:  # the caller re-runs the chunk and meets the error itself
                     reply = None
                 _send(reply_out, reply)
@@ -297,7 +243,7 @@ def _sample_reports(seeds, tol, upsilon_scale, workers):
             with contextlib.suppress(BrokenPipeError):  # a dead helper: its reply is end of file
                 _send(helper[1], (chunk, tol, upsilon_scale))
         try:
-            reports = [_sphere_sample_check(s, tol, upsilon_scale) for s in chunks[0]]
+            reports = [sample_check(s, tol, upsilon_scale) for s in chunks[0]]
         finally:
             for helper in helpers:
                 try:
@@ -306,7 +252,7 @@ def _sample_reports(seeds, tol, upsilon_scale, workers):
                     replies.append(None)
                     _drop(helper)
     for chunk, reply in zip(chunks[1:], replies):
-        reports += reply or [_sphere_sample_check(s, tol, upsilon_scale) for s in chunk]
+        reports += reply or [sample_check(s, tol, upsilon_scale) for s in chunk]
     return reports
 
 
@@ -315,26 +261,11 @@ def cmd_sphere_suite(args, parser):
     if samples > 0 and args.seed is None:
         parser.error("--seed is required when --samples > 0")
     upsilon_scale = 7 if args.mutate == "upsilon-scale" else 8
-    checks = []
-
-    symbolic_ok, exact_zero = exact_identities(upsilon_scale)
-    checks.append({"check": "exact_point_identity", "pass": symbolic_ok and exact_zero})
-
+    checks = [{"check": "exact_point_identity", "pass": all(exact_identities(upsilon_scale))}]
     if samples > 0:
-        seeds = [args.seed * 1_000_003 + i for i in range(samples)]
-        sample_reports = _sample_reports(seeds, tol, upsilon_scale, min(args.threads, samples))
-        agg = {
-            "check": "sampled_points",
-            "samples": samples,
-            "seed": args.seed,
-            "max_defect": max(max(r["defects"].values()) for r in sample_reports),
-            "all_elliptic_definite": all(r["elliptic_definite"] for r in sample_reports),
-            "all_nijenhuis_nonzero_stable": all(
-                r["nijenhuis_nonzero_stable"] for r in sample_reports
-            ),
-            "pass": all(r["pass"] for r in sample_reports),
-        }
-        checks.append(agg)
+        seeds = sample_seeds(args.seed, samples)
+        reports = _sample_reports(seeds, tol, upsilon_scale, min(args.threads, samples))
+        checks.append(sampled_points(args.seed, reports))
 
     report = {
         "command": "sphere-suite",

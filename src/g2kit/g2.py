@@ -31,7 +31,6 @@ from .scalars import (
     Immutable,
     join_modes,
     matrix_mode,
-    to_float,
     vector_mode,
 )
 
@@ -206,10 +205,10 @@ def _is_g2_cleared(cols):
 
 
 def theta_value(x, y, exact):
-    """theta_j(v) = (y - i x)/2 with x = g_2j . v, y = g_2j+1 . v: ComplexRational or complex."""
+    """theta_j(v) = (y - i x)/2, x = g_2j . v, y = g_2j+1 . v: ComplexRational, or complex of floats."""
     if exact:
         return ComplexRational(Fraction(y) / 2, -Fraction(x) / 2)
-    return (to_float(y) - 1j * to_float(x)) / 2.0
+    return (y - 1j * x) / 2.0
 
 
 class AdaptedFrame(Immutable):
@@ -247,9 +246,7 @@ class AdaptedFrame(Immutable):
     def theta(self, j) -> ExteriorForm:
         """Coframe 1-form theta_j = (g_2j+1 - i g_2j)/2 as covector (ambient)."""
         pairs, exact = zip(self.col(2 * j), self.col(2 * j + 1)), self.mode == EXACT
-        # theta_value's float branch, whose to_float leaves float entries as they are
-        terms = {(i,): theta_value(x, y, True) if exact else (y - 1j * x) / 2.0
-                 for i, (x, y) in enumerate(pairs, 1)}
+        terms = {(i,): theta_value(x, y, exact) for i, (x, y) in enumerate(pairs, 1)}
         return ExteriorForm._trusted(7, 1, terms, self.mode)
 
     def tangent_columns(self):

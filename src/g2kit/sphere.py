@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from fractions import Fraction
 
+from .almost_symplectic import elliptic_definite_check
 from .forms import ExteriorForm, form_defect
 from .g2 import AdaptedFrame, adapted_frame, associative_three_form, cross, dot
 from .g2 import float_three_form, standard_frame
@@ -103,14 +105,12 @@ def upsilon_at(u, frame: AdaptedFrame, scale=8) -> ExteriorForm:
 
     Independent of the adapted frame chosen at u; its imaginary part equals
     the tangential part of phi.  ``scale`` exists only as a mutation hook for
-    defect-detection tests (the honest value is 8).
+    defect-detection tests (the honest value is 8); an int fits either mode.
     """
     u = point_vector(u)
     if frame.x != u:
         raise ValueError("frame is not based at the given point")
-    t1, t2, t3 = frame.theta(1), frame.theta(2), frame.theta(3)
-    w = t1.wedge(t2).wedge(t3)
-    return (Fraction(scale) if frame.mode == EXACT else float(scale)) * w
+    return scale * frame.theta(1).wedge(frame.theta(2)).wedge(frame.theta(3))
 
 
 def ambient_omega_extension() -> PolyCoefForm:
@@ -202,34 +202,88 @@ def frame_at_float_point(rng, u) -> AdaptedFrame:
     return adapted_frame(u, v, w)
 
 
-def verify_domega_pointwise(samples, seed, tol=DEFAULT_TOL, upsilon_scale=8):
-    """Check Im(Upsilon_u) = phi|_{u-perp} pointwise.
+def sample_seeds(seed, samples):
+    """The seeds of a run's float samples: sample i draws from ``seed * 1_000_003 + i``."""
+    return [seed * 1_000_003 + i for i in range(samples)]
 
-    The ambient extension iota_E phi of the invariant 2-form has exact
-    exterior derivative 3 phi (verified symbolically, once per process), so
-    the global derivative identity reduces to this pointwise comparison.
-    Returns a report dict with the max defect over the samples; the exact
-    path at u = e1 is always included and must have defect zero.
+
+def sample_check(seed_i, tol, upsilon_scale):
+    """All checks at one float sample point drawn from ``seed_i``.
+
+    The Nijenhuis verdict (report key ``nijenhuis_nonzero_stable``) is
+    |N(X, Y)| > 1e-3 for the closed-form tensor ``nijenhuis_closed_form`` at
+    two random tangent vectors X, Y: the invariant structure is not
+    integrable at the point.  The closed form has no step size, so the
+    verdict cannot depend on one.
     """
-    import random
+    rng = random.Random(seed_i)
+    frame = frame_at_float_point(rng, None)
+    u = frame.x
+    ups = upsilon_at(u, frame, upsilon_scale)
+    defects = {"im_upsilon": form_defect(ups.imag(), phi_tangential(u))}
+    frame2 = frame_at_float_point(rng, u)
+    defects["frame_independence"] = form_defect(ups, upsilon_at(u, frame2, upsilon_scale))
 
-    symbolic_ok, exact_zero = exact_identities(upsilon_scale)
+    # the columns g2..g7 of a verified frame are an orthonormal basis of u-perp
+    tangent = [row[1:] for row in frame.matrix]
+    om6 = omega_at(u).pullback(tangent)
+    dom6 = (3.0 * float_three_form()).pullback(tangent)
+    rep = elliptic_definite_check(om6, dom6, tol=1e-9)
+    defects["lambda_one_form"] = rep.decomposition.lam.norm_inf()
+    ok_elliptic = rep.tag == "elliptic" and rep.signature == (3, 0) and rep.elliptic_definite
 
-    max_defect = 0.0
-    rng = random.Random(seed)
-    for _ in range(samples):
-        frame = frame_at_float_point(rng, None)
-        u = frame.x
-        defect = form_defect(upsilon_at(u, frame, upsilon_scale).imag(), phi_tangential(u))
-        max_defect = max(max_defect, defect)
+    tangent = []
+    for _ in range(2):
+        v = [rng.gauss(0, 1) for _ in range(7)]
+        p = dot(v, u)
+        tangent.append([x - p * c for x, c in zip(v, u)])
+    nij_ok = math.sqrt(sum(x * x for x in nijenhuis_closed_form(u, *tangent))) > 1e-3
+
     return {
+        "seed": seed_i,
+        "defects": defects,
+        "elliptic_definite": ok_elliptic,
+        "nijenhuis_nonzero_stable": nij_ok,
+        "pass": ok_elliptic and nij_ok and max(defects.values()) < tol,
+    }
+
+
+def sampled_points(seed, reports):
+    """The ``sampled_points`` check of run ``seed`` over its :func:`sample_check` reports."""
+    return {
+        "check": "sampled_points",
+        "samples": len(reports),
+        "seed": seed,
+        "max_defect": max((max(r["defects"].values()) for r in reports), default=0.0),
+        "all_elliptic_definite": all(r["elliptic_definite"] for r in reports),
+        "all_nijenhuis_nonzero_stable": all(r["nijenhuis_nonzero_stable"] for r in reports),
+        "pass": all(r["pass"] for r in reports),
+    }
+
+
+def verify_domega_pointwise(samples, seed, tol=DEFAULT_TOL, upsilon_scale=8):
+    """Check Im(Upsilon_u) = phi|_{u-perp} pointwise, with the rest of the sphere suite's checks.
+
+    d(iota_E phi) = 3 phi exactly, so the global identity reduces to this
+    pointwise one: exact at u = e1, and at the float samples of
+    :func:`sample_check`, run serially.  Returns sphere-suite's
+    ``sampled_points`` fields with the exact identities added.  Raises
+    ``TypeError`` unless ``samples`` and ``seed`` are ints (``bool`` is not),
+    and ``ValueError`` for ``samples < 0`` or a ``tol`` not finite and >= 0.
+    """
+    if type(samples) is not int or type(seed) is not int:
+        raise TypeError(f"samples and seed must be ints: {samples!r}, {seed!r}")
+    if samples < 0 or not 0 <= tol < math.inf:
+        raise ValueError(f"need samples >= 0 and a finite tol >= 0: {samples}, {tol!r}")
+    symbolic_ok, exact_zero = exact_identities(upsilon_scale)
+    reports = [sample_check(s, tol, upsilon_scale) for s in sample_seeds(seed, samples)]
+    sampled = sampled_points(seed, reports)
+    return {
+        **sampled,
         "check": "im_upsilon_equals_tangential_phi",
         "symbolic_d_omega_ambient": symbolic_ok,
         "exact_point_defect_zero": exact_zero,
-        "max_defect": max_defect,
-        "samples": samples,
-        "seed": seed,
-        "pass": symbolic_ok and exact_zero and max_defect < tol,
+        "pass": symbolic_ok and exact_zero and sampled["pass"],
     }
 
 

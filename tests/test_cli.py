@@ -823,6 +823,22 @@ def _sphere(capsys, seed, samples, threads, *extra):
     return run_main([*argv, "--threads", str(threads), *extra], capsys)
 
 
+@pytest.mark.parametrize("seed, samples, extra", [
+    *((seed, samples, ()) for seed in (0, 1, 2, 3, 7) for samples in (4, 9)),
+    (7, 4, ("--mutate", "upsilon-scale")), (7, 9, ("--mutate", "upsilon-scale"))])
+def test_library_and_cli_give_one_sphere_verdict(seed, samples, extra, capsys):
+    """verify_domega_pointwise and sphere-suite run one per-point check with one seed rule."""
+    scale = 7 if extra else 8
+    rep = g2kit.verify_domega_pointwise(samples, seed, upsilon_scale=scale)
+    code, out, _ = _sphere(capsys, seed, samples, 1, *extra)
+    report = json.loads(out)
+    sampled, = [c for c in report["checks"] if c["check"] == "sampled_points"]
+    fields = set(sampled) - {"check", "pass"}
+    assert jsonio.dumps_canonical({k: rep[k] for k in fields}) == jsonio.dumps_canonical(
+        {k: sampled[k] for k in fields})
+    assert rep["pass"] is report["pass"] is (code == 0) is (not extra)
+
+
 @two_cpus
 @pytest.mark.parametrize("seed", range(10))
 def test_threads_2_prints_the_serial_bytes(seed, capsys):
@@ -838,7 +854,7 @@ def test_helper_reports_come_back_in_seed_order_with_their_float_bits():
     import marshal
 
     seeds = list(range(20, 27))
-    serial = [cli._sphere_sample_check(s, 1e-10, 8) for s in seeds]
+    serial = [cli.sample_check(s, 1e-10, 8) for s in seeds]
     assert marshal.dumps(cli._sample_reports(seeds, 1e-10, 8, 2)) == marshal.dumps(serial)
 
 
@@ -879,7 +895,7 @@ def test_a_failed_fork_closes_the_pipes_it_opened(fresh_helpers, monkeypatch):
         raise BlockingIOError("fork: resource temporarily unavailable")
 
     seeds = [7, 8, 9]
-    serial = [cli._sphere_sample_check(s, 1e-10, 8) for s in seeds]
+    serial = [cli.sample_check(s, 1e-10, 8) for s in seeds]
     monkeypatch.setattr(os, "fork", no_fork)
     before = sorted(os.listdir("/proc/self/fd"))
     for _ in range(3):
@@ -890,7 +906,7 @@ def test_a_failed_fork_closes_the_pipes_it_opened(fresh_helpers, monkeypatch):
 @two_cpus
 def test_a_sample_raising_in_a_helper_gives_the_serial_outcome(capsys, fresh_helpers, monkeypatch):
     """The caller re-runs a chunk whose helper sample raised, and meets what it raises."""
-    parent, check = os.getpid(), cli._sphere_sample_check
+    parent, check = os.getpid(), cli.sample_check
     bad = {"seed": None}
 
     def flaky(seed_i, tol, upsilon_scale):
@@ -898,7 +914,7 @@ def test_a_sample_raising_in_a_helper_gives_the_serial_outcome(capsys, fresh_hel
             raise ValueError(seed_i)
         return check(seed_i, tol, upsilon_scale)
 
-    monkeypatch.setattr(cli, "_sphere_sample_check", flaky)
+    monkeypatch.setattr(cli, "sample_check", flaky)
     expected = _sphere(capsys, 2, 5, 1)
     assert _sphere(capsys, 2, 5, 2) == expected
     bad["seed"] = 2 * 1_000_003 + 4  # in the helper's chunk, so it raises in the caller too
@@ -943,7 +959,7 @@ def test_concurrent_callers_each_get_their_own_reports(fresh_helpers):
     import threading
 
     jobs = {t: list(range(10 * t, 10 * t + 3)) for t in range(4)}
-    serial = {t: [cli._sphere_sample_check(s, 1e-10, 8) for s in jobs[t]] for t in jobs}
+    serial = {t: [cli.sample_check(s, 1e-10, 8) for s in jobs[t]] for t in jobs}
     results = {}
 
     def run(t):

@@ -153,6 +153,25 @@ def test_domega_mutation_detected():
     assert rep["max_defect"] > 0.05  # defect ~ |1/8| of the form scale
 
 
+@pytest.mark.parametrize(
+    "samples, seed, tol, error",
+    [(-5, 7, 1e-10, ValueError), (-1, 0, 1e-10, ValueError), (2.0, 7, 1e-10, TypeError),
+     ("3", 7, 1e-10, TypeError), (True, 7, 1e-10, TypeError), (3, None, 1e-10, TypeError),
+     (3, 7.0, 1e-10, TypeError), (3, False, 1e-10, TypeError), (0, 7, float("nan"), ValueError),
+     (0, 7, -1e-10, ValueError), (0, 7, float("inf"), ValueError), (0, 7, "1e-10", TypeError)],
+)
+def test_domega_pointwise_rejects_bad_arguments(samples, seed, tol, error):
+    """samples=-5 used to report "samples": -5 and pass; seed=None seeded from the OS."""
+    with pytest.raises(error):
+        verify_domega_pointwise(samples, seed, tol)
+
+
+def test_domega_pointwise_of_zero_samples_is_the_exact_verdict():
+    rep = verify_domega_pointwise(samples=0, seed=3)
+    assert (rep["max_defect"], rep["samples"], rep["pass"]) == (0.0, 0, True)
+    assert verify_domega_pointwise(samples=0, seed=3, upsilon_scale=7)["pass"] is False
+
+
 def test_admissible_triples(rng):
     pyrng = random.Random(11)
     for _ in range(10):
